@@ -1,10 +1,15 @@
 """Trace analysis: bound evaluators, concentration checks, bias demonstration.
 
-Every check replays the protocol bookkeeping from the recorded rounds and
-events alone, then compares the replayed quantities against the stored
+The invariant checks rebuild the protocol bookkeeping from the recorded
+rounds and events alone (:class:`_Replay`) and compare it against the stored
 payload checksums (and, on debug traces, the stored payloads themselves).
-Checks return :class:`BoundReport` objects; ``run_invariant_suite`` bundles
-all of them for the CLI's check command.
+Each check is an accumulator fed once per replayed round:
+``run_invariant_suite`` drives all of them through one pass, and each public
+check function drives only its own.  Within a pass every round's pooled
+covariance is factored once, a Loewner comparison is recomputed only when its
+operands changed, and each ``eigvalsh`` is screened by a Cholesky
+factorization (:func:`~fedlinucb.core.eigs_surely_above`) that skips it only
+where its value could not change the report.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from .core import (
     HyperParams,
     ProblemInstance,
     SpdMatrix,
+    eigs_surely_above,
     inv_norm,
     solve_estimate,
     theoretical_comm_bound,
@@ -26,7 +32,7 @@ from .core import (
 )
 from .environment import gen_instance, gen_schedule
 from .protocol import payload_checksum
-from .simulator import SimulationTrace, run_fedlinucb
+from .simulator import SimulationTrace, _comm_per_epoch, run_fedlinucb
 
 __all__ = [
     "BoundReport",
@@ -73,22 +79,31 @@ def instantaneous_regret(inst: ProblemInstance, d_set: DecisionSet, chosen: np.n
     return float(values.max() - values[int(matches[0])])
 
 
+def _capped(name: str, empirical: float, bound: float, satisfied: bool | None = None,
+            **detail) -> BoundReport:
+    """Report for ``empirical <= bound`` (unless told otherwise), slack ``bound - empirical``."""
+    if satisfied is None:
+        satisfied = empirical <= bound
+    return BoundReport(name, empirical, bound, satisfied, bound - empirical, detail)
+
+
 class _Replay:
-    """Single pass over a trace reconstructing all protocol state per round.
+    """Protocol state rebuilt round by round from a trace.
 
     After ``step(k)`` (k = 0-based index into records) the attributes hold
     end-of-round values for round ``records[k].t``: the pooled statistics,
-    the server aggregate, every agent's unsynced buffers, and every agent's
-    synced covariance/target.
+    the server aggregate, every agent's unsynced buffers and synced
+    covariance/target, and ``synced``, whether the round's agent uploaded.
+    ``pooled()`` factors the pooled covariance at most once per round (with
+    the ridge floor verified when ``floor_pooled``), for every check to share.
     """
 
-    def __init__(self, trace: SimulationTrace):
+    def __init__(self, trace: SimulationTrace, floor_pooled: bool = False):
         self.trace = trace
         p = trace.params
-        self.d = int(p["d"])
+        d = self.d = int(p["d"])
         self.M = int(p["M"])
         self.lam = float(p["lambda"])
-        d = self.d
         self.sigma_all = self.lam * np.eye(d)
         self.b_all = np.zeros(d)
         self.server_sigma = self.lam * np.eye(d)
@@ -100,16 +115,21 @@ class _Replay:
         self.events_by_round = {ev.round: ev for ev in trace.events}
         self.checksum_mismatches = 0
         self.payload_deviation = 0.0
+        self.synced = False
+        self.pooled_floor = self.lam if floor_pooled else 0.0
+        self._pooled: SpdMatrix | None = None
 
     def step(self, k: int):
         rec = self.trace.records[k]
         m, x, r = rec.agent, rec.arm, rec.reward
         self.sigma_all = self.sigma_all + np.outer(x, x)
         self.b_all = self.b_all + r * x
+        self._pooled = None
         self.sigma_loc[m] = self.sigma_loc[m] + np.outer(x, x)
         self.b_loc[m] = self.b_loc[m] + r * x
         event = self.events_by_round.get(rec.t)
-        if event is not None and event.agent == m:
+        self.synced = event is not None and event.agent == m
+        if self.synced:
             if payload_checksum(self.sigma_loc[m], self.b_loc[m]) != event.payload_checksum:
                 self.checksum_mismatches += 1
             if event.payload is not None:
@@ -125,6 +145,21 @@ class _Replay:
             self.synced_sigma[m] = self.server_sigma
             self.synced_b[m] = self.server_b
         return rec, event
+
+    def pooled(self) -> SpdMatrix:
+        if self._pooled is None:
+            self._pooled = SpdMatrix.from_dense(self.sigma_all, min_eig=self.pooled_floor)
+        return self._pooled
+
+
+def _run_pass(trace: SimulationTrace, checks: list, floor_pooled: bool = False) -> list:
+    """Feed each round of one replay to every accumulator; return their reports."""
+    rep = _Replay(trace, floor_pooled)
+    for k in range(len(trace.records)):
+        rec, event = rep.step(k)
+        for check in checks:
+            check.update(rep, k, rec, event)
+    return [check.report(rep) for check in checks]
 
 
 @dataclass
@@ -181,21 +216,35 @@ def build_noise_ledger(trace: SimulationTrace, inst: ProblemInstance) -> NoiseLe
 def noise_decomposition_check(trace: SimulationTrace, inst: ProblemInstance) -> BoundReport:
     """The pooled noise sum must equal the uploaded + pending shares, each round."""
     ledger = build_noise_ledger(trace, inst)
-    if len(trace.records) == 0:
-        worst = 0.0
-        scale = 1.0
-    else:
+    worst, scale = 0.0, 1.0
+    if trace.records:
         worst = float(np.abs(ledger.u_all - ledger.u_split).max())
         scale = max(1.0, float(np.abs(ledger.u_all).max()))
-    empirical = worst / scale
-    bound = 1e-8
-    return BoundReport(
-        name="noise-decomposition",
-        empirical=empirical,
-        bound=bound,
-        satisfied=empirical <= bound,
-        slack=bound - empirical,
-    )
+    return _capped("noise-decomposition", worst / scale, 1e-8)
+
+
+class _Conservation:
+    def __init__(self):
+        self.worst, self.scale = 0.0, 1.0
+
+    def update(self, rep: _Replay, k: int, rec, event) -> None:
+        lhs_sigma = rep.server_sigma + sum(rep.sigma_loc.values())
+        lhs_b = rep.server_b + sum(rep.b_loc.values())
+        dev = max(
+            float(np.abs(lhs_sigma - rep.sigma_all).max(initial=0.0)),
+            float(np.abs(lhs_b - rep.b_all).max(initial=0.0)),
+        )
+        self.worst = max(self.worst, dev)
+        self.scale = max(self.scale, float(np.abs(rep.sigma_all).max(initial=1.0)))
+
+    def report(self, rep: _Replay) -> BoundReport:
+        empirical, bound = self.worst / self.scale, 1e-8
+        return _capped(
+            "conservation", empirical, bound,
+            satisfied=empirical <= bound and rep.checksum_mismatches == 0,
+            checksum_mismatches=rep.checksum_mismatches,
+            payload_deviation=rep.payload_deviation,
+        )
 
 
 def conservation_check(trace: SimulationTrace) -> BoundReport:
@@ -206,33 +255,23 @@ def conservation_check(trace: SimulationTrace) -> BoundReport:
     only in floating-point association order).  On debug traces the stored
     upload payloads are compared against the replayed buffers as well.
     """
-    rep = _Replay(trace)
-    worst = 0.0
-    scale = 1.0
-    for k in range(len(trace.records)):
-        rep.step(k)
-        lhs_sigma = rep.server_sigma + sum(rep.sigma_loc.values())
-        lhs_b = rep.server_b + sum(rep.b_loc.values())
-        dev = max(
-            float(np.abs(lhs_sigma - rep.sigma_all).max(initial=0.0)),
-            float(np.abs(lhs_b - rep.b_all).max(initial=0.0)),
-        )
-        worst = max(worst, dev)
-        scale = max(scale, float(np.abs(rep.sigma_all).max(initial=1.0)))
-    empirical = worst / scale
-    bound = 1e-8
-    satisfied = empirical <= bound and rep.checksum_mismatches == 0
-    return BoundReport(
-        name="conservation",
-        empirical=empirical,
-        bound=bound,
-        satisfied=satisfied,
-        slack=bound - empirical,
-        detail={
-            "checksum_mismatches": rep.checksum_mismatches,
-            "payload_deviation": rep.payload_deviation,
-        },
-    )
+    return _run_pass(trace, [_Conservation()])[0]
+
+
+class _Elliptical:
+    def __init__(self, trace: SimulationTrace):
+        p = trace.params
+        d, lam, L, T = int(p["d"]), float(p["lambda"]), float(p["L"]), int(p["T"])
+        self.bound = 2.0 * d * math.log(1.0 + T * L * L / lam)
+        self.total = 0.0
+
+    def update(self, rep: _Replay, k: int, rec, event) -> None:
+        self.total += inv_norm(rep.pooled(), rec.arm) ** 2
+
+    def report(self, rep: _Replay) -> BoundReport:
+        tol = 1e-6
+        return _capped("elliptical-potential", self.total, self.bound,
+                       satisfied=self.total <= self.bound + tol, tolerance=tol)
 
 
 def elliptical_potential_check(trace: SimulationTrace) -> BoundReport:
@@ -241,23 +280,7 @@ def elliptical_potential_check(trace: SimulationTrace) -> BoundReport:
     sum_t inv_norm(sigma_all_t, x_t)^2 <= 2 d ln(1 + T L^2 / lambda), with
     sigma_all_t the end-of-round pooled covariance.
     """
-    p = trace.params
-    d, lam, L, T = int(p["d"]), float(p["lambda"]), float(p["L"]), int(p["T"])
-    rep = _Replay(trace)
-    total = 0.0
-    for k in range(len(trace.records)):
-        rec, _ = rep.step(k)
-        total += inv_norm(SpdMatrix.from_dense(rep.sigma_all), rec.arm) ** 2
-    bound = 2.0 * d * math.log(1.0 + T * L * L / lam)
-    tol = 1e-6
-    return BoundReport(
-        name="elliptical-potential",
-        empirical=total,
-        bound=bound,
-        satisfied=total <= bound + tol,
-        slack=bound - total,
-        detail={"tolerance": tol},
-    )
+    return _run_pass(trace, [_Elliptical(trace)])[0]
 
 
 @dataclass
@@ -274,11 +297,42 @@ class CoverageReport:
     global_bound: float
 
 
+class _Coverage:
+    def __init__(self, trace: SimulationTrace, inst: ProblemInstance, beta: float):
+        p = trace.params
+        d, lam, delta = int(p["d"]), float(p["lambda"]), float(p["delta"])
+        T, L = int(p["T"]), float(p["L"])
+        R, S = inst.R, inst.S
+        self.global_bound = (
+            R * math.sqrt(d * math.log((1.0 + T * L * L / lam) / delta)) + math.sqrt(lam) * S
+        )
+        self.lam, self.theta, self.beta = lam, inst.theta_star, beta
+        self.n_local = self.local_viol = self.n_global = self.global_viol = 0
+
+    def update(self, rep: _Replay, k: int, rec, event) -> None:
+        sigma_all = rep.pooled()
+        theta_all = solve_estimate(sigma_all, rep.b_all)
+        self.n_global += 1
+        if _weighted_norm(sigma_all, self.theta - theta_all) > self.global_bound:
+            self.global_viol += 1
+        if event is not None:
+            sigma_m = SpdMatrix.from_dense(rep.synced_sigma[rec.agent], min_eig=self.lam)
+            theta_m = solve_estimate(sigma_m, rep.synced_b[rec.agent])
+            self.n_local += 1
+            if _weighted_norm(sigma_m, self.theta - theta_m) > self.beta:
+                self.local_viol += 1
+
+    def report(self, rep: _Replay) -> CoverageReport:
+        n_local, n_global = self.n_local, self.n_global
+        return CoverageReport(
+            n_local, self.local_viol, self.local_viol / n_local if n_local else 0.0,
+            n_global, self.global_viol, self.global_viol / n_global if n_global else 0.0,
+            self.beta, self.global_bound,
+        )
+
+
 def confidence_coverage(
-    trace: SimulationTrace,
-    ledger: NoiseLedger,
-    inst: ProblemInstance,
-    beta: float,
+    trace: SimulationTrace, inst: ProblemInstance, beta: float
 ) -> CoverageReport:
     """Check every refreshed estimate against beta and the pooled estimate
     against its own radius.
@@ -289,44 +343,60 @@ def confidence_coverage(
     + sqrt(lam) S.  Both are high-probability statements; returned fractions
     are expected to be zero at the default confidence levels.
     """
-    p = trace.params
-    d, lam, delta = int(p["d"]), float(p["lambda"]), float(p["delta"])
-    T, L = int(p["T"]), float(p["L"])
-    R, S = inst.R, inst.S
-    global_bound = R * math.sqrt(d * math.log((1.0 + T * L * L / lam) / delta)) + math.sqrt(lam) * S
-
-    rep = _Replay(trace)
-    n_local = local_viol = 0
-    n_global = global_viol = 0
-    theta = inst.theta_star
-    for k in range(len(trace.records)):
-        rec, event = rep.step(k)
-        sigma_all = SpdMatrix.from_dense(rep.sigma_all, min_eig=lam)
-        theta_all = solve_estimate(sigma_all, rep.b_all)
-        n_global += 1
-        if _weighted_norm(sigma_all, theta - theta_all) > global_bound:
-            global_viol += 1
-        if event is not None:
-            sigma_m = SpdMatrix.from_dense(rep.synced_sigma[rec.agent], min_eig=lam)
-            theta_m = solve_estimate(sigma_m, rep.synced_b[rec.agent])
-            n_local += 1
-            if _weighted_norm(sigma_m, theta - theta_m) > beta:
-                local_viol += 1
-    return CoverageReport(
-        n_local=n_local,
-        local_violations=local_viol,
-        local_fraction=local_viol / n_local if n_local else 0.0,
-        n_global=n_global,
-        global_violations=global_viol,
-        global_fraction=global_viol / n_global if n_global else 0.0,
-        beta=beta,
-        global_bound=global_bound,
-    )
+    return _run_pass(trace, [_Coverage(trace, inst, beta)], floor_pooled=True)[0]
 
 
 def _weighted_norm(m: SpdMatrix, v: np.ndarray) -> float:
     """||v||_m = sqrt(v^T m v) (direct norm, not the inverse one)."""
     return math.sqrt(max(float(v @ m.mat @ v), 0.0))
+
+
+def _loewner_worst(worst: float, diff: np.ndarray) -> float:
+    """``max(worst, -eigvalsh(diff)[0])`` for a running worst that starts at 0.0.
+
+    ``eigvalsh`` runs only when the Cholesky screen cannot prove its value
+    nonnegative, that is, when it could raise the worst.
+    """
+    if eigs_surely_above(diff, 0.0):
+        return worst
+    return max(worst, -float(np.linalg.eigvalsh(diff)[0]))
+
+
+class _Covariance:
+    def __init__(self, trace: SimulationTrace, alpha: float, M: int):
+        self.alpha, self.M = alpha, M
+        self.shrink = 1.0 / (1.0 + M * alpha)
+        self.windows = _single_agent_windows(trace)
+        # Window rounds are disjoint: each round is a claim-2 round of at most one agent.
+        self.window_agent = {t - 1: m for m, t1, t2 in self.windows for t in range(t1 + 1, t2 + 1)}
+        self.worst1 = self.worst2 = 0.0  # claim 1 / claim 2 violation magnitudes
+        self.n_checks1 = self.n_checks2 = 0
+
+    def update(self, rep: _Replay, k: int, rec, event) -> None:
+        # Claim 1 covers every agent every round, but an agent's difference
+        # changes only with its buffer (the active agent) or the server (every
+        # agent, after an upload); an unchanged one is already in the worst.
+        if k == 0 or rep.synced:
+            changed = range(1, self.M + 1)
+        else:
+            changed = [rec.agent] if rec.agent <= self.M else []
+        for m in changed:
+            diff = rep.server_sigma - rep.sigma_loc[m] / self.alpha
+            self.worst1 = _loewner_worst(self.worst1, diff)
+        self.n_checks1 += self.M
+        m = self.window_agent.get(k)
+        if m is not None:
+            diff = rep.synced_sigma[m] - self.shrink * rep.sigma_all
+            self.worst2 = _loewner_worst(self.worst2, diff)
+            self.n_checks2 += 1
+
+    def report(self, rep: _Replay) -> BoundReport:
+        return _capped(
+            "covariance-comparison", max(self.worst1, self.worst2), 1e-8,
+            claim1_checks=self.n_checks1, claim1_worst=self.worst1,
+            claim2_checks=self.n_checks2, claim2_worst=self.worst2,
+            windows=len(self.windows),
+        )
 
 
 def covariance_comparison_check(trace: SimulationTrace, alpha: float, M: int) -> BoundReport:
@@ -337,51 +407,7 @@ def covariance_comparison_check(trace: SimulationTrace, alpha: float, M: int) ->
     every single-agent window that opens with a sync, the agent's synced
     covariance dominates the pooled one shrunk by 1/(1 + M alpha).
     """
-    tol = 1e-8
-    rep = _Replay(trace)
-    records = trace.records
-    T = len(records)
-    worst1 = 0.0  # claim 1 violation magnitude
-    worst2 = 0.0
-    n_checks1 = 0
-
-    sigma_all_by_round = np.zeros((T, rep.d, rep.d))
-    synced_by_round: list[dict[int, np.ndarray]] = []
-    for k in range(T):
-        rep.step(k)
-        for m in range(1, M + 1):
-            diff = rep.server_sigma - rep.sigma_loc[m] / alpha
-            lam_min = float(np.linalg.eigvalsh(diff)[0])
-            worst1 = max(worst1, -lam_min)
-            n_checks1 += 1
-        sigma_all_by_round[k] = rep.sigma_all
-        synced_by_round.append({m: rep.synced_sigma[m] for m in range(1, M + 1)})
-
-    windows = _single_agent_windows(trace)
-    n_checks2 = 0
-    shrink = 1.0 / (1.0 + M * alpha)
-    for (m, t1, t2) in windows:
-        for t in range(t1 + 1, t2 + 1):
-            diff = synced_by_round[t - 1][m] - shrink * sigma_all_by_round[t - 1]
-            lam_min = float(np.linalg.eigvalsh(diff)[0])
-            worst2 = max(worst2, -lam_min)
-            n_checks2 += 1
-
-    empirical = max(worst1, worst2)
-    return BoundReport(
-        name="covariance-comparison",
-        empirical=empirical,
-        bound=tol,
-        satisfied=empirical <= tol,
-        slack=tol - empirical,
-        detail={
-            "claim1_checks": n_checks1,
-            "claim1_worst": worst1,
-            "claim2_checks": n_checks2,
-            "claim2_worst": worst2,
-            "windows": len(windows),
-        },
-    )
+    return _run_pass(trace, [_Covariance(trace, alpha, M)])[0]
 
 
 def _single_agent_windows(trace: SimulationTrace) -> list[tuple[int, int, int]]:
@@ -519,14 +545,8 @@ def _trace_consistency_check(trace: SimulationTrace) -> BoundReport:
     if any(b < a * (1 - 1e-12) for a, b in zip(dets, dets[1:])) and trace.events:
         problems += 1
         detail["det_server_not_monotone"] = True
-    return BoundReport(
-        name="trace-consistency",
-        empirical=float(problems),
-        bound=0.0,
-        satisfied=problems == 0,
-        slack=-float(problems),
-        detail=detail,
-    )
+    return BoundReport("trace-consistency", float(problems), 0.0, problems == 0,
+                       -float(problems), detail)
 
 
 def _sync_criterion_check(trace: SimulationTrace, alpha: float) -> BoundReport:
@@ -538,13 +558,9 @@ def _sync_criterion_check(trace: SimulationTrace, alpha: float) -> BoundReport:
         if margin <= 0.0:
             violations += 1
     return BoundReport(
-        name="sync-criterion-events",
-        empirical=float(violations),
-        bound=0.0,
-        satisfied=violations == 0,
-        slack=-float(violations),
-        detail={"worst_margin": None if math.isinf(worst_margin) else worst_margin,
-                "events": len(trace.events)},
+        "sync-criterion-events", float(violations), 0.0, violations == 0, -float(violations),
+        {"worst_margin": None if math.isinf(worst_margin) else worst_margin,
+         "events": len(trace.events)},
     )
 
 
@@ -553,83 +569,34 @@ def run_invariant_suite(
 ) -> list[BoundReport]:
     """Every invariant check on one trace, as named pass/fail reports.
 
-    The two confidence checks are high-probability statements (they may fail
+    One replay of the trace feeds every replay-based check.  The two
+    confidence checks are high-probability statements (they may fail
     on a delta-tail run by design); everything else is deterministic.
     """
     p = trace.params
     d, M, T, L = int(p["d"]), int(p["M"]), int(p["T"]), float(p["L"])
-    reports = [
-        _trace_consistency_check(trace),
-        _sync_criterion_check(trace, hp.alpha),
-    ]
+    reports = [_trace_consistency_check(trace), _sync_criterion_check(trace, hp.alpha)]
 
     comm_bound = theoretical_comm_bound(d, M, hp.alpha, hp.lam, L, T)
-    reports.append(
-        BoundReport(
-            name="comm-bound",
-            empirical=float(trace.comm_count),
-            bound=comm_bound,
-            satisfied=trace.comm_count <= comm_bound,
-            slack=comm_bound - trace.comm_count,
-        )
-    )
+    reports.append(_capped("comm-bound", float(trace.comm_count), comm_bound))
+    worst_epoch = float(max(_comm_per_epoch(trace), default=0))
+    reports.append(_capped("epoch-comm", worst_epoch, 2.0 * (M + 1.0 / hp.alpha)))
 
-    per_epoch_cap = 2.0 * (M + 1.0 / hp.alpha)
-    worst_epoch = 0.0
-    if trace.epoch_starts:
-        starts = [tau for _, tau in trace.epoch_starts]
-        for j, tau in enumerate(starts):
-            end = starts[j + 1] if j + 1 < len(starts) else T + 1
-            worst_epoch = max(
-                worst_epoch, 2.0 * sum(1 for ev in trace.events if tau <= ev.round < end)
-            )
-    reports.append(
-        BoundReport(
-            name="epoch-comm",
-            empirical=worst_epoch,
-            bound=per_epoch_cap,
-            satisfied=worst_epoch <= per_epoch_cap,
-            slack=per_epoch_cap - worst_epoch,
-        )
-    )
-
-    reports.append(elliptical_potential_check(trace))
-    reports.append(conservation_check(trace))
-    reports.append(noise_decomposition_check(trace, inst))
-    reports.append(covariance_comparison_check(trace, hp.alpha, M))
-
-    ledger = build_noise_ledger(trace, inst)
-    coverage = confidence_coverage(trace, ledger, inst, trace.beta_used)
-    reports.append(
-        BoundReport(
-            name="local-confidence",
-            empirical=coverage.local_fraction,
-            bound=0.0,
-            satisfied=coverage.local_violations == 0,
-            slack=-coverage.local_fraction,
-            detail={"checks": coverage.n_local, "beta": coverage.beta},
-        )
-    )
-    reports.append(
-        BoundReport(
-            name="global-confidence",
-            empirical=coverage.global_fraction,
-            bound=0.0,
-            satisfied=coverage.global_violations == 0,
-            slack=-coverage.global_fraction,
-            detail={"checks": coverage.n_global, "radius": coverage.global_bound},
-        )
-    )
+    checks = [_Elliptical(trace), _Conservation(), _Covariance(trace, hp.alpha, M),
+              _Coverage(trace, inst, trace.beta_used)]
+    elliptical, conservation, covariance, coverage = _run_pass(trace, checks, floor_pooled=True)
+    reports += [elliptical, conservation, noise_decomposition_check(trace, inst), covariance]
+    # Fractions against a zero bound: slack is -fraction (so -0.0 when clean).
+    reports.append(BoundReport(
+        "local-confidence", coverage.local_fraction, 0.0, coverage.local_violations == 0,
+        -coverage.local_fraction, {"checks": coverage.n_local, "beta": coverage.beta},
+    ))
+    reports.append(BoundReport(
+        "global-confidence", coverage.global_fraction, 0.0, coverage.global_violations == 0,
+        -coverage.global_fraction, {"checks": coverage.n_global, "radius": coverage.global_bound},
+    ))
 
     total_regret = float(trace.cum_regret[-1]) if len(trace.cum_regret) else 0.0
     regret_bound = theoretical_regret_bound(inst, hp, M, T, trace.beta_used)
-    reports.append(
-        BoundReport(
-            name="regret-bound",
-            empirical=total_regret,
-            bound=regret_bound,
-            satisfied=total_regret <= regret_bound,
-            slack=regret_bound - total_regret,
-        )
-    )
+    reports.append(_capped("regret-bound", total_regret, regret_bound))
     return reports

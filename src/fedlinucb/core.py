@@ -74,9 +74,10 @@ class SpdMatrix:
         recon_err = float(np.abs(chol @ chol.T - m).max(initial=0.0))
         if recon_err > FACTOR_RTOL * max(scale, 1.0):
             raise NumericalDomainError("factorization failed to reproduce the matrix")
-        if min_eig > 0.0:
+        floor = min_eig * (1.0 - 1e-9) - 1e-12
+        if min_eig > 0.0 and not eigs_surely_above(m, floor):
             smallest = float(np.linalg.eigvalsh(m)[0])
-            if smallest < min_eig * (1.0 - 1e-9) - 1e-12:
+            if smallest < floor:
                 raise NumericalDomainError(
                     f"smallest eigenvalue {smallest} below stated floor {min_eig}"
                 )
@@ -86,6 +87,26 @@ class SpdMatrix:
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
+
+
+def eigs_surely_above(mat: Matrix, floor: float) -> bool:
+    """Whether a Cholesky factorization proves ``eigvalsh(mat)[0] >= floor``.
+
+    Factors ``mat - (floor + margin) I``.  The margin, 8 d eps (tr|mat| + d|floor|),
+    exceeds the rounding of this factorization and of ``eigvalsh`` alike (each a
+    small multiple of d eps ||mat||), so True means ``eigvalsh`` could not come
+    out below the floor and may be skipped; False decides nothing.
+    """
+    d = mat.shape[0]
+    margin = 8.0 * d * np.finfo(np.float64).eps * (np.abs(np.diagonal(mat)).sum() + d * abs(floor))
+    shifted = mat.copy()
+    shifted.flat[:: d + 1] -= floor + margin
+    try:
+        factor = np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    # LAPACK does not reject NaN pivots; a NaN anywhere reaches the last one.
+    return math.isfinite(factor[-1, -1])
 
 
 def spd_det(m: SpdMatrix) -> float:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -38,6 +39,15 @@ class AgentState:
     b_loc: Vector
     theta_hat: Vector
     last_sync_round: int = 0
+
+    @cached_property
+    def combined(self) -> SpdMatrix:
+        """sigma + sigma_loc, factored once per state (``sigma`` itself when nothing
+        is buffered): the trigger's candidate, the sync's ``det_after``, and the
+        eager selection matrix at the agent's next activation."""
+        if not self.sigma_loc.any():
+            return self.sigma
+        return SpdMatrix.from_dense(self.sigma.mat + self.sigma_loc)
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,8 +123,7 @@ def should_sync(a: AgentState, alpha: float) -> bool:
     """Determinant trigger: det(sigma + sigma_loc) > (1 + alpha) * det(sigma), strict."""
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
-    candidate = SpdMatrix.from_dense(a.sigma.mat + a.sigma_loc)
-    return candidate.det > (1.0 + alpha) * a.sigma.det
+    return a.combined.det > (1.0 + alpha) * a.sigma.det
 
 
 def sync(
@@ -127,7 +136,7 @@ def sync(
     because the strict trigger cannot fire on empty buffers.
     """
     det_before = a.sigma.det
-    det_after = SpdMatrix.from_dense(a.sigma.mat + a.sigma_loc).det
+    det_after = a.combined.det
     new_sigma = SpdMatrix.from_dense(
         s.sigma_ser.mat + a.sigma_loc, min_eig=s.sigma_ser.min_eig
     )
@@ -168,13 +177,13 @@ def step_agent(
     """One activation: select, observe, buffer, and sync when triggered.
 
     Lazy mode scores arms with the stored (theta_hat, sigma); eager mode
-    recombines (sigma + sigma_loc, b + b_loc) fresh for selection and leaves
-    the stored state untouched.  Inactive agents are never touched at all.
+    recombines (sigma + sigma_loc, b + b_loc) for selection, reusing the factor
+    of the agent's last trigger, and leaves the stored state untouched.
+    Inactive agents are never touched at all.
     """
     if hp.estimate_mode == "eager":
-        stats = SpdMatrix.from_dense(a.sigma.mat + a.sigma_loc)
-        theta = solve_estimate(stats, a.b + a.b_loc)
-        idx = ucb_select(theta, stats, beta, d_set)
+        theta = solve_estimate(a.combined, a.b + a.b_loc)
+        idx = ucb_select(theta, a.combined, beta, d_set)
     else:
         idx = ucb_select(a.theta_hat, a.sigma, beta, d_set)
     x = d_set.arms[idx]

@@ -18,7 +18,6 @@ import pytest
 from fedlinucb import (
     HyperParams,
     bias_demo,
-    build_noise_ledger,
     confidence_coverage,
     covariance_comparison_check,
     elliptical_potential_check,
@@ -85,8 +84,7 @@ def replications():
     for rep in range(REP_COUNT):
         inst = gen_instance("random-sphere", d=4, K=10, seed=REP_SEED + rep)
         trace = run_fedlinucb(inst, sched, hp)
-        ledger = build_noise_ledger(trace, inst)
-        cov = confidence_coverage(trace, ledger, inst, trace.beta_used)
+        cov = confidence_coverage(trace, inst, trace.beta_used)
         rows.append(
             {
                 "local_violations": cov.local_violations,

@@ -168,8 +168,7 @@ def test_coverage_noiseless_recovery():
     # R = 0: only the ridge prior separates the estimate from the target, so
     # both confidence statements hold with certainty.
     inst, hp, trace = run_small(seed=29, R=0.0, T=200)
-    ledger = build_noise_ledger(trace, inst)
-    cov = confidence_coverage(trace, ledger, inst, trace.beta_used)
+    cov = confidence_coverage(trace, inst, trace.beta_used)
     assert cov.n_global == 200
     assert cov.n_local == len(trace.events) > 0
     assert cov.local_violations == 0
@@ -180,8 +179,7 @@ def test_coverage_noiseless_recovery():
 
 def test_coverage_standard_run_zero_violation_fractions():
     inst, hp, trace = run_small(seed=31)
-    ledger = build_noise_ledger(trace, inst)
-    cov = confidence_coverage(trace, ledger, inst, trace.beta_used)
+    cov = confidence_coverage(trace, inst, trace.beta_used)
     assert cov.local_fraction == 0.0
     assert cov.global_fraction == 0.0
     assert cov.beta == trace.beta_used

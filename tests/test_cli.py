@@ -152,6 +152,34 @@ def test_golden_summary_bytes(tmp_path):
     assert (out / "summary.json").read_bytes() == golden.read_bytes()
 
 
+GOLDEN_CHECK_CONFIG = {
+    "instance": {"kind": "hypercube-corners", "d": 6, "K": 8, "seed": 11},
+    "schedule": {"kind": "iid-uniform", "M": 3, "T": 600, "seed": 12},
+    "params": {"alpha": 0.0625, "lambda": 1.0, "delta": 0.1, "beta": "auto",
+               "estimate_mode": "eager"},
+}
+
+
+def test_golden_check_report_bytes(tmp_path):
+    # Frozen check output for an eager run with syncs and single-agent
+    # windows, so every replay-based check has work to do.
+    import pathlib
+
+    from fedlinucb import covariance_comparison_check
+    from fedlinucb.cli import build_hyperparams, build_instance, build_schedule
+
+    golden = pathlib.Path(__file__).parent / "data" / "golden_check_report.json"
+    cfg_path = write_config(tmp_path, GOLDEN_CHECK_CONFIG)
+    out = tmp_path / "out"
+    assert main(["check", "--config", cfg_path, "--out", str(out)]) == 0
+    assert (out / "check_report.json").read_bytes() == golden.read_bytes()
+    cfg = resolve_config(GOLDEN_CHECK_CONFIG)
+    hp = build_hyperparams(cfg)
+    trace = run_fedlinucb(build_instance(cfg), build_schedule(cfg), hp)
+    assert trace.events
+    assert covariance_comparison_check(trace, hp.alpha, 3).detail["windows"] > 0
+
+
 # ---------------------------------------------------------------- bad configs
 
 

@@ -79,6 +79,26 @@ def test_spd_rejects_below_stated_floor():
     SpdMatrix.from_dense(np.diag([1.0, 2.0]), min_eig=1.0)  # boundary passes
 
 
+def test_spd_floor_edge_decided_by_eigvalsh():
+    # The floor check admits a 1e-9 relative plus 1e-12 absolute shortfall.
+    # At that edge the Cholesky screen cannot decide, so eigvalsh does: a
+    # matrix whose smallest eigenvalue sits exactly on the edge is
+    # accepted, and one a hair below is rejected with eigvalsh's value.
+    edge = 1.0 * (1.0 - 1e-9) - 1e-12
+    SpdMatrix.from_dense(np.diag([edge, 2.0]), min_eig=1.0)
+    below = float(np.nextafter(edge, 0.0))
+    with pytest.raises(NumericalDomainError) as exc:
+        SpdMatrix.from_dense(np.diag([below, 2.0]), min_eig=1.0)
+    assert str(exc.value) == f"smallest eigenvalue {below} below stated floor 1.0"
+    with pytest.raises(NumericalDomainError) as exc:
+        SpdMatrix.from_dense(np.diag([0.5, 2.0]), min_eig=1.0)
+    assert str(exc.value) == "smallest eigenvalue 0.5 below stated floor 1.0"
+    # Well above the floor the screen alone accepts.
+    rot = np.array([[0.6, -0.8], [0.8, 0.6]])
+    m = SpdMatrix.from_dense(rot @ np.diag([3.0, 5.0]) @ rot.T, min_eig=1.0)
+    assert m.min_eig == 1.0
+
+
 def test_spd_rejects_non_square():
     with pytest.raises(DimensionMismatchError):
         SpdMatrix.from_dense(np.ones((2, 3)))
