@@ -10,7 +10,6 @@ from .core import (
     compute_beta,
     inv_norm,
     solve_estimate,
-    spd_det,
     theoretical_comm_bound,
     theoretical_regret_bound,
     ucb_select,

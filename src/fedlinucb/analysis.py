@@ -541,10 +541,12 @@ def _trace_consistency_check(trace: SimulationTrace) -> BoundReport:
         ):
             problems += 1
             detail["cum_regret_mismatch"] = float(np.abs(expected - trace.cum_regret).max())
-    dets = [rec.det_server for rec in trace.records]
-    if any(b < a * (1 - 1e-12) for a, b in zip(dets, dets[1:])) and trace.events:
+    logdets = [rec.logdet_server for rec in trace.records]
+    if trace.events and any(
+        b < a - 1e-12 * max(1.0, abs(a)) for a, b in zip(logdets, logdets[1:])
+    ):
         problems += 1
-        detail["det_server_not_monotone"] = True
+        detail["logdet_server_not_monotone"] = True
     return BoundReport("trace-consistency", float(problems), 0.0, problems == 0,
                        -float(problems), detail)
 
@@ -553,7 +555,7 @@ def _sync_criterion_check(trace: SimulationTrace, alpha: float) -> BoundReport:
     violations = 0
     worst_margin = math.inf
     for ev in trace.events:
-        margin = ev.det_after - (1.0 + alpha) * ev.det_before
+        margin = ev.logdet_after - ev.logdet_before - math.log1p(alpha)
         worst_margin = min(worst_margin, margin)
         if margin <= 0.0:
             violations += 1

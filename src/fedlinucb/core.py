@@ -2,20 +2,21 @@
 
 Everything downstream (protocol state machine, simulator, analysis) goes
 through the small set of primitives defined here: a validated SPD matrix
-wrapper with a cached Cholesky handle, determinant / inverse-norm / ridge
-solves on that wrapper, the confidence-radius and bound formulas, and the
-optimistic arm-selection rule.
+wrapper with a cached Cholesky handle, log-determinant / inverse-norm / ridge
+solves on that wrapper (straight through LAPACK ``dpotrs``), the
+confidence-radius and bound formulas, and the optimistic arm-selection rule.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import cho_solve
+from scipy.linalg.lapack import dpotrs
 
 Vector = NDArray[np.float64]
 Matrix = NDArray[np.float64]
@@ -50,14 +51,18 @@ class SpdMatrix:
         Lower-triangular Cholesky factor ``L`` with ``L @ L.T == mat``.
     min_eig:
         Spectral floor stated at construction (0.0 when none was claimed).
+    logdet:
+        ``2 * sum(log(diag(L)))``, the natural log of the determinant; finite for
+        every SPD matrix, so every determinant comparison is made with it.
     det:
-        Determinant computed from the factor diagonal; strictly positive.
+        ``prod(diag(L))**2`` in linear space, kept only for display (the
+        ``det_server`` trace column); it reads 0.0 or inf once the determinant
+        leaves the float range.  Both are computed on first use.
     """
 
     mat: Matrix
     chol: Matrix
     min_eig: float
-    det: float
 
     @classmethod
     def from_dense(cls, mat: Any, min_eig: float = 0.0) -> "SpdMatrix":
@@ -81,12 +86,22 @@ class SpdMatrix:
                 raise NumericalDomainError(
                     f"smallest eigenvalue {smallest} below stated floor {min_eig}"
                 )
-        det = float(np.prod(np.diag(chol)) ** 2)
-        return cls(mat=m, chol=chol, min_eig=float(min_eig), det=det)
+        return cls(mat=m, chol=chol, min_eig=float(min_eig))
 
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
+
+    @cached_property
+    def logdet(self) -> float:
+        return 2.0 * float(np.log(np.diagonal(self.chol)).sum())
+
+    @cached_property
+    def det(self) -> float:
+        # Display only: the product leaves the float range at large d (0.0 at
+        # d=200, lam=0.01; inf at d=160, lam=100), which is documented output.
+        with np.errstate(over="ignore", under="ignore"):
+            return float(np.prod(np.diag(self.chol)) ** 2)
 
 
 def eigs_surely_above(mat: Matrix, floor: float) -> bool:
@@ -109,9 +124,12 @@ def eigs_surely_above(mat: Matrix, floor: float) -> bool:
     return math.isfinite(factor[-1, -1])
 
 
-def spd_det(m: SpdMatrix) -> float:
-    """Determinant from the cached factorization (always > 0)."""
-    return m.det
+def _chol_solve(chol: Matrix, b: Any) -> NDArray[np.float64]:
+    """``(L L^T)^{-1} b`` through LAPACK ``dpotrs`` on a lower factor, no input checks."""
+    x, info = dpotrs(chol, b, lower=1)
+    if info != 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal potrs")
+    return x
 
 
 def inv_norm(m: SpdMatrix, x: Any) -> float:
@@ -123,7 +141,7 @@ def inv_norm(m: SpdMatrix, x: Any) -> float:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (m.dim,):
         raise DimensionMismatchError(f"expected shape ({m.dim},), got {x.shape}")
-    y = cho_solve((m.chol, True), x, check_finite=False)
+    y = _chol_solve(m.chol, x)
     return math.sqrt(max(float(x @ y), 0.0))
 
 
@@ -132,7 +150,7 @@ def solve_estimate(m: SpdMatrix, b: Any) -> Vector:
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (m.dim,):
         raise DimensionMismatchError(f"expected shape ({m.dim},), got {b.shape}")
-    return np.asarray(cho_solve((m.chol, True), b, check_finite=False), dtype=np.float64)
+    return _chol_solve(m.chol, b)
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,13 +302,17 @@ def theoretical_comm_bound(
 ) -> float:
     """Deterministic cap on total communications (uploads + downloads).
 
-        2*ln(2)*d*(M + 1/alpha)*ln(1 + T*L^2/(lam*d))
+        2*d*(M + 1/alpha)*log2(1 + T*L^2/(lam*d))
+
+    Each doubling of the server determinant opens an epoch with at most
+    2*(M + 1/alpha) communications, and the determinant doubles at most
+    d*log2(1 + T*L^2/(lam*d)) times over the horizon.
     """
     if d < 1 or M < 1 or T < 0:
         raise ValueError("need d >= 1, M >= 1, T >= 0")
     if alpha <= 0.0 or lam <= 0.0 or L <= 0.0:
         raise ValueError("alpha, lam, L must be positive")
-    return 2.0 * math.log(2.0) * d * (M + 1.0 / alpha) * math.log(1.0 + T * L * L / (lam * d))
+    return 2.0 * d * (M + 1.0 / alpha) * math.log2(1.0 + T * L * L / (lam * d))
 
 
 def ucb_select(theta_hat: Any, m: SpdMatrix, beta: float, d_set: DecisionSet) -> int:
@@ -308,7 +330,7 @@ def ucb_select(theta_hat: Any, m: SpdMatrix, beta: float, d_set: DecisionSet) ->
         raise ValueError("beta must be nonnegative")
     # Batched quadratic forms through the cached factor; one LAPACK call for
     # the whole set instead of a python loop over arms.
-    ys = cho_solve((m.chol, True), arms.T, check_finite=False)
+    ys = _chol_solve(m.chol, arms.T)
     quad = np.maximum(np.einsum("kd,dk->k", arms, ys), 0.0)
     scores = arms @ theta_hat + beta * np.sqrt(quad)
     return int(np.argmax(scores))

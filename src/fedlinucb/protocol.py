@@ -5,11 +5,18 @@ agent's synced covariance can safely alias the server's (both are
 immutable-after-construction).  Uploads move the agent's local buffers into
 the server aggregate; downloads hand the post-update aggregate straight back
 to the uploading agent.  One sync therefore costs exactly two communications.
+
+The trigger compares log-determinants and needs no factorization between
+syncs: by the matrix determinant lemma each buffered arm ``x`` raises
+``logdet(sigma + sigma_loc) - logdet(sigma)`` by ``log1p(x^T V^{-1} x)``, with
+``V = sigma + sigma_loc`` before the arm, and ``V^{-1}`` is kept current by a
+Sherman-Morrison update.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable
@@ -21,6 +28,7 @@ from .core import (
     DimensionMismatchError,
     HyperParams,
     SpdMatrix,
+    _chol_solve,
     solve_estimate,
     ucb_select,
 )
@@ -30,7 +38,10 @@ Vector = np.ndarray
 
 @dataclass(frozen=True, eq=False)
 class AgentState:
-    """One agent: synced statistics (sigma, b, theta_hat) plus unsynced buffers."""
+    """One agent: synced statistics (sigma, b, theta_hat), unsynced buffers, and
+    the trigger state kept by :func:`local_update`: ``v_inv`` is
+    ``(sigma + sigma_loc)^{-1}`` and ``log_gain`` is
+    ``logdet(sigma + sigma_loc) - logdet(sigma)``."""
 
     id: int
     sigma: SpdMatrix
@@ -38,13 +49,14 @@ class AgentState:
     sigma_loc: np.ndarray
     b_loc: Vector
     theta_hat: Vector
+    v_inv: np.ndarray
+    log_gain: float = 0.0
     last_sync_round: int = 0
 
     @cached_property
     def combined(self) -> SpdMatrix:
         """sigma + sigma_loc, factored once per state (``sigma`` itself when nothing
-        is buffered): the trigger's candidate, the sync's ``det_after``, and the
-        eager selection matrix at the agent's next activation."""
+        is buffered): the sync's ``logdet_after`` and the eager selection matrix."""
         if not self.sigma_loc.any():
             return self.sigma
         return SpdMatrix.from_dense(self.sigma.mat + self.sigma_loc)
@@ -61,12 +73,18 @@ class ServerState:
 
 @dataclass(frozen=True, eq=False)
 class CommEvent:
-    """One upload/download pair. det_before/det_after are the trigger operands."""
+    """One upload/download pair.
+
+    ``logdet_before`` and ``logdet_after`` are the natural log-determinants of
+    the uploader's synced covariance and of it plus the uploaded buffer, each
+    from a fresh factorization; the sync-criterion check verifies that their
+    difference exceeds ``log1p(alpha)``.
+    """
 
     round: int
     agent: int
-    det_before: float
-    det_after: float
+    logdet_before: float
+    logdet_after: float
     payload_checksum: str
     payload: tuple[np.ndarray, Vector] | None = None
 
@@ -82,7 +100,8 @@ class RoundRecord:
     reward: float
     inst_regret: float
     comm: int  # 0 or 2 communications this round
-    det_server: float
+    logdet_server: float
+    det_server: float  # linear-space display value of the trace column
 
 
 def init_agent(agent_id: int, d: int, lam: float) -> AgentState:
@@ -94,6 +113,7 @@ def init_agent(agent_id: int, d: int, lam: float) -> AgentState:
         sigma_loc=np.zeros((d, d)),
         b_loc=np.zeros(d),
         theta_hat=np.zeros(d),
+        v_inv=_chol_solve(prior.chol, np.eye(d)),
     )
 
 
@@ -112,18 +132,29 @@ def payload_checksum(sigma_loc: np.ndarray, b_loc: Vector) -> str:
 
 
 def local_update(a: AgentState, x: np.ndarray, r: float) -> AgentState:
-    """Accumulate one observation into the local (unsynced) buffers."""
+    """Accumulate one observation into the local (unsynced) buffers and advance
+    the trigger state by the determinant lemma and a Sherman-Morrison update."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (a.sigma.dim,):
         raise DimensionMismatchError(f"arm shape {x.shape} vs dim {a.sigma.dim}")
-    return replace(a, sigma_loc=a.sigma_loc + np.outer(x, x), b_loc=a.b_loc + r * x)
+    u = a.v_inv @ x
+    q = float(x @ u)
+    # Broadcast outer products: the same products as np.outer, without its overhead.
+    return replace(
+        a,
+        sigma_loc=a.sigma_loc + x[:, None] * x,
+        b_loc=a.b_loc + r * x,
+        v_inv=a.v_inv - u[:, None] * (u / (1.0 + q)),
+        log_gain=a.log_gain + math.log1p(q),
+    )
 
 
 def should_sync(a: AgentState, alpha: float) -> bool:
-    """Determinant trigger: det(sigma + sigma_loc) > (1 + alpha) * det(sigma), strict."""
+    """Strict trigger logdet(sigma + sigma_loc) - logdet(sigma) > log1p(alpha), i.e.
+    det ratio > 1 + alpha at any d; reads ``log_gain`` and factors nothing."""
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
-    return a.combined.det > (1.0 + alpha) * a.sigma.det
+    return a.log_gain > math.log1p(alpha)
 
 
 def sync(
@@ -135,8 +166,8 @@ def sync(
     re-downloads an identical state); the run loop never produces that case
     because the strict trigger cannot fire on empty buffers.
     """
-    det_before = a.sigma.det
-    det_after = a.combined.det
+    logdet_before = a.sigma.logdet
+    logdet_after = a.combined.logdet
     new_sigma = SpdMatrix.from_dense(
         s.sigma_ser.mat + a.sigma_loc, min_eig=s.sigma_ser.min_eig
     )
@@ -144,8 +175,8 @@ def sync(
     event = CommEvent(
         round=round_,
         agent=a.id,
-        det_before=det_before,
-        det_after=det_after,
+        logdet_before=logdet_before,
+        logdet_after=logdet_after,
         payload_checksum=payload_checksum(a.sigma_loc, a.b_loc),
         payload=(a.sigma_loc.copy(), a.b_loc.copy()) if debug else None,
     )
@@ -158,6 +189,8 @@ def sync(
         sigma_loc=np.zeros((d, d)),
         b_loc=np.zeros(d),
         theta_hat=solve_estimate(new_sigma, new_b),
+        v_inv=_chol_solve(new_sigma.chol, np.eye(d)),
+        log_gain=0.0,
         last_sync_round=round_,
     )
     return agent, server, event
@@ -177,8 +210,8 @@ def step_agent(
     """One activation: select, observe, buffer, and sync when triggered.
 
     Lazy mode scores arms with the stored (theta_hat, sigma); eager mode
-    recombines (sigma + sigma_loc, b + b_loc) for selection, reusing the factor
-    of the agent's last trigger, and leaves the stored state untouched.
+    recombines (sigma + sigma_loc, b + b_loc) for selection, through a fresh
+    factor of that sum, and leaves the stored state untouched.
     Inactive agents are never touched at all.
     """
     if hp.estimate_mode == "eager":
@@ -202,6 +235,7 @@ def step_agent(
         reward=r,
         inst_regret=regret_fn(d_set, idx),
         comm=2 if event is not None else 0,
+        logdet_server=s.sigma_ser.logdet,
         det_server=s.sigma_ser.det,
     )
     return a, s, record, event

@@ -9,6 +9,7 @@ activation sequence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -92,9 +93,7 @@ def _make_regret_fn(inst: ProblemInstance):
 
 
 def _resolve_beta(inst: ProblemInstance, hp: HyperParams, M: int, T: int) -> float:
-    if hp.beta_mode == "fixed":
-        return compute_beta(inst, hp, M, T)
-    if T == 0:
+    if T == 0 and hp.beta_mode == "auto":
         return 0.0  # nothing is selected; keep the echo deterministic
     return compute_beta(inst, hp, M, T)
 
@@ -103,22 +102,25 @@ def epoch_boundaries(trace: SimulationTrace, lam: float, d: int) -> list[tuple[i
     """Realized determinant-doubling epochs of the server covariance.
 
     Returns (i, tau_i) with tau_i the first round whose end-of-round server
-    determinant reaches 2^i * lam^d.  tau_0 is always round 1 on nonempty
-    traces; indices stop at the last threshold the final determinant reaches.
+    log-determinant reaches i*ln(2) + d*ln(lam), i.e. whose determinant
+    reaches 2^i * lam^d.  tau_0 is always round 1 on nonempty traces; indices
+    stop at the last threshold the final log-determinant reaches.
     """
-    dets = np.array([rec.det_server for rec in trace.records], dtype=np.float64)
-    if dets.size == 0:
+    logdets = np.array([rec.logdet_server for rec in trace.records], dtype=np.float64)
+    if logdets.size == 0:
         return []
+    base = d * math.log(lam)
+    # Slack above the rounding of a d-term log sum, so that the untouched
+    # prior meets the i=0 threshold.
+    slack = 1e-12 * (1.0 + abs(base))
     out: list[tuple[int, int]] = []
-    final = dets[-1]
+    final = logdets[-1]
     i = 0
     while True:
-        threshold = (2.0**i) * lam**d
-        # 1-ulp slack so the i=0 threshold is met by the untouched prior.
-        cutoff = threshold * (1.0 - 1e-12)
+        cutoff = i * math.log(2.0) + base - slack
         if final < cutoff:
             break
-        tau = int(np.searchsorted(dets, cutoff, side="left")) + 1
+        tau = int(np.searchsorted(logdets, cutoff, side="left")) + 1
         out.append((i, tau))
         i += 1
     return out

@@ -5,7 +5,8 @@ the covariance comparison, and the unscreened eigenvalue floor in
 
 Test-only reference: ``test_invariant_pass.py`` asserts that the package's
 single pass reports exactly what these functions report.  The check bodies
-below are kept as they were; only the imports are new.
+below are kept as they were; only the imports are new, and ``from_dense``
+no longer passes a determinant (``core.SpdMatrix`` computes it on use).
 """
 
 from __future__ import annotations
@@ -64,8 +65,7 @@ class SpdMatrix(core.SpdMatrix):
                 raise NumericalDomainError(
                     f"smallest eigenvalue {smallest} below stated floor {min_eig}"
                 )
-        det = float(np.prod(np.diag(chol)) ** 2)
-        return cls(mat=m, chol=chol, min_eig=float(min_eig), det=det)
+        return cls(mat=m, chol=chol, min_eig=float(min_eig))
 
 
 class _Replay:

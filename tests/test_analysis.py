@@ -122,7 +122,7 @@ def test_conservation_catches_tampered_reward():
     records[k] = RoundRecord(
         t=rec.t, agent=rec.agent, arm_index=rec.arm_index, arm=rec.arm,
         reward=rec.reward + 1.0, inst_regret=rec.inst_regret, comm=rec.comm,
-        det_server=rec.det_server,
+        logdet_server=rec.logdet_server, det_server=rec.det_server,
     )
     doctored = SimulationTrace(
         records=records, events=trace.events, cum_regret=trace.cum_regret,
@@ -211,11 +211,11 @@ def toy_trace(agent_seq, sync_rounds):
     records = [
         RoundRecord(t=t, agent=m, arm_index=0, arm=np.zeros(2), reward=0.0,
                     inst_regret=0.0, comm=2 if (t, m) in sync_rounds else 0,
-                    det_server=1.0)
+                    logdet_server=0.0, det_server=1.0)
         for t, m in enumerate(agent_seq, 1)
     ]
     events = [
-        CommEvent(round=t, agent=m, det_before=1.0, det_after=2.0,
+        CommEvent(round=t, agent=m, logdet_before=0.0, logdet_after=math.log(2.0),
                   payload_checksum=payload_checksum(np.zeros((2, 2)), np.zeros(2)))
         for (t, m) in sorted(sync_rounds)
     ]

@@ -69,6 +69,22 @@ def test_resolve_config_defaults():
 # ---------------------------------------------------------------- run
 
 
+@pytest.mark.parametrize("d, lam, shown", [(200, 0.01, "0.0"), (160, 100.0, "inf")])
+def test_run_det_column_outside_float_range(tmp_path, d, lam, shown):
+    # The run itself decides in log space; only the display column saturates.
+    cfg = {
+        "instance": {"kind": "random-sphere", "d": d, "K": 4, "seed": 7},
+        "schedule": {"kind": "round-robin", "M": 2, "T": 20},
+        "params": {"alpha": 0.25, "lambda": lam, "delta": 0.1, "beta": "auto"},
+    }
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    lines = (out / "trace.csv").read_text().splitlines()
+    assert lines[0] == ",".join(TRACE_COLUMNS)
+    assert {line.split(",")[-1] for line in lines[1:]} == {shown}
+    assert json.loads((out / "summary.json").read_text())["epoch_starts"][0] == [0, 1]
+
+
 def test_run_writes_trace_and_summary(tmp_path, capsys):
     cfg_path = write_config(tmp_path, BASE_CONFIG)
     out = tmp_path / "out"

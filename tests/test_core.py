@@ -17,7 +17,6 @@ from fedlinucb import (
     compute_beta,
     inv_norm,
     solve_estimate,
-    spd_det,
     theoretical_comm_bound,
     theoretical_regret_bound,
     ucb_select,
@@ -45,21 +44,34 @@ def random_spd(rng, d, lam_min=0.1, scale=1.0):
 # ---------------------------------------------------------------- SpdMatrix
 
 
-def test_spd_det_known_values():
-    assert spd_det(SpdMatrix.from_dense(np.eye(2))) == pytest.approx(1.0, rel=1e-12)
-    assert spd_det(SpdMatrix.from_dense(np.diag([10.0, 1.0]))) == pytest.approx(10.0, rel=1e-12)
-    assert spd_det(SpdMatrix.from_dense(np.diag([19.0, 1.0]))) == pytest.approx(19.0, rel=1e-12)
+def logdet(m):
+    return SpdMatrix.from_dense(m).logdet
 
 
-def test_spd_det_matches_lu_route():
+def det(m):
+    return math.exp(logdet(m))
+
+
+def test_spd_logdet_known_values():
+    assert logdet(np.eye(2)) == 0.0
+    assert logdet(np.diag([10.0, 1.0])) == pytest.approx(math.log(10.0), rel=1e-12)
+    assert logdet(np.diag([19.0, 1.0])) == pytest.approx(math.log(19.0), rel=1e-12)
+    # Far outside the float range of the determinant itself (1e-400, 1e320).
+    assert logdet(0.01 * np.eye(200)) == pytest.approx(200 * math.log(0.01), rel=1e-12)
+    assert logdet(100.0 * np.eye(160)) == pytest.approx(160 * math.log(100.0), rel=1e-12)
+    assert SpdMatrix.from_dense(0.01 * np.eye(200)).det == 0.0
+    assert SpdMatrix.from_dense(100.0 * np.eye(160)).det == math.inf
+
+
+def test_spd_logdet_matches_lu_route():
     rng = np.random.default_rng(42)
     for _ in range(200):
         d = int(rng.integers(1, 7))
         m = random_spd(rng, d)
-        ours = spd_det(SpdMatrix.from_dense(m))
-        reference = float(np.linalg.det(m))  # LU decomposition path
-        assert ours == pytest.approx(reference, rel=1e-9)
-        assert ours > 0.0
+        ours = logdet(m)
+        sign, reference = np.linalg.slogdet(m)  # LU decomposition path
+        assert ours == pytest.approx(reference, abs=1e-9)
+        assert sign == 1.0 and math.isfinite(ours)
 
 
 def test_spd_rejects_asymmetric():
@@ -164,9 +176,9 @@ def test_matrix_determinant_lemma():
         a = random_spd(rng, d)
         x = rng.standard_normal(d)
         sa = SpdMatrix.from_dense(a)
-        lhs = spd_det(SpdMatrix.from_dense(a + np.outer(x, x)))
-        rhs = spd_det(sa) * (1.0 + inv_norm(sa, x) ** 2)
-        assert lhs == pytest.approx(rhs, rel=1e-8)
+        lhs = logdet(a + np.outer(x, x))
+        rhs = sa.logdet + math.log1p(inv_norm(sa, x) ** 2)
+        assert lhs == pytest.approx(rhs, abs=1e-8)
 
 
 def test_determinant_superadditivity_on_psd_directions():
@@ -177,7 +189,6 @@ def test_determinant_superadditivity_on_psd_directions():
         a = random_spd(rng, d, lam_min=float(rng.uniform(0.05, 2.0)))
         b = random_psd(rng, d, rank=int(rng.integers(1, d + 1)))
         c = random_psd(rng, d, rank=int(rng.integers(1, d + 1)))
-        det = lambda m: spd_det(SpdMatrix.from_dense(m))  # noqa: E731
         lhs = det(a + b + c) + det(a)
         rhs = det(a + b) + det(a + c)
         assert lhs >= rhs - 1e-8 * max(1.0, abs(rhs))
@@ -191,7 +202,6 @@ def test_determinant_product_submultiplicativity():
         a = random_spd(rng, d, lam_min=float(rng.uniform(0.05, 2.0)))
         b = random_psd(rng, d, rank=int(rng.integers(1, d + 1)))
         c = random_psd(rng, d, rank=int(rng.integers(1, d + 1)))
-        det = lambda m: spd_det(SpdMatrix.from_dense(m))  # noqa: E731
         lhs = det(a + b + c) * det(a)
         rhs = det(a + b) * det(a + c)
         assert lhs <= rhs + 1e-8 * max(1.0, abs(rhs))
@@ -206,7 +216,7 @@ def test_inv_norm_det_ratio_comparison():
         a = b + random_psd(rng, d, rank=int(rng.integers(1, d + 1)))
         x = rng.standard_normal(d)
         sa, sb = SpdMatrix.from_dense(a), SpdMatrix.from_dense(b)
-        ratio = math.sqrt(spd_det(sa) / spd_det(sb))
+        ratio = math.exp((sa.logdet - sb.logdet) / 2.0)
         assert inv_norm(sa, x) <= inv_norm(sb, x) * ratio + 1e-8
 
 
@@ -292,15 +302,15 @@ def test_regret_bound_zero_when_nothing_to_learn():
 
 def test_comm_bound_reference_point():
     got = theoretical_comm_bound(d=2, M=4, alpha=1.0 / 16.0, lam=1.0, L=1.0, T=100)
-    want = 2 * math.log(2.0) * 2 * (4 + 16) * math.log(1 + 100 / 2)
+    want = 2 * 2 * (4 + 16) * math.log(1 + 100 / 2) / math.log(2.0)
     assert got == pytest.approx(want, rel=1e-12)
-    assert got == pytest.approx(218.0, abs=0.1)
+    assert got == pytest.approx(453.8, abs=0.1)
 
 
 def test_comm_bound_loose_trigger_limit():
     # As alpha grows the 1/alpha share vanishes and the cap flattens at the
     # M-dependent term.
-    limit = 2 * math.log(2.0) * 3 * 5 * math.log(1 + 1000 / (2.0 * 3))
+    limit = 2 * 3 * 5 * math.log2(1 + 1000 / (2.0 * 3))
     got = theoretical_comm_bound(d=3, M=5, alpha=1e12, lam=2.0, L=1.0, T=1000)
     assert got == pytest.approx(limit, rel=1e-9)
 

@@ -1,10 +1,11 @@
 """Agent/server update and sync-trigger mechanics at the single-step level."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedlinucb import (
     DecisionSet,
@@ -17,7 +18,6 @@ from fedlinucb import (
     step_agent,
     sync,
 )
-from fedlinucb.core import spd_det
 
 
 HP = HyperParams(lam=1.0, alpha=0.5, delta=0.1)
@@ -75,12 +75,58 @@ def test_trigger_threshold_is_strict():
     a = agent_with_pull([3.0, 0.0], 1.0)
     assert should_sync(a, alpha=8.9)    # 10 > 9.9
     assert not should_sync(a, alpha=10.5)
-    # Exact-equality boundary, built so both determinants are float-exact:
-    # candidate diag(4, 1) has Cholesky diag(2, 1), det exactly 4.0.
-    b = replace(init_agent(1, 2, lam=1.0), sigma_loc=np.diag([3.0, 0.0]))
-    assert not should_sync(b, alpha=3.0)    # 4 > 4 is false: strict
-    assert should_sync(b, alpha=2.999999)
-    assert not should_sync(b, alpha=3.000001)
+    # Exact-equality boundary in log space: one pull of (1, 0) on a unit prior
+    # gains log1p(x^T x) = log1p(1), the same float as log1p(alpha) at alpha=1.
+    b = agent_with_pull([1.0, 0.0], 1.0)
+    assert b.log_gain == math.log1p(1.0)
+    assert not should_sync(b, alpha=1.0)    # log1p(1) > log1p(1) is false: strict
+    assert should_sync(b, alpha=0.999999)
+    assert not should_sync(b, alpha=1.000001)
+
+
+def test_trigger_state_tracks_inverse_and_log_ratio():
+    rng = np.random.default_rng(5)
+    a = init_agent(1, 3, lam=0.5)
+    for _ in range(20):
+        a = local_update(a, rng.standard_normal(3), 0.0)
+    v = a.sigma.mat + a.sigma_loc
+    np.testing.assert_allclose(a.v_inv, np.linalg.inv(v), rtol=1e-9, atol=1e-12)
+    assert a.log_gain == pytest.approx(
+        np.linalg.slogdet(v)[1] - np.linalg.slogdet(a.sigma.mat)[1], rel=1e-12
+    )
+    # A sync restarts both from the downloaded aggregate.
+    a2, s2, _ = sync(a, init_server(3, lam=0.5), round_=1)
+    assert a2.log_gain == 0.0
+    np.testing.assert_allclose(a2.v_inv, np.linalg.inv(s2.sigma_ser.mat), rtol=1e-9, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    d=st.integers(1, 40),
+    log10_lam=st.floats(-3.0, 3.0),
+    n_synced=st.integers(0, 20),
+    n_buffered=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_log_gain_matches_slogdet(d, log10_lam, n_synced, n_buffered, seed):
+    # Arms of norm sqrt(lam) * [0.1, 3] keep each x^T V^{-1} x within a few
+    # decades of 1, so the slogdet difference is not swamped by its own rounding.
+    lam = 10.0**log10_lam
+    rng = np.random.default_rng(seed)
+
+    def arm():
+        x = rng.standard_normal(d)
+        return x * (math.sqrt(lam) * rng.uniform(0.1, 3.0) / np.linalg.norm(x))
+
+    a, s = init_agent(1, d, lam), init_server(d, lam)
+    for _ in range(n_synced):
+        a = local_update(a, arm(), 0.0)
+    if n_synced:
+        a, s, _ = sync(a, s, round_=1)
+    for _ in range(n_buffered):
+        a = local_update(a, arm(), 0.0)
+    want = np.linalg.slogdet(a.sigma.mat + a.sigma_loc)[1] - np.linalg.slogdet(a.sigma.mat)[1]
+    assert a.log_gain == pytest.approx(want, rel=1e-9)
 
 
 def test_trigger_on_short_arm_stays_quiet():
@@ -115,8 +161,8 @@ def test_sync_moves_buffers_to_server():
     assert a2.theta_hat == pytest.approx([0.3, 0.0], rel=1e-12)
     assert a2.last_sync_round == 1
     # Trigger operands recorded verbatim.
-    assert ev.det_before == pytest.approx(1.0, rel=1e-12)
-    assert ev.det_after == pytest.approx(10.0, rel=1e-12)
+    assert ev.logdet_before == 0.0
+    assert ev.logdet_after == pytest.approx(math.log(10.0), rel=1e-12)
     assert ev.agent == 1 and ev.round == 1
     assert ev.payload is None
 
@@ -132,7 +178,7 @@ def test_sync_second_agent_sees_first_upload():
     assert s.upload_count == 2
     assert np.array_equal(a2.sigma.mat, s.sigma_ser.mat)
     # First agent's view is stale until its own next sync.
-    assert spd_det(a2.sigma) == pytest.approx(50.0, rel=1e-12)
+    assert a2.sigma.logdet == pytest.approx(math.log(50.0), rel=1e-12)
 
 
 def test_sync_with_empty_payload_is_identity_on_server():
@@ -141,7 +187,7 @@ def test_sync_with_empty_payload_is_identity_on_server():
     a2, s2, ev = sync(a, s, round_=5)
     assert np.array_equal(s2.sigma_ser.mat, s.sigma_ser.mat)
     assert np.array_equal(s2.b_ser, s.b_ser)
-    assert ev.det_before == ev.det_after
+    assert ev.logdet_before == ev.logdet_after
     assert a2.last_sync_round == 5
 
 

@@ -6,6 +6,8 @@ shared code beyond the environment draws, then demand identical decisions,
 sync rounds, and determinant trajectories from the packaged runner.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from fedlinucb import (
     run_independent_oful,
     sample_decision_set,
     sample_reward,
+    theoretical_comm_bound,
 )
 from fedlinucb.simulator import CommBoundError, _assert_comm_bounds, epoch_boundaries
 
@@ -28,9 +31,14 @@ def small_instance(seed=7, d=3, K=5, **kw):
     return gen_instance("random-sphere", d=d, K=K, seed=seed, **kw)
 
 
-def reference_federated(inst, schedule, lam, alpha, beta):
-    """Lazy-mode protocol replayed with explicit inverses and LU determinants."""
+def reference_federated(inst, schedule, lam, alpha, beta, log_space=False):
+    """Lazy-mode protocol replayed with explicit inverses and LU determinants.
+
+    With ``log_space`` the trigger compares ``np.linalg.slogdet`` differences
+    with log1p(alpha) and ``dets`` holds server log-determinants.
+    """
     d, M = inst.dim, schedule.M
+    logdet = lambda a: np.linalg.slogdet(a)[1]  # noqa: E731
     server_sigma = lam * np.eye(d)
     server_b = np.zeros(d)
     sigma = {m: server_sigma.copy() for m in range(1, M + 1)}
@@ -49,7 +57,11 @@ def reference_federated(inst, schedule, lam, alpha, beta):
         r = sample_reward(inst, t, x)
         sig_loc[m] = sig_loc[m] + np.outer(x, x)
         b_loc[m] = b_loc[m] + r * x
-        if np.linalg.det(sigma[m] + sig_loc[m]) > (1 + alpha) * np.linalg.det(sigma[m]):
+        if log_space:
+            fire = logdet(sigma[m] + sig_loc[m]) - logdet(sigma[m]) > np.log1p(alpha)
+        else:
+            fire = np.linalg.det(sigma[m] + sig_loc[m]) > (1 + alpha) * np.linalg.det(sigma[m])
+        if fire:
             server_sigma = server_sigma + sig_loc[m]
             server_b = server_b + b_loc[m]
             sigma[m] = server_sigma.copy()
@@ -59,10 +71,21 @@ def reference_federated(inst, schedule, lam, alpha, beta):
             theta[m] = np.linalg.solve(sigma[m], b[m])
             syncs.append((t, m))
         choices.append(idx)
-        dets.append(float(np.linalg.det(server_sigma)))
+        dets.append(float(logdet(server_sigma) if log_space else np.linalg.det(server_sigma)))
         values = arms @ inst.theta_star
         regrets.append(float(values.max() - values[idx]))
     return choices, syncs, dets, regrets, server_sigma, server_b
+
+
+def reference_epochs(logdets, d, lam):
+    """(i, tau_i) by a plain scan of server log-determinants against i*ln(2) + d*ln(lam)."""
+    epochs, i = [], 0
+    while logdets and logdets[-1] >= i * np.log(2.0) + d * np.log(lam) - 1e-9:
+        tau = next(k for k, v in enumerate(logdets, 1)
+                   if v >= i * np.log(2.0) + d * np.log(lam) - 1e-9)
+        epochs.append((i, tau))
+        i += 1
+    return epochs
 
 
 def test_matches_reference_single_agent():
@@ -95,6 +118,43 @@ def test_matches_reference_multi_agent():
     assert trace.comm_count == 2 * len(syncs)
 
 
+@pytest.mark.parametrize("d, lam", [(200, 0.01), (160, 100.0), (160, 0.01)])
+def test_large_d_matches_slogdet_reference(d, lam):
+    # The determinant itself is 0.0 (d=200, lam=0.01), subnormal (d=160,
+    # lam=0.01) or inf (d=160, lam=100) in floating point; the trigger and
+    # the epoch grid work on log-determinants and stay exact.
+    inst = gen_instance("random-sphere", d=d, K=10, seed=d)
+    sched = gen_schedule("iid-uniform", M=2, T=50, seed=3)
+    hp = HyperParams(lam=lam, alpha=0.25, delta=0.1)
+    trace = run_fedlinucb(inst, sched, hp)
+    choices, syncs, logdets, _, _, _ = reference_federated(
+        inst, sched, lam, 0.25, trace.beta_used, log_space=True
+    )
+    assert [rec.arm_index for rec in trace.records] == choices
+    assert syncs and [(ev.round, ev.agent) for ev in trace.events] == syncs
+    assert trace.epoch_starts == reference_epochs(logdets, d, lam)
+    np.testing.assert_allclose([rec.logdet_server for rec in trace.records], logdets, rtol=1e-12)
+
+
+def test_unit_corner_run_within_comm_cap():
+    # d=1, arms +-1: every trigger decision is rational arithmetic on integer
+    # Gram values, with exact ties (ratio 10/9 at alpha=1/9) that must not fire.
+    inst = gen_instance("hypercube-corners", d=1, K=2, seed=3)
+    hp = HyperParams(lam=1.0, alpha=1.0 / 9.0, delta=0.1)
+    trace = run_fedlinucb(inst, gen_schedule("round-robin", M=1, T=1000), hp)
+    v, n, exact = 1, 0, []
+    for t in range(1, 1001):
+        n += 1
+        if 9 * n > v:  # (v + n) / v > 1 + 1/9
+            v, n = v + n, 0
+            exact.append(t)
+    assert [ev.round for ev in trace.events] == exact
+    assert trace.comm_count == 96
+    assert theoretical_comm_bound(1, 1, 1.0 / 9.0, 1.0, 1.0, 1000) == pytest.approx(
+        20.0 * np.log2(1001.0), rel=1e-12
+    )
+
+
 def test_rerun_is_bit_identical():
     inst = small_instance(seed=3)
     sched = gen_schedule("iid-uniform", M=4, T=200, seed=8)
@@ -125,7 +185,7 @@ def test_trace_bookkeeping_identities():
     assert len(trace.final_agents) == 3
     # Every agent's synced state is a past server state: det no larger.
     for agent in trace.final_agents:
-        assert agent.sigma.det <= trace.final_server.sigma_ser.det * (1 + 1e-12)
+        assert agent.sigma.logdet <= trace.final_server.sigma_ser.logdet + 1e-12
 
 
 def test_empty_horizon():
@@ -212,8 +272,8 @@ def test_episodic_empty_sets_are_idle_episodes():
 
 def fake_trace(dets):
     records = [
-        # Only det_server matters to epoch_boundaries.
-        type("R", (), {"det_server": v})() for v in dets
+        # Only logdet_server matters to epoch_boundaries.
+        type("R", (), {"logdet_server": math.log(v)})() for v in dets
     ]
     return SimulationTrace(
         records=records, events=[], cum_regret=np.zeros(len(dets)),
