@@ -27,7 +27,6 @@ from .environment import (
 from .protocol import (
     AgentState,
     CommEvent,
-    RoundRecord,
     ServerState,
     init_agent,
     init_server,

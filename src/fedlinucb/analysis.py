@@ -1,7 +1,7 @@
 """Trace analysis: bound evaluators, concentration checks, bias demonstration.
 
-The invariant checks rebuild the protocol bookkeeping from the recorded
-rounds and events alone (:class:`_Replay`) and compare it against the stored
+The invariant checks rebuild the protocol bookkeeping from the trace's
+columns and events alone (:class:`_Replay`) and compare it against the stored
 payload checksums (and, on debug traces, the stored payloads themselves).
 Each check is an accumulator fed once per replayed round:
 ``run_invariant_suite`` drives all of them through one pass, and each public
@@ -31,8 +31,8 @@ from .core import (
     theoretical_regret_bound,
 )
 from .environment import gen_instance, gen_schedule
-from .protocol import payload_checksum
-from .simulator import SimulationTrace, _comm_per_epoch, run_fedlinucb
+from .protocol import CommEvent, payload_checksum
+from .simulator import SimulationTrace, _comm_per_epoch, index_regret, run_fedlinucb
 
 __all__ = [
     "BoundReport",
@@ -75,8 +75,7 @@ def instantaneous_regret(inst: ProblemInstance, d_set: DecisionSet, chosen: np.n
         if close.size == 0:
             raise ValueError("chosen arm is not a member of the decision set")
         matches = close
-    values = d_set.arms @ inst.theta_star
-    return float(values.max() - values[int(matches[0])])
+    return index_regret(inst, d_set, int(matches[0]))
 
 
 def _capped(name: str, empirical: float, bound: float, satisfied: bool | None = None,
@@ -90,12 +89,13 @@ def _capped(name: str, empirical: float, bound: float, satisfied: bool | None = 
 class _Replay:
     """Protocol state rebuilt round by round from a trace.
 
-    After ``step(k)`` (k = 0-based index into records) the attributes hold
-    end-of-round values for round ``records[k].t``: the pooled statistics,
-    the server aggregate, every agent's unsynced buffers and synced
-    covariance/target, and ``synced``, whether the round's agent uploaded.
-    ``pooled()`` factors the pooled covariance at most once per round (with
-    the ridge floor verified when ``floor_pooled``), for every check to share.
+    After ``step(k)`` (k = 0-based row of the trace) the attributes hold
+    end-of-round values for round ``trace.t[k]``: the acting agent ``m`` and
+    its arm ``x``, the pooled statistics, the server aggregate, every agent's
+    unsynced buffers and synced covariance/target, and ``synced``, whether
+    the round's agent uploaded.  ``pooled()`` factors the pooled covariance at
+    most once per round (with the ridge floor verified when
+    ``floor_pooled``), for every check to share.
     """
 
     def __init__(self, trace: SimulationTrace, floor_pooled: bool = False):
@@ -113,21 +113,26 @@ class _Replay:
         self.synced_sigma = {m: self.lam * np.eye(d) for m in range(1, self.M + 1)}
         self.synced_b = {m: np.zeros(d) for m in range(1, self.M + 1)}
         self.events_by_round = {ev.round: ev for ev in trace.events}
+        self._rounds = trace.t.tolist()
+        self._agents = trace.agent.tolist()
+        self._rewards = trace.reward.tolist()
         self.checksum_mismatches = 0
         self.payload_deviation = 0.0
         self.synced = False
         self.pooled_floor = self.lam if floor_pooled else 0.0
         self._pooled: SpdMatrix | None = None
 
-    def step(self, k: int):
-        rec = self.trace.records[k]
-        m, x, r = rec.agent, rec.arm, rec.reward
+    def step(self, k: int) -> CommEvent | None:
+        """Replay row k; returns the event recorded at its round, if any."""
+        m = self.m = self._agents[k]
+        x = self.x = self.trace.arms[k]
+        r = self._rewards[k]
         self.sigma_all = self.sigma_all + np.outer(x, x)
         self.b_all = self.b_all + r * x
         self._pooled = None
         self.sigma_loc[m] = self.sigma_loc[m] + np.outer(x, x)
         self.b_loc[m] = self.b_loc[m] + r * x
-        event = self.events_by_round.get(rec.t)
+        event = self.events_by_round.get(self._rounds[k])
         self.synced = event is not None and event.agent == m
         if self.synced:
             if payload_checksum(self.sigma_loc[m], self.b_loc[m]) != event.payload_checksum:
@@ -144,7 +149,7 @@ class _Replay:
             self.b_loc[m] = np.zeros(self.d)
             self.synced_sigma[m] = self.server_sigma
             self.synced_b[m] = self.server_b
-        return rec, event
+        return event
 
     def pooled(self) -> SpdMatrix:
         if self._pooled is None:
@@ -155,25 +160,32 @@ class _Replay:
 def _run_pass(trace: SimulationTrace, checks: list, floor_pooled: bool = False) -> list:
     """Feed each round of one replay to every accumulator; return their reports."""
     rep = _Replay(trace, floor_pooled)
-    for k in range(len(trace.records)):
-        rec, event = rep.step(k)
+    for k in range(len(trace.t)):
+        event = rep.step(k)
         for check in checks:
-            check.update(rep, k, rec, event)
+            check.update(rep, k, event)
     return [check.report(rep) for check in checks]
+
+
+def _synced_rows(trace: SimulationTrace) -> np.ndarray:
+    """Per row, whether an event records an upload by that round's own agent."""
+    synced = np.zeros(len(trace.t), dtype=bool)
+    for ev in trace.events:
+        synced[ev.round - 1] |= trace.agent[ev.round - 1] == ev.agent
+    return synced
 
 
 @dataclass
 class NoiseLedger:
     """Per-round noise bookkeeping (learner-invisible, analysis only).
 
-    ``u_all[t-1]`` is the cumulative noise-weighted arm sum through round t;
-    ``u_split[t-1]`` the same quantity rebuilt from the uploaded plus pending
-    per-agent shares.  The two must agree at every round.
+    ``eta[t-1]`` is round t's reward noise; ``u_all[t-1]`` the cumulative
+    noise-weighted arm sum through round t; ``u_split[t-1]`` the same quantity
+    rebuilt from the uploaded plus pending per-agent shares.  The two must
+    agree at every round.
     """
 
     eta: np.ndarray
-    xs: np.ndarray
-    rewards: np.ndarray
     u_all: np.ndarray
     u_split: np.ndarray
     u_up_final: dict[int, np.ndarray]
@@ -181,43 +193,33 @@ class NoiseLedger:
 
 
 def build_noise_ledger(trace: SimulationTrace, inst: ProblemInstance) -> NoiseLedger:
-    T = len(trace.records)
+    T = len(trace.t)
     d = inst.dim
-    eta = np.zeros(T)
-    xs = np.zeros((T, d))
-    rewards = np.zeros(T)
-    u_all = np.zeros((T, d))
+    # Row by row: arms @ theta_star would not reproduce each x @ theta_star.
+    eta = np.array([r - float(x @ inst.theta_star)
+                    for r, x in zip(trace.reward.tolist(), trace.arms)])
+    u_all = np.cumsum(eta.reshape(T, 1) * trace.arms, axis=0)
     u_split = np.zeros((T, d))
     M = int(trace.params["M"])
     u_up = {m: np.zeros(d) for m in range(1, M + 1)}
     u_loc = {m: np.zeros(d) for m in range(1, M + 1)}
-    events_by_round = {ev.round: ev for ev in trace.events}
-    run_u = np.zeros(d)
-    for k, rec in enumerate(trace.records):
-        x = rec.arm
-        e = rec.reward - float(x @ inst.theta_star)
-        eta[k] = e
-        xs[k] = x
-        rewards[k] = rec.reward
-        run_u = run_u + e * x
-        u_all[k] = run_u
-        u_loc[rec.agent] = u_loc[rec.agent] + e * x
-        event = events_by_round.get(rec.t)
-        if event is not None and event.agent == rec.agent:
-            u_up[rec.agent] = u_up[rec.agent] + u_loc[rec.agent]
-            u_loc[rec.agent] = np.zeros(d)
+    for k, (m, e, x, synced) in enumerate(
+        zip(trace.agent.tolist(), eta.tolist(), trace.arms, _synced_rows(trace).tolist())
+    ):
+        u_loc[m] = u_loc[m] + e * x
+        if synced:
+            u_up[m] = u_up[m] + u_loc[m]
+            u_loc[m] = np.zeros(d)
         u_split[k] = sum(u_up.values()) + sum(u_loc.values())
-    return NoiseLedger(
-        eta=eta, xs=xs, rewards=rewards, u_all=u_all, u_split=u_split,
-        u_up_final=u_up, u_loc_final=u_loc,
-    )
+    return NoiseLedger(eta=eta, u_all=u_all, u_split=u_split,
+                      u_up_final=u_up, u_loc_final=u_loc)
 
 
 def noise_decomposition_check(trace: SimulationTrace, inst: ProblemInstance) -> BoundReport:
     """The pooled noise sum must equal the uploaded + pending shares, each round."""
     ledger = build_noise_ledger(trace, inst)
     worst, scale = 0.0, 1.0
-    if trace.records:
+    if len(trace.t):
         worst = float(np.abs(ledger.u_all - ledger.u_split).max())
         scale = max(1.0, float(np.abs(ledger.u_all).max()))
     return _capped("noise-decomposition", worst / scale, 1e-8)
@@ -227,7 +229,7 @@ class _Conservation:
     def __init__(self):
         self.worst, self.scale = 0.0, 1.0
 
-    def update(self, rep: _Replay, k: int, rec, event) -> None:
+    def update(self, rep: _Replay, k: int, event) -> None:
         lhs_sigma = rep.server_sigma + sum(rep.sigma_loc.values())
         lhs_b = rep.server_b + sum(rep.b_loc.values())
         dev = max(
@@ -265,8 +267,8 @@ class _Elliptical:
         self.bound = 2.0 * d * math.log(1.0 + T * L * L / lam)
         self.total = 0.0
 
-    def update(self, rep: _Replay, k: int, rec, event) -> None:
-        self.total += inv_norm(rep.pooled(), rec.arm) ** 2
+    def update(self, rep: _Replay, k: int, event) -> None:
+        self.total += inv_norm(rep.pooled(), rep.x) ** 2
 
     def report(self, rep: _Replay) -> BoundReport:
         tol = 1e-6
@@ -309,15 +311,15 @@ class _Coverage:
         self.lam, self.theta, self.beta = lam, inst.theta_star, beta
         self.n_local = self.local_viol = self.n_global = self.global_viol = 0
 
-    def update(self, rep: _Replay, k: int, rec, event) -> None:
+    def update(self, rep: _Replay, k: int, event) -> None:
         sigma_all = rep.pooled()
         theta_all = solve_estimate(sigma_all, rep.b_all)
         self.n_global += 1
         if _weighted_norm(sigma_all, self.theta - theta_all) > self.global_bound:
             self.global_viol += 1
         if event is not None:
-            sigma_m = SpdMatrix.from_dense(rep.synced_sigma[rec.agent], min_eig=self.lam)
-            theta_m = solve_estimate(sigma_m, rep.synced_b[rec.agent])
+            sigma_m = SpdMatrix.from_dense(rep.synced_sigma[rep.m], min_eig=self.lam)
+            theta_m = solve_estimate(sigma_m, rep.synced_b[rep.m])
             self.n_local += 1
             if _weighted_norm(sigma_m, self.theta - theta_m) > self.beta:
                 self.local_viol += 1
@@ -372,14 +374,14 @@ class _Covariance:
         self.worst1 = self.worst2 = 0.0  # claim 1 / claim 2 violation magnitudes
         self.n_checks1 = self.n_checks2 = 0
 
-    def update(self, rep: _Replay, k: int, rec, event) -> None:
+    def update(self, rep: _Replay, k: int, event) -> None:
         # Claim 1 covers every agent every round, but an agent's difference
         # changes only with its buffer (the active agent) or the server (every
         # agent, after an upload); an unchanged one is already in the worst.
         if k == 0 or rep.synced:
             changed = range(1, self.M + 1)
         else:
-            changed = [rec.agent] if rec.agent <= self.M else []
+            changed = [rep.m] if rep.m <= self.M else []
         for m in changed:
             diff = rep.server_sigma - rep.sigma_loc[m] / self.alpha
             self.worst1 = _loewner_worst(self.worst1, diff)
@@ -419,26 +421,19 @@ def _single_agent_windows(trace: SimulationTrace) -> list[tuple[int, int, int]]:
     agent can upload, growing the shared aggregate past what m downloaded at
     t1, and the comparison is not claimed there.
     """
-    records = trace.records
-    T = len(records)
+    agent, t = trace.agent, trace.t
+    T = len(t)
     if T == 0:
         return []
-    sync_rounds = {(ev.round, ev.agent) for ev in trace.events}
-    windows = []
-    start = 0
-    while start < T:
-        m = records[start].agent
-        end = start
-        while end + 1 < T and records[end + 1].agent == m:
-            end += 1
-        run_rounds = [records[k].t for k in range(start, end + 1)]
-        syncs = [t for t in run_rounds if (t, m) in sync_rounds]
-        for j, t1 in enumerate(syncs):
-            t2 = syncs[j + 1] if j + 1 < len(syncs) else run_rounds[-1]
-            if t2 > t1:
-                windows.append((m, t1, t2))
-        start = end + 1
-    return windows
+    # Last row of the run of consecutive activations that each row belongs to.
+    last = np.flatnonzero(np.append(agent[1:] != agent[:-1], True))
+    run_end = np.repeat(last, np.diff(last, prepend=-1))
+    ks = np.flatnonzero(_synced_rows(trace))
+    # Sync rows of one run belong to its agent, so the next sync row, if it is
+    # still inside the run, is that agent's next sync there.
+    close = np.minimum(np.append(ks[1:], T), run_end[ks])
+    keep = t[close] > t[ks]
+    return list(zip(agent[ks][keep].tolist(), t[ks][keep].tolist(), t[close][keep].tolist()))
 
 
 @dataclass
@@ -518,7 +513,7 @@ def bias_demo(
 def _trace_consistency_check(trace: SimulationTrace) -> BoundReport:
     problems = 0
     detail = {}
-    comm_sum = sum(rec.comm for rec in trace.records)
+    comm_sum = int(trace.comm.sum())
     if trace.comm_count != comm_sum:
         problems += 1
         detail["comm_count_vs_records"] = (trace.comm_count, comm_sum)
@@ -528,23 +523,23 @@ def _trace_consistency_check(trace: SimulationTrace) -> BoundReport:
     if trace.switch_count * 2 != trace.comm_count:
         problems += 1
         detail["switch_identity"] = (trace.switch_count, trace.comm_count)
-    if any(rec.inst_regret < 0 for rec in trace.records):
+    negative = int((trace.inst_regret < 0).sum())
+    if negative:
         problems += 1
-        detail["negative_regret_rounds"] = sum(1 for rec in trace.records if rec.inst_regret < 0)
-    if len(trace.records) != len(trace.cum_regret):
+        detail["negative_regret_rounds"] = negative
+    T = len(trace.t)
+    if T != len(trace.cum_regret):
         problems += 1
-        detail["cum_regret_length"] = (len(trace.records), len(trace.cum_regret))
+        detail["cum_regret_length"] = (T, len(trace.cum_regret))
     else:
-        expected = np.cumsum([rec.inst_regret for rec in trace.records])
-        if trace.records and float(np.abs(expected - trace.cum_regret).max()) > 1e-9 * max(
+        expected = np.cumsum(trace.inst_regret)
+        if T and float(np.abs(expected - trace.cum_regret).max()) > 1e-9 * max(
             1.0, float(expected[-1])
         ):
             problems += 1
             detail["cum_regret_mismatch"] = float(np.abs(expected - trace.cum_regret).max())
-    logdets = [rec.logdet_server for rec in trace.records]
-    if trace.events and any(
-        b < a - 1e-12 * max(1.0, abs(a)) for a, b in zip(logdets, logdets[1:])
-    ):
+    before, after = trace.logdet_server[:-1], trace.logdet_server[1:]
+    if trace.events and np.any(after < before - 1e-12 * np.maximum(1.0, np.abs(before))):
         problems += 1
         detail["logdet_server_not_monotone"] = True
     return BoundReport("trace-consistency", float(problems), 0.0, problems == 0,

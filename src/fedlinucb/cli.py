@@ -216,22 +216,17 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def write_trace_csv(trace, path: Path) -> None:
-    rows = [",".join(TRACE_COLUMNS)]
-    for i, rec in enumerate(trace.records):
-        rows.append(
-            ",".join(
-                [
-                    str(rec.t),
-                    str(rec.agent),
-                    str(rec.arm_index),
-                    _fmt(rec.reward),
-                    _fmt(rec.inst_regret),
-                    _fmt(trace.cum_regret[i]),
-                    str(rec.comm),
-                    _fmt(rec.det_server),
-                ]
-            )
-        )
+    columns = [
+        map(str, trace.t.tolist()),
+        map(str, trace.agent.tolist()),
+        map(str, trace.arm_index.tolist()),
+        map(_fmt, trace.reward.tolist()),
+        map(_fmt, trace.inst_regret.tolist()),
+        map(_fmt, trace.cum_regret.tolist()),
+        map(str, trace.comm.tolist()),
+        map(_fmt, trace.det_server.tolist()),
+    ]
+    rows = [",".join(TRACE_COLUMNS), *map(",".join, zip(*columns))]
     _write_text(path, "\n".join(rows) + "\n")
 
 
@@ -306,7 +301,6 @@ def _sweep_cell(task: tuple) -> dict:
     schedule = build_schedule(cfg)
     hp = build_hyperparams(cfg)
     trace = run_fedlinucb(inst, schedule, hp)
-    per_round = [rec.inst_regret for rec in trace.records]
     row = {
         "axis": axis,
         "value": value,
@@ -314,8 +308,8 @@ def _sweep_cell(task: tuple) -> dict:
         "instance_seed": cfg["instance"]["seed"],
         "schedule_seed": cfg["schedule"]["seed"],
         "total_regret": float(trace.cum_regret[-1]) if len(trace.cum_regret) else 0.0,
-        "mean_round_regret": float(np.mean(per_round)) if per_round else 0.0,
-        "max_round_regret": float(np.max(per_round)) if per_round else 0.0,
+        "mean_round_regret": float(np.mean(trace.inst_regret)) if len(trace.t) else 0.0,
+        "max_round_regret": float(np.max(trace.inst_regret)) if len(trace.t) else 0.0,
         "comm_count": trace.comm_count,
         "switch_count": trace.switch_count,
         "beta_used": trace.beta_used,

@@ -38,10 +38,11 @@ class DimensionMismatchError(ValueError):
 class SpdMatrix:
     """Symmetric positive definite matrix with a cached factorization.
 
-    Construct through :meth:`from_dense`, which validates symmetry, runs a
-    fresh Cholesky factorization, and (when a positive spectral floor is
-    stated) verifies every eigenvalue sits above it.  Instances are treated
-    as immutable; covariance updates build new objects.
+    Construct through :meth:`from_dense`, which rejects non-finite entries,
+    validates symmetry, runs a fresh Cholesky factorization, and (when a
+    positive spectral floor is stated) verifies every eigenvalue sits above
+    it.  Instances are treated as immutable; covariance updates build new
+    objects.
 
     Attributes
     ----------
@@ -70,6 +71,8 @@ class SpdMatrix:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
         scale = float(np.abs(m).max(initial=0.0))
+        if not math.isfinite(scale):
+            raise NumericalDomainError("matrix has a non-finite entry")
         if float(np.abs(m - m.T).max(initial=0.0)) > SYMMETRY_RTOL * max(scale, 1.0):
             raise NumericalDomainError("matrix is not symmetric within tolerance")
         try:

@@ -89,21 +89,6 @@ class CommEvent:
     payload: tuple[np.ndarray, Vector] | None = None
 
 
-@dataclass(frozen=True, eq=False)
-class RoundRecord:
-    """Everything the trace keeps about one round."""
-
-    t: int
-    agent: int
-    arm_index: int
-    arm: Vector
-    reward: float
-    inst_regret: float
-    comm: int  # 0 or 2 communications this round
-    logdet_server: float
-    det_server: float  # linear-space display value of the trace column
-
-
 def init_agent(agent_id: int, d: int, lam: float) -> AgentState:
     prior = SpdMatrix.from_dense(lam * np.eye(d), min_eig=lam)
     return AgentState(
@@ -201,14 +186,15 @@ def step_agent(
     s: ServerState,
     d_set: DecisionSet,
     reward_fn: Callable[[int, np.ndarray], float],
-    regret_fn: Callable[[DecisionSet, int], float],
     hp: HyperParams,
     beta: float,
     round_: int,
     debug: bool = False,
-) -> tuple[AgentState, ServerState, RoundRecord, CommEvent | None]:
+) -> tuple[AgentState, ServerState, int, float, CommEvent | None]:
     """One activation: select, observe, buffer, and sync when triggered.
 
+    Returns the new agent and server states, the chosen arm's index in
+    ``d_set``, the observed reward, and the sync's event (None without one).
     Lazy mode scores arms with the stored (theta_hat, sigma); eager mode
     recombines (sigma + sigma_loc, b + b_loc) for selection, through a fresh
     factor of that sum, and leaves the stored state untouched.
@@ -227,15 +213,4 @@ def step_agent(
         # The strict trigger cannot fire without local data.
         assert np.any(a.sigma_loc != 0.0), "sync triggered on empty buffers"
         a, s, event = sync(a, s, round_, debug=debug)
-    record = RoundRecord(
-        t=round_,
-        agent=a.id,
-        arm_index=idx,
-        arm=x.copy(),
-        reward=r,
-        inst_regret=regret_fn(d_set, idx),
-        comm=2 if event is not None else 0,
-        logdet_server=s.sigma_ser.logdet,
-        det_server=s.sigma_ser.det,
-    )
-    return a, s, record, event
+    return a, s, idx, r, event

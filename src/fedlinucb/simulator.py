@@ -1,20 +1,25 @@
-"""Run loops: sequential runner, episodic runner, independent baseline.
+"""One run driver over an activation sequence, and trace assembly.
 
-All runners share the protocol step and the counter-based environment, so a
-round's decision set and noise depend only on (master_seed, global round
-index).  The sequential and episodic runners therefore produce bit-identical
-traces whenever the episodic participation sets flatten to the same
-activation sequence.
+FedLinUCB is fully asynchronous: one agent acts per round and an activation
+never triggers another agent's step.  The sequential runner, the episodic
+runner and the no-communication baseline are therefore one loop
+(:func:`_drive`) over the sequence of acting agents; the baseline runs it
+with a private server per agent.  Every run shares the protocol step and the
+counter-based environment, so a round's decision set and noise depend only
+on (master_seed, global round index), and the sequential and episodic
+runners produce bit-identical traces whenever the episodic participation
+sets flatten to the same activation sequence.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import (
+    DecisionSet,
     HyperParams,
     ProblemInstance,
     compute_beta,
@@ -24,7 +29,6 @@ from .environment import Schedule, sample_decision_set, sample_reward
 from .protocol import (
     AgentState,
     CommEvent,
-    RoundRecord,
     ServerState,
     init_agent,
     init_server,
@@ -38,16 +42,29 @@ class CommBoundError(AssertionError):
 
 @dataclass
 class SimulationTrace:
-    """Complete record of one run.
+    """Complete record of one run, one array entry per round in round order.
 
-    ``records`` has one entry per round in round order; ``events`` one entry
-    per sync; ``cum_regret[t-1]`` is the regret accumulated through round t;
+    Columns (length T): ``t`` (round index 1..T), ``agent`` (acting agent id),
+    ``arm_index`` (chosen index into the round's decision set), ``arms``
+    (T, d; the chosen arms), ``reward``, ``inst_regret``, ``comm`` (0 or 2
+    communications), ``logdet_server`` (end-of-round server log-determinant)
+    and the display-only ``det_server`` (its linear-space value; 0.0 or inf
+    outside the float range).  ``events`` has one entry per sync;
+    ``cum_regret[t-1]`` is the regret accumulated through round t;
     ``epoch_starts`` lists (i, tau_i) for every realized doubling index of
     the server determinant.  ``final_agents`` / ``final_server`` carry the
     terminal protocol states for downstream checks.
     """
 
-    records: list[RoundRecord]
+    t: np.ndarray
+    agent: np.ndarray
+    arm_index: np.ndarray
+    arms: np.ndarray
+    reward: np.ndarray
+    inst_regret: np.ndarray
+    comm: np.ndarray
+    logdet_server: np.ndarray
+    det_server: np.ndarray
     events: list[CommEvent]
     cum_regret: np.ndarray
     comm_count: int
@@ -80,16 +97,14 @@ def _params_echo(inst: ProblemInstance, hp: HyperParams, M: int, T: int, descrip
     }
 
 
-def _make_regret_fn(inst: ProblemInstance):
-    theta = inst.theta_star
+def index_regret(inst: ProblemInstance, d_set: DecisionSet, idx: int) -> float:
+    """Best mean reward in the set minus that of arm ``idx``.
 
-    def regret_fn(d_set, idx: int) -> float:
-        # Same dot-product array for max and chosen entry, so the result is
-        # exactly nonnegative and exactly zero for the best arm.
-        values = d_set.arms @ theta
-        return float(values.max() - values[idx])
-
-    return regret_fn
+    Max and chosen entry come from the same dot-product array, so the result
+    is exactly nonnegative and exactly zero for the best arm.
+    """
+    values = d_set.arms @ inst.theta_star
+    return float(values.max() - values[idx])
 
 
 def _resolve_beta(inst: ProblemInstance, hp: HyperParams, M: int, T: int) -> float:
@@ -106,39 +121,35 @@ def epoch_boundaries(trace: SimulationTrace, lam: float, d: int) -> list[tuple[i
     reaches 2^i * lam^d.  tau_0 is always round 1 on nonempty traces; indices
     stop at the last threshold the final log-determinant reaches.
     """
-    logdets = np.array([rec.logdet_server for rec in trace.records], dtype=np.float64)
+    logdets = trace.logdet_server
     if logdets.size == 0:
         return []
     base = d * math.log(lam)
     # Slack above the rounding of a d-term log sum, so that the untouched
     # prior meets the i=0 threshold.
     slack = 1e-12 * (1.0 + abs(base))
-    out: list[tuple[int, int]] = []
-    final = logdets[-1]
-    i = 0
-    while True:
-        cutoff = i * math.log(2.0) + base - slack
-        if final < cutoff:
-            break
-        tau = int(np.searchsorted(logdets, cutoff, side="left")) + 1
-        out.append((i, tau))
-        i += 1
-    return out
+    final = float(logdets[-1])
+    # One candidate past the last threshold the final value can reach; the
+    # cutoffs rise with i, so the reached ones are a prefix.
+    n = max(int((final - base + slack) / math.log(2.0)) + 2, 0)
+    cutoffs = np.arange(n) * math.log(2.0) + base - slack
+    cutoffs = cutoffs[cutoffs <= final]
+    taus = np.searchsorted(logdets, cutoffs, side="left") + 1
+    return list(enumerate(taus.tolist()))
 
 
 def _comm_per_epoch(trace: SimulationTrace) -> list[int]:
-    """Communications (uploads + downloads) inside each realized epoch."""
+    """Communications (uploads + downloads) inside each realized epoch.
+
+    Thresholds can be crossed several at once; such epochs share a start
+    round and all but the last of them count zero.
+    """
     if not trace.epoch_starts:
         return []
-    T = len(trace.records)
-    starts = [tau for _, tau in trace.epoch_starts]
-    # Thresholds can be crossed several at once; dedupe to true segments but
-    # count each segment's comms once per *distinct* epoch interval.
-    counts = []
-    for j, tau in enumerate(starts):
-        end = starts[j + 1] if j + 1 < len(starts) else T + 1
-        counts.append(2 * sum(1 for ev in trace.events if tau <= ev.round < end))
-    return counts
+    cum = np.concatenate(([0], np.cumsum(trace.comm)))
+    starts = np.array([tau for _, tau in trace.epoch_starts])
+    ends = np.append(starts[1:], len(trace.comm) + 1)
+    return (cum[ends - 1] - cum[starts - 1]).tolist()
 
 
 def _assert_comm_bounds(trace: SimulationTrace, inst: ProblemInstance, hp: HyperParams,
@@ -154,6 +165,75 @@ def _assert_comm_bounds(trace: SimulationTrace, inst: ProblemInstance, hp: Hyper
             raise CommBoundError(
                 f"epoch {i} (from round {tau}) used {count} communications, cap {per_epoch_cap:.6f}"
             )
+
+
+def _drive(
+    inst: ProblemInstance,
+    hp: HyperParams,
+    activations: np.ndarray,
+    betas: list[float],
+    private: bool,
+    beta_used: float,
+    params: dict,
+    debug: bool = False,
+) -> SimulationTrace:
+    """Run ``activations[k]`` (agent ids 1..len(betas)) at round k + 1.
+
+    Agent m selects with radius ``betas[m-1]``.  With ``private`` every agent
+    syncs with its own server: its refreshes are policy switches, not
+    communications, so no event is kept and ``comm`` stays 0.
+    """
+    T, M, d = len(activations), len(betas), inst.dim
+    agents = [init_agent(m, d, hp.lam) for m in range(1, M + 1)]
+    servers = [init_server(d, hp.lam) for _ in range(M if private else 1)]
+    reward_fn = lambda t, x: sample_reward(inst, t, x)  # noqa: E731
+
+    arm_index = np.zeros(T, dtype=np.int64)
+    arms = np.zeros((T, d))
+    reward = np.zeros(T)
+    inst_regret = np.zeros(T)
+    comm = np.zeros(T, dtype=np.int64)
+    logdet_server = np.zeros(T)
+    det_server = np.zeros(T)
+    events: list[CommEvent] = []
+    for k, m in enumerate(activations.tolist()):
+        t = k + 1
+        j = m - 1 if private else 0
+        d_set = sample_decision_set(inst, t)
+        agents[m - 1], servers[j], idx, r, event = step_agent(
+            agents[m - 1], servers[j], d_set, reward_fn, hp, betas[m - 1], t, debug=debug
+        )
+        arm_index[k] = idx
+        arms[k] = d_set.arms[idx]
+        reward[k] = r
+        inst_regret[k] = index_regret(inst, d_set, idx)
+        if event is not None and not private:
+            events.append(event)
+            comm[k] = 2
+        sigma_ser = servers[j].sigma_ser
+        logdet_server[k] = sigma_ser.logdet
+        det_server[k] = sigma_ser.det
+
+    return SimulationTrace(
+        t=np.arange(1, T + 1),
+        agent=activations.astype(np.int64),
+        arm_index=arm_index,
+        arms=arms,
+        reward=reward,
+        inst_regret=inst_regret,
+        comm=comm,
+        logdet_server=logdet_server,
+        det_server=det_server,
+        events=events,
+        cum_regret=np.cumsum(inst_regret),
+        comm_count=2 * len(events),
+        switch_count=len(events),
+        epoch_starts=[],
+        beta_used=beta_used,
+        params=params,
+        final_agents=agents,
+        final_server=None if private else servers[0],
+    )
 
 
 def run_fedlinucb(
@@ -172,37 +252,8 @@ def run_fedlinucb(
     """
     M, T = schedule.M, schedule.T
     beta = _resolve_beta(inst, hp, M, T)
-    agents = [init_agent(m, inst.dim, hp.lam) for m in range(1, M + 1)]
-    server = init_server(inst.dim, hp.lam)
-    reward_fn = lambda t, x: sample_reward(inst, t, x)  # noqa: E731
-    regret_fn = _make_regret_fn(inst)
-
-    records: list[RoundRecord] = []
-    events: list[CommEvent] = []
-    for t in range(1, T + 1):
-        m = int(schedule.agents[t - 1])
-        d_set = sample_decision_set(inst, t)
-        agent, server, record, event = step_agent(
-            agents[m - 1], server, d_set, reward_fn, regret_fn, hp, beta, t, debug=debug
-        )
-        agents[m - 1] = agent
-        records.append(record)
-        if event is not None:
-            events.append(event)
-
-    cum = np.cumsum([rec.inst_regret for rec in records]) if records else np.zeros(0)
-    trace = SimulationTrace(
-        records=records,
-        events=events,
-        cum_regret=cum,
-        comm_count=2 * len(events),
-        switch_count=len(events),
-        epoch_starts=[],
-        beta_used=beta,
-        params=_params_echo(inst, hp, M, T, schedule.descriptor),
-        final_agents=agents,
-        final_server=server,
-    )
+    trace = _drive(inst, hp, schedule.agents, [beta] * M, False, beta,
+                   _params_echo(inst, hp, M, T, schedule.descriptor), debug)
     trace.epoch_starts = epoch_boundaries(trace, hp.lam, inst.dim)
     _assert_comm_bounds(trace, inst, hp, M, T)
     return trace
@@ -218,10 +269,10 @@ def run_episodic(
     """Episodic run: in episode k the agents of participation_sets[k] act in order.
 
     Each activation is flattened to a global round index (episode by episode,
-    in-set order) for environment draws, so a sequence of singleton sets
-    reproduces the sequential runner's trace bit for bit.  A duplicated agent
-    id inside one set is rejected: within an episode each agent acts at most
-    once, and simultaneity cannot be expressed.
+    in-set order) for environment draws, so any grouping reproduces the
+    sequential runner's trace on the flattened sequence bit for bit.  A
+    duplicated agent id inside one set is rejected: within an episode each
+    agent acts at most once, and simultaneity cannot be expressed.
     """
     flat: list[int] = []
     for k, group in enumerate(participation_sets, 1):
@@ -229,48 +280,9 @@ def run_episodic(
         if len(set(ids)) != len(ids):
             raise ValueError(f"episode {k} activates an agent more than once")
         flat.extend(ids)
-    n_agents = M if M is not None else (max(flat) if flat else 1)
-    T = len(flat)
-    if flat and (min(flat) < 1 or max(flat) > n_agents):
-        raise ValueError("participation sets reference an agent id outside 1..M")
-
-    beta = _resolve_beta(inst, hp, n_agents, T)
-    agents = [init_agent(m, inst.dim, hp.lam) for m in range(1, n_agents + 1)]
-    server = init_server(inst.dim, hp.lam)
-    reward_fn = lambda t, x: sample_reward(inst, t, x)  # noqa: E731
-    regret_fn = _make_regret_fn(inst)
-
-    records: list[RoundRecord] = []
-    events: list[CommEvent] = []
-    t = 0
-    for group in participation_sets:
-        for m in group:
-            t += 1
-            d_set = sample_decision_set(inst, t)
-            agent, server, record, event = step_agent(
-                agents[m - 1], server, d_set, reward_fn, regret_fn, hp, beta, t, debug=debug
-            )
-            agents[m - 1] = agent
-            records.append(record)
-            if event is not None:
-                events.append(event)
-
-    cum = np.cumsum([rec.inst_regret for rec in records]) if records else np.zeros(0)
-    trace = SimulationTrace(
-        records=records,
-        events=events,
-        cum_regret=cum,
-        comm_count=2 * len(events),
-        switch_count=len(events),
-        epoch_starts=[],
-        beta_used=beta,
-        params=_params_echo(inst, hp, n_agents, T, f"episodic(K={len(participation_sets)})"),
-        final_agents=agents,
-        final_server=server,
-    )
-    trace.epoch_starts = epoch_boundaries(trace, hp.lam, inst.dim)
-    _assert_comm_bounds(trace, inst, hp, n_agents, T)
-    return trace
+    schedule = Schedule(M=M if M is not None else max(flat, default=1), T=len(flat),
+                        agents=flat, descriptor=f"episodic(K={len(participation_sets)})")
+    return run_fedlinucb(inst, schedule, hp, debug)
 
 
 def run_independent_oful(
@@ -289,40 +301,9 @@ def run_independent_oful(
     communications and no epochs (there is no shared server determinant).
     """
     M, T = schedule.M, schedule.T
-    d = inst.dim
-    reward_fn = lambda t, x: sample_reward(inst, t, x)  # noqa: E731
-    regret_fn = _make_regret_fn(inst)
-
-    records_by_round: dict[int, RoundRecord] = {}
-    betas: dict[int, float] = {}
-    for m in range(1, M + 1):
-        rounds_m = [int(t) for t in np.flatnonzero(schedule.agents == m) + 1]
-        if not rounds_m:
-            continue
-        beta_m = compute_beta(inst, hp, 1, len(rounds_m))
-        betas[m] = beta_m
-        agent = init_agent(m, d, hp.lam)
-        aggregator = init_server(d, hp.lam)  # private to this agent
-        for t in rounds_m:
-            d_set = sample_decision_set(inst, t)
-            agent, aggregator, record, _event = step_agent(
-                agent, aggregator, d_set, reward_fn, regret_fn, hp, beta_m, t
-            )
-            # Internal refreshes are policy switches, not communications.
-            records_by_round[t] = replace(record, comm=0)
-
-    records = [records_by_round[t] for t in sorted(records_by_round)]
-    cum = np.cumsum([rec.inst_regret for rec in records]) if records else np.zeros(0)
-    nominal_beta = _resolve_beta(inst, hp, 1, T)
+    rounds = np.bincount(schedule.agents, minlength=M + 1)[1:].tolist()
+    # An agent without rounds selects nothing; its radius is never read.
+    betas = [compute_beta(inst, hp, 1, n) if n else 0.0 for n in rounds]
     params = _params_echo(inst, hp, M, T, schedule.descriptor + "+independent")
-    params["per_agent_beta"] = {str(m): betas[m] for m in sorted(betas)}
-    return SimulationTrace(
-        records=records,
-        events=[],
-        cum_regret=cum,
-        comm_count=0,
-        switch_count=0,
-        epoch_starts=[],
-        beta_used=nominal_beta,
-        params=params,
-    )
+    params["per_agent_beta"] = {str(m): b for m, (b, n) in enumerate(zip(betas, rounds), 1) if n}
+    return _drive(inst, hp, schedule.agents, betas, True, _resolve_beta(inst, hp, 1, T), params)

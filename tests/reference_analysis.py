@@ -5,13 +5,18 @@ the covariance comparison, and the unscreened eigenvalue floor in
 
 Test-only reference: ``test_invariant_pass.py`` asserts that the package's
 single pass reports exactly what these functions report.  The check bodies
-below are kept as they were; only the imports are new, and ``from_dense``
-no longer passes a determinant (``core.SpdMatrix`` computes it on use).
+below are kept as they were; only the imports are new, ``from_dense``
+no longer passes a determinant (``core.SpdMatrix`` computes it on use), the
+per-round records are rebuilt from the trace's columns by :func:`records`,
+and the noise ledger no longer copies the arms and rewards.  The record
+loops of ``_single_agent_windows`` and ``_trace_consistency_check``, which
+the package now computes on the columns, are kept at the end.
 """
 
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 from typing import Any
 
 import numpy as np
@@ -21,9 +26,7 @@ from fedlinucb.analysis import (
     BoundReport,
     CoverageReport,
     NoiseLedger,
-    _single_agent_windows,
     _sync_criterion_check,
-    _trace_consistency_check,
 )
 from fedlinucb.core import (
     FACTOR_RTOL,
@@ -39,6 +42,15 @@ from fedlinucb.core import (
 )
 from fedlinucb.protocol import payload_checksum
 from fedlinucb.simulator import SimulationTrace
+
+
+def records(trace: SimulationTrace) -> list[SimpleNamespace]:
+    """One record per round, with the fields the checks below read."""
+    return [
+        SimpleNamespace(t=t, agent=m, arm=x, reward=r)
+        for t, m, x, r in zip(trace.t.tolist(), trace.agent.tolist(), trace.arms,
+                              trace.reward.tolist())
+    ]
 
 
 class SpdMatrix(core.SpdMatrix):
@@ -95,9 +107,10 @@ class _Replay:
         self.events_by_round = {ev.round: ev for ev in trace.events}
         self.checksum_mismatches = 0
         self.payload_deviation = 0.0
+        self.records = records(trace)
 
     def step(self, k: int):
-        rec = self.trace.records[k]
+        rec = self.records[k]
         m, x, r = rec.agent, rec.arm, rec.reward
         self.sigma_all = self.sigma_all + np.outer(x, x)
         self.b_all = self.b_all + r * x
@@ -123,11 +136,9 @@ class _Replay:
 
 
 def build_noise_ledger(trace: SimulationTrace, inst: ProblemInstance) -> NoiseLedger:
-    T = len(trace.records)
+    T = len(trace.t)
     d = inst.dim
     eta = np.zeros(T)
-    xs = np.zeros((T, d))
-    rewards = np.zeros(T)
     u_all = np.zeros((T, d))
     u_split = np.zeros((T, d))
     M = int(trace.params["M"])
@@ -135,12 +146,10 @@ def build_noise_ledger(trace: SimulationTrace, inst: ProblemInstance) -> NoiseLe
     u_loc = {m: np.zeros(d) for m in range(1, M + 1)}
     events_by_round = {ev.round: ev for ev in trace.events}
     run_u = np.zeros(d)
-    for k, rec in enumerate(trace.records):
+    for k, rec in enumerate(records(trace)):
         x = rec.arm
         e = rec.reward - float(x @ inst.theta_star)
         eta[k] = e
-        xs[k] = x
-        rewards[k] = rec.reward
         run_u = run_u + e * x
         u_all[k] = run_u
         u_loc[rec.agent] = u_loc[rec.agent] + e * x
@@ -150,7 +159,7 @@ def build_noise_ledger(trace: SimulationTrace, inst: ProblemInstance) -> NoiseLe
             u_loc[rec.agent] = np.zeros(d)
         u_split[k] = sum(u_up.values()) + sum(u_loc.values())
     return NoiseLedger(
-        eta=eta, xs=xs, rewards=rewards, u_all=u_all, u_split=u_split,
+        eta=eta, u_all=u_all, u_split=u_split,
         u_up_final=u_up, u_loc_final=u_loc,
     )
 
@@ -158,7 +167,7 @@ def build_noise_ledger(trace: SimulationTrace, inst: ProblemInstance) -> NoiseLe
 def noise_decomposition_check(trace: SimulationTrace, inst: ProblemInstance) -> BoundReport:
     """The pooled noise sum must equal the uploaded + pending shares, each round."""
     ledger = build_noise_ledger(trace, inst)
-    if len(trace.records) == 0:
+    if len(trace.t) == 0:
         worst = 0.0
         scale = 1.0
     else:
@@ -186,7 +195,7 @@ def conservation_check(trace: SimulationTrace) -> BoundReport:
     rep = _Replay(trace)
     worst = 0.0
     scale = 1.0
-    for k in range(len(trace.records)):
+    for k in range(len(trace.t)):
         rep.step(k)
         lhs_sigma = rep.server_sigma + sum(rep.sigma_loc.values())
         lhs_b = rep.server_b + sum(rep.b_loc.values())
@@ -222,7 +231,7 @@ def elliptical_potential_check(trace: SimulationTrace) -> BoundReport:
     d, lam, L, T = int(p["d"]), float(p["lambda"]), float(p["L"]), int(p["T"])
     rep = _Replay(trace)
     total = 0.0
-    for k in range(len(trace.records)):
+    for k in range(len(trace.t)):
         rec, _ = rep.step(k)
         total += inv_norm(SpdMatrix.from_dense(rep.sigma_all), rec.arm) ** 2
     bound = 2.0 * d * math.log(1.0 + T * L * L / lam)
@@ -262,7 +271,7 @@ def confidence_coverage(
     n_local = local_viol = 0
     n_global = global_viol = 0
     theta = inst.theta_star
-    for k in range(len(trace.records)):
+    for k in range(len(trace.t)):
         rec, event = rep.step(k)
         sigma_all = SpdMatrix.from_dense(rep.sigma_all, min_eig=lam)
         theta_all = solve_estimate(sigma_all, rep.b_all)
@@ -302,8 +311,7 @@ def covariance_comparison_check(trace: SimulationTrace, alpha: float, M: int) ->
     """
     tol = 1e-8
     rep = _Replay(trace)
-    records = trace.records
-    T = len(records)
+    T = len(trace.t)
     worst1 = 0.0  # claim 1 violation magnitude
     worst2 = 0.0
     n_checks1 = 0
@@ -432,3 +440,68 @@ def run_invariant_suite(
         )
     )
     return reports
+
+
+def _single_agent_windows(trace: SimulationTrace) -> list[tuple[int, int, int]]:
+    """Windows (m, t1, t2): agent m alone active in (t1, t2], syncing at t1."""
+    records_ = records(trace)
+    T = len(records_)
+    if T == 0:
+        return []
+    sync_rounds = {(ev.round, ev.agent) for ev in trace.events}
+    windows = []
+    start = 0
+    while start < T:
+        m = records_[start].agent
+        end = start
+        while end + 1 < T and records_[end + 1].agent == m:
+            end += 1
+        run_rounds = [records_[k].t for k in range(start, end + 1)]
+        syncs = [t for t in run_rounds if (t, m) in sync_rounds]
+        for j, t1 in enumerate(syncs):
+            t2 = syncs[j + 1] if j + 1 < len(syncs) else run_rounds[-1]
+            if t2 > t1:
+                windows.append((m, t1, t2))
+        start = end + 1
+    return windows
+
+
+def _trace_consistency_check(trace: SimulationTrace) -> BoundReport:
+    problems = 0
+    detail = {}
+    rows = [
+        SimpleNamespace(comm=c, inst_regret=g, logdet_server=v)
+        for c, g, v in zip(trace.comm.tolist(), trace.inst_regret.tolist(),
+                           trace.logdet_server.tolist())
+    ]
+    comm_sum = sum(rec.comm for rec in rows)
+    if trace.comm_count != comm_sum:
+        problems += 1
+        detail["comm_count_vs_records"] = (trace.comm_count, comm_sum)
+    if trace.comm_count != 2 * len(trace.events) and trace.events:
+        problems += 1
+        detail["comm_count_vs_events"] = (trace.comm_count, 2 * len(trace.events))
+    if trace.switch_count * 2 != trace.comm_count:
+        problems += 1
+        detail["switch_identity"] = (trace.switch_count, trace.comm_count)
+    if any(rec.inst_regret < 0 for rec in rows):
+        problems += 1
+        detail["negative_regret_rounds"] = sum(1 for rec in rows if rec.inst_regret < 0)
+    if len(rows) != len(trace.cum_regret):
+        problems += 1
+        detail["cum_regret_length"] = (len(rows), len(trace.cum_regret))
+    else:
+        expected = np.cumsum([rec.inst_regret for rec in rows])
+        if rows and float(np.abs(expected - trace.cum_regret).max()) > 1e-9 * max(
+            1.0, float(expected[-1])
+        ):
+            problems += 1
+            detail["cum_regret_mismatch"] = float(np.abs(expected - trace.cum_regret).max())
+    logdets = [rec.logdet_server for rec in rows]
+    if trace.events and any(
+        b < a - 1e-12 * max(1.0, abs(a)) for a, b in zip(logdets, logdets[1:])
+    ):
+        problems += 1
+        detail["logdet_server_not_monotone"] = True
+    return BoundReport("trace-consistency", float(problems), 0.0, problems == 0,
+                       -float(problems), detail)

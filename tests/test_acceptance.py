@@ -123,7 +123,7 @@ def test_02_epoch_communication_cap(grid, capsys):
     violations = 0
     checked = 0
     for cell in grid:
-        dets = np.array([rec.det_server for rec in cell.trace.records])
+        dets = cell.trace.det_server
         final = dets[-1]
         starts = []
         i = 0
@@ -152,7 +152,7 @@ def test_03_switch_identity(grid, capsys):
         tr = cell.trace
         if tr.switch_count * 2 != tr.comm_count or tr.comm_count != 2 * len(tr.events):
             bad += 1
-        if tr.comm_count != sum(rec.comm for rec in tr.records):
+        if tr.comm_count != int(tr.comm.sum()):
             bad += 1
     ok = bad == 0
     announce(capsys, 3, "switching identity comm = 2 x switches",
@@ -268,9 +268,9 @@ def test_09_episodic_equivalence(capsys):
         seq = run_fedlinucb(inst, sched, hp)
         epi = run_episodic(inst, [[int(m)] for m in sched.agents], hp, M=M)
         same = (
-            [r.arm_index for r in seq.records] == [r.arm_index for r in epi.records]
-            and [r.reward for r in seq.records] == [r.reward for r in epi.records]
-            and [r.det_server for r in seq.records] == [r.det_server for r in epi.records]
+            np.array_equal(seq.arm_index, epi.arm_index)
+            and np.array_equal(seq.reward, epi.reward)
+            and np.array_equal(seq.det_server, epi.det_server)
             and np.array_equal(seq.cum_regret, epi.cum_regret)
             and [(e.round, e.agent, e.payload_checksum) for e in seq.events]
             == [(e.round, e.agent, e.payload_checksum) for e in epi.events]

@@ -1,5 +1,6 @@
 """Trace-analysis checks: replays, concentration reports, the bias demo."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -27,7 +28,7 @@ from fedlinucb.analysis import (
     _single_agent_windows,
     noise_decomposition_check,
 )
-from fedlinucb.protocol import CommEvent, RoundRecord, payload_checksum
+from fedlinucb.protocol import CommEvent, payload_checksum
 
 
 def run_small(seed=7, d=3, K=5, M=3, T=300, alpha=1.0 / 9.0, debug=False, **inst_kw):
@@ -80,12 +81,12 @@ def test_instantaneous_regret_rejects_foreign_arm():
 def test_noise_ledger_matches_direct_accumulation():
     inst, hp, trace = run_small(seed=13)
     ledger = build_noise_ledger(trace, inst)
-    # Independent route: accumulate eta_t * x_t straight off the records.
+    # Independent route: accumulate eta_t * x_t straight off the trace columns.
     run = np.zeros(inst.dim)
-    for k, rec in enumerate(trace.records):
-        eta = rec.reward - float(rec.arm @ inst.theta_star)
+    for k, (x, r) in enumerate(zip(trace.arms, trace.reward)):
+        eta = r - float(x @ inst.theta_star)
         assert ledger.eta[k] == pytest.approx(eta, rel=1e-12)
-        run = run + eta * rec.arm
+        run = run + eta * x
         np.testing.assert_allclose(ledger.u_all[k], run, rtol=1e-12, atol=1e-12)
     # Uploaded plus pending shares agree with the pooled sum at the end.
     total_split = sum(ledger.u_up_final.values()) + sum(ledger.u_loc_final.values())
@@ -116,20 +117,9 @@ def test_conservation_catches_tampered_reward():
     inst, hp, trace = run_small(seed=19)
     assert trace.events, "need at least one sync for the tamper to matter"
     first_sync_round = trace.events[0].round
-    records = list(trace.records)
-    k = first_sync_round - 1
-    rec = records[k]
-    records[k] = RoundRecord(
-        t=rec.t, agent=rec.agent, arm_index=rec.arm_index, arm=rec.arm,
-        reward=rec.reward + 1.0, inst_regret=rec.inst_regret, comm=rec.comm,
-        logdet_server=rec.logdet_server, det_server=rec.det_server,
-    )
-    doctored = SimulationTrace(
-        records=records, events=trace.events, cum_regret=trace.cum_regret,
-        comm_count=trace.comm_count, switch_count=trace.switch_count,
-        epoch_starts=trace.epoch_starts, beta_used=trace.beta_used,
-        params=trace.params,
-    )
+    reward = trace.reward.copy()
+    reward[first_sync_round - 1] += 1.0
+    doctored = dataclasses.replace(trace, reward=reward)
     report = conservation_check(doctored)
     # The replay is self-consistent, so the drift shows up as a checksum
     # mismatch against the recorded upload, not as a sum deviation.
@@ -145,9 +135,9 @@ def test_elliptical_potential_against_explicit_inverse():
     report = elliptical_potential_check(trace)
     sigma = np.eye(inst.dim)  # lam = 1
     total = 0.0
-    for rec in trace.records:
-        sigma = sigma + np.outer(rec.arm, rec.arm)
-        total += float(rec.arm @ np.linalg.inv(sigma) @ rec.arm)
+    for x in trace.arms:
+        sigma = sigma + np.outer(x, x)
+        total += float(x @ np.linalg.inv(sigma) @ x)
     assert report.empirical == pytest.approx(total, rel=1e-9)
     assert report.satisfied
     assert report.bound == pytest.approx(2 * inst.dim * math.log(1 + 40.0), rel=1e-12)
@@ -208,19 +198,18 @@ def test_covariance_comparison_covers_single_agent_windows():
 
 
 def toy_trace(agent_seq, sync_rounds):
-    records = [
-        RoundRecord(t=t, agent=m, arm_index=0, arm=np.zeros(2), reward=0.0,
-                    inst_regret=0.0, comm=2 if (t, m) in sync_rounds else 0,
-                    logdet_server=0.0, det_server=1.0)
-        for t, m in enumerate(agent_seq, 1)
-    ]
+    T = len(agent_seq)
+    comm = [2 if (t, m) in sync_rounds else 0 for t, m in enumerate(agent_seq, 1)]
     events = [
         CommEvent(round=t, agent=m, logdet_before=0.0, logdet_after=math.log(2.0),
                   payload_checksum=payload_checksum(np.zeros((2, 2)), np.zeros(2)))
         for (t, m) in sorted(sync_rounds)
     ]
     return SimulationTrace(
-        records=records, events=events, cum_regret=np.zeros(len(records)),
+        t=np.arange(1, T + 1), agent=np.array(agent_seq), arm_index=np.zeros(T, dtype=int),
+        arms=np.zeros((T, 2)), reward=np.zeros(T), inst_regret=np.zeros(T),
+        comm=np.array(comm), logdet_server=np.zeros(T), det_server=np.ones(T),
+        events=events, cum_regret=np.zeros(T),
         comm_count=2 * len(events), switch_count=len(events), epoch_starts=[],
         beta_used=0.0, params={"d": 2, "M": max(agent_seq), "lambda": 1.0},
     )
@@ -313,12 +302,8 @@ def test_invariant_suite_clean_run_all_green():
 
 def test_invariant_suite_flags_corrupted_trace():
     inst, hp, trace = run_small(seed=43, M=4, T=100, alpha=1.0 / 16.0)
-    doctored = SimulationTrace(
-        records=trace.records, events=trace.events, cum_regret=trace.cum_regret,
-        comm_count=trace.comm_count + 2,  # phantom communication
-        switch_count=trace.switch_count, epoch_starts=trace.epoch_starts,
-        beta_used=trace.beta_used, params=trace.params,
-    )
+    # Phantom communication.
+    doctored = dataclasses.replace(trace, comm_count=trace.comm_count + 2)
     reports = run_invariant_suite(doctored, inst, hp)
     by_name = {r.name: r for r in reports}
     assert not by_name["trace-consistency"].satisfied

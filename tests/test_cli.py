@@ -168,6 +168,26 @@ def test_golden_summary_bytes(tmp_path):
     assert (out / "summary.json").read_bytes() == golden.read_bytes()
 
 
+GOLDEN_SWEEP_CONFIG = {
+    "instance": {"kind": "random-sphere", "d": 3, "K": 5, "seed": 5},
+    "schedule": {"kind": "iid-uniform", "M": 2, "T": 80, "seed": 6},
+    "params": {"lambda": 1.0, "delta": 0.1, "beta": "auto"},
+}
+
+
+def test_golden_sweep_baseline_bytes(tmp_path):
+    # Frozen sweep output with the no-communication baseline columns; the M=3
+    # cell runs three private learners.
+    import pathlib
+
+    golden = pathlib.Path(__file__).parent / "data" / "golden_sweep.csv"
+    cfg_path = write_config(tmp_path, GOLDEN_SWEEP_CONFIG)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg_path, "--axis", "M", "--values", "1,3",
+                 "--baseline", "--out", str(out)]) == 0
+    assert (out / "sweep.csv").read_bytes() == golden.read_bytes()
+
+
 GOLDEN_CHECK_CONFIG = {
     "instance": {"kind": "hypercube-corners", "d": 6, "K": 8, "seed": 11},
     "schedule": {"kind": "iid-uniform", "M": 3, "T": 600, "seed": 12},

@@ -85,6 +85,18 @@ def test_spd_rejects_non_psd():
         SpdMatrix.from_dense(np.diag([1.0, -0.5]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_spd_rejects_non_finite(bad):
+    # NaN passes every comparison-based test and LAPACK's Cholesky does not
+    # reject NaN pivots, so without this check the logdet would read nan.
+    with pytest.raises(NumericalDomainError, match="non-finite"):
+        SpdMatrix.from_dense(np.full((2, 2), bad))
+    m = np.eye(3)
+    m[1, 1] = bad
+    with pytest.raises(NumericalDomainError, match="non-finite"):
+        SpdMatrix.from_dense(m, min_eig=0.5)
+
+
 def test_spd_rejects_below_stated_floor():
     with pytest.raises(NumericalDomainError):
         SpdMatrix.from_dense(np.diag([0.5, 2.0]), min_eig=1.0)

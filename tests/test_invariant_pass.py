@@ -79,6 +79,10 @@ def test_single_pass_reports_equal_the_per_check_replays(case):
             trace, alpha, M
         ) == ref.covariance_comparison_check(trace, alpha, M)
     ledger = ref.build_noise_ledger(trace, inst)
+    new_ledger = analysis.build_noise_ledger(trace, inst)
+    for name in ("eta", "u_all", "u_split"):
+        assert np.array_equal(getattr(new_ledger, name), getattr(ledger, name))
+    assert analysis._single_agent_windows(trace) == ref._single_agent_windows(trace)
     assert analysis.confidence_coverage(
         trace, inst, trace.beta_used
     ) == ref.confidence_coverage(trace, ledger, inst, trace.beta_used)
@@ -91,11 +95,11 @@ def brute_force_claim1_worst(trace, alpha, M):
     loc = {m: np.zeros((d, d)) for m in range(1, M + 1)}
     uploads = {(ev.round, ev.agent) for ev in trace.events}
     worst = 0.0
-    for rec in trace.records:
-        loc[rec.agent] = loc[rec.agent] + np.outer(rec.arm, rec.arm)
-        if (rec.t, rec.agent) in uploads:
-            server = server + loc[rec.agent]
-            loc[rec.agent] = np.zeros((d, d))
+    for t, a, x in zip(trace.t.tolist(), trace.agent.tolist(), trace.arms):
+        loc[a] = loc[a] + np.outer(x, x)
+        if (t, a) in uploads:
+            server = server + loc[a]
+            loc[a] = np.zeros((d, d))
         for m in range(1, M + 1):
             worst = max(worst, -float(np.linalg.eigvalsh(server - loc[m] / alpha)[0]))
     return worst

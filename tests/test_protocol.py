@@ -244,22 +244,18 @@ def bias_pair():
     )
 
 
-def zero_regret(d_set, idx):
-    return 0.0
-
-
 def test_step_selects_buffers_and_syncs():
     hp = HyperParams(lam=1.0, alpha=8.9, delta=0.1, beta_mode="fixed", beta_value=0.5)
     a = init_agent(1, 2, lam=1.0)
     s = init_server(2, lam=1.0)
-    a, s, rec, ev = step_agent(
-        a, s, bias_pair(), lambda t, x: 1.0, zero_regret, hp, beta=0.5, round_=1
+    a, s, idx, r, ev = step_agent(
+        a, s, bias_pair(), lambda t, x: 1.0, hp, beta=0.5, round_=1
     )
     # Optimism picks the long arm; det 10 > 9.9 fires the trigger.
-    assert rec.arm_index == 0
-    assert rec.reward == 1.0
-    assert rec.comm == 2 and ev is not None
-    assert rec.det_server == pytest.approx(10.0, rel=1e-12)
+    assert idx == 0
+    assert r == 1.0
+    assert ev is not None and ev.round == 1 and ev.agent == 1
+    assert s.sigma_ser.det == pytest.approx(10.0, rel=1e-12)
     assert a.last_sync_round == 1
 
 
@@ -267,12 +263,12 @@ def test_step_below_trigger_keeps_buffers():
     hp = HyperParams(lam=1.0, alpha=10.5, delta=0.1, beta_mode="fixed", beta_value=0.5)
     a = init_agent(1, 2, lam=1.0)
     s = init_server(2, lam=1.0)
-    a, s, rec, ev = step_agent(
-        a, s, bias_pair(), lambda t, x: 1.0, zero_regret, hp, beta=0.5, round_=1
+    a, s, idx, r, ev = step_agent(
+        a, s, bias_pair(), lambda t, x: 1.0, hp, beta=0.5, round_=1
     )
-    assert rec.comm == 0 and ev is None
+    assert ev is None
     assert np.array_equal(a.sigma_loc, [[9.0, 0.0], [0.0, 0.0]])
-    assert rec.det_server == pytest.approx(1.0, rel=1e-12)
+    assert s.sigma_ser.det == pytest.approx(1.0, rel=1e-12)
     # Stored estimate still the prior zero vector.
     assert np.array_equal(a.theta_hat, np.zeros(2))
 
@@ -285,10 +281,10 @@ def test_step_lazy_ignores_buffered_evidence():
     a = init_agent(1, 2, lam=1.0)
     s = init_server(2, lam=1.0)
     for t in (1, 2):
-        a, s, rec, _ = step_agent(
-            a, s, bias_pair(), lambda t, x: -1.0, zero_regret, hp, beta=0.5, round_=t
+        a, s, idx, _, _ = step_agent(
+            a, s, bias_pair(), lambda t, x: -1.0, hp, beta=0.5, round_=t
         )
-        assert rec.arm_index == 0
+        assert idx == 0
 
 
 def test_step_eager_reacts_immediately():
@@ -297,25 +293,14 @@ def test_step_eager_reacts_immediately():
                      estimate_mode="eager")
     a = init_agent(1, 2, lam=1.0)
     s = init_server(2, lam=1.0)
-    a, s, rec1, _ = step_agent(
-        a, s, bias_pair(), lambda t, x: -1.0, zero_regret, hp, beta=0.5, round_=1
+    a, s, idx1, _, _ = step_agent(
+        a, s, bias_pair(), lambda t, x: -1.0, hp, beta=0.5, round_=1
     )
-    assert rec1.arm_index == 0
-    a, s, rec2, _ = step_agent(
-        a, s, bias_pair(), lambda t, x: -1.0, zero_regret, hp, beta=0.5, round_=2
+    assert idx1 == 0
+    a, s, idx2, _, _ = step_agent(
+        a, s, bias_pair(), lambda t, x: -1.0, hp, beta=0.5, round_=2
     )
-    assert rec2.arm_index == 1
+    assert idx2 == 1
     # Eager recombination never mutates the stored synced state.
     assert np.array_equal(a.sigma.mat, np.eye(2))
     assert np.array_equal(a.theta_hat, np.zeros(2))
-
-
-def test_step_regret_fn_lands_in_record():
-    hp = HyperParams(lam=1.0, alpha=10.5, delta=0.1, beta_mode="fixed", beta_value=0.5)
-    a = init_agent(1, 2, lam=1.0)
-    s = init_server(2, lam=1.0)
-    _, _, rec, _ = step_agent(
-        a, s, bias_pair(), lambda t, x: 0.0, lambda d_set, idx: 0.25 * idx + 0.5,
-        hp, beta=0.5, round_=1,
-    )
-    assert rec.inst_regret == 0.5

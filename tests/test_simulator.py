@@ -6,10 +6,14 @@ shared code beyond the environment draws, then demand identical decisions,
 sync rounds, and determinant trajectories from the packaged runner.
 """
 
+import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedlinucb import (
     HyperParams,
@@ -17,6 +21,7 @@ from fedlinucb import (
     compute_beta,
     gen_instance,
     gen_schedule,
+    instantaneous_regret,
     run_episodic,
     run_fedlinucb,
     run_independent_oful,
@@ -24,35 +29,44 @@ from fedlinucb import (
     sample_reward,
     theoretical_comm_bound,
 )
-from fedlinucb.simulator import CommBoundError, _assert_comm_bounds, epoch_boundaries
+from fedlinucb.simulator import (
+    CommBoundError,
+    _assert_comm_bounds,
+    epoch_boundaries,
+    index_regret,
+)
 
 
 def small_instance(seed=7, d=3, K=5, **kw):
     return gen_instance("random-sphere", d=d, K=K, seed=seed, **kw)
 
 
-def reference_federated(inst, schedule, lam, alpha, beta, log_space=False):
+def reference_federated(inst, schedule, lam, alpha, beta, log_space=False, private=False):
     """Lazy-mode protocol replayed with explicit inverses and LU determinants.
 
     With ``log_space`` the trigger compares ``np.linalg.slogdet`` differences
-    with log1p(alpha) and ``dets`` holds server log-determinants.
+    with log1p(alpha) and ``dets`` holds server log-determinants.  With
+    ``private`` every agent syncs with a server of its own, ``beta`` maps each
+    agent id to its radius, and ``dets`` follows the acting agent's server.
+    Returns choices, rewards, (round, agent) syncs, dets, regrets and the
+    final ``servers`` (server key -> (sigma, b); key 0 when shared).
     """
     d, M = inst.dim, schedule.M
     logdet = lambda a: np.linalg.slogdet(a)[1]  # noqa: E731
-    server_sigma = lam * np.eye(d)
-    server_b = np.zeros(d)
-    sigma = {m: server_sigma.copy() for m in range(1, M + 1)}
+    servers = {j: (lam * np.eye(d), np.zeros(d)) for j in (range(1, M + 1) if private else [0])}
+    sigma = {m: lam * np.eye(d) for m in range(1, M + 1)}
     b = {m: np.zeros(d) for m in range(1, M + 1)}
     theta = {m: np.zeros(d) for m in range(1, M + 1)}
     sig_loc = {m: np.zeros((d, d)) for m in range(1, M + 1)}
     b_loc = {m: np.zeros(d) for m in range(1, M + 1)}
-    choices, syncs, dets, regrets = [], [], [], []
+    choices, rewards, syncs, dets, regrets = [], [], [], [], []
     for t in range(1, schedule.T + 1):
         m = int(schedule.agents[t - 1])
+        j = m if private else 0
         arms = sample_decision_set(inst, t).arms
         inv = np.linalg.inv(sigma[m])
         widths = np.sqrt(np.clip(np.einsum("kd,dk->k", arms, inv @ arms.T), 0.0, None))
-        idx = int(np.argmax(arms @ theta[m] + beta * widths))
+        idx = int(np.argmax(arms @ theta[m] + (beta[m] if private else beta) * widths))
         x = arms[idx]
         r = sample_reward(inst, t, x)
         sig_loc[m] = sig_loc[m] + np.outer(x, x)
@@ -62,19 +76,21 @@ def reference_federated(inst, schedule, lam, alpha, beta, log_space=False):
         else:
             fire = np.linalg.det(sigma[m] + sig_loc[m]) > (1 + alpha) * np.linalg.det(sigma[m])
         if fire:
-            server_sigma = server_sigma + sig_loc[m]
-            server_b = server_b + b_loc[m]
-            sigma[m] = server_sigma.copy()
-            b[m] = server_b.copy()
+            servers[j] = (servers[j][0] + sig_loc[m], servers[j][1] + b_loc[m])
+            sigma[m] = servers[j][0].copy()
+            b[m] = servers[j][1].copy()
             sig_loc[m] = np.zeros((d, d))
             b_loc[m] = np.zeros(d)
             theta[m] = np.linalg.solve(sigma[m], b[m])
             syncs.append((t, m))
         choices.append(idx)
+        rewards.append(r)
+        server_sigma = servers[j][0]
         dets.append(float(logdet(server_sigma) if log_space else np.linalg.det(server_sigma)))
         values = arms @ inst.theta_star
         regrets.append(float(values.max() - values[idx]))
-    return choices, syncs, dets, regrets, server_sigma, server_b
+    return SimpleNamespace(choices=choices, rewards=rewards, syncs=syncs, dets=dets,
+                           regrets=regrets, servers=servers)
 
 
 def reference_epochs(logdets, d, lam):
@@ -93,13 +109,11 @@ def test_matches_reference_single_agent():
     sched = gen_schedule("round-robin", M=1, T=400)
     hp = HyperParams(lam=1.0, alpha=0.25, delta=0.1)
     trace = run_fedlinucb(inst, sched, hp)
-    choices, syncs, dets, regrets, _, _ = reference_federated(
-        inst, sched, lam=1.0, alpha=0.25, beta=trace.beta_used
-    )
-    assert [rec.arm_index for rec in trace.records] == choices
-    assert [(ev.round, ev.agent) for ev in trace.events] == syncs
-    np.testing.assert_allclose([rec.det_server for rec in trace.records], dets, rtol=1e-9)
-    np.testing.assert_allclose([rec.inst_regret for rec in trace.records], regrets, rtol=0, atol=0)
+    ref = reference_federated(inst, sched, lam=1.0, alpha=0.25, beta=trace.beta_used)
+    assert trace.arm_index.tolist() == ref.choices
+    assert [(ev.round, ev.agent) for ev in trace.events] == ref.syncs
+    np.testing.assert_allclose(trace.det_server, ref.dets, rtol=1e-9)
+    np.testing.assert_allclose(trace.inst_regret, ref.regrets, rtol=0, atol=0)
 
 
 def test_matches_reference_multi_agent():
@@ -107,15 +121,14 @@ def test_matches_reference_multi_agent():
     sched = gen_schedule("iid-uniform", M=3, T=300, seed=5)
     hp = HyperParams(lam=0.5, alpha=1.0 / 9.0, delta=0.05)
     trace = run_fedlinucb(inst, sched, hp)
-    choices, syncs, dets, regrets, ref_sigma, ref_b = reference_federated(
-        inst, sched, lam=0.5, alpha=1.0 / 9.0, beta=trace.beta_used
-    )
-    assert [rec.arm_index for rec in trace.records] == choices
-    assert [(ev.round, ev.agent) for ev in trace.events] == syncs
-    np.testing.assert_allclose([rec.det_server for rec in trace.records], dets, rtol=1e-9)
+    ref = reference_federated(inst, sched, lam=0.5, alpha=1.0 / 9.0, beta=trace.beta_used)
+    ref_sigma, ref_b = ref.servers[0]
+    assert trace.arm_index.tolist() == ref.choices
+    assert [(ev.round, ev.agent) for ev in trace.events] == ref.syncs
+    np.testing.assert_allclose(trace.det_server, ref.dets, rtol=1e-9)
     np.testing.assert_allclose(trace.final_server.sigma_ser.mat, ref_sigma, rtol=1e-12)
     np.testing.assert_allclose(trace.final_server.b_ser, ref_b, rtol=1e-12)
-    assert trace.comm_count == 2 * len(syncs)
+    assert trace.comm_count == 2 * len(ref.syncs)
 
 
 @pytest.mark.parametrize("d, lam", [(200, 0.01), (160, 100.0), (160, 0.01)])
@@ -127,13 +140,11 @@ def test_large_d_matches_slogdet_reference(d, lam):
     sched = gen_schedule("iid-uniform", M=2, T=50, seed=3)
     hp = HyperParams(lam=lam, alpha=0.25, delta=0.1)
     trace = run_fedlinucb(inst, sched, hp)
-    choices, syncs, logdets, _, _, _ = reference_federated(
-        inst, sched, lam, 0.25, trace.beta_used, log_space=True
-    )
-    assert [rec.arm_index for rec in trace.records] == choices
-    assert syncs and [(ev.round, ev.agent) for ev in trace.events] == syncs
-    assert trace.epoch_starts == reference_epochs(logdets, d, lam)
-    np.testing.assert_allclose([rec.logdet_server for rec in trace.records], logdets, rtol=1e-12)
+    ref = reference_federated(inst, sched, lam, 0.25, trace.beta_used, log_space=True)
+    assert trace.arm_index.tolist() == ref.choices
+    assert ref.syncs and [(ev.round, ev.agent) for ev in trace.events] == ref.syncs
+    assert trace.epoch_starts == reference_epochs(ref.dets, d, lam)
+    np.testing.assert_allclose(trace.logdet_server, ref.dets, rtol=1e-12)
 
 
 def test_unit_corner_run_within_comm_cap():
@@ -161,8 +172,8 @@ def test_rerun_is_bit_identical():
     hp = HyperParams(lam=1.0, alpha=1.0 / 16.0, delta=0.1)
     a = run_fedlinucb(inst, sched, hp)
     b = run_fedlinucb(gen_instance("random-sphere", d=3, K=5, seed=3), sched, hp)
-    assert [r.arm_index for r in a.records] == [r.arm_index for r in b.records]
-    assert [r.reward for r in a.records] == [r.reward for r in b.records]
+    assert np.array_equal(a.arm_index, b.arm_index)
+    assert np.array_equal(a.reward, b.reward)
     assert np.array_equal(a.cum_regret, b.cum_regret)
     assert [e.payload_checksum for e in a.events] == [e.payload_checksum for e in b.events]
     assert a.epoch_starts == b.epoch_starts
@@ -173,14 +184,14 @@ def test_trace_bookkeeping_identities():
     sched = gen_schedule("round-robin", M=3, T=240)
     hp = HyperParams(lam=1.0, alpha=1.0 / 9.0, delta=0.1)
     trace = run_fedlinucb(inst, sched, hp)
-    assert len(trace.records) == 240
-    assert trace.comm_count == sum(rec.comm for rec in trace.records)
+    assert len(trace.t) == 240
+    assert trace.comm_count == int(trace.comm.sum())
     assert trace.switch_count == len(trace.events) == trace.comm_count // 2
     assert trace.beta_used == compute_beta(inst, hp, 3, 240)
-    dets = [rec.det_server for rec in trace.records]
-    assert all(x <= y * (1 + 1e-12) for x, y in zip(dets, dets[1:]))
-    assert all(rec.inst_regret >= 0.0 for rec in trace.records)
-    assert trace.cum_regret[-1] == pytest.approx(sum(r.inst_regret for r in trace.records))
+    dets = trace.det_server
+    assert np.all(dets[:-1] <= dets[1:] * (1 + 1e-12))
+    assert np.all(trace.inst_regret >= 0.0)
+    assert trace.cum_regret[-1] == pytest.approx(sum(trace.inst_regret.tolist()))
     assert trace.params["schedule"].startswith("round-robin")
     assert len(trace.final_agents) == 3
     # Every agent's synced state is a past server state: det no larger.
@@ -193,7 +204,7 @@ def test_empty_horizon():
     sched = gen_schedule("round-robin", M=2, T=0)
     hp = HyperParams(lam=1.0, alpha=0.5, delta=0.1)
     trace = run_fedlinucb(inst, sched, hp)
-    assert trace.records == [] and trace.events == []
+    assert trace.t.shape == (0,) and trace.arms.shape == (0, 3) and trace.events == []
     assert trace.comm_count == 0 and trace.beta_used == 0.0
     assert trace.epoch_starts == []
     assert trace.cum_regret.shape == (0,)
@@ -207,7 +218,7 @@ def test_lazy_never_updates_without_sync():
     hp = HyperParams(lam=1.0, alpha=1e9, delta=0.1, beta_mode="fixed", beta_value=0.5,
                      estimate_mode="lazy")
     trace = run_fedlinucb(inst, sched, hp)
-    assert all(rec.arm_index == 0 for rec in trace.records)
+    assert np.all(trace.arm_index == 0)
     assert trace.comm_count == 0
 
 
@@ -217,7 +228,7 @@ def test_eager_mode_changes_behavior():
     base = dict(lam=1.0, alpha=1e9, delta=0.1, beta_mode="fixed", beta_value=0.5)
     lazy = run_fedlinucb(inst, sched, HyperParams(**base, estimate_mode="lazy"))
     eager = run_fedlinucb(inst, sched, HyperParams(**base, estimate_mode="eager"))
-    assert [r.arm_index for r in lazy.records] != [r.arm_index for r in eager.records]
+    assert not np.array_equal(lazy.arm_index, eager.arm_index)
     assert eager.params["estimate_mode"] == "eager"
 
 
@@ -230,8 +241,8 @@ def test_episodic_singletons_reproduce_sequential():
     hp = HyperParams(lam=1.0, alpha=1.0 / 9.0, delta=0.1)
     seq = run_fedlinucb(inst, sched, hp)
     epi = run_episodic(inst, [[int(m)] for m in sched.agents], hp, M=3)
-    assert [r.arm_index for r in seq.records] == [r.arm_index for r in epi.records]
-    assert [r.reward for r in seq.records] == [r.reward for r in epi.records]
+    assert np.array_equal(seq.arm_index, epi.arm_index)
+    assert np.array_equal(seq.reward, epi.reward)
     assert np.array_equal(seq.cum_regret, epi.cum_regret)
     assert [(e.round, e.agent) for e in seq.events] == [(e.round, e.agent) for e in epi.events]
     assert seq.comm_count == epi.comm_count
@@ -243,7 +254,7 @@ def test_episodic_groups_flatten_in_order():
     epi = run_episodic(inst, [[1, 2], [3], [2, 1, 3]], hp)
     flat = gen_schedule("explicit-list", M=3, T=0, agents=[1, 2, 3, 2, 1, 3])
     seq = run_fedlinucb(inst, flat, hp)
-    assert [r.arm_index for r in seq.records] == [r.arm_index for r in epi.records]
+    assert np.array_equal(seq.arm_index, epi.arm_index)
     assert np.array_equal(seq.cum_regret, epi.cum_regret)
     assert epi.params["M"] == 3  # inferred from the largest id
 
@@ -261,22 +272,25 @@ def test_episodic_empty_sets_are_idle_episodes():
     inst = small_instance(seed=1)
     hp = HyperParams(lam=1.0, alpha=0.5, delta=0.1)
     trace = run_episodic(inst, [[], [1], [], [2]], hp, M=2)
-    assert len(trace.records) == 2
-    assert [r.t for r in trace.records] == [1, 2]
+    assert len(trace.t) == 2
+    assert trace.t.tolist() == [1, 2]
     empty = run_episodic(inst, [], hp, M=2)
-    assert empty.records == []
+    assert empty.t.shape == (0,)
 
 
 # ---------------------------------------------------------------- epochs
 
 
 def fake_trace(dets):
-    records = [
-        # Only logdet_server matters to epoch_boundaries.
-        type("R", (), {"logdet_server": math.log(v)})() for v in dets
-    ]
+    T = len(dets)
+    zeros = np.zeros(T)
+    ints = np.zeros(T, dtype=np.int64)
+    # Only logdet_server matters to epoch_boundaries.
     return SimulationTrace(
-        records=records, events=[], cum_regret=np.zeros(len(dets)),
+        t=np.arange(1, T + 1), agent=ints + 1, arm_index=ints, arms=np.zeros((T, 1)),
+        reward=zeros, inst_regret=zeros, comm=ints,
+        logdet_server=np.array([math.log(v) for v in dets]), det_server=zeros,
+        events=[], cum_regret=zeros,
         comm_count=0, switch_count=0, epoch_starts=[], beta_used=0.0, params={},
     )
 
@@ -309,7 +323,7 @@ def test_real_run_epochs_start_at_round_one():
     assert trace.epoch_starts[0] == (0, 1)
     taus = [tau for _, tau in trace.epoch_starts]
     assert taus == sorted(taus)
-    final_det = trace.records[-1].det_server
+    final_det = trace.det_server[-1]
     top = trace.epoch_starts[-1][0]
     assert 2.0**top <= final_det * (1 + 1e-9) < 2.0 ** (top + 2)
 
@@ -319,11 +333,7 @@ def test_comm_cap_violation_raises():
     sched = gen_schedule("round-robin", M=2, T=40)
     hp = HyperParams(lam=1.0, alpha=0.25, delta=0.1)
     trace = run_fedlinucb(inst, sched, hp)
-    doctored = SimulationTrace(
-        records=trace.records, events=trace.events, cum_regret=trace.cum_regret,
-        comm_count=10**6, switch_count=trace.switch_count,
-        epoch_starts=trace.epoch_starts, beta_used=trace.beta_used, params=trace.params,
-    )
+    doctored = dataclasses.replace(trace, comm_count=10**6)
     with pytest.raises(CommBoundError):
         _assert_comm_bounds(doctored, inst, hp, 2, 40)
 
@@ -338,10 +348,10 @@ def test_independent_baseline_single_agent_matches_protocol_actions():
     fed = run_fedlinucb(inst, sched, hp)
     ind = run_independent_oful(inst, sched, hp)
     # With one agent the baseline is the same algorithm minus the network.
-    assert [r.arm_index for r in fed.records] == [r.arm_index for r in ind.records]
+    assert np.array_equal(fed.arm_index, ind.arm_index)
     assert np.array_equal(fed.cum_regret, ind.cum_regret)
     assert ind.comm_count == 0 and ind.switch_count == 0
-    assert all(r.comm == 0 for r in ind.records)
+    assert np.all(ind.comm == 0)
     assert ind.events == [] and ind.epoch_starts == []
 
 
@@ -350,8 +360,8 @@ def test_independent_baseline_agents_learn_separately():
     sched = gen_schedule("iid-uniform", M=3, T=200, seed=6)
     hp = HyperParams(lam=1.0, alpha=0.25, delta=0.1)
     ind = run_independent_oful(inst, sched, hp)
-    assert len(ind.records) == 200
-    assert [r.t for r in ind.records] == list(range(1, 201))
+    assert len(ind.t) == 200
+    assert ind.t.tolist() == list(range(1, 201))
     # Each agent's radius is the single-agent one for its own activation count.
     per_beta = ind.params["per_agent_beta"]
     for m in (1, 2, 3):
@@ -360,8 +370,81 @@ def test_independent_baseline_agents_learn_separately():
     # Same environment as the federated run on this schedule.
     fed = run_fedlinucb(inst, sched, hp)
     same_round_rewards = [
-        (f.reward, i.reward) for f, i in zip(fed.records, ind.records)
-        if f.arm_index == i.arm_index
+        (f_r, i_r)
+        for f_r, i_r, f_idx, i_idx in zip(fed.reward, ind.reward, fed.arm_index, ind.arm_index)
+        if f_idx == i_idx
     ]
     assert same_round_rewards  # overlap exists
     assert all(a == b for a, b in same_round_rewards)
+
+
+def test_independent_baseline_matches_private_reference():
+    # Three interleaved learners, each with its own server and radius: any
+    # state shared between agents in the run loop would change their choices.
+    inst = small_instance(seed=43)
+    sched = gen_schedule("iid-uniform", M=3, T=240, seed=9)
+    hp = HyperParams(lam=1.0, alpha=0.25, delta=0.1)
+    ind = run_independent_oful(inst, sched, hp)
+    betas = {m: ind.params["per_agent_beta"][str(m)] for m in (1, 2, 3)}
+    assert len(set(betas.values())) > 1
+    ref = reference_federated(inst, sched, 1.0, 0.25, betas, log_space=True, private=True)
+    assert {m for _, m in ref.syncs} == {1, 2, 3}
+    assert ind.arm_index.tolist() == ref.choices
+    assert ind.reward.tolist() == ref.rewards
+    assert np.array_equal(ind.cum_regret, np.cumsum(ref.regrets))
+    np.testing.assert_allclose(ind.logdet_server, ref.dets, rtol=1e-12)
+    assert np.all(ind.comm == 0) and ind.events == []
+
+
+def test_inst_regret_is_the_index_formula():
+    # The run loop and analysis.instantaneous_regret share one formula: the
+    # best arm of a round scores exactly zero.
+    inst = small_instance(seed=47)
+    trace = run_fedlinucb(inst, gen_schedule("round-robin", M=2, T=60),
+                          HyperParams(lam=1.0, alpha=0.25, delta=0.1))
+    assert np.any(trace.inst_regret == 0.0) and np.any(trace.inst_regret > 0.0)
+    for k, t in enumerate(trace.t.tolist()):
+        d_set = sample_decision_set(inst, t)
+        assert trace.inst_regret[k] == index_regret(inst, d_set, int(trace.arm_index[k]))
+        assert trace.inst_regret[k] == instantaneous_regret(inst, d_set, trace.arms[k])
+        best = int(np.argmax(d_set.arms @ inst.theta_star))
+        assert index_regret(inst, d_set, best) == 0.0
+
+
+@st.composite
+def grouped_schedules(draw):
+    M = draw(st.integers(1, 4))
+    agents = draw(st.lists(st.integers(1, M), max_size=60))
+    cuts = draw(st.lists(st.booleans(), min_size=len(agents), max_size=len(agents)))
+    groups: list[list[int]] = []
+    for m, cut in zip(agents, cuts):
+        # An agent acts at most once per episode.
+        if not groups or cut or m in groups[-1]:
+            groups.append([])
+        groups[-1].append(m)
+    if draw(st.booleans()):
+        groups.insert(draw(st.integers(0, len(groups))), [])  # an idle episode
+    return M, agents, groups
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    grouped_schedules(),
+    st.integers(1, 4),
+    st.sampled_from([1.0 / 16.0, 0.25, 1.0]),
+    st.sampled_from(["lazy", "eager"]),
+)
+def test_episodic_grouping_equals_flattened_run(schedule, d, alpha, mode):
+    M, agents, groups = schedule
+    inst = small_instance(seed=53, d=d, K=4)
+    hp = HyperParams(lam=1.0, alpha=alpha, delta=0.1, estimate_mode=mode)
+    epi = run_episodic(inst, groups, hp, M=M)
+    seq = run_fedlinucb(inst, gen_schedule("explicit-list", M=M, T=0, agents=agents), hp)
+    for column in ("t", "agent", "arm_index", "arms", "reward", "inst_regret", "comm",
+                   "logdet_server", "det_server", "cum_regret"):
+        assert np.array_equal(getattr(epi, column), getattr(seq, column)), column
+    assert [(e.round, e.agent, e.payload_checksum) for e in epi.events] == [
+        (e.round, e.agent, e.payload_checksum) for e in seq.events
+    ]
+    assert epi.epoch_starts == seq.epoch_starts
+    assert epi.beta_used == seq.beta_used
