@@ -13,6 +13,7 @@ import copy
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,9 @@ from .simulator import CommBoundError, run_fedlinucb, run_independent_oful
 
 TRACE_COLUMNS = ["t", "agent", "arm_index", "reward", "inst_regret", "cum_regret", "comm", "det_server"]
 
-SWEEP_AXES = ("T", "M", "alpha", "d")
+# Sweep axis -> the config section and key it sets in each cell.
+SWEEP_AXES = {"T": ("schedule", "T"), "M": ("schedule", "M"), "alpha": ("params", "alpha"),
+              "d": ("instance", "d")}
 
 
 class ConfigError(ValueError):
@@ -71,11 +74,18 @@ def _render_json(obj, indent: int = 0) -> str:
     return json.dumps(str(obj))
 
 
-def resolve_config(raw: dict) -> dict:
-    """Apply documented defaults and validate; returns the fully-resolved config.
+# Config fields that must be JSON integers; the library holds their ranges.
+INTEGER_KEYS = {"instance": ("d", "K", "seed"), "schedule": ("M", "T", "seed")}
 
-    Defaults: alpha = 1/M^2, lambda = 1/S^2, beta = "auto", delta = 0.01.
-    """
+
+def _check_integer(where: str, value) -> None:
+    # bool is an int subclass; JSON true must not read as 1
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+
+
+def _with_defaults(raw: dict) -> dict:
+    """The config's shape, required keys, integer fields and plain defaults."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     cfg = copy.deepcopy(raw)
@@ -83,74 +93,63 @@ def resolve_config(raw: dict) -> dict:
     sched = cfg.get("schedule")
     if not isinstance(inst, dict) or not isinstance(sched, dict):
         raise ConfigError("config requires 'instance' and 'schedule' objects")
-    params = cfg.get("params", {})
+    params = cfg.setdefault("params", {})
     if not isinstance(params, dict):
         raise ConfigError("'params' must be an object")
-
-    kind = inst.get("kind")
-    if kind not in ("random-sphere", "hypercube-corners", "bias-demo", "fixed-list"):
-        raise ConfigError(f"unknown instance kind {kind!r}")
-    inst.setdefault("S", 1.0)
-    inst.setdefault("L", 1.0)
-    inst.setdefault("R", 1.0)
-    inst.setdefault("seed", 0)
-    inst.setdefault("noise", "rademacher-scaled" if kind == "bias-demo" else "gaussian")
-    if kind in ("random-sphere", "hypercube-corners"):
-        if "d" not in inst or "K" not in inst:
-            raise ConfigError(f"{kind} instance requires 'd' and 'K'")
-        if int(inst["d"]) < 1 or int(inst["K"]) < 1:
-            raise ConfigError("instance d and K must be >= 1")
-    if kind == "fixed-list" and "arms_file" not in inst:
-        raise ConfigError("fixed-list instance requires 'arms_file'")
-    for key in ("S", "L", "R"):
-        if float(inst[key]) < 0 or (key != "R" and float(inst[key]) == 0):
-            raise ConfigError(f"instance {key} out of range")
-
-    sched_kind = sched.setdefault("kind", "round-robin")
-    if sched_kind not in ("round-robin", "iid-uniform", "block", "explicit-list"):
-        raise ConfigError(f"unknown schedule kind {sched_kind!r}")
     if "M" not in sched:
         raise ConfigError("schedule requires 'M'")
-    if int(sched["M"]) < 1:
-        raise ConfigError("schedule M must be >= 1")
+    for key, value in (("S", 1.0), ("L", 1.0), ("R", 1.0), ("seed", 0)):
+        inst.setdefault(key, value)
+    sched.setdefault("kind", "round-robin")
     sched.setdefault("seed", 0)
-    if sched_kind == "explicit-list":
-        if "file" not in sched:
-            raise ConfigError("explicit-list schedule requires 'file'")
-    elif "T" not in sched:
-        raise ConfigError("schedule requires 'T'")
-    if "T" in sched and int(sched["T"]) < 0:
-        raise ConfigError("schedule T must be >= 0")
-
-    S = float(inst["S"])
-    M = int(sched["M"])
-    params.setdefault("lambda", 1.0 / (S * S))
-    params.setdefault("alpha", 1.0 / (M * M))
-    params.setdefault("beta", "auto")
-    params.setdefault("delta", 0.01)
-    params.setdefault("estimate_mode", "lazy")
-    if float(params["lambda"]) <= 0:
-        raise ConfigError("lambda must be positive")
-    if float(params["alpha"]) <= 0:
-        raise ConfigError("alpha must be positive")
-    if not (0.0 < float(params["delta"]) < 1.0):
-        raise ConfigError(f"delta must lie in (0, 1), got {params['delta']}")
-    beta = params["beta"]
-    if beta != "auto":
-        try:
-            beta_val = float(beta)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"beta must be 'auto' or a number, got {beta!r}") from exc
-        if beta_val < 0:
-            raise ConfigError("fixed beta must be nonnegative")
-    if params["estimate_mode"] not in ("lazy", "eager"):
-        raise ConfigError(f"unknown estimate_mode {params['estimate_mode']!r}")
-
-    cfg["params"] = params
+    for key, value in (("beta", "auto"), ("delta", 0.01), ("estimate_mode", "lazy")):
+        params.setdefault(key, value)
     cfg.setdefault("replications", 1)
-    if int(cfg["replications"]) < 1:
+    for section, keys in INTEGER_KEYS.items():
+        for key in keys:
+            if key in cfg[section]:
+                _check_integer(f"{section} {key}", cfg[section][key])
+    _check_integer("replications", cfg["replications"])
+    if cfg["replications"] < 1:
         raise ConfigError("replications must be >= 1")
     return cfg
+
+
+@contextmanager
+def _config_section(name: str):
+    """Report what a library constructor rejects as a ConfigError on section ``name``."""
+    try:
+        yield
+    except (ValueError, TypeError, ArithmeticError, OSError) as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+
+
+def _build(cfg: dict) -> tuple[ProblemInstance, Schedule, HyperParams]:
+    with _config_section("instance"):
+        inst = build_instance(cfg)
+    cfg["instance"].setdefault("noise", inst.noise_spec)
+    with _config_section("schedule"):
+        schedule = build_schedule(cfg)
+    with _config_section("params"):
+        cfg["params"].setdefault("lambda", 1.0 / (inst.S * inst.S))
+        cfg["params"].setdefault("alpha", 1.0 / (schedule.M * schedule.M))
+        hp = build_hyperparams(cfg)
+    return inst, schedule, hp
+
+
+def build_run(raw: dict) -> tuple[dict, ProblemInstance, Schedule, HyperParams]:
+    """Resolve a config and build its instance, schedule and hyperparameters.
+
+    Defaults: alpha = 1/M^2, lambda = 1/S^2, beta = "auto", delta = 0.01.
+    Every range rule lives in the library constructor that owns the value.
+    """
+    cfg = _with_defaults(raw)
+    return (cfg, *_build(cfg))
+
+
+def resolve_config(raw: dict) -> dict:
+    """The fully resolved config, validated by building the run it describes."""
+    return build_run(raw)[0]
 
 
 def read_config_raw(path: str) -> dict:
@@ -158,42 +157,42 @@ def read_config_raw(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     return raw
 
 
-def load_config(path: str) -> dict:
-    return resolve_config(read_config_raw(path))
+def _file_path(section: dict, key: str) -> str:
+    path = section.get(key)
+    if not isinstance(path, str):
+        raise ConfigError(f"{section['kind']} requires a file path {key!r}, got {path!r}")
+    return path
 
 
 def build_instance(cfg: dict) -> ProblemInstance:
     inst = cfg["instance"]
-    kind = inst["kind"]
-    arms = load_arms_file(inst["arms_file"]) if kind == "fixed-list" else None
+    kind = inst.get("kind")
+    arms = load_arms_file(_file_path(inst, "arms_file")) if kind == "fixed-list" else None
     return gen_instance(
         kind,
-        d=int(inst["d"]) if "d" in inst else None,
-        K=int(inst["K"]) if "K" in inst else None,
+        d=inst.get("d"),
+        K=inst.get("K"),
         S=float(inst["S"]),
         L=float(inst["L"]),
         R=float(inst["R"]),
-        seed=int(inst["seed"]),
+        seed=inst["seed"],
         arms=arms,
-        noise=inst["noise"],
+        noise=inst.get("noise", "gaussian"),
     )
 
 
 def build_schedule(cfg: dict) -> Schedule:
     sched = cfg["schedule"]
-    kind = sched["kind"]
-    if kind == "explicit-list":
-        return load_schedule_file(sched["file"], M=int(sched["M"]))
-    return gen_schedule(kind, M=int(sched["M"]), T=int(sched["T"]), seed=int(sched["seed"]))
+    if sched["kind"] == "explicit-list":
+        return load_schedule_file(_file_path(sched, "file"), M=sched["M"])
+    return gen_schedule(sched["kind"], M=sched["M"], T=sched.get("T"), seed=sched["seed"])
 
 
 def build_hyperparams(cfg: dict) -> HyperParams:
@@ -250,11 +249,9 @@ def summarize(trace, inst: ProblemInstance, hp: HyperParams, cfg: dict) -> dict:
     }
 
 
-def cmd_run(cfg: dict, out_dir: str) -> int:
+def cmd_run(raw: dict, out_dir: str) -> int:
     """One run: writes trace.csv and summary.json under out_dir."""
-    inst = build_instance(cfg)
-    schedule = build_schedule(cfg)
-    hp = build_hyperparams(cfg)
+    cfg, inst, schedule, hp = build_run(raw)
     trace = run_fedlinucb(inst, schedule, hp)
     out = Path(out_dir)
     write_trace_csv(trace, out / "trace.csv")
@@ -269,37 +266,21 @@ def cmd_run(cfg: dict, out_dir: str) -> int:
 
 
 def _derive_seed(base: int, cell: int, rep: int) -> int:
-    return int(np.random.SeedSequence(entropy=(int(base), cell, rep)).generate_state(1)[0])
+    return int(np.random.SeedSequence(entropy=(base, cell, rep)).generate_state(1)[0])
 
 
-def _apply_axis(raw: dict, axis: str, value) -> dict:
-    cell = copy.deepcopy(raw)
-    if axis == "T":
-        cell["schedule"]["T"] = int(value)
-    elif axis == "M":
-        cell["schedule"]["M"] = int(value)
-        # a defaulted alpha tracks the cell's M
-        if "params" not in raw or "alpha" not in raw.get("params", {}):
-            cell.setdefault("params", {})["alpha"] = 1.0 / (int(value) ** 2)
-    elif axis == "alpha":
-        cell.setdefault("params", {})["alpha"] = float(value)
-    elif axis == "d":
-        cell["instance"]["d"] = int(value)
-    else:
-        raise ConfigError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
-    return cell
+def _build_cell(raw: dict, axis: str, value, cell: int, rep: int) -> tuple:
+    """Resolve and build one sweep cell; its seeds derive from the config's."""
+    section, key = SWEEP_AXES[axis]
+    cfg = _with_defaults({**raw, section: {**raw.get(section, {}), key: value}})
+    for part in ("instance", "schedule"):
+        with _config_section(part):
+            cfg[part]["seed"] = _derive_seed(cfg[part]["seed"], cell, rep)
+    return (cfg, *_build(cfg))
 
 
 def _sweep_cell(task: tuple) -> dict:
-    raw, axis, value, cell_idx, rep, baseline = task
-    cell_raw = _apply_axis(raw, axis, value)
-    cell_raw["instance"]["seed"] = _derive_seed(int(cell_raw["instance"].get("seed", 0)), cell_idx, rep)
-    cell_raw.setdefault("schedule", {})
-    cell_raw["schedule"]["seed"] = _derive_seed(int(cell_raw["schedule"].get("seed", 0)), cell_idx, rep)
-    cfg = resolve_config(cell_raw)
-    inst = build_instance(cfg)
-    schedule = build_schedule(cfg)
-    hp = build_hyperparams(cfg)
+    axis, value, rep, baseline, (cfg, inst, schedule, hp) = task
     trace = run_fedlinucb(inst, schedule, hp)
     row = {
         "axis": axis,
@@ -338,14 +319,14 @@ def cmd_sweep(
     baseline: bool = False,
 ) -> int:
     """Grid sweep along one axis; one CSV row per (cell, replication)."""
-    if axis not in SWEEP_AXES:
-        raise ConfigError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
+    if not isinstance(axis, str) or axis not in SWEEP_AXES:
+        raise ConfigError(f"unknown sweep axis {axis!r}; expected one of {tuple(SWEEP_AXES)}")
     if not values:
         raise ConfigError("sweep requires a nonempty value list")
-    resolved = resolve_config(cfg_raw)  # fail fast on a bad base config
-    reps = int(resolved["replications"])
+    reps = _with_defaults(cfg_raw)["replications"]
+    # Every cell is built here, so a bad one stops the sweep before any run.
     tasks = [
-        (cfg_raw, axis, value, ci, rep, baseline)
+        (axis, value, rep, baseline, _build_cell(cfg_raw, axis, value, ci, rep))
         for ci, value in enumerate(values)
         for rep in range(reps)
     ]
@@ -391,11 +372,9 @@ def cmd_bias_demo(m_agents: int, beta: float, alpha: float, seed: int, out_dir: 
     return 0
 
 
-def cmd_check(cfg: dict, out_dir: str) -> int:
+def cmd_check(raw: dict, out_dir: str) -> int:
     """Run the config once (with payload capture) and evaluate every invariant."""
-    inst = build_instance(cfg)
-    schedule = build_schedule(cfg)
-    hp = build_hyperparams(cfg)
+    cfg, inst, schedule, hp = build_run(raw)
     trace = run_fedlinucb(inst, schedule, hp, debug=True)
     reports = run_invariant_suite(trace, inst, hp)
     failed = [r for r in reports if not r.satisfied]
@@ -427,10 +406,11 @@ def cmd_check(cfg: dict, out_dir: str) -> int:
 
 
 def _parse_axis_values(axis: str, text: str) -> list:
-    values = [tok for tok in text.split(",") if tok.strip()]
-    if axis in ("T", "M", "d"):
-        return [int(tok) for tok in values]
-    return [float(tok) for tok in values]
+    parse = float if axis == "alpha" else int
+    try:
+        return [parse(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"bad --values for axis {axis}: {exc}") from exc
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -440,14 +420,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, config_required: bool = True) -> None:
-        if config_required:
-            p.add_argument("--config", required=True, help="path to the JSON config")
+    def add_common(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--out", default="out", help="output directory (default: out)")
         p.add_argument("--seed", type=int, default=None,
                        help="override the instance master seed")
-        p.add_argument("--parallel", type=int, default=1,
-                       help="worker processes for replications (sweep only)")
 
     run_p = sub.add_parser("run", help="single run: trace.csv + summary.json")
     add_common(run_p)
@@ -456,6 +433,8 @@ def main(argv: list[str] | None = None) -> int:
     add_common(sweep_p)
     sweep_p.add_argument("--axis", choices=SWEEP_AXES, help="sweep axis (overrides config)")
     sweep_p.add_argument("--values", help="comma-separated cell values (overrides config)")
+    sweep_p.add_argument("--parallel", type=int, default=1,
+                         help="worker processes for the sweep cells (default: 1)")
     sweep_p.add_argument("--baseline", action="store_true",
                          help="also run the no-communication baseline per cell")
 
@@ -474,26 +453,28 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "bias-demo":
             return cmd_bias_demo(args.agents, args.beta, args.alpha, args.seed, args.out)
         raw = read_config_raw(args.config)
-        if args.seed is not None:
-            raw.setdefault("instance", {})["seed"] = int(args.seed)
+        if args.seed is not None and isinstance(raw.get("instance"), dict):
+            raw["instance"]["seed"] = args.seed
         if args.command == "run":
-            return cmd_run(resolve_config(raw), args.out)
+            return cmd_run(raw, args.out)
         if args.command == "sweep":
-            sweep_cfg = raw.get("sweep") or {}
+            sweep_cfg = raw.get("sweep", {})
+            if not isinstance(sweep_cfg, dict):
+                raise ConfigError("'sweep' must be an object")
             axis = args.axis or sweep_cfg.get("axis")
             if axis is None:
                 raise ConfigError("sweep needs --axis or a config 'sweep.axis'")
             if args.values is not None:
                 values = _parse_axis_values(axis, args.values)
-            elif "values" in sweep_cfg:
-                values = list(sweep_cfg["values"])
+            elif isinstance(sweep_cfg.get("values"), list):
+                values = sweep_cfg["values"]
             else:
-                raise ConfigError("sweep needs --values or a config 'sweep.values'")
+                raise ConfigError("sweep needs --values or a config 'sweep.values' list")
             baseline = bool(args.baseline or sweep_cfg.get("baseline", False))
             return cmd_sweep(raw, axis, values, args.out, parallel=args.parallel,
                              baseline=baseline)
         if args.command == "check":
-            return cmd_check(resolve_config(raw), args.out)
+            return cmd_check(raw, args.out)
         raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

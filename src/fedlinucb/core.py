@@ -185,10 +185,10 @@ class ProblemInstance:
             raise DimensionMismatchError(
                 f"theta_star shape {theta.shape} does not match dim {self.dim}"
             )
-        if not (self.S > 0.0 and self.L > 0.0):
-            raise ValueError("S and L must be positive")
-        if self.R < 0.0:
-            raise ValueError("R must be nonnegative")
+        if not (0.0 < self.S < math.inf and 0.0 < self.L < math.inf):
+            raise ValueError("S and L must be positive and finite")
+        if not 0.0 <= self.R < math.inf:
+            raise ValueError("R must be nonnegative and finite")
         if float(np.linalg.norm(theta)) > self.S * (1.0 + 1e-9):
             raise ValueError("theta_star exceeds the stated norm budget S")
         if self.noise_spec not in ("gaussian", "rademacher-scaled"):
@@ -215,17 +215,17 @@ class HyperParams:
     estimate_mode: str = "lazy"
 
     def __post_init__(self) -> None:
-        if self.lam <= 0.0:
-            raise ValueError("lam must be positive")
-        if self.alpha <= 0.0:
-            raise ValueError("alpha must be positive")
+        if not 0.0 < self.lam < math.inf:
+            raise ValueError("lam must be positive and finite")
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError("alpha must be positive and finite")
         if not (0.0 < self.delta < 1.0):
             raise ValueError("delta must lie in (0, 1)")
         if self.beta_mode not in ("auto", "fixed"):
             raise ValueError(f"unknown beta_mode {self.beta_mode!r}")
         if self.beta_mode == "fixed":
-            if self.beta_value is None or self.beta_value < 0.0:
-                raise ValueError("fixed beta_mode requires a nonnegative beta_value")
+            if self.beta_value is None or not 0.0 <= self.beta_value < math.inf:
+                raise ValueError("fixed beta_mode requires a nonnegative finite beta_value")
         if self.estimate_mode not in ("lazy", "eager"):
             raise ValueError(f"unknown estimate_mode {self.estimate_mode!r}")
 

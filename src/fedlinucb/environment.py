@@ -55,6 +55,13 @@ class ArmSpec:
             object.__setattr__(self, "arms", np.asarray(self.arms, dtype=np.float64))
 
 
+def _check_sizes(M: int, T: int) -> None:
+    if M < 1:
+        raise ValueError("M must be >= 1")
+    if T < 0:
+        raise ValueError("T must be >= 0")
+
+
 @dataclass(frozen=True)
 class Schedule:
     """Activation sequence: agents[t-1] is the active agent of round t (1-based ids)."""
@@ -65,10 +72,7 @@ class Schedule:
     descriptor: str
 
     def __post_init__(self) -> None:
-        if self.M < 1:
-            raise ValueError("M must be >= 1")
-        if self.T < 0:
-            raise ValueError("T must be >= 0")
+        _check_sizes(self.M, self.T)
         agents = np.asarray(self.agents, dtype=np.int64)
         object.__setattr__(self, "agents", agents)
         if agents.shape != (self.T,):
@@ -113,6 +117,8 @@ def gen_instance(
         arms = np.asarray(arms, dtype=np.float64)
         if arms.ndim != 2 or arms.shape[0] < 1:
             raise ValueError("fixed-list arms must be a nonempty (K, d) array")
+        if not np.isfinite(arms).all():
+            raise ValueError("fixed-list arms must be finite")
         d = arms.shape[1]
         worst = float(np.linalg.norm(arms, axis=1).max())
         if worst > L * (1.0 + 1e-9):
@@ -190,7 +196,7 @@ def sample_reward(inst: ProblemInstance, t: int, x: np.ndarray) -> float:
 def gen_schedule(
     kind: str,
     M: int,
-    T: int,
+    T: int | None = None,
     seed: int = 0,
     agents: np.ndarray | list[int] | None = None,
 ) -> Schedule:
@@ -199,8 +205,18 @@ def gen_schedule(
     "round-robin"   1, 2, ..., M, 1, 2, ...
     "iid-uniform"   independent uniform draws over 1..M (own seed stream)
     "block"         agent m owns rounds ((m-1)*T/M, m*T/M]; requires M | T
-    "explicit-list" the given sequence, validated
+    "explicit-list" the given sequence, validated; T is its length
     """
+    if kind == "explicit-list":
+        if agents is None:
+            raise ValueError("explicit-list schedule requires an agent sequence")
+        seq = np.asarray(agents, dtype=np.int64)
+        return Schedule(M=M, T=len(seq), agents=seq, descriptor=f"explicit-list(M={M},T={len(seq)})")
+    if kind not in ("round-robin", "iid-uniform", "block"):
+        raise ValueError(f"unknown schedule kind {kind!r}")
+    if T is None:
+        raise ValueError(f"{kind} schedule requires T")
+    _check_sizes(M, T)
     if kind == "round-robin":
         seq = (np.arange(T, dtype=np.int64) % M) + 1
         desc = f"round-robin(M={M},T={T})"
@@ -208,19 +224,11 @@ def gen_schedule(
         rng = _rng(seed, "schedule")
         seq = rng.integers(1, M + 1, size=T, dtype=np.int64)
         desc = f"iid-uniform(M={M},T={T},seed={seed})"
-    elif kind == "block":
-        if M > 0 and T % M != 0:
-            raise ValueError(f"block schedule needs M | T, got M={M}, T={T}")
-        seq = np.repeat(np.arange(1, M + 1, dtype=np.int64), T // M if M else 0)
-        desc = f"block(M={M},T={T})"
-    elif kind == "explicit-list":
-        if agents is None:
-            raise ValueError("explicit-list schedule requires an agent sequence")
-        seq = np.asarray(agents, dtype=np.int64)
-        T = len(seq)
-        desc = f"explicit-list(M={M},T={T})"
     else:
-        raise ValueError(f"unknown schedule kind {kind!r}")
+        if T % M != 0:
+            raise ValueError(f"block schedule needs M | T, got M={M}, T={T}")
+        seq = np.repeat(np.arange(1, M + 1, dtype=np.int64), T // M)
+        desc = f"block(M={M},T={T})"
     return Schedule(M=M, T=T, agents=seq, descriptor=desc)
 
 
@@ -246,7 +254,7 @@ def load_schedule_file(path: str, M: int) -> Schedule:
         if len(tokens) != 1:
             raise ValueError(f"{path}: schedule line {lineno} must hold a single agent id")
         agents.append(int(tokens[0]))
-    return gen_schedule("explicit-list", M=M, T=len(agents), agents=agents)
+    return gen_schedule("explicit-list", M=M, agents=agents)
 
 
 def load_arms_file(path: str) -> np.ndarray:

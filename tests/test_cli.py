@@ -1,11 +1,19 @@
 """End-to-end CLI tests: config handling, file outputs, determinism, exit codes."""
 
+import contextlib
+import io
 import json
+import math
 import subprocess
 import sys
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedlinucb import (
     HyperParams,
@@ -220,17 +228,51 @@ def test_golden_check_report_bytes(tmp_path):
 
 
 def bad_config_cases(tmp_path):
-    base = json.loads(json.dumps(BASE_CONFIG))
-    bad_delta = json.loads(json.dumps(BASE_CONFIG))
-    bad_delta["params"]["delta"] = 1.5
-    bad_kind = json.loads(json.dumps(BASE_CONFIG))
-    bad_kind["instance"]["kind"] = "mystery"
-    bad_t = json.loads(json.dumps(BASE_CONFIG))
-    bad_t["schedule"]["T"] = -5
-    bad_alpha = json.loads(json.dumps(BASE_CONFIG))
-    bad_alpha["params"]["alpha"] = 0
-    missing = {"instance": base["instance"]}
-    return [bad_delta, bad_kind, bad_t, bad_alpha, missing]
+    def with_field(section, key, value):
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        (cfg if section is None else cfg[section])[key] = value
+        return cfg
+
+    nan_arms = tmp_path / "nan_arms.txt"
+    nan_arms.write_text("0.5 nan\n0.1 0.2\n", encoding="utf-8")
+    bad_sched = tmp_path / "bad_sched.txt"
+    bad_sched.write_text("1\n1 2\n", encoding="utf-8")
+    fixed_list = {"kind": "fixed-list", "arms_file": str(nan_arms)}
+    block = {"kind": "block", "M": 2, "T": 61}
+    return [
+        with_field("params", "delta", 1.5),
+        with_field("instance", "kind", "mystery"),
+        with_field("schedule", "T", -5),
+        with_field("params", "alpha", 0),
+        {"instance": BASE_CONFIG["instance"]},
+        # non-finite values that used to run to nan or inf output
+        with_field("params", "alpha", math.inf),
+        with_field("params", "beta", math.nan),
+        with_field("instance", "R", math.nan),
+        with_field("instance", "S", math.inf),
+        with_field("instance", "L", math.inf),
+        with_field("params", "lambda", math.nan),
+        dict(BASE_CONFIG, instance=fixed_list),
+        # values that used to exit 1 or raise
+        with_field("instance", "noise", "laplace"),
+        with_field("schedule", "T", "abc"),
+        with_field("params", "alpha", "x"),
+        dict(BASE_CONFIG, schedule=block),
+        with_field("instance", "seed", -1),
+        with_field("instance", "S", None),
+        with_field("schedule", "M", 0),
+        # integer fields that used to be truncated
+        with_field("instance", "d", 2.9),
+        with_field("instance", "K", "3"),
+        with_field("schedule", "M", True),
+        with_field("schedule", "T", None),
+        with_field("schedule", "seed", 2.5),
+        with_field(None, "replications", 2.5),
+        # unreadable or malformed input files
+        dict(BASE_CONFIG, instance={"kind": "fixed-list", "arms_file": str(tmp_path / "absent")}),
+        dict(BASE_CONFIG, schedule={"kind": "explicit-list", "M": 2, "file": str(bad_sched)}),
+        dict(BASE_CONFIG, schedule={"kind": "explicit-list", "M": 2}),
+    ]
 
 
 def test_invalid_configs_exit_2_without_output(tmp_path, capsys):
@@ -242,6 +284,50 @@ def test_invalid_configs_exit_2_without_output(tmp_path, capsys):
         assert rc == 2, f"case {i} returned {rc}"
         assert "config error" in err
         assert not out.exists(), f"case {i} wrote output despite failing"
+
+
+BAD_VALUES = [math.nan, math.inf, -math.inf, 0, -1, 2.5, "x", None, True]
+PROPERTY_FIELDS = (
+    [("instance", k) for k in ("kind", "d", "K", "S", "L", "R", "seed", "noise")]
+    + [("schedule", k) for k in ("kind", "M", "T", "seed")]
+    + [("params", k) for k in ("alpha", "lambda", "delta", "beta", "estimate_mode")]
+    + [(None, "replications")]
+)
+
+
+def _finite_numbers(obj) -> bool:
+    if isinstance(obj, dict):
+        return all(_finite_numbers(v) for v in obj.values())
+    if isinstance(obj, list):
+        return all(_finite_numbers(v) for v in obj)
+    return not isinstance(obj, float) or math.isfinite(obj)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(field=st.sampled_from(PROPERTY_FIELDS), value=st.sampled_from(BAD_VALUES))
+def test_one_bad_field_exits_0_finite_or_2(field, value):
+    # Every config one field away from a valid one either runs to finite
+    # numbers or is refused as a config error: never exit 1, a traceback or
+    # a numpy warning.
+    section, key = field
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["schedule"]["T"] = 40
+    (cfg if section is None else cfg[section])[key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        cfg_path = Path(tmp) / "config.json"
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(["run", "--config", str(cfg_path), "--out", str(out)])
+        if rc == 0:
+            assert _finite_numbers(json.loads((out / "summary.json").read_text()))
+        else:
+            assert rc == 2, err.getvalue()
+            assert "config error" in err.getvalue()
+            assert not out.exists()
 
 
 def test_missing_and_malformed_config_files(tmp_path, capsys):
@@ -335,6 +421,9 @@ def test_sweep_parallel_matches_serial(tmp_path):
                 "--axis", "T", "--values", "20,50", "--parallel", "2"])
     assert rc1 == rc2 == 0
     assert (tmp_path / "serial/sweep.csv").read_bytes() == (tmp_path / "par/sweep.csv").read_bytes()
+    # --parallel is a sweep option only.
+    with pytest.raises(SystemExit):
+        main(["run", "--config", cfg_path, "--out", str(tmp_path / "run"), "--parallel", "2"])
 
 
 def test_sweep_missing_and_empty_values(tmp_path, capsys):
@@ -344,7 +433,16 @@ def test_sweep_missing_and_empty_values(tmp_path, capsys):
     rc = main(["sweep", "--config", cfg_path, "--out", str(tmp_path / "o"),
                "--axis", "T", "--values", ","])
     assert rc == 2
-    capsys.readouterr()
+    # Non-integral cell values of an integer axis are refused, not truncated.
+    rc = main(["sweep", "--config", cfg_path, "--out", str(tmp_path / "o"),
+               "--axis", "M", "--values", "2.5"])
+    assert rc == 2
+    cfg = dict(BASE_CONFIG, sweep={"axis": "M", "values": [2, 2.5]})
+    rc = main(["sweep", "--config", write_config(tmp_path, cfg, "sweep.json"),
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert not (tmp_path / "o").exists()
+    assert capsys.readouterr().err.count("config error") == 4
 
 
 # ---------------------------------------------------------------- bias demo

@@ -412,6 +412,12 @@ def test_problem_instance_validation():
     with pytest.raises(DimensionMismatchError):
         ProblemInstance(dim=3, theta_star=np.zeros(2), S=1.0, L=1.0, R=1.0,
                         arm_spec=None, noise_spec="gaussian", master_seed=0)
+    for bad in (math.nan, math.inf, -math.inf):
+        for key in ("S", "L", "R"):
+            fields = {"S": 1.0, "L": 1.0, "R": 1.0, key: bad}
+            with pytest.raises(ValueError):
+                ProblemInstance(dim=2, theta_star=np.zeros(2), arm_spec=None,
+                                noise_spec="gaussian", master_seed=0, **fields)
 
 
 def test_hyperparams_validation():
@@ -425,3 +431,10 @@ def test_hyperparams_validation():
         HyperParams(lam=1.0, alpha=0.5, delta=0.1, beta_mode="fixed")
     with pytest.raises(ValueError):
         HyperParams(lam=1.0, alpha=0.5, delta=0.1, estimate_mode="sometimes")
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            HyperParams(lam=bad, alpha=0.5, delta=0.1)
+        with pytest.raises(ValueError):
+            HyperParams(lam=1.0, alpha=bad, delta=0.1)
+        with pytest.raises(ValueError):
+            HyperParams(lam=1.0, alpha=0.5, delta=0.1, beta_mode="fixed", beta_value=bad)

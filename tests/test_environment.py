@@ -58,6 +58,9 @@ def test_fixed_list_instance():
         gen_instance("fixed-list", arms=np.array([[3.0, 0.0]]), L=1.0)
     with pytest.raises(ValueError):
         gen_instance("fixed-list", seed=1)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            gen_instance("fixed-list", arms=np.array([[0.5, bad], [0.1, 0.2]]))
 
 
 def test_unknown_kind_rejected():
@@ -185,6 +188,14 @@ def test_explicit_schedule_and_validation():
         gen_schedule("explicit-list", M=2, T=0, agents=[0, 1])
     with pytest.raises(ValueError):
         gen_schedule("nope", M=2, T=4)
+    # Sizes are checked before any arithmetic: M=0 must not reach "% M".
+    for kind in ("round-robin", "iid-uniform", "block"):
+        with pytest.raises(ValueError):
+            gen_schedule(kind, M=0, T=4)
+        with pytest.raises(ValueError):
+            gen_schedule(kind, M=2, T=-1)
+        with pytest.raises(ValueError):
+            gen_schedule(kind, M=2)  # T missing
 
 
 def test_schedule_dataclass_validation():
