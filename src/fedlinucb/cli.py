@@ -21,6 +21,7 @@ import numpy as np
 from .analysis import run_invariant_suite, bias_demo
 from .core import HyperParams, ProblemInstance, theoretical_comm_bound, theoretical_regret_bound
 from .environment import (
+    RNG_VERSION,
     Schedule,
     gen_instance,
     gen_schedule,
@@ -127,7 +128,13 @@ def _config_section(name: str):
 def _build(cfg: dict) -> tuple[ProblemInstance, Schedule, HyperParams]:
     with _config_section("instance"):
         inst = build_instance(cfg)
-    cfg["instance"].setdefault("noise", inst.noise_spec)
+    # Echo the noise, and any stated d, K or L, as built: bias-demo fixes
+    # d = K = 2, L >= 3 and its own noise whatever the config asked for.
+    section = cfg["instance"]
+    for key, built in (("d", inst.dim), ("K", inst.arm_spec.K), ("L", inst.L),
+                       ("noise", inst.noise_spec)):
+        if key == "noise" or section.get(key, built) != built:
+            section[key] = built
     with _config_section("schedule"):
         schedule = build_schedule(cfg)
     with _config_section("params"):
@@ -245,6 +252,7 @@ def summarize(trace, inst: ProblemInstance, hp: HyperParams, cfg: dict) -> dict:
             "params": cfg["params"],
             "schedule": cfg["schedule"],
             "replications": cfg["replications"],
+            "rng_version": RNG_VERSION,
         },
     }
 

@@ -189,7 +189,7 @@ class ProblemInstance:
             raise ValueError("S and L must be positive and finite")
         if not 0.0 <= self.R < math.inf:
             raise ValueError("R must be nonnegative and finite")
-        if float(np.linalg.norm(theta)) > self.S * (1.0 + 1e-9):
+        if float(np.linalg.norm(theta / self.S)) > 1.0 + 1e-9:  # no overflow at large S
             raise ValueError("theta_star exceeds the stated norm budget S")
         if self.noise_spec not in ("gaussian", "rademacher-scaled"):
             raise ValueError(f"unknown noise_spec {self.noise_spec!r}")
@@ -250,6 +250,15 @@ class DecisionSet:
                 raise ValueError(
                     f"arm norm {worst} exceeds stated bound {self.norm_bound}"
                 )
+
+    @classmethod
+    def prechecked(cls, arms: Matrix, norm_bound: float) -> "DecisionSet":
+        """A set over a float64 (K, d) array whose every arm the caller has
+        already checked against ``norm_bound``; skips the per-set norm pass."""
+        d_set = object.__new__(cls)
+        object.__setattr__(d_set, "arms", arms)
+        object.__setattr__(d_set, "norm_bound", norm_bound)
+        return d_set
 
     @property
     def size(self) -> int:

@@ -1,30 +1,47 @@
 """Synthetic problem instances, per-round decision sets, rewards, schedules.
 
-Every random draw is keyed by ``(master_seed, stream_tag, round)`` through a
-counter-based generator, so decision sets and noise are pure functions of the
-seed and the global round index.  Re-running with a different activation
-schedule (but the same round indices) reproduces identical draws, which is
-what makes the sequential and episodic runners comparable trace-for-trace.
+Every random draw comes from one keyed constructor, :func:`_block_rng`: a
+Philox counter-based generator (Salmon et al. 2011, "Parallel Random
+Numbers: As Easy as 1, 2, 3") keyed on ``(master_seed, stream)`` whose
+counter starts at the round's block, ``(t - 1) // BLOCK``.  A block's
+decision sets and its noise are drawn in one vectorized call each, so every
+draw is a pure function of the seed and the global round index.  Re-running
+with a different activation schedule (but the same round indices)
+reproduces identical draws, which is what makes the sequential and episodic
+runners comparable trace-for-trace.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .core import DecisionSet, ProblemInstance
 
-# Stream tags; fixed forever, part of the reproducibility contract.
+# Version of the draw contract below; echoed in every summary.
+RNG_VERSION = 2
+# Rounds per keyed block; part of the contract, not an option.
+BLOCK = 256
+# Stream tags; fixed forever, part of the contract.
 _STREAMS = {"theta": 0, "arms": 1, "noise": 2, "schedule": 3}
 
-_BIAS_ARM_A = np.array([3.0, 0.0])
-_BIAS_ARM_B = np.array([0.0, 1.0 / np.sqrt(10.0)])
+_BIAS_ARMS = np.array([[3.0, 0.0], [0.0, 1.0 / np.sqrt(10.0)]])
 
 
-def _rng(seed: int, stream: str, t: int = 0) -> np.random.Generator:
-    """Fresh generator for one (seed, stream, round) cell."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=(seed, _STREAMS[stream], t)))
+def _block_rng(seed: int, stream: str, block: int) -> np.random.Generator:
+    """The generator of one (seed, stream, block) cell.
+
+    Philox key words ``(seed, stream)``; counter words ``(0, 0, 0, block)``.
+    A block's draws advance the low counter word only, so blocks never
+    overlap.  The theta and schedule streams use block 0.
+    """
+    seed = int(seed)
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {seed}")
+    bits = np.random.Philox(key=seed | _STREAMS[stream] << 64, counter=block << 192)
+    return np.random.Generator(bits)
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,21 +55,35 @@ class ArmSpec:
                             fresh per round.
         "fixed-list"        the same explicit arm list every round.
         "bias-demo-pair"    the fixed two-arm set used by the bias demo.
+
+    The two fixed variants build their read-only :class:`DecisionSet`
+    once, checked against ``norm_bound`` (the instance's L), into ``fixed``;
+    every round serves that object.
     """
 
     variant: str
     K: int
     arms: np.ndarray | None = None
+    norm_bound: float | None = None
+    fixed: DecisionSet | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.variant not in ("random-sphere", "hypercube-corners", "fixed-list", "bias-demo-pair"):
             raise ValueError(f"unknown arm variant {self.variant!r}")
         if self.K < 1:
             raise ValueError("K must be >= 1")
-        if self.variant == "fixed-list":
+        if self.variant == "bias-demo-pair":
+            arms = _BIAS_ARMS
+        elif self.variant == "fixed-list":
             if self.arms is None:
                 raise ValueError("fixed-list requires an explicit arm array")
-            object.__setattr__(self, "arms", np.asarray(self.arms, dtype=np.float64))
+            arms = self.arms
+        else:
+            return
+        arms = np.array(arms, dtype=np.float64)
+        arms.flags.writeable = False
+        object.__setattr__(self, "arms", arms)
+        object.__setattr__(self, "fixed", DecisionSet(arms, norm_bound=self.norm_bound))
 
 
 def _check_sizes(M: int, T: int) -> None:
@@ -100,14 +131,14 @@ def gen_instance(
     scaled-coin noise).
     """
     if kind == "bias-demo":
-        spec = ArmSpec("bias-demo-pair", K=2)
+        L = max(L, 3.0)
         return ProblemInstance(
             dim=2,
             theta_star=np.zeros(2),
             S=S,
-            L=max(L, 3.0),
+            L=L,
             R=R,
-            arm_spec=spec,
+            arm_spec=ArmSpec("bias-demo-pair", K=2, norm_bound=L),
             noise_spec="rademacher-scaled",
             master_seed=seed,
         )
@@ -120,10 +151,7 @@ def gen_instance(
         if not np.isfinite(arms).all():
             raise ValueError("fixed-list arms must be finite")
         d = arms.shape[1]
-        worst = float(np.linalg.norm(arms, axis=1).max())
-        if worst > L * (1.0 + 1e-9):
-            raise ValueError(f"fixed arm norm {worst} exceeds L={L}")
-        spec = ArmSpec("fixed-list", K=arms.shape[0], arms=arms)
+        spec = ArmSpec("fixed-list", K=arms.shape[0], arms=arms, norm_bound=L)
     elif kind in ("random-sphere", "hypercube-corners"):
         if d is None or K is None:
             raise ValueError(f"{kind} requires d and K")
@@ -131,7 +159,7 @@ def gen_instance(
     else:
         raise ValueError(f"unknown instance kind {kind!r}")
 
-    direction = _rng(seed, "theta").standard_normal(d)
+    direction = _block_rng(seed, "theta", 0).standard_normal(d)
     norm = float(np.linalg.norm(direction))
     if norm == 0.0:  # astronomically unlikely; keep the draw total anyway
         direction = np.ones(d)
@@ -149,27 +177,57 @@ def gen_instance(
     )
 
 
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """Euclidean norms along the last axis of a (BLOCK, K, d) array."""
+    return np.sqrt(np.einsum("bkd,bkd->bk", a, a))
+
+
+@lru_cache(maxsize=1)
+def _arm_block(seed: int, variant: str, K: int, d: int, L: float, block: int) -> np.ndarray:
+    """Decision sets of the block's BLOCK rounds: a read-only (BLOCK, K, d) array.
+
+    Checked once here: every arm is finite and within L(1 + 1e-9), so the
+    rounds that serve its rows do not re-check them.
+    """
+    rng = _block_rng(seed, "arms", block)
+    if variant == "random-sphere":
+        g = rng.standard_normal((BLOCK, K, d))
+        norms = _row_norms(g)
+        norms[norms == 0.0] = 1.0
+        radii = L * rng.random((BLOCK, K)) ** (1.0 / d)
+        arms = g * (radii / norms)[..., None]
+    else:  # hypercube-corners
+        signs = rng.integers(0, 2, size=(BLOCK, K, d), dtype=np.int8) * 2 - 1
+        arms = signs * (L / np.sqrt(d))
+    worst = float(_row_norms(arms).max())
+    if not worst <= L * (1.0 + 1e-9):  # also false for a nan or inf norm
+        raise ValueError(f"arm norm {worst} exceeds stated bound {L}")
+    arms.flags.writeable = False
+    return arms
+
+
+@lru_cache(maxsize=1)
+def _noise_block(seed: int, noise: str, block: int) -> np.ndarray:
+    """Unit noise of the block's BLOCK rounds, read-only: standard normal or fair +-1."""
+    rng = _block_rng(seed, "noise", block)
+    if noise == "gaussian":
+        unit = rng.standard_normal(BLOCK)
+    else:  # rademacher-scaled
+        unit = np.where(rng.random(BLOCK) < 0.5, 1.0, -1.0)
+    unit.flags.writeable = False
+    return unit
+
+
 def sample_decision_set(inst: ProblemInstance, t: int) -> DecisionSet:
-    """Decision set of round t; depends only on (master_seed, t)."""
+    """Decision set of round t; depends only on (master_seed, t). Its arms are read-only."""
     if t < 1:
         raise ValueError("rounds are 1-based")
     spec: ArmSpec = inst.arm_spec
-    if spec.variant == "bias-demo-pair":
-        return DecisionSet(np.stack([_BIAS_ARM_A, _BIAS_ARM_B]), norm_bound=inst.L)
-    if spec.variant == "fixed-list":
-        return DecisionSet(spec.arms, norm_bound=inst.L)
-    rng = _rng(inst.master_seed, "arms", t)
-    d = inst.dim
-    if spec.variant == "random-sphere":
-        g = rng.standard_normal((spec.K, d))
-        norms = np.linalg.norm(g, axis=1)
-        norms[norms == 0.0] = 1.0
-        radii = inst.L * rng.random(spec.K) ** (1.0 / d)
-        arms = g * (radii / norms)[:, None]
-    else:  # hypercube-corners
-        signs = rng.integers(0, 2, size=(spec.K, d)) * 2 - 1
-        arms = signs * (inst.L / np.sqrt(d))
-    return DecisionSet(arms, norm_bound=inst.L)
+    if spec.fixed is not None:
+        return spec.fixed
+    block, row = divmod(t - 1, BLOCK)
+    arms = _arm_block(inst.master_seed, spec.variant, spec.K, inst.dim, inst.L, block)
+    return DecisionSet.prechecked(arms[row], inst.L)
 
 
 def sample_reward(inst: ProblemInstance, t: int, x: np.ndarray) -> float:
@@ -185,11 +243,8 @@ def sample_reward(inst: ProblemInstance, t: int, x: np.ndarray) -> float:
         raise ValueError(f"arm shape {x.shape} does not match dim {inst.dim}")
     if float(np.linalg.norm(x)) > inst.L * (1.0 + 1e-9):
         raise ValueError("arm norm exceeds L")
-    rng = _rng(inst.master_seed, "noise", t)
-    if inst.noise_spec == "gaussian":
-        eta = inst.R * rng.standard_normal()
-    else:  # rademacher-scaled: uniform +-R
-        eta = inst.R if rng.random() < 0.5 else -inst.R
+    block, row = divmod(t - 1, BLOCK)
+    eta = inst.R * _noise_block(inst.master_seed, inst.noise_spec, block)[row]
     return float(x @ inst.theta_star) + float(eta)
 
 
@@ -221,7 +276,7 @@ def gen_schedule(
         seq = (np.arange(T, dtype=np.int64) % M) + 1
         desc = f"round-robin(M={M},T={T})"
     elif kind == "iid-uniform":
-        rng = _rng(seed, "schedule")
+        rng = _block_rng(seed, "schedule", 0)
         seq = rng.integers(1, M + 1, size=T, dtype=np.int64)
         desc = f"iid-uniform(M={M},T={T},seed={seed})"
     else:

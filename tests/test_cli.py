@@ -286,6 +286,21 @@ def test_invalid_configs_exit_2_without_output(tmp_path, capsys):
         assert not out.exists(), f"case {i} wrote output despite failing"
 
 
+def test_huge_S_is_a_config_error_without_overflow(tmp_path, capsys):
+    # theta_star is checked as ||theta/S|| <= 1, which does not overflow; the
+    # run is then refused by the default lambda = 1/S^2 = 0.
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["instance"]["S"] = 1e200
+    del cfg["params"]["lambda"]
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)])
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 BAD_VALUES = [math.nan, math.inf, -math.inf, 0, -1, 2.5, "x", None, True]
 PROPERTY_FIELDS = (
     [("instance", k) for k in ("kind", "d", "K", "S", "L", "R", "seed", "noise")]
@@ -460,6 +475,23 @@ def test_bias_demo_command(tmp_path, capsys):
     assert abs(payload["modes"]["eager"]["upload_fraction"] - 0.5) < 0.1
     assert abs(payload["modes"]["eager"]["predicted_reward_arm_a"] - 0.5) < 0.1
     assert abs(payload["modes"]["lazy"]["predicted_reward_arm_a"]) < 0.1
+
+
+def test_bias_demo_config_echo_matches_built_instance(tmp_path):
+    from fedlinucb.cli import build_run
+
+    cfg = {"instance": {"kind": "bias-demo", "noise": "gaussian", "d": 5, "K": 7, "R": 0.5},
+           "schedule": {"kind": "round-robin", "M": 2, "T": 6},
+           "params": {"alpha": 10.5, "lambda": 1.0, "beta": 0.5}}
+    resolved, inst, _, _ = build_run(cfg)
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    echo = json.loads((out / "summary.json").read_text())["config_echo"]["instance"]
+    assert echo == resolved["instance"]
+    built = {"d": inst.dim, "K": inst.arm_spec.K, "S": inst.S, "L": inst.L, "R": inst.R,
+             "noise": inst.noise_spec, "seed": inst.master_seed}
+    assert {k: echo[k] for k in built} == built
+    assert (echo["L"], echo["noise"], echo["d"], echo["K"]) == (3.0, "rademacher-scaled", 2, 2)
 
 
 def test_bias_demo_bad_alpha_exits_1(tmp_path, capsys):

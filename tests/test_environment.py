@@ -10,14 +10,18 @@ import numpy as np
 import pytest
 
 from fedlinucb import (
+    HyperParams,
     Schedule,
     gen_instance,
     gen_schedule,
     load_arms_file,
     load_schedule_file,
+    run_fedlinucb,
     sample_decision_set,
     sample_reward,
 )
+from fedlinucb import environment
+from fedlinucb.environment import BLOCK
 
 
 # ---------------------------------------------------------------- instances
@@ -107,6 +111,97 @@ def test_rounds_are_one_based():
         sample_decision_set(inst, 0)
     with pytest.raises(ValueError):
         sample_reward(inst, 0, np.array([0.1, 0.0]))
+
+
+# ---------------------------------------------------------------- block-keyed draws
+
+
+def _fixed_beta(**kw):
+    return HyperParams(lam=1.0, alpha=0.25, delta=0.1, beta_mode="fixed", beta_value=1.0, **kw)
+
+
+@pytest.mark.parametrize("kind", ["random-sphere", "hypercube-corners"])
+def test_block_edges_serve_the_run_trace_arms(kind):
+    inst = gen_instance(kind, d=3, K=4, seed=41)
+    T = 2 * BLOCK + 40
+    trace = run_fedlinucb(inst, gen_schedule("iid-uniform", M=3, T=T, seed=2), _fixed_beta())
+    for t in (1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, T):
+        environment._arm_block.cache_clear()  # redraw the block from its key
+        arms = sample_decision_set(inst, t).arms
+        assert np.array_equal(arms[trace.arm_index[t - 1]], trace.arms[t - 1])
+        assert not np.array_equal(arms, sample_decision_set(inst, t + 1).arms)
+
+
+def test_shorter_run_is_a_prefix_of_the_longer():
+    inst = gen_instance("random-sphere", d=3, K=5, seed=8)
+    short = run_fedlinucb(inst, gen_schedule("round-robin", M=3, T=300), _fixed_beta())
+    long = run_fedlinucb(inst, gen_schedule("round-robin", M=3, T=600), _fixed_beta())
+    for col in ("t", "agent", "arm_index", "arms", "reward", "inst_regret", "comm",
+                "logdet_server", "cum_regret"):
+        assert np.array_equal(getattr(short, col), getattr(long, col)[:300]), col
+
+
+@pytest.mark.parametrize("kind", ["random-sphere", "hypercube-corners"])
+@pytest.mark.parametrize("d, L", [(1, 1.0), (5, 2.5), (32, 1e-3)])
+def test_generated_arms_within_L_across_blocks(kind, d, L):
+    inst = gen_instance(kind, d=d, K=7, L=L, seed=3)
+    norms = np.concatenate([np.linalg.norm(sample_decision_set(inst, t).arms, axis=1)
+                            for t in range(1, 3 * BLOCK + 2)])
+    assert norms.size == 7 * (3 * BLOCK + 1)
+    assert np.isfinite(norms).all()
+    assert norms.max() <= L * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("inst", [
+    gen_instance("random-sphere", d=3, K=4, seed=1),
+    gen_instance("hypercube-corners", d=3, K=4, seed=1),
+    gen_instance("fixed-list", arms=np.array([[0.6, 0.0], [0.0, 0.8]]), seed=1),
+    gen_instance("bias-demo", seed=1),
+], ids=["random-sphere", "hypercube-corners", "fixed-list", "bias-demo"])
+def test_served_arms_are_read_only(inst):
+    d_set = sample_decision_set(inst, 5)
+    before = d_set.arms.copy()
+    with pytest.raises(ValueError):
+        d_set.arms[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        d_set.arms[1] *= 2.0
+    assert np.array_equal(sample_decision_set(inst, 5).arms, before)
+
+
+def test_fixed_sets_are_built_once():
+    for inst in (gen_instance("fixed-list", arms=np.array([[0.6, 0.0], [0.0, 0.8]])),
+                 gen_instance("bias-demo")):
+        first = sample_decision_set(inst, 1)
+        assert all(sample_decision_set(inst, t) is first for t in (2, BLOCK + 1, 10**6))
+
+
+@pytest.mark.parametrize("kind", ["random-sphere", "hypercube-corners"])
+@pytest.mark.parametrize("T", [1, BLOCK, BLOCK + 1, 3 * BLOCK - 7])
+def test_one_generator_per_block_and_stream(monkeypatch, kind, T):
+    built = []
+    keyed = environment._block_rng
+
+    def counting(seed, stream, block):
+        built.append((stream, block))
+        return keyed(seed, stream, block)
+
+    monkeypatch.setattr(environment, "_block_rng", counting)
+    environment._arm_block.cache_clear()
+    environment._noise_block.cache_clear()
+    inst = gen_instance(kind, d=3, K=4, seed=17)
+    run_fedlinucb(inst, gen_schedule("round-robin", M=2, T=T), _fixed_beta())
+    for stream in ("arms", "noise"):
+        blocks = [b for s, b in built if s == stream]
+        assert len(blocks) <= math.ceil(T / BLOCK), stream
+        assert sorted(set(blocks)) == list(range(math.ceil(T / BLOCK)))
+
+
+def test_keyed_generator_rejects_seeds_outside_64_bits():
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError):
+            gen_instance("random-sphere", d=2, K=2, seed=seed)
+        with pytest.raises(ValueError):
+            gen_schedule("iid-uniform", M=2, T=4, seed=seed)
 
 
 # ---------------------------------------------------------------- rewards
