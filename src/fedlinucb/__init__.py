@@ -47,16 +47,8 @@ from .simulator import (
 from .analysis import (
     BiasDemoReport,
     BoundReport,
-    CoverageReport,
-    NoiseLedger,
     bias_demo,
-    build_noise_ledger,
-    confidence_coverage,
-    conservation_check,
-    covariance_comparison_check,
-    elliptical_potential_check,
     instantaneous_regret,
-    noise_decomposition_check,
     run_invariant_suite,
 )
 

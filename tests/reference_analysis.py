@@ -8,26 +8,24 @@ single pass reports exactly what these functions report.  The check bodies
 below are kept as they were; only the imports are new, ``from_dense``
 no longer passes a determinant (``core.SpdMatrix`` computes it on use), the
 per-round records are rebuilt from the trace's columns by :func:`records`,
-and the noise ledger no longer copies the arms and rewards.  The record
-loops of ``_single_agent_windows`` and ``_trace_consistency_check``, which
-the package now computes on the columns, are kept at the end.
+the noise ledger no longer copies the arms and rewards, and the two result
+records the package no longer has, ``NoiseLedger`` and ``CoverageReport``,
+are defined here.  The record loops of ``_single_agent_windows`` and
+``_trace_consistency_check``, which the package now computes on the columns,
+are kept at the end.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Any
 
 import numpy as np
 
 from fedlinucb import core
-from fedlinucb.analysis import (
-    BoundReport,
-    CoverageReport,
-    NoiseLedger,
-    _sync_criterion_check,
-)
+from fedlinucb.analysis import BoundReport, _sync_criterion_check
 from fedlinucb.core import (
     FACTOR_RTOL,
     SYMMETRY_RTOL,
@@ -42,6 +40,37 @@ from fedlinucb.core import (
 )
 from fedlinucb.protocol import payload_checksum
 from fedlinucb.simulator import SimulationTrace
+
+
+@dataclass
+class NoiseLedger:
+    """Per-round noise bookkeeping (learner-invisible, analysis only).
+
+    ``eta[t-1]`` is round t's reward noise; ``u_all[t-1]`` the cumulative
+    noise-weighted arm sum through round t; ``u_split[t-1]`` the same quantity
+    rebuilt from the uploaded plus pending per-agent shares.  The two must
+    agree at every round.
+    """
+
+    eta: np.ndarray
+    u_all: np.ndarray
+    u_split: np.ndarray
+    u_up_final: dict[int, np.ndarray]
+    u_loc_final: dict[int, np.ndarray]
+
+
+@dataclass
+class CoverageReport:
+    """Confidence-set coverage on one trace (local per refresh, global per round)."""
+
+    n_local: int
+    local_violations: int
+    local_fraction: float
+    n_global: int
+    global_violations: int
+    global_fraction: float
+    beta: float
+    global_bound: float
 
 
 def records(trace: SimulationTrace) -> list[SimpleNamespace]:

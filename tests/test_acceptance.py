@@ -15,12 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+import fedlinucb.analysis as analysis
 from fedlinucb import (
     HyperParams,
     bias_demo,
-    confidence_coverage,
-    covariance_comparison_check,
-    elliptical_potential_check,
     gen_instance,
     gen_schedule,
     run_episodic,
@@ -84,10 +82,12 @@ def replications():
     for rep in range(REP_COUNT):
         inst = gen_instance("random-sphere", d=4, K=10, seed=REP_SEED + rep)
         trace = run_fedlinucb(inst, sched, hp)
-        cov = confidence_coverage(trace, inst, trace.beta_used)
+        # One check on many traces: its accumulator alone, not the whole suite.
+        cov = analysis._Coverage(trace, inst, trace.beta_used)
+        analysis._run_pass(trace, [cov])
         rows.append(
             {
-                "local_violations": cov.local_violations,
+                "local_violations": cov.local_viol,
                 "n_local": cov.n_local,
                 "total_regret": float(trace.cum_regret[-1]),
                 "bound": theoretical_regret_bound(inst, hp, 4, 2000, trace.beta_used),
@@ -206,7 +206,7 @@ def test_06_elliptical_potential(grid, capsys):
     violations = 0
     worst_slack = math.inf
     for cell in grid:
-        report = elliptical_potential_check(cell.trace)
+        (report,) = analysis._run_pass(cell.trace, [analysis._Elliptical(cell.trace)])
         violations += not report.satisfied
         worst_slack = min(worst_slack, report.slack)
     ok = violations == 0
@@ -223,7 +223,7 @@ def test_07_covariance_domination(capsys):
     for rep in range(10):
         inst = gen_instance("random-sphere", d=4, K=10, seed=700 + rep)
         trace = run_fedlinucb(inst, sched, hp)
-        report = covariance_comparison_check(trace, hp.alpha, 4)
+        (report,) = analysis._run_pass(trace, [analysis._Covariance(trace, hp.alpha, 4)])
         worst = max(worst, report.detail["claim1_worst"])
         assert report.satisfied, report
     ok = worst <= 1e-8

@@ -6,29 +6,24 @@ import math
 import numpy as np
 import pytest
 
+import fedlinucb
 import fedlinucb.analysis as analysis
 import fedlinucb.core as core
 from fedlinucb import (
     DecisionSet,
     HyperParams,
+    NumericalDomainError,
     SimulationTrace,
     bias_demo,
-    build_noise_ledger,
-    confidence_coverage,
-    conservation_check,
-    covariance_comparison_check,
-    elliptical_potential_check,
     gen_instance,
     gen_schedule,
     instantaneous_regret,
     run_fedlinucb,
     run_invariant_suite,
 )
-from fedlinucb.analysis import (
-    _single_agent_windows,
-    noise_decomposition_check,
-)
-from fedlinucb.protocol import CommEvent, payload_checksum
+from fedlinucb.analysis import _single_agent_windows
+from fedlinucb.environment import _BIAS_ARMS
+from fedlinucb.protocol import CommEvent, init_agent, local_update, payload_checksum, should_sync
 
 
 def run_small(seed=7, d=3, K=5, M=3, T=300, alpha=1.0 / 9.0, debug=False, **inst_kw):
@@ -38,9 +33,26 @@ def run_small(seed=7, d=3, K=5, M=3, T=300, alpha=1.0 / 9.0, debug=False, **inst
     return inst, hp, run_fedlinucb(inst, sched, hp, debug=debug)
 
 
+def suite_by_name(trace, inst, hp):
+    """The invariant suite's reports on ``trace``, keyed by name."""
+    return {r.name: r for r in run_invariant_suite(trace, inst, hp)}
+
+
 def test_bound_evaluators_are_the_core_ones():
     assert analysis.theoretical_comm_bound is core.theoretical_comm_bound
     assert analysis.theoretical_regret_bound is core.theoretical_regret_bound
+
+
+def test_public_surface_matches_package():
+    # Every public analysis name resolves, and the package re-exports exactly
+    # those: no name defined in analysis reaches the package outside __all__.
+    for name in analysis.__all__:
+        assert getattr(fedlinucb, name) is getattr(analysis, name)
+    reexported = {name for name, obj in vars(fedlinucb).items()
+                  if getattr(obj, "__module__", None) == analysis.__name__}
+    defined = {name for name in analysis.__all__
+               if getattr(analysis, name).__module__ == analysis.__name__}
+    assert reexported == defined
 
 
 # ---------------------------------------------------------------- regret lookup
@@ -75,27 +87,40 @@ def test_instantaneous_regret_rejects_foreign_arm():
         instantaneous_regret(inst, d_set, np.array([0.4, 0.0]))
 
 
-# ---------------------------------------------------------------- noise ledger
+# ---------------------------------------------------------------- noise split
 
 
 def test_noise_ledger_matches_direct_accumulation():
     inst, hp, trace = run_small(seed=13)
-    ledger = build_noise_ledger(trace, inst)
-    # Independent route: accumulate eta_t * x_t straight off the trace columns.
+    report = suite_by_name(trace, inst, hp)["noise-decomposition"]
+    # Independent route, straight off the trace columns: eta_t * x_t summed
+    # into a running pooled total, and into per-agent pending shares that move
+    # to the uploaded ones on every round whose comm column records a sync.
+    M = int(trace.params["M"])
     run = np.zeros(inst.dim)
-    for k, (x, r) in enumerate(zip(trace.arms, trace.reward)):
+    up = {m: np.zeros(inst.dim) for m in range(1, M + 1)}
+    loc = {m: np.zeros(inst.dim) for m in range(1, M + 1)}
+    worst = peak = 0.0
+    for x, r, m, comm in zip(trace.arms, trace.reward.tolist(), trace.agent.tolist(),
+                             trace.comm.tolist()):
         eta = r - float(x @ inst.theta_star)
-        assert ledger.eta[k] == pytest.approx(eta, rel=1e-12)
         run = run + eta * x
-        np.testing.assert_allclose(ledger.u_all[k], run, rtol=1e-12, atol=1e-12)
+        loc[m] = loc[m] + eta * x
+        if comm:
+            up[m], loc[m] = up[m] + loc[m], np.zeros(inst.dim)
+        split = sum(up.values()) + sum(loc.values())
+        worst = max(worst, float(np.abs(run - split).max()))
+        peak = max(peak, float(np.abs(run).max()))
+    assert sum(trace.comm.tolist()) > 0
+    assert report.empirical == worst / max(1.0, peak)
+    assert report.satisfied
     # Uploaded plus pending shares agree with the pooled sum at the end.
-    total_split = sum(ledger.u_up_final.values()) + sum(ledger.u_loc_final.values())
-    np.testing.assert_allclose(total_split, ledger.u_all[-1], rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(split, run, rtol=1e-9, atol=1e-12)
 
 
 def test_noise_decomposition_report():
     inst, hp, trace = run_small(seed=17)
-    report = noise_decomposition_check(trace, inst)
+    report = suite_by_name(trace, inst, hp)["noise-decomposition"]
     assert report.name == "noise-decomposition"
     assert report.satisfied
     assert report.empirical <= 1e-10
@@ -106,7 +131,7 @@ def test_noise_decomposition_report():
 
 def test_conservation_on_clean_trace_with_payloads():
     inst, hp, trace = run_small(seed=19, debug=True)
-    report = conservation_check(trace)
+    report = suite_by_name(trace, inst, hp)["conservation"]
     assert report.satisfied
     assert report.detail["checksum_mismatches"] == 0
     assert report.detail["payload_deviation"] == 0.0
@@ -120,7 +145,7 @@ def test_conservation_catches_tampered_reward():
     reward = trace.reward.copy()
     reward[first_sync_round - 1] += 1.0
     doctored = dataclasses.replace(trace, reward=reward)
-    report = conservation_check(doctored)
+    report = suite_by_name(doctored, inst, hp)["conservation"]
     # The replay is self-consistent, so the drift shows up as a checksum
     # mismatch against the recorded upload, not as a sum deviation.
     assert not report.satisfied
@@ -132,7 +157,7 @@ def test_conservation_catches_tampered_reward():
 
 def test_elliptical_potential_against_explicit_inverse():
     inst, hp, trace = run_small(seed=23, M=2, T=40)
-    report = elliptical_potential_check(trace)
+    report = suite_by_name(trace, inst, hp)["elliptical-potential"]
     sigma = np.eye(inst.dim)  # lam = 1
     total = 0.0
     for x in trace.arms:
@@ -147,7 +172,7 @@ def test_elliptical_potential_empty_trace():
     inst = gen_instance("random-sphere", d=2, K=2, seed=0)
     hp = HyperParams(lam=1.0, alpha=0.5, delta=0.1)
     trace = run_fedlinucb(inst, gen_schedule("round-robin", M=1, T=0), hp)
-    report = elliptical_potential_check(trace)
+    report = suite_by_name(trace, inst, hp)["elliptical-potential"]
     assert report.satisfied and report.empirical == 0.0
 
 
@@ -158,21 +183,22 @@ def test_coverage_noiseless_recovery():
     # R = 0: only the ridge prior separates the estimate from the target, so
     # both confidence statements hold with certainty.
     inst, hp, trace = run_small(seed=29, R=0.0, T=200)
-    cov = confidence_coverage(trace, inst, trace.beta_used)
-    assert cov.n_global == 200
-    assert cov.n_local == len(trace.events) > 0
-    assert cov.local_violations == 0
-    assert cov.global_violations == 0
+    reports = suite_by_name(trace, inst, hp)
+    local, pooled = reports["local-confidence"], reports["global-confidence"]
+    assert pooled.detail["checks"] == 200
+    assert local.detail["checks"] == len(trace.events) > 0
+    assert local.satisfied and local.empirical == 0.0
+    assert pooled.satisfied and pooled.empirical == 0.0
     # With R = 0 the global radius collapses to sqrt(lam) * S.
-    assert cov.global_bound == pytest.approx(inst.S, rel=1e-12)
+    assert pooled.detail["radius"] == pytest.approx(inst.S, rel=1e-12)
 
 
 def test_coverage_standard_run_zero_violation_fractions():
     inst, hp, trace = run_small(seed=31)
-    cov = confidence_coverage(trace, inst, trace.beta_used)
-    assert cov.local_fraction == 0.0
-    assert cov.global_fraction == 0.0
-    assert cov.beta == trace.beta_used
+    reports = suite_by_name(trace, inst, hp)
+    assert reports["local-confidence"].empirical == 0.0
+    assert reports["global-confidence"].empirical == 0.0
+    assert reports["local-confidence"].detail["beta"] == trace.beta_used
 
 
 # ---------------------------------------------------------------- covariance
@@ -180,7 +206,7 @@ def test_coverage_standard_run_zero_violation_fractions():
 
 def test_covariance_comparison_on_interleaved_run():
     inst, hp, trace = run_small(seed=37)
-    report = covariance_comparison_check(trace, hp.alpha, int(trace.params["M"]))
+    report = suite_by_name(trace, inst, hp)["covariance-comparison"]
     assert report.satisfied
     assert report.detail["claim1_checks"] == 300 * 3
     assert report.detail["claim1_worst"] <= 1e-8
@@ -191,7 +217,7 @@ def test_covariance_comparison_covers_single_agent_windows():
     sched = gen_schedule("block", M=3, T=300)
     hp = HyperParams(lam=1.0, alpha=0.25, delta=0.1)
     trace = run_fedlinucb(inst, sched, hp)
-    report = covariance_comparison_check(trace, hp.alpha, 3)
+    report = suite_by_name(trace, inst, hp)["covariance-comparison"]
     assert report.satisfied
     assert report.detail["windows"] > 0
     assert report.detail["claim2_checks"] > 0
@@ -243,6 +269,37 @@ def test_bias_demo_trigger_window_arithmetic():
     assert np.linalg.det(eye + np.outer(a, a) + np.outer(b, b)) == pytest.approx(11.0, rel=1e-12)
 
 
+def trigger_fires(alpha, *arms):
+    """Whether the protocol's trigger fires after a fresh agent buffers ``arms``."""
+    agent = init_agent(1, 2, 1.0)
+    for x in arms:
+        agent = local_update(agent, x, 0.0)
+    return should_sync(agent, alpha)
+
+
+@pytest.mark.parametrize("alpha, accepted", [
+    (9.0, False),
+    (float(np.nextafter(10.0, 0.0)), False),
+    (10.0, True),
+    (10.5, True),
+    (float(np.nextafter(18.0, 0.0)), True),
+])
+def test_bias_demo_window_is_the_run_trigger(alpha, accepted):
+    # Accepted exactly when the trigger fires on the double pull of the long
+    # arm and on neither the single pull nor the long-short pair.
+    long_arm, short_arm = _BIAS_ARMS
+    window = (trigger_fires(alpha, long_arm, long_arm)
+              and not trigger_fires(alpha, long_arm)
+              and not trigger_fires(alpha, long_arm, short_arm))
+    assert window == accepted
+    if accepted:
+        # Lazy agents always double-pull the long arm, so every one uploads.
+        assert bias_demo(20, alpha=alpha, mode="lazy").upload_fraction == 1.0
+    else:
+        with pytest.raises(ValueError, match="trigger window"):
+            bias_demo(0, alpha=alpha)
+
+
 def test_bias_demo_eager_censors_uploads():
     report = bias_demo(2000, mode="eager", seed=0)
     assert report.predicted_reward_arm_a == pytest.approx(0.5, abs=0.06)
@@ -271,6 +328,17 @@ def test_bias_demo_edge_cases():
 
 
 # ---------------------------------------------------------------- full suite
+
+
+def test_suite_raises_when_the_pooled_floor_breaks():
+    # At lam = 1e-6 the ridge is lost below the rounding of 1e16-sized
+    # entries: the pooled covariance of these arms is singular in double.
+    inst = gen_instance("random-sphere", d=2, K=4, seed=3)
+    hp = HyperParams(lam=1e-6, alpha=0.5, delta=0.1)
+    trace = run_fedlinucb(inst, gen_schedule("round-robin", M=2, T=20), hp)
+    arms = np.tile(1e8 * np.array([1.0, 1.0]) / math.sqrt(2.0), (len(trace.t), 1))
+    with pytest.raises(NumericalDomainError):
+        run_invariant_suite(dataclasses.replace(trace, arms=arms), inst, hp)
 
 
 EXPECTED_SUITE = [

@@ -21,6 +21,7 @@ from fedlinucb import (
     gen_instance,
     gen_schedule,
     run_fedlinucb,
+    run_invariant_suite,
     theoretical_comm_bound,
 )
 from fedlinucb.cli import TRACE_COLUMNS, _fmt, _render_json, main, resolve_config
@@ -209,7 +210,6 @@ def test_golden_check_report_bytes(tmp_path):
     # windows, so every replay-based check has work to do.
     import pathlib
 
-    from fedlinucb import covariance_comparison_check
     from fedlinucb.cli import build_hyperparams, build_instance, build_schedule
 
     golden = pathlib.Path(__file__).parent / "data" / "golden_check_report.json"
@@ -218,10 +218,11 @@ def test_golden_check_report_bytes(tmp_path):
     assert main(["check", "--config", cfg_path, "--out", str(out)]) == 0
     assert (out / "check_report.json").read_bytes() == golden.read_bytes()
     cfg = resolve_config(GOLDEN_CHECK_CONFIG)
-    hp = build_hyperparams(cfg)
-    trace = run_fedlinucb(build_instance(cfg), build_schedule(cfg), hp)
+    hp, inst = build_hyperparams(cfg), build_instance(cfg)
+    trace = run_fedlinucb(inst, build_schedule(cfg), hp)
     assert trace.events
-    assert covariance_comparison_check(trace, hp.alpha, 3).detail["windows"] > 0
+    by_name = {r.name: r for r in run_invariant_suite(trace, inst, hp)}
+    assert by_name["covariance-comparison"].detail["windows"] > 0
 
 
 # ---------------------------------------------------------------- bad configs
@@ -492,6 +493,13 @@ def test_bias_demo_config_echo_matches_built_instance(tmp_path):
              "noise": inst.noise_spec, "seed": inst.master_seed}
     assert {k: echo[k] for k in built} == built
     assert (echo["L"], echo["noise"], echo["d"], echo["K"]) == (3.0, "rademacher-scaled", 2, 2)
+
+
+def test_bias_demo_alpha_on_the_window_edge_exits_0(tmp_path):
+    # The long-short pair reaches a determinant ratio of 11 = 1 + alpha,
+    # which the strict trigger does not fire on.
+    assert main(["bias-demo", "--agents", "10", "--alpha", "10",
+                 "--out", str(tmp_path / "o")]) == 0
 
 
 def test_bias_demo_bad_alpha_exits_1(tmp_path, capsys):

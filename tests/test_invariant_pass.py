@@ -6,6 +6,8 @@ report of the single pass must equal the old one exactly, field by field,
 including the fallback paths where a Loewner claim is violated.
 """
 
+import dataclasses
+
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -67,25 +69,14 @@ def cases(draw):
 @given(cases())
 def test_single_pass_reports_equal_the_per_check_replays(case):
     inst, hp, trace, check_alpha = case
-    M = int(trace.params["M"])
-    assert analysis.run_invariant_suite(trace, inst, hp) == ref.run_invariant_suite(trace, inst, hp)
-    assert analysis.conservation_check(trace) == ref.conservation_check(trace)
-    assert analysis.elliptical_potential_check(trace) == ref.elliptical_potential_check(trace)
-    assert analysis.noise_decomposition_check(trace, inst) == ref.noise_decomposition_check(
-        trace, inst
-    )
-    for alpha in (hp.alpha, check_alpha):
-        assert analysis.covariance_comparison_check(
-            trace, alpha, M
-        ) == ref.covariance_comparison_check(trace, alpha, M)
-    ledger = ref.build_noise_ledger(trace, inst)
-    new_ledger = analysis.build_noise_ledger(trace, inst)
-    for name in ("eta", "u_all", "u_split"):
-        assert np.array_equal(getattr(new_ledger, name), getattr(ledger, name))
+    # A check alpha other than the run's exercises the covariance comparison
+    # (and its eigvalsh fallback) where its claims can fail.
+    for alpha in {hp.alpha, check_alpha}:
+        check_hp = dataclasses.replace(hp, alpha=alpha)
+        assert analysis.run_invariant_suite(trace, inst, check_hp) == ref.run_invariant_suite(
+            trace, inst, check_hp
+        )
     assert analysis._single_agent_windows(trace) == ref._single_agent_windows(trace)
-    assert analysis.confidence_coverage(
-        trace, inst, trace.beta_used
-    ) == ref.confidence_coverage(trace, ledger, inst, trace.beta_used)
 
 
 def brute_force_claim1_worst(trace, alpha, M):
@@ -109,7 +100,8 @@ def test_violated_claim_falls_back_to_eigvalsh():
     inst = gen_instance("random-sphere", d=4, K=6, seed=5)
     hp = HyperParams(lam=1.0, alpha=1.0 / 9.0, delta=0.1)
     trace = run_fedlinucb(inst, gen_schedule("iid-uniform", M=3, T=200, seed=6), hp)
-    report = analysis.covariance_comparison_check(trace, 1e-3, 3)
+    reports = analysis.run_invariant_suite(trace, inst, dataclasses.replace(hp, alpha=1e-3))
+    report = next(r for r in reports if r.name == "covariance-comparison")
     worst = brute_force_claim1_worst(trace, 1e-3, 3)
     assert worst > 1e-8  # the buffers scaled by 1/alpha are far outside the server
     assert report.detail["claim1_worst"] == worst
