@@ -218,11 +218,12 @@ class _Conservation:
     def update(self, rep: _Replay, k: int, event) -> None:
         lhs_sigma = rep.server_sigma + sum(rep.sigma_loc.values())
         lhs_b = rep.server_b + sum(rep.b_loc.values())
-        dev = max(
-            float(np.abs(lhs_sigma - rep.sigma_all).max(initial=0.0)),
-            float(np.abs(lhs_b - rep.b_all).max(initial=0.0)),
+        dev = np.maximum(
+            np.abs(lhs_sigma - rep.sigma_all).max(initial=0.0),
+            np.abs(lhs_b - rep.b_all).max(initial=0.0),
         )
-        self.worst = max(self.worst, dev)
+        # np.maximum keeps a NaN deviation; Python's max would drop it.
+        self.worst = float(np.maximum(self.worst, dev))
         self.scale = max(self.scale, float(np.abs(rep.sigma_all).max(initial=1.0)))
 
     def reports(self, rep: _Replay) -> list[BoundReport]:
@@ -284,13 +285,14 @@ class _Coverage:
         sigma_all = rep.pooled()
         theta_all = solve_estimate(sigma_all, rep.b_all)
         self.n_global += 1
-        if _weighted_norm(sigma_all, self.theta - theta_all) > self.global_bound:
+        # Written as "not <=" so that a NaN norm counts as a violation.
+        if not _weighted_norm(sigma_all, self.theta - theta_all) <= self.global_bound:
             self.global_viol += 1
         if event is not None:
             sigma_m = SpdMatrix.from_dense(rep.synced_sigma[rep.m], min_eig=self.lam)
             theta_m = solve_estimate(sigma_m, rep.synced_b[rep.m])
             self.n_local += 1
-            if _weighted_norm(sigma_m, self.theta - theta_m) > self.beta:
+            if not _weighted_norm(sigma_m, self.theta - theta_m) <= self.beta:
                 self.local_viol += 1
 
     def reports(self, rep: _Replay) -> list[BoundReport]:
@@ -479,6 +481,10 @@ def _trace_consistency_check(trace: SimulationTrace) -> BoundReport:
     if trace.switch_count * 2 != trace.comm_count:
         problems += 1
         detail["switch_identity"] = (trace.switch_count, trace.comm_count)
+    non_finite = int((~(np.isfinite(trace.reward) & np.isfinite(trace.arms).all(-1))).sum())
+    if non_finite:
+        problems += 1
+        detail["non_finite_rows"] = non_finite
     negative = int((trace.inst_regret < 0).sum())
     if negative:
         problems += 1

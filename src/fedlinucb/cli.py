@@ -12,7 +12,6 @@ import argparse
 import copy
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -28,7 +27,7 @@ from .environment import (
     load_arms_file,
     load_schedule_file,
 )
-from .simulator import CommBoundError, run_fedlinucb, run_independent_oful
+from .simulator import CommBoundError, _resolve_beta, run_fedlinucb, run_independent_oful
 
 TRACE_COLUMNS = ["t", "agent", "arm_index", "reward", "inst_regret", "cum_regret", "comm", "det_server"]
 
@@ -141,6 +140,12 @@ def _build(cfg: dict) -> tuple[ProblemInstance, Schedule, HyperParams]:
         cfg["params"].setdefault("lambda", 1.0 / (inst.S * inst.S))
         cfg["params"].setdefault("alpha", 1.0 / (schedule.M * schedule.M))
         hp = build_hyperparams(cfg)
+        # The radius and both bounds once, so that parameters they overflow
+        # at are refused here, before any output.
+        M, T = schedule.M, schedule.T
+        beta = _resolve_beta(inst, hp, M, T)
+        theoretical_regret_bound(inst, hp, M, T, beta)
+        theoretical_comm_bound(inst.dim, M, hp.alpha, hp.lam, inst.L, T)
     return inst, schedule, hp
 
 
@@ -339,6 +344,9 @@ def cmd_sweep(
         for rep in range(reps)
     ]
     if parallel > 1:
+        # Imported here, so that the pool machinery's import is a cost of --parallel only.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=parallel) as pool:
             rows = list(pool.map(_sweep_cell, tasks))
     else:

@@ -9,14 +9,51 @@ confidence-radius and bound formulas, and the optimistic arm-selection rule.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg.lapack import dpotrs
+
+
+def _load_flapack() -> Any:
+    """scipy's f2py LAPACK extension, loaded without running ``scipy.linalg``.
+
+    ``import scipy.linalg`` pulls in ``scipy._lib._array_api``, ``numpy.testing``,
+    ``numpy.ma`` and ``numpy.f2py``, which take longer to import and hold more
+    memory than the rest of the package.  The extension itself needs only
+    numpy, so it is loaded straight
+    from scipy's install directory under the name ``fedlinucb._flapack`` (its
+    ``PyInit__flapack`` is found from the last part of that name).  It is the
+    same binary ``scipy.linalg.lapack`` wraps, so every solve is bit-identical.
+    """
+    loaded = sys.modules.get("scipy.linalg._flapack")
+    if loaded is not None:
+        return loaded
+    spec = importlib.util.find_spec("scipy")  # locates scipy without importing it
+    root = spec.submodule_search_locations[0] if spec else "<scipy not found>"
+    path = os.path.join(root, "linalg", "_flapack" + importlib.machinery.EXTENSION_SUFFIXES[0])
+    if not os.path.isfile(path):
+        from importlib.metadata import PackageNotFoundError, version
+
+        try:
+            found = version("scipy")
+        except PackageNotFoundError:
+            found = "not installed"
+        raise ImportError(f"scipy LAPACK extension not found at {path} (scipy {found})")
+    loader = importlib.machinery.ExtensionFileLoader("fedlinucb._flapack", path)
+    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(loader.name, loader))
+    loader.exec_module(module)
+    return module
+
+
+dpotrs = _load_flapack().dpotrs
 
 Vector = NDArray[np.float64]
 Matrix = NDArray[np.float64]
@@ -265,6 +302,13 @@ class DecisionSet:
         return self.arms.shape[0]
 
 
+def _finite(name: str, value: float) -> float:
+    """``value``, or ValueError when the formula left the float range."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} is {value} at these parameters; it must be finite")
+    return value
+
+
 def compute_beta(inst: ProblemInstance, hp: HyperParams, M: int, T: int) -> float:
     """Confidence radius for the asynchronous federated run.
 
@@ -286,7 +330,8 @@ def compute_beta(inst: ProblemInstance, hp: HyperParams, M: int, T: int) -> floa
     sqrt_lam_s = math.sqrt(lam) * S
     multiplier = math.sqrt(1.0 + M * alpha) + M * math.sqrt(2.0 * alpha)
     log_arg = (1.0 + T * L * L / (min(alpha, 1.0) * lam)) / delta
-    return sqrt_lam_s + multiplier * (R * math.sqrt(d * math.log(log_arg)) + sqrt_lam_s)
+    beta = sqrt_lam_s + multiplier * (R * math.sqrt(d * math.log(log_arg)) + sqrt_lam_s)
+    return _finite("beta", beta)
 
 
 def theoretical_regret_bound(
@@ -306,7 +351,7 @@ def theoretical_regret_bound(
     log_term = math.log(1.0 + T * L * L / lam)
     burn_in = 2.0 * d * S * L * M * log_term
     main = 2.0 * math.sqrt(2.0 * (1.0 + M * alpha)) * beta * math.sqrt(2.0 * d * T * log_term)
-    return burn_in + main
+    return _finite("regret bound", burn_in + main)
 
 
 def theoretical_comm_bound(
@@ -324,7 +369,8 @@ def theoretical_comm_bound(
         raise ValueError("need d >= 1, M >= 1, T >= 0")
     if alpha <= 0.0 or lam <= 0.0 or L <= 0.0:
         raise ValueError("alpha, lam, L must be positive")
-    return 2.0 * d * (M + 1.0 / alpha) * math.log2(1.0 + T * L * L / (lam * d))
+    cap = 2.0 * d * (M + 1.0 / alpha) * math.log2(1.0 + T * L * L / (lam * d))
+    return _finite("communication cap", cap)
 
 
 def ucb_select(theta_hat: Any, m: SpdMatrix, beta: float, d_set: DecisionSet) -> int:

@@ -152,6 +152,22 @@ def test_conservation_catches_tampered_reward():
     assert report.detail["checksum_mismatches"] >= 1
 
 
+def test_nan_rewards_after_the_last_upload_fail_the_checks():
+    # No upload carries these rewards, so no checksum sees them: the NaN
+    # reaches only the running maxima and the pooled estimate, which must
+    # keep it rather than drop it.
+    inst, hp, trace = run_small()
+    assert trace.events
+    reward = trace.reward.copy()
+    reward[trace.events[-1].round:] = math.nan
+    by_name = suite_by_name(dataclasses.replace(trace, reward=reward), inst, hp)
+    for name in ("conservation", "global-confidence", "trace-consistency"):
+        assert not by_name[name].satisfied, name
+    assert by_name["trace-consistency"].detail["non_finite_rows"] == (
+        len(reward) - trace.events[-1].round
+    )
+
+
 # ---------------------------------------------------------------- potential
 
 

@@ -273,6 +273,8 @@ def bad_config_cases(tmp_path):
         dict(BASE_CONFIG, instance={"kind": "fixed-list", "arms_file": str(tmp_path / "absent")}),
         dict(BASE_CONFIG, schedule={"kind": "explicit-list", "M": 2, "file": str(bad_sched)}),
         dict(BASE_CONFIG, schedule={"kind": "explicit-list", "M": 2}),
+        # a finite radius whose regret bound overflows to inf
+        with_field("params", "beta", 1e308),
     ]
 
 
@@ -552,6 +554,16 @@ def test_check_exit_code_on_failure(tmp_path, capsys, monkeypatch):
 
 
 # ---------------------------------------------------------------- entry point
+
+
+def test_import_leaves_scipy_linalg_and_the_process_pool_unloaded():
+    # Start-up pays for neither: the package binds LAPACK dpotrs from scipy's
+    # extension directly, and sweep imports the pool only for --parallel.
+    probe = ("import sys, fedlinucb.cli; "
+             "print(sorted({'scipy.linalg', 'concurrent.futures.process'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_console_script_runs(tmp_path):

@@ -3,10 +3,13 @@ selection rule. Expected values are recomputed here with plain math, not
 copied from the implementation."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import fedlinucb.core as core
 from fedlinucb import (
     DecisionSet,
     DimensionMismatchError,
@@ -180,6 +183,45 @@ def test_solve_estimate_ridge_shrinkage_limit():
     assert est[0] == pytest.approx(1.0 / 6.0, abs=1e-7)
 
 
+# The package binds scipy's own LAPACK extension without importing
+# scipy.linalg; scipy.linalg is imported second here, so the two bindings are
+# distinct objects over the same routine.
+KERNEL_IDENTITY = """
+import numpy as np
+import fedlinucb.core as core
+from scipy.linalg.lapack import dpotrs
+
+assert core.dpotrs is not dpotrs
+rng = np.random.default_rng(2022)
+for d in (1, 2, 8, 32, 200):
+    g = rng.standard_normal((d, d))
+    chol = np.linalg.cholesky(g @ g.T + 0.1 * np.eye(d))
+    for b in (rng.standard_normal(d), rng.standard_normal((d, 7))):
+        want, info = dpotrs(chol, b, lower=1)
+        got = core._chol_solve(chol, b)
+        assert info == 0 and got.shape == want.shape, d
+        assert got.tobytes() == want.tobytes(), (d, b.shape)
+"""
+
+
+def test_bound_dpotrs_is_bit_identical_to_scipy():
+    proc = subprocess.run([sys.executable, "-c", KERNEL_IDENTITY], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_missing_lapack_extension_is_an_import_error(monkeypatch):
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
+    monkeypatch.setattr(core.importlib.machinery, "EXTENSION_SUFFIXES", [".absent.so"])
+    with pytest.raises(ImportError, match=r"_flapack\.absent\.so \(scipy \d"):
+        core._load_flapack()
+
+
+def test_chol_solve_raises_on_lapack_info(monkeypatch):
+    monkeypatch.setattr(core, "dpotrs", lambda chol, b, lower: (b, -2))
+    with pytest.raises(ValueError, match="2-th argument"):
+        core._chol_solve(np.eye(2), np.ones(2))
+
+
 def test_matrix_determinant_lemma():
     # det(A + x x^T) = det(A) * (1 + ||x||^2_{A^{-1}}), rank-one update identity.
     rng = np.random.default_rng(11)
@@ -330,6 +372,17 @@ def test_comm_bound_loose_trigger_limit():
 def test_comm_bound_vanishes_for_tiny_horizon_signal():
     got = theoretical_comm_bound(d=4, M=3, alpha=0.5, lam=1e9, L=1.0, T=10)
     assert got == pytest.approx(0.0, abs=1e-4)
+
+
+def test_bound_formulas_refuse_non_finite_results():
+    inst = make_instance(S=1e300)
+    with pytest.raises(ValueError, match="beta"):
+        compute_beta(inst, HyperParams(lam=1e300, alpha=0.5, delta=0.1), M=2, T=10)
+    hp = HyperParams(lam=1.0, alpha=0.5, delta=0.1)
+    with pytest.raises(ValueError, match="regret bound"):
+        theoretical_regret_bound(make_instance(), hp, M=2, T=10, beta=1e308)
+    with pytest.raises(ValueError, match="communication cap"):
+        theoretical_comm_bound(d=3, M=2, alpha=1e-308, lam=1.0, L=1.0, T=10)
 
 
 # ---------------------------------------------------------------- selection
