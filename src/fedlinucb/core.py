@@ -13,7 +13,6 @@ import importlib.machinery
 import importlib.util
 import math
 import os
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any
@@ -28,14 +27,10 @@ def _load_flapack() -> Any:
     ``import scipy.linalg`` pulls in ``scipy._lib._array_api``, ``numpy.testing``,
     ``numpy.ma`` and ``numpy.f2py``, which take longer to import and hold more
     memory than the rest of the package.  The extension itself needs only
-    numpy, so it is loaded straight
-    from scipy's install directory under the name ``fedlinucb._flapack`` (its
+    numpy, so it is loaded straight from scipy's install directory under the name ``fedlinucb._flapack`` (its
     ``PyInit__flapack`` is found from the last part of that name).  It is the
     same binary ``scipy.linalg.lapack`` wraps, so every solve is bit-identical.
     """
-    loaded = sys.modules.get("scipy.linalg._flapack")
-    if loaded is not None:
-        return loaded
     spec = importlib.util.find_spec("scipy")  # locates scipy without importing it
     root = spec.submodule_search_locations[0] if spec else "<scipy not found>"
     path = os.path.join(root, "linalg", "_flapack" + importlib.machinery.EXTENSION_SUFFIXES[0])

@@ -152,9 +152,7 @@ def _comm_per_epoch(trace: SimulationTrace) -> list[int]:
     return (cum[ends - 1] - cum[starts - 1]).tolist()
 
 
-def _assert_comm_bounds(trace: SimulationTrace, inst: ProblemInstance, hp: HyperParams,
-                        M: int, T: int) -> None:
-    bound = theoretical_comm_bound(inst.dim, M, hp.alpha, hp.lam, inst.L, T)
+def _assert_comm_bounds(trace: SimulationTrace, hp: HyperParams, M: int, bound: float) -> None:
     if trace.comm_count > bound:
         raise CommBoundError(
             f"comm_count {trace.comm_count} exceeds deterministic cap {bound:.6f}"
@@ -252,10 +250,12 @@ def run_fedlinucb(
     """
     M, T = schedule.M, schedule.T
     beta = _resolve_beta(inst, hp, M, T)
+    # Evaluated before the run, so a cap that is not finite is refused up front.
+    cap = theoretical_comm_bound(inst.dim, M, hp.alpha, hp.lam, inst.L, T)
     trace = _drive(inst, hp, schedule.agents, [beta] * M, False, beta,
                    _params_echo(inst, hp, M, T, schedule.descriptor), debug)
     trace.epoch_starts = epoch_boundaries(trace, hp.lam, inst.dim)
-    _assert_comm_bounds(trace, inst, hp, M, T)
+    _assert_comm_bounds(trace, hp, M, cap)
     return trace
 
 

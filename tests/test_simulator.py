@@ -335,7 +335,18 @@ def test_comm_cap_violation_raises():
     trace = run_fedlinucb(inst, sched, hp)
     doctored = dataclasses.replace(trace, comm_count=10**6)
     with pytest.raises(CommBoundError):
-        _assert_comm_bounds(doctored, inst, hp, 2, 40)
+        cap = theoretical_comm_bound(inst.dim, 2, hp.alpha, hp.lam, inst.L, 40)
+        _assert_comm_bounds(doctored, hp, 2, cap)
+
+
+def test_non_finite_comm_cap_is_refused_before_the_run(monkeypatch):
+    # A subnormal alpha with a fixed beta: 1/alpha is inf, so only the cap overflows.
+    inst = small_instance(seed=1)
+    sched = gen_schedule("round-robin", M=2, T=40)
+    hp = HyperParams(lam=1.0, alpha=5e-324, delta=0.1, beta_mode="fixed", beta_value=1.0)
+    monkeypatch.setattr("fedlinucb.simulator._drive", lambda *a: pytest.fail("the run started"))
+    with pytest.raises(ValueError, match="communication cap is inf"):
+        run_fedlinucb(inst, sched, hp)
 
 
 # ---------------------------------------------------------------- baseline
