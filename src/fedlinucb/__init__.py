@@ -1,7 +1,6 @@
 """Asynchronous federated linear UCB: simulation library and CLI."""
 
 from .core import (
-    DecisionSet,
     DimensionMismatchError,
     HyperParams,
     NumericalDomainError,

@@ -20,11 +20,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    DecisionSet,
     HyperParams,
     ProblemInstance,
     SpdMatrix,
     eigs_surely_above,
+    epoch_comm_cap,
     inv_norm,
     solve_estimate,
     theoretical_comm_bound,
@@ -57,14 +57,12 @@ class BoundReport:
     detail: dict = field(default_factory=dict)
 
 
-def instantaneous_regret(inst: ProblemInstance, d_set: DecisionSet, chosen: np.ndarray) -> float:
-    """Best achievable mean reward in the set minus the chosen arm's mean."""
+def instantaneous_regret(inst: ProblemInstance, d_set: np.ndarray, chosen: np.ndarray) -> float:
+    """Best achievable mean reward in the (K, d) decision set minus the chosen arm's mean."""
     chosen = np.asarray(chosen, dtype=np.float64)
-    matches = np.flatnonzero((d_set.arms == chosen).all(axis=1))
+    matches = np.flatnonzero((d_set == chosen).all(axis=1))
     if matches.size == 0:
-        close = np.flatnonzero(
-            np.isclose(d_set.arms, chosen, rtol=1e-12, atol=0.0).all(axis=1)
-        )
+        close = np.flatnonzero(np.isclose(d_set, chosen, rtol=1e-12, atol=0.0).all(axis=1))
         if close.size == 0:
             raise ValueError("chosen arm is not a member of the decision set")
         matches = close
@@ -540,14 +538,13 @@ def run_invariant_suite(
     comm_bound = theoretical_comm_bound(d, M, hp.alpha, hp.lam, L, T)
     reports.append(_capped("comm-bound", float(trace.comm_count), comm_bound))
     worst_epoch = float(max(_comm_per_epoch(trace), default=0))
-    reports.append(_capped("epoch-comm", worst_epoch, 2.0 * (M + 1.0 / hp.alpha)))
+    reports.append(_capped("epoch-comm", worst_epoch, epoch_comm_cap(M, hp.alpha)))
 
     reports += _run_pass(trace, [
         _Elliptical(trace), _Conservation(), _Noise(trace, inst),
         _Covariance(trace, hp.alpha, M), _Coverage(trace, inst, trace.beta_used),
     ])
 
-    total_regret = float(trace.cum_regret[-1]) if len(trace.cum_regret) else 0.0
     regret_bound = theoretical_regret_bound(inst, hp, M, T, trace.beta_used)
-    reports.append(_capped("regret-bound", total_regret, regret_bound))
+    reports.append(_capped("regret-bound", trace.total_regret, regret_bound))
     return reports

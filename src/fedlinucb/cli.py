@@ -18,7 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import run_invariant_suite, bias_demo
-from .core import HyperParams, ProblemInstance, theoretical_comm_bound, theoretical_regret_bound
+from .core import (HyperParams, ProblemInstance, check_ridge_domain, theoretical_comm_bound,
+                   theoretical_regret_bound)
 from .environment import (
     RNG_VERSION,
     Schedule,
@@ -140,12 +141,13 @@ def _build(cfg: dict) -> tuple[ProblemInstance, Schedule, HyperParams]:
         cfg["params"].setdefault("lambda", 1.0 / (inst.S * inst.S))
         cfg["params"].setdefault("alpha", 1.0 / (schedule.M * schedule.M))
         hp = build_hyperparams(cfg)
-        # The radius and both bounds once, so that parameters they overflow
-        # at are refused here, before any output.
+        # The radius, both bounds and the ridge domain once, so that parameters
+        # outside them are refused here, before any output.
         M, T = schedule.M, schedule.T
         beta = _resolve_beta(inst, hp, M, T)
         theoretical_regret_bound(inst, hp, M, T, beta)
         theoretical_comm_bound(inst.dim, M, hp.alpha, hp.lam, inst.L, T)
+        check_ridge_domain(inst.dim, hp.lam, inst.L, T)
     return inst, schedule, hp
 
 
@@ -241,16 +243,22 @@ def write_trace_csv(trace, path: Path) -> None:
     _write_text(path, "\n".join(rows) + "\n")
 
 
-def summarize(trace, inst: ProblemInstance, hp: HyperParams, cfg: dict) -> dict:
-    M = int(trace.params["M"])
-    T = int(trace.params["T"])
+def _run_figures(trace, inst: ProblemInstance, hp: HyperParams) -> dict:
+    """Communication counts, radius and both bounds of a run, in output order."""
+    M, T = int(trace.params["M"]), int(trace.params["T"])
     return {
-        "total_regret": float(trace.cum_regret[-1]) if len(trace.cum_regret) else 0.0,
         "comm_count": trace.comm_count,
         "switch_count": trace.switch_count,
         "beta_used": trace.beta_used,
         "bound_regret": theoretical_regret_bound(inst, hp, M, T, trace.beta_used),
         "bound_comm": theoretical_comm_bound(inst.dim, M, hp.alpha, hp.lam, inst.L, T),
+    }
+
+
+def summarize(trace, inst: ProblemInstance, hp: HyperParams, cfg: dict) -> dict:
+    return {
+        "total_regret": trace.total_regret,
+        **_run_figures(trace, inst, hp),
         "epoch_starts": [[i, tau] for i, tau in trace.epoch_starts],
         "config_echo": {
             "instance": cfg["instance"],
@@ -301,24 +309,14 @@ def _sweep_cell(task: tuple) -> dict:
         "replication": rep,
         "instance_seed": cfg["instance"]["seed"],
         "schedule_seed": cfg["schedule"]["seed"],
-        "total_regret": float(trace.cum_regret[-1]) if len(trace.cum_regret) else 0.0,
+        "total_regret": trace.total_regret,
         "mean_round_regret": float(np.mean(trace.inst_regret)) if len(trace.t) else 0.0,
         "max_round_regret": float(np.max(trace.inst_regret)) if len(trace.t) else 0.0,
-        "comm_count": trace.comm_count,
-        "switch_count": trace.switch_count,
-        "beta_used": trace.beta_used,
-        "bound_regret": theoretical_regret_bound(
-            inst, hp, int(trace.params["M"]), int(trace.params["T"]), trace.beta_used
-        ),
-        "bound_comm": theoretical_comm_bound(
-            inst.dim, int(trace.params["M"]), hp.alpha, hp.lam, inst.L, int(trace.params["T"])
-        ),
+        **_run_figures(trace, inst, hp),
     }
     if baseline:
         base_trace = run_independent_oful(inst, schedule, hp)
-        row["baseline_total_regret"] = (
-            float(base_trace.cum_regret[-1]) if len(base_trace.cum_regret) else 0.0
-        )
+        row["baseline_total_regret"] = base_trace.total_regret
         row["baseline_comm_count"] = base_trace.comm_count
     return row
 
@@ -398,19 +396,9 @@ def cmd_check(raw: dict, out_dir: str) -> int:
         status = "PASS" if r.satisfied else "FAIL"
         print(f"{status} {r.name}: empirical={_fmt(r.empirical)} bound={_fmt(r.bound)} "
               f"slack={_fmt(r.slack)}")
-    payload = {
-        "checks": [
-            {
-                "name": r.name,
-                "empirical": r.empirical,
-                "bound": r.bound,
-                "satisfied": r.satisfied,
-                "slack": r.slack,
-            }
-            for r in reports
-        ],
-        "all_passed": not failed,
-    }
+    # Every report field but the free-form detail; keys are written sorted.
+    checks = [{k: v for k, v in vars(r).items() if k != "detail"} for r in reports]
+    payload = {"checks": checks, "all_passed": not failed}
     out = Path(out_dir)
     _write_text(out / "check_report.json", _render_json(payload) + "\n")
     print(f"wrote {out / 'check_report.json'}")

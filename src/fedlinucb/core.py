@@ -114,13 +114,21 @@ class SpdMatrix:
         recon_err = float(np.abs(chol @ chol.T - m).max(initial=0.0))
         if recon_err > FACTOR_RTOL * max(scale, 1.0):
             raise NumericalDomainError("factorization failed to reproduce the matrix")
-        floor = min_eig * (1.0 - 1e-9) - 1e-12
-        if min_eig > 0.0 and not eigs_surely_above(m, floor):
-            smallest = float(np.linalg.eigvalsh(m)[0])
-            if smallest < floor:
+        if min_eig > 0.0:
+            # A factored matrix has a positive diagonal: its trace is tr|m|.
+            margin = floor_margin(m.shape[0], float(m.trace()), min_eig)
+            if not margin < min_eig:
                 raise NumericalDomainError(
-                    f"smallest eigenvalue {smallest} below stated floor {min_eig}"
+                    f"stated floor {min_eig} is not above this matrix's rounding {margin:.6g}"
                 )
+            # A shortfall inside the matrix's own rounding is no violation.
+            floor = min(min_eig * (1.0 - 1e-9) - 1e-12, min_eig - margin)
+            if not eigs_surely_above(m, floor):
+                smallest = float(np.linalg.eigvalsh(m)[0])
+                if smallest < floor:
+                    raise NumericalDomainError(
+                        f"smallest eigenvalue {smallest} below stated floor {min_eig}"
+                    )
         return cls(mat=m, chol=chol, min_eig=float(min_eig))
 
     @property
@@ -139,16 +147,31 @@ class SpdMatrix:
             return float(np.prod(np.diag(self.chol)) ** 2)
 
 
+def floor_margin(d: int, trace: float, floor: float) -> float:
+    """``8 d eps (trace + d |floor|)``: above the rounding of a factorization of a
+    d x d matrix of absolute trace ``trace`` shifted by ``floor``, and of its
+    ``eigvalsh`` (each a small multiple of d eps ||mat||)."""
+    return 8.0 * d * np.finfo(np.float64).eps * (trace + d * abs(floor))
+
+
+def check_ridge_domain(d: int, lam: float, L: float, T: int) -> None:
+    """NumericalDomainError once the :func:`floor_margin` of a T-round covariance,
+    of trace at most ``d lam + T L^2``, reaches its ridge floor ``lam``."""
+    margin = floor_margin(d, d * lam + T * L * L, lam)
+    if not margin < lam:
+        raise NumericalDomainError(f"lambda {lam} is not above the rounding {margin:.6g} "
+                                   f"of a {T}-round covariance at d={d}, L={L}")
+
+
 def eigs_surely_above(mat: Matrix, floor: float) -> bool:
     """Whether a Cholesky factorization proves ``eigvalsh(mat)[0] >= floor``.
 
-    Factors ``mat - (floor + margin) I``.  The margin, 8 d eps (tr|mat| + d|floor|),
-    exceeds the rounding of this factorization and of ``eigvalsh`` alike (each a
-    small multiple of d eps ||mat||), so True means ``eigvalsh`` could not come
-    out below the floor and may be skipped; False decides nothing.
+    Factors ``mat - (floor + margin) I`` with the :func:`floor_margin` of
+    ``mat``, so True means ``eigvalsh`` could not come out below the floor
+    and may be skipped; False decides nothing.
     """
     d = mat.shape[0]
-    margin = 8.0 * d * np.finfo(np.float64).eps * (np.abs(np.diagonal(mat)).sum() + d * abs(floor))
+    margin = floor_margin(d, np.abs(np.diagonal(mat)).sum(), floor)
     shifted = mat.copy()
     shifted.flat[:: d + 1] -= floor + margin
     try:
@@ -196,7 +219,8 @@ class ProblemInstance:
     rewards and regret only.  ``arm_spec`` is the decision-set generator
     descriptor (see :mod:`fedlinucb.environment`), ``noise_spec`` one of
     ``"gaussian"`` or ``"rademacher-scaled"``, and ``master_seed`` keys every
-    per-round environment draw.
+    per-round environment draw.  A fixed arm set (``arm_spec.arms``) is
+    checked here, once, against ``dim`` and the arm rule for ``L``.
     """
 
     dim: int
@@ -223,10 +247,23 @@ class ProblemInstance:
             raise ValueError("R must be nonnegative and finite")
         if float(np.linalg.norm(theta / self.S)) > 1.0 + 1e-9:  # no overflow at large S
             raise ValueError("theta_star exceeds the stated norm budget S")
+        fixed = getattr(self.arm_spec, "arms", None)
+        if fixed is not None:
+            if fixed.shape[1] != self.dim:
+                raise DimensionMismatchError(f"arm width {fixed.shape[1]} is not dim {self.dim}")
+            # einsum, unlike norm(axis=1), does not warn on overflow; a huge arm reads inf.
+            worst = float(np.sqrt(np.einsum("kd,kd->k", fixed, fixed)).max())
+            check_arm_norm(worst, self.L)
         if self.noise_spec not in ("gaussian", "rademacher-scaled"):
             raise ValueError(f"unknown noise_spec {self.noise_spec!r}")
         if not (0 <= int(self.master_seed) < 2**64):
             raise ValueError("master_seed must fit in an unsigned 64-bit integer")
+
+
+def check_arm_norm(worst: float, L: float) -> None:
+    """The arm rule: ValueError unless the largest arm norm ``worst`` is within L(1 + 1e-9)."""
+    if not worst <= L * (1.0 + 1e-9):
+        raise ValueError(f"arm norm {worst} exceeds stated bound {L}")
 
 
 @dataclass(frozen=True)
@@ -260,41 +297,6 @@ class HyperParams:
                 raise ValueError("fixed beta_mode requires a nonnegative finite beta_value")
         if self.estimate_mode not in ("lazy", "eager"):
             raise ValueError(f"unknown estimate_mode {self.estimate_mode!r}")
-
-
-@dataclass(frozen=True, eq=False)
-class DecisionSet:
-    """One round's finite action set: arms as rows of a (K, d) array."""
-
-    arms: Matrix
-    norm_bound: float | None = None
-
-    def __post_init__(self) -> None:
-        arms = np.asarray(self.arms, dtype=np.float64)
-        if arms.ndim != 2:
-            raise DimensionMismatchError(f"arms must be a 2-D array, got ndim {arms.ndim}")
-        if arms.shape[0] < 1:
-            raise ValueError("decision set must contain at least one arm")
-        object.__setattr__(self, "arms", arms)
-        if self.norm_bound is not None:
-            worst = float(np.linalg.norm(arms, axis=1).max())
-            if worst > self.norm_bound * (1.0 + 1e-9):
-                raise ValueError(
-                    f"arm norm {worst} exceeds stated bound {self.norm_bound}"
-                )
-
-    @classmethod
-    def prechecked(cls, arms: Matrix, norm_bound: float) -> "DecisionSet":
-        """A set over a float64 (K, d) array whose every arm the caller has
-        already checked against ``norm_bound``; skips the per-set norm pass."""
-        d_set = object.__new__(cls)
-        object.__setattr__(d_set, "arms", arms)
-        object.__setattr__(d_set, "norm_bound", norm_bound)
-        return d_set
-
-    @property
-    def size(self) -> int:
-        return self.arms.shape[0]
 
 
 def _finite(name: str, value: float) -> float:
@@ -349,6 +351,11 @@ def theoretical_regret_bound(
     return _finite("regret bound", burn_in + main)
 
 
+def epoch_comm_cap(M: int, alpha: float) -> float:
+    """Cap on the communications inside one epoch: ``2*(M + 1/alpha)``."""
+    return 2.0 * (M + 1.0 / alpha)
+
+
 def theoretical_comm_bound(
     d: int, M: int, alpha: float, lam: float, L: float, T: int
 ) -> float:
@@ -357,28 +364,32 @@ def theoretical_comm_bound(
         2*d*(M + 1/alpha)*log2(1 + T*L^2/(lam*d))
 
     Each doubling of the server determinant opens an epoch with at most
-    2*(M + 1/alpha) communications, and the determinant doubles at most
-    d*log2(1 + T*L^2/(lam*d)) times over the horizon.
+    :func:`epoch_comm_cap` communications, and the determinant doubles at
+    most d*log2(1 + T*L^2/(lam*d)) times over the horizon.
     """
     if d < 1 or M < 1 or T < 0:
         raise ValueError("need d >= 1, M >= 1, T >= 0")
     if alpha <= 0.0 or lam <= 0.0 or L <= 0.0:
         raise ValueError("alpha, lam, L must be positive")
-    cap = 2.0 * d * (M + 1.0 / alpha) * math.log2(1.0 + T * L * L / (lam * d))
+    # d * (2x) and (2d) * x are the same double: scaling by 2 is exact.
+    cap = d * epoch_comm_cap(M, alpha) * math.log2(1.0 + T * L * L / (lam * d))
     return _finite("communication cap", cap)
 
 
-def ucb_select(theta_hat: Any, m: SpdMatrix, beta: float, d_set: DecisionSet) -> int:
-    """Index of the arm maximizing ``<theta_hat, x> + beta * inv_norm(m, x)``.
+def ucb_select(theta_hat: Any, m: SpdMatrix, beta: float, arms: Any) -> int:
+    """Index of the row of the (K, d) decision set ``arms`` maximizing
+    ``<theta_hat, x> + beta * inv_norm(m, x)``.
 
     Ties break toward the lowest index (argmax returns the first maximizer),
     so appending duplicate or dominated arms at higher indices never changes
     the selection.
     """
     theta_hat = np.asarray(theta_hat, dtype=np.float64)
-    arms = d_set.arms
-    if arms.shape[1] != m.dim or theta_hat.shape != (m.dim,):
+    arms = np.asarray(arms, dtype=np.float64)
+    if arms.ndim != 2 or arms.shape[1] != m.dim or theta_hat.shape != (m.dim,):
         raise DimensionMismatchError("arm / estimate dimensions disagree with the matrix")
+    if len(arms) == 0:
+        raise ValueError("decision set must contain at least one arm")
     if beta < 0.0:
         raise ValueError("beta must be nonnegative")
     # Batched quadratic forms through the cached factor; one LAPACK call for

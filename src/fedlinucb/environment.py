@@ -13,12 +13,12 @@ runners comparable trace-for-trace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .core import DecisionSet, ProblemInstance
+from .core import ProblemInstance, check_arm_norm
 
 # Version of the draw contract below; echoed in every summary.
 RNG_VERSION = 2
@@ -56,16 +56,15 @@ class ArmSpec:
         "fixed-list"        the same explicit arm list every round.
         "bias-demo-pair"    the fixed two-arm set used by the bias demo.
 
-    The two fixed variants build their read-only :class:`DecisionSet`
-    once, checked against ``norm_bound`` (the instance's L), into ``fixed``;
-    every round serves that object.
+    The two fixed variants hold their K arms as one read-only float64 (K, d)
+    array in ``arms``, and every round serves that array; the
+    :class:`~fedlinucb.core.ProblemInstance` holding the spec checks its
+    width and norms.
     """
 
     variant: str
     K: int
     arms: np.ndarray | None = None
-    norm_bound: float | None = None
-    fixed: DecisionSet | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.variant not in ("random-sphere", "hypercube-corners", "fixed-list", "bias-demo-pair"):
@@ -78,12 +77,15 @@ class ArmSpec:
             if self.arms is None:
                 raise ValueError("fixed-list requires an explicit arm array")
             arms = self.arms
+        elif self.arms is not None:
+            raise ValueError(f"{self.variant} draws its arms each round; got an arm array")
         else:
             return
         arms = np.array(arms, dtype=np.float64)
+        if arms.ndim != 2 or arms.shape[0] != self.K:
+            raise ValueError(f"{self.variant} needs a (K={self.K}, d) arm array, got {arms.shape}")
         arms.flags.writeable = False
         object.__setattr__(self, "arms", arms)
-        object.__setattr__(self, "fixed", DecisionSet(arms, norm_bound=self.norm_bound))
 
 
 def _check_sizes(M: int, T: int) -> None:
@@ -138,20 +140,15 @@ def gen_instance(
             S=S,
             L=L,
             R=R,
-            arm_spec=ArmSpec("bias-demo-pair", K=2, norm_bound=L),
+            arm_spec=ArmSpec("bias-demo-pair", K=2),
             noise_spec="rademacher-scaled",
             master_seed=seed,
         )
     if kind == "fixed-list":
         if arms is None:
             raise ValueError("fixed-list instance requires an arm array")
-        arms = np.asarray(arms, dtype=np.float64)
-        if arms.ndim != 2 or arms.shape[0] < 1:
-            raise ValueError("fixed-list arms must be a nonempty (K, d) array")
-        if not np.isfinite(arms).all():
-            raise ValueError("fixed-list arms must be finite")
-        d = arms.shape[1]
-        spec = ArmSpec("fixed-list", K=arms.shape[0], arms=arms, norm_bound=L)
+        spec = ArmSpec("fixed-list", K=len(arms), arms=arms)
+        d = spec.arms.shape[1]
     elif kind in ("random-sphere", "hypercube-corners"):
         if d is None or K is None:
             raise ValueError(f"{kind} requires d and K")
@@ -186,8 +183,8 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
 def _arm_block(seed: int, variant: str, K: int, d: int, L: float, block: int) -> np.ndarray:
     """Decision sets of the block's BLOCK rounds: a read-only (BLOCK, K, d) array.
 
-    Checked once here: every arm is finite and within L(1 + 1e-9), so the
-    rounds that serve its rows do not re-check them.
+    Checked once here against the arm rule, so the rounds that serve its rows
+    do not re-check them.
     """
     rng = _block_rng(seed, "arms", block)
     if variant == "random-sphere":
@@ -199,9 +196,7 @@ def _arm_block(seed: int, variant: str, K: int, d: int, L: float, block: int) ->
     else:  # hypercube-corners
         signs = rng.integers(0, 2, size=(BLOCK, K, d), dtype=np.int8) * 2 - 1
         arms = signs * (L / np.sqrt(d))
-    worst = float(_row_norms(arms).max())
-    if not worst <= L * (1.0 + 1e-9):  # also false for a nan or inf norm
-        raise ValueError(f"arm norm {worst} exceeds stated bound {L}")
+    check_arm_norm(float(_row_norms(arms).max()), L)
     arms.flags.writeable = False
     return arms
 
@@ -218,16 +213,19 @@ def _noise_block(seed: int, noise: str, block: int) -> np.ndarray:
     return unit
 
 
-def sample_decision_set(inst: ProblemInstance, t: int) -> DecisionSet:
-    """Decision set of round t; depends only on (master_seed, t). Its arms are read-only."""
+def sample_decision_set(inst: ProblemInstance, t: int) -> np.ndarray:
+    """Decision set of round t, a read-only float64 (K, d) array of arms.
+
+    It depends only on (master_seed, t); both fixed variants serve the same
+    array every round.
+    """
     if t < 1:
         raise ValueError("rounds are 1-based")
     spec: ArmSpec = inst.arm_spec
-    if spec.fixed is not None:
-        return spec.fixed
+    if spec.arms is not None:
+        return spec.arms
     block, row = divmod(t - 1, BLOCK)
-    arms = _arm_block(inst.master_seed, spec.variant, spec.K, inst.dim, inst.L, block)
-    return DecisionSet.prechecked(arms[row], inst.L)
+    return _arm_block(inst.master_seed, spec.variant, spec.K, inst.dim, inst.L, block)[row]
 
 
 def sample_reward(inst: ProblemInstance, t: int, x: np.ndarray) -> float:
@@ -241,8 +239,7 @@ def sample_reward(inst: ProblemInstance, t: int, x: np.ndarray) -> float:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (inst.dim,):
         raise ValueError(f"arm shape {x.shape} does not match dim {inst.dim}")
-    if float(np.linalg.norm(x)) > inst.L * (1.0 + 1e-9):
-        raise ValueError("arm norm exceeds L")
+    check_arm_norm(float(np.linalg.norm(x)), inst.L)
     block, row = divmod(t - 1, BLOCK)
     eta = inst.R * _noise_block(inst.master_seed, inst.noise_spec, block)[row]
     return float(x @ inst.theta_star) + float(eta)

@@ -24,7 +24,6 @@ from typing import Callable
 import numpy as np
 
 from .core import (
-    DecisionSet,
     DimensionMismatchError,
     HyperParams,
     SpdMatrix,
@@ -184,7 +183,7 @@ def sync(
 def step_agent(
     a: AgentState,
     s: ServerState,
-    d_set: DecisionSet,
+    d_set: np.ndarray,
     reward_fn: Callable[[int, np.ndarray], float],
     hp: HyperParams,
     beta: float,
@@ -193,8 +192,8 @@ def step_agent(
 ) -> tuple[AgentState, ServerState, int, float, CommEvent | None]:
     """One activation: select, observe, buffer, and sync when triggered.
 
-    Returns the new agent and server states, the chosen arm's index in
-    ``d_set``, the observed reward, and the sync's event (None without one).
+    Returns the new agent and server states, the chosen arm's row index in
+    the (K, d) ``d_set``, the observed reward, and the sync's event (None without one).
     Lazy mode scores arms with the stored (theta_hat, sigma); eager mode
     recombines (sigma + sigma_loc, b + b_loc) for selection, through a fresh
     factor of that sum, and leaves the stored state untouched.
@@ -205,7 +204,7 @@ def step_agent(
         idx = ucb_select(theta, a.combined, beta, d_set)
     else:
         idx = ucb_select(a.theta_hat, a.sigma, beta, d_set)
-    x = d_set.arms[idx]
+    x = d_set[idx]
     r = reward_fn(round_, x)
     a = local_update(a, x, r)
     event = None

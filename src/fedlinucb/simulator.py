@@ -19,10 +19,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    DecisionSet,
     HyperParams,
     ProblemInstance,
+    check_ridge_domain,
     compute_beta,
+    epoch_comm_cap,
     theoretical_comm_bound,
 )
 from .environment import Schedule, sample_decision_set, sample_reward
@@ -75,6 +76,11 @@ class SimulationTrace:
     final_agents: list[AgentState] = field(default_factory=list, repr=False)
     final_server: ServerState | None = field(default=None, repr=False)
 
+    @property
+    def total_regret(self) -> float:
+        """Regret accumulated through the last round; 0.0 on an empty trace."""
+        return float(self.cum_regret[-1]) if len(self.cum_regret) else 0.0
+
 
 def _params_echo(inst: ProblemInstance, hp: HyperParams, M: int, T: int, descriptor: str) -> dict:
     return {
@@ -97,13 +103,13 @@ def _params_echo(inst: ProblemInstance, hp: HyperParams, M: int, T: int, descrip
     }
 
 
-def index_regret(inst: ProblemInstance, d_set: DecisionSet, idx: int) -> float:
-    """Best mean reward in the set minus that of arm ``idx``.
+def index_regret(inst: ProblemInstance, d_set: np.ndarray, idx: int) -> float:
+    """Best mean reward in the (K, d) decision set minus that of its arm ``idx``.
 
     Max and chosen entry come from the same dot-product array, so the result
     is exactly nonnegative and exactly zero for the best arm.
     """
-    values = d_set.arms @ inst.theta_star
+    values = d_set @ inst.theta_star
     return float(values.max() - values[idx])
 
 
@@ -157,7 +163,7 @@ def _assert_comm_bounds(trace: SimulationTrace, hp: HyperParams, M: int, bound: 
         raise CommBoundError(
             f"comm_count {trace.comm_count} exceeds deterministic cap {bound:.6f}"
         )
-    per_epoch_cap = 2.0 * (M + 1.0 / hp.alpha)
+    per_epoch_cap = epoch_comm_cap(M, hp.alpha)
     for count, (i, tau) in zip(_comm_per_epoch(trace), trace.epoch_starts):
         if count > per_epoch_cap:
             raise CommBoundError(
@@ -202,7 +208,7 @@ def _drive(
             agents[m - 1], servers[j], d_set, reward_fn, hp, betas[m - 1], t, debug=debug
         )
         arm_index[k] = idx
-        arms[k] = d_set.arms[idx]
+        arms[k] = d_set[idx]
         reward[k] = r
         inst_regret[k] = index_regret(inst, d_set, idx)
         if event is not None and not private:
@@ -250,8 +256,9 @@ def run_fedlinucb(
     """
     M, T = schedule.M, schedule.T
     beta = _resolve_beta(inst, hp, M, T)
-    # Evaluated before the run, so a cap that is not finite is refused up front.
+    # Evaluated before the run, so a non-finite cap or an unresolvable ridge is refused up front.
     cap = theoretical_comm_bound(inst.dim, M, hp.alpha, hp.lam, inst.L, T)
+    check_ridge_domain(inst.dim, hp.lam, inst.L, T)
     trace = _drive(inst, hp, schedule.agents, [beta] * M, False, beta,
                    _params_echo(inst, hp, M, T, schedule.descriptor), debug)
     trace.epoch_starts = epoch_boundaries(trace, hp.lam, inst.dim)

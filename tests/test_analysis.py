@@ -10,7 +10,6 @@ import fedlinucb
 import fedlinucb.analysis as analysis
 import fedlinucb.core as core
 from fedlinucb import (
-    DecisionSet,
     HyperParams,
     NumericalDomainError,
     SimulationTrace,
@@ -53,6 +52,8 @@ def test_public_surface_matches_package():
     defined = {name for name in analysis.__all__
                if getattr(analysis, name).__module__ == analysis.__name__}
     assert reexported == defined
+    # Decision sets are plain (K, d) arrays; no wrapper type is exported.
+    assert not hasattr(fedlinucb, "DecisionSet")
 
 
 # ---------------------------------------------------------------- regret lookup
@@ -61,28 +62,28 @@ def test_public_surface_matches_package():
 def test_instantaneous_regret_exact_member():
     inst = gen_instance("fixed-list", arms=np.array([[1.0, 0.0], [0.0, 1.0]]),
                         S=1.0, seed=0)
-    d_set = DecisionSet(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    values = d_set.arms @ inst.theta_star
+    d_set = np.array([[1.0, 0.0], [0.0, 1.0]])
+    values = d_set @ inst.theta_star
     worse = int(np.argmin(values))
-    assert instantaneous_regret(inst, d_set, d_set.arms[worse]) == pytest.approx(
+    assert instantaneous_regret(inst, d_set, d_set[worse]) == pytest.approx(
         float(values.max() - values.min()), rel=1e-15
     )
     best = int(np.argmax(values))
-    assert instantaneous_regret(inst, d_set, d_set.arms[best]) == 0.0
+    assert instantaneous_regret(inst, d_set, d_set[best]) == 0.0
 
 
 def test_instantaneous_regret_tolerates_tiny_representation_drift():
     inst = gen_instance("fixed-list", arms=np.array([[0.5, 0.0], [0.0, 0.5]]), seed=3)
-    d_set = DecisionSet(np.array([[0.5, 0.0], [0.0, 0.5]]))
-    nudged = d_set.arms[1] * (1.0 + 1e-14)
+    d_set = np.array([[0.5, 0.0], [0.0, 0.5]])
+    nudged = d_set[1] * (1.0 + 1e-14)
     got = instantaneous_regret(inst, d_set, nudged)
-    want = instantaneous_regret(inst, d_set, d_set.arms[1])
+    want = instantaneous_regret(inst, d_set, d_set[1])
     assert got == want
 
 
 def test_instantaneous_regret_rejects_foreign_arm():
     inst = gen_instance("fixed-list", arms=np.array([[0.5, 0.0]]), seed=0)
-    d_set = DecisionSet(np.array([[0.5, 0.0]]))
+    d_set = np.array([[0.5, 0.0]])
     with pytest.raises(ValueError):
         instantaneous_regret(inst, d_set, np.array([0.4, 0.0]))
 

@@ -304,6 +304,47 @@ def test_huge_S_is_a_config_error_without_overflow(tmp_path, capsys):
     assert not out.exists()
 
 
+def _floor_config(tmp_path):
+    # Three arms of norm L = 100 in d = 8: the pooled covariance keeps
+    # eigenvalue lambda = 1 exactly in five directions, and its rounding at
+    # trace T*L^2 = 1e7 puts eigvalsh about 2e-9 below it.
+    arms = np.random.default_rng(0).standard_normal((3, 8))
+    arms *= 100.0 / np.linalg.norm(arms, axis=1, keepdims=True)
+    arms_file = tmp_path / "arms.txt"
+    arms_file.write_text("\n".join(" ".join(repr(v) for v in row) for row in arms.tolist()))
+    return {
+        "instance": {"kind": "fixed-list", "arms_file": str(arms_file), "L": 100.0},
+        "schedule": {"kind": "round-robin", "M": 2, "T": 1000},
+        "params": {"lambda": 1.0, "alpha": 0.25},
+    }
+
+
+def _extreme(section, key, value):
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg[section][key] = value
+    return cfg
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+@pytest.mark.parametrize("case", ["floor", "lambda 1e-300", "L 1e150"])
+def test_ridge_floor_decided_within_rounding(tmp_path, capsys, command, case):
+    # A floor shortfall inside the covariance's own rounding is accepted; a
+    # ridge that rounding swamps is refused before the run, as a config error.
+    cfg = {"floor": lambda: _floor_config(tmp_path),
+           "lambda 1e-300": lambda: _extreme("params", "lambda", 1e-300),
+           "L 1e150": lambda: _extreme("instance", "L", 1e150)}[case]()
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    if case == "floor":
+        assert rc == 0, err
+    else:
+        assert rc == 2 and "config error" in err and "rounding" in err, err
+        assert not out.exists()
+
+
 BAD_VALUES = [math.nan, math.inf, -math.inf, 0, -1, 2.5, "x", None, True]
 PROPERTY_FIELDS = (
     [("instance", k) for k in ("kind", "d", "K", "S", "L", "R", "seed", "noise")]

@@ -11,19 +11,20 @@ import pytest
 
 import fedlinucb.core as core
 from fedlinucb import (
-    DecisionSet,
     DimensionMismatchError,
     HyperParams,
     NumericalDomainError,
     ProblemInstance,
     SpdMatrix,
     compute_beta,
+    gen_instance,
     inv_norm,
     solve_estimate,
     theoretical_comm_bound,
     theoretical_regret_bound,
     ucb_select,
 )
+from fedlinucb.core import check_arm_norm
 
 
 def make_instance(d=2, S=1.0, L=1.0, R=1.0):
@@ -124,6 +125,17 @@ def test_spd_floor_edge_decided_by_eigvalsh():
     rot = np.array([[0.6, -0.8], [0.8, 0.6]])
     m = SpdMatrix.from_dense(rot @ np.diag([3.0, 5.0]) @ rot.T, min_eig=1.0)
     assert m.min_eig == 1.0
+
+
+def test_spd_floor_shortfall_within_rounding():
+    # At trace 1e7 the rounding margin 8 d eps tr (3.6e-8 here) outgrows the
+    # fixed 1e-9 tolerance: a 1e-8 shortfall is accepted, a 1e-7 one is not.
+    SpdMatrix.from_dense(np.diag([1.0 - 1e-8, 1e7]), min_eig=1.0)
+    with pytest.raises(NumericalDomainError, match="below stated floor"):
+        SpdMatrix.from_dense(np.diag([1.0 - 1e-7, 1e7]), min_eig=1.0)
+    # A floor no larger than the margin cannot be decided in double.
+    with pytest.raises(NumericalDomainError, match="rounding"):
+        SpdMatrix.from_dense(np.diag([1e20, 1e20]), min_eig=1e-6)
 
 
 def test_spd_rejects_non_square():
@@ -388,33 +400,33 @@ def test_bound_formulas_refuse_non_finite_results():
 
 
 def test_ucb_select_optimism_prefers_long_arm():
-    arms = DecisionSet(np.array([[3.0, 0.0], [0.0, 1.0 / math.sqrt(10.0)]]))
+    arms = np.array([[3.0, 0.0], [0.0, 1.0 / math.sqrt(10.0)]])
     eye = SpdMatrix.from_dense(np.eye(2))
     # scores 1.5 vs 0.15811 at beta = 0.5
     assert ucb_select(np.zeros(2), eye, 0.5, arms) == 0
 
 
 def test_ucb_select_singleton():
-    arms = DecisionSet(np.array([[0.2, 0.1, 0.0]]))
+    arms = np.array([[0.2, 0.1, 0.0]])
     assert ucb_select(np.zeros(3), SpdMatrix.from_dense(np.eye(3)), 1.0, arms) == 0
 
 
 def test_ucb_select_estimate_flips_choice():
     # After one observed -1 on the long arm (eager statistics), the short arm
     # wins: scores -0.42566 vs 0.15811.
-    arms = DecisionSet(np.array([[3.0, 0.0], [0.0, 1.0 / math.sqrt(10.0)]]))
+    arms = np.array([[3.0, 0.0], [0.0, 1.0 / math.sqrt(10.0)]])
     m = SpdMatrix.from_dense(np.diag([10.0, 1.0]))
     theta = np.array([-0.3, 0.0])
     assert ucb_select(theta, m, 0.5, arms) == 1
-    scores = arms.arms @ theta + 0.5 * np.array(
-        [inv_norm(m, a) for a in arms.arms]
+    scores = arms @ theta + 0.5 * np.array(
+        [inv_norm(m, a) for a in arms]
     )
     assert scores[0] == pytest.approx(-0.9 + 1.5 / math.sqrt(10.0), rel=1e-12)
     assert scores[1] == pytest.approx(0.5 / math.sqrt(10.0), rel=1e-12)
 
 
 def test_ucb_select_tie_breaks_low_index():
-    arms = DecisionSet(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+    arms = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     assert ucb_select(np.zeros(2), SpdMatrix.from_dense(np.eye(2)), 1.0, arms) == 0
 
 
@@ -427,25 +439,35 @@ def test_ucb_select_invariant_to_appended_duplicates():
         m = SpdMatrix.from_dense(random_spd(rng, d))
         theta = rng.standard_normal(d)
         beta = float(rng.uniform(0.0, 3.0))
-        base = ucb_select(theta, m, beta, DecisionSet(arms))
+        base = ucb_select(theta, m, beta, arms)
         extended = np.vstack([arms, arms[rng.integers(0, k, size=3)]])
-        assert ucb_select(theta, m, beta, DecisionSet(extended)) == base
+        assert ucb_select(theta, m, beta, extended) == base
 
 
 def test_ucb_select_rejects_mismatched_shapes():
-    arms = DecisionSet(np.ones((2, 3)))
+    arms = np.ones((2, 3))
     with pytest.raises(DimensionMismatchError):
         ucb_select(np.zeros(2), SpdMatrix.from_dense(np.eye(2)), 1.0, arms)
 
 
 def test_decision_set_validation():
-    with pytest.raises(ValueError):
-        DecisionSet(np.zeros((0, 2)))
+    # ucb_select takes the (K, d) array itself: it needs 2-D and one arm.
+    eye = SpdMatrix.from_dense(np.eye(2))
+    with pytest.raises(ValueError, match="at least one arm"):
+        ucb_select(np.zeros(2), eye, 1.0, np.zeros((0, 2)))
     with pytest.raises(DimensionMismatchError):
-        DecisionSet(np.zeros(3))
+        ucb_select(np.zeros(2), eye, 1.0, np.zeros(2))
+    # The arm rule, at its edge, and as a fixed-list instance applies it.
+    with pytest.raises(ValueError, match="exceeds stated bound 1.0"):
+        check_arm_norm(3.0, 1.0)
     with pytest.raises(ValueError):
-        DecisionSet(np.array([[3.0, 0.0]]), norm_bound=1.0)
-    DecisionSet(np.array([[1.0, 0.0]]), norm_bound=1.0)
+        gen_instance("fixed-list", arms=np.array([[3.0, 0.0]]), L=1.0)
+    check_arm_norm(1.0, 1.0)
+    check_arm_norm(1.0 + 1e-9, 1.0)
+    for bad in (1.0 + 2e-9, math.nan, math.inf):
+        with pytest.raises(ValueError, match="exceeds stated bound"):
+            check_arm_norm(bad, 1.0)
+    gen_instance("fixed-list", arms=np.array([[1.0, 0.0]]), L=1.0)
 
 
 # ---------------------------------------------------------------- instance / params

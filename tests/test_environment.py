@@ -10,7 +10,10 @@ import numpy as np
 import pytest
 
 from fedlinucb import (
+    ArmSpec,
+    DimensionMismatchError,
     HyperParams,
+    ProblemInstance,
     Schedule,
     gen_instance,
     gen_schedule,
@@ -47,7 +50,7 @@ def test_bias_demo_instance_shape():
     assert np.array_equal(inst.theta_star, np.zeros(2))
     assert inst.noise_spec == "rademacher-scaled"
     assert inst.L == 3.0  # widened to admit the long arm
-    arms = sample_decision_set(inst, 1).arms
+    arms = sample_decision_set(inst, 1)
     assert np.array_equal(arms[0], [3.0, 0.0])
     assert arms[1] == pytest.approx([0.0, 1.0 / math.sqrt(10.0)], rel=1e-15)
 
@@ -57,7 +60,7 @@ def test_fixed_list_instance():
     inst = gen_instance("fixed-list", arms=arms, seed=1)
     assert inst.dim == 2
     for t in (1, 2, 77):
-        assert np.array_equal(sample_decision_set(inst, t).arms, arms)
+        assert np.array_equal(sample_decision_set(inst, t), arms)
     with pytest.raises(ValueError):
         gen_instance("fixed-list", arms=np.array([[3.0, 0.0]]), L=1.0)
     with pytest.raises(ValueError):
@@ -80,7 +83,7 @@ def test_unknown_kind_rejected():
 def test_sphere_arms_fill_the_ball():
     inst = gen_instance("random-sphere", d=3, K=50, L=2.0, seed=5)
     norms = np.concatenate(
-        [np.linalg.norm(sample_decision_set(inst, t).arms, axis=1) for t in range(1, 21)]
+        [np.linalg.norm(sample_decision_set(inst, t), axis=1) for t in range(1, 21)]
     )
     assert norms.max() <= 2.0 * (1 + 1e-12)
     # Uniform-in-ball, not on the shell: plenty of interior mass.
@@ -89,20 +92,20 @@ def test_sphere_arms_fill_the_ball():
 
 def test_corner_arms_have_exact_coordinates():
     inst = gen_instance("hypercube-corners", d=4, K=8, L=1.0, seed=6)
-    arms = sample_decision_set(inst, 3).arms
+    arms = sample_decision_set(inst, 3)
     assert np.allclose(np.abs(arms), 1.0 / math.sqrt(4.0))
     assert np.allclose(np.linalg.norm(arms, axis=1), 1.0)
 
 
 def test_decision_set_keyed_by_round_only():
     inst = gen_instance("random-sphere", d=3, K=4, seed=12)
-    direct = sample_decision_set(inst, 9).arms
+    direct = sample_decision_set(inst, 9)
     # Interleave other rounds; round 9 must not care.
     for t in (3, 1, 9, 2, 9):
-        got = sample_decision_set(inst, t).arms
+        got = sample_decision_set(inst, t)
         if t == 9:
             assert np.array_equal(got, direct)
-    assert not np.array_equal(sample_decision_set(inst, 10).arms, direct)
+    assert not np.array_equal(sample_decision_set(inst, 10), direct)
 
 
 def test_rounds_are_one_based():
@@ -127,9 +130,9 @@ def test_block_edges_serve_the_run_trace_arms(kind):
     trace = run_fedlinucb(inst, gen_schedule("iid-uniform", M=3, T=T, seed=2), _fixed_beta())
     for t in (1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, T):
         environment._arm_block.cache_clear()  # redraw the block from its key
-        arms = sample_decision_set(inst, t).arms
+        arms = sample_decision_set(inst, t)
         assert np.array_equal(arms[trace.arm_index[t - 1]], trace.arms[t - 1])
-        assert not np.array_equal(arms, sample_decision_set(inst, t + 1).arms)
+        assert not np.array_equal(arms, sample_decision_set(inst, t + 1))
 
 
 def test_shorter_run_is_a_prefix_of_the_longer():
@@ -145,7 +148,7 @@ def test_shorter_run_is_a_prefix_of_the_longer():
 @pytest.mark.parametrize("d, L", [(1, 1.0), (5, 2.5), (32, 1e-3)])
 def test_generated_arms_within_L_across_blocks(kind, d, L):
     inst = gen_instance(kind, d=d, K=7, L=L, seed=3)
-    norms = np.concatenate([np.linalg.norm(sample_decision_set(inst, t).arms, axis=1)
+    norms = np.concatenate([np.linalg.norm(sample_decision_set(inst, t), axis=1)
                             for t in range(1, 3 * BLOCK + 2)])
     assert norms.size == 7 * (3 * BLOCK + 1)
     assert np.isfinite(norms).all()
@@ -155,17 +158,53 @@ def test_generated_arms_within_L_across_blocks(kind, d, L):
 @pytest.mark.parametrize("inst", [
     gen_instance("random-sphere", d=3, K=4, seed=1),
     gen_instance("hypercube-corners", d=3, K=4, seed=1),
-    gen_instance("fixed-list", arms=np.array([[0.6, 0.0], [0.0, 0.8]]), seed=1),
+    gen_instance("fixed-list", arms=np.array([[0.6, 0.0], [0.0, 0.8], [0.1, 0.1]]), seed=1),
     gen_instance("bias-demo", seed=1),
 ], ids=["random-sphere", "hypercube-corners", "fixed-list", "bias-demo"])
 def test_served_arms_are_read_only(inst):
     d_set = sample_decision_set(inst, 5)
-    before = d_set.arms.copy()
+    before = d_set.copy()
     with pytest.raises(ValueError):
-        d_set.arms[0, 0] = 0.0
+        d_set[0, 0] = 0.0
     with pytest.raises(ValueError):
-        d_set.arms[1] *= 2.0
-    assert np.array_equal(sample_decision_set(inst, 5).arms, before)
+        d_set[1] *= 2.0
+    assert np.array_equal(sample_decision_set(inst, 5), before)
+    # A decision set is the plain read-only float64 (K, d) array, in every block.
+    for t in (5, BLOCK + 3):
+        arms = sample_decision_set(inst, t)
+        assert type(arms) is np.ndarray and arms.dtype == np.float64
+        assert arms.shape == (inst.arm_spec.K, inst.dim) and not arms.flags.writeable
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_arms_are_refused(bad):
+    arms = np.array([[bad, 0.0], [0.1, 0.2]])
+    with pytest.raises(ValueError, match="exceeds stated bound"):
+        gen_instance("fixed-list", arms=arms)
+    spec = ArmSpec("fixed-list", K=2, arms=arms)
+    with pytest.raises(ValueError, match="exceeds stated bound"):
+        ProblemInstance(dim=2, theta_star=np.zeros(2), S=1.0, L=1.0, R=1.0, arm_spec=spec,
+                        noise_spec="gaussian", master_seed=0)
+    inst = gen_instance("random-sphere", d=2, K=2, seed=0)
+    with pytest.raises(ValueError, match="exceeds stated bound"):
+        sample_reward(inst, 1, np.array([bad, 0.0]))
+
+
+def test_fixed_arms_checked_against_instance_dim():
+    spec = ArmSpec("fixed-list", K=2, arms=[[0.6, 0.0], [0.0, 0.8]])
+    with pytest.raises(DimensionMismatchError):
+        ProblemInstance(dim=3, theta_star=np.zeros(3), S=1.0, L=1.0, R=1.0, arm_spec=spec,
+                        noise_spec="gaussian", master_seed=0)
+
+
+def test_arm_spec_k_must_match_its_arms():
+    with pytest.raises(ValueError, match="K=5"):
+        ArmSpec("fixed-list", K=5, arms=np.array([[0.6, 0.0], [0.0, 0.8]]))
+    with pytest.raises(ValueError, match="K=7"):
+        ArmSpec("bias-demo-pair", K=7)
+    with pytest.raises(ValueError, match="draws its arms"):
+        ArmSpec("random-sphere", K=2, arms=np.array([[0.6, 0.0], [0.0, 0.8]]))
+    assert ArmSpec("bias-demo-pair", K=2).arms.shape == (2, 2)
 
 
 def test_fixed_sets_are_built_once():

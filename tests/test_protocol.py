@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedlinucb import (
-    DecisionSet,
     HyperParams,
     init_agent,
     init_server,
@@ -239,9 +238,7 @@ def test_sync_debug_carries_payload():
 
 
 def bias_pair():
-    return DecisionSet(
-        np.array([[3.0, 0.0], [0.0, 1.0 / math.sqrt(10.0)]]), norm_bound=3.0
-    )
+    return np.array([[3.0, 0.0], [0.0, 1.0 / math.sqrt(10.0)]])
 
 
 def test_step_selects_buffers_and_syncs():

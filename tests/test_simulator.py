@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from fedlinucb import (
     HyperParams,
+    NumericalDomainError,
     SimulationTrace,
     compute_beta,
     gen_instance,
@@ -63,7 +64,7 @@ def reference_federated(inst, schedule, lam, alpha, beta, log_space=False, priva
     for t in range(1, schedule.T + 1):
         m = int(schedule.agents[t - 1])
         j = m if private else 0
-        arms = sample_decision_set(inst, t).arms
+        arms = sample_decision_set(inst, t)
         inv = np.linalg.inv(sigma[m])
         widths = np.sqrt(np.clip(np.einsum("kd,dk->k", arms, inv @ arms.T), 0.0, None))
         idx = int(np.argmax(arms @ theta[m] + (beta[m] if private else beta) * widths))
@@ -349,6 +350,16 @@ def test_non_finite_comm_cap_is_refused_before_the_run(monkeypatch):
         run_fedlinucb(inst, sched, hp)
 
 
+def test_unresolvable_ridge_is_refused_before_the_run(monkeypatch):
+    # At lambda = 1e-300 the rounding of a 40-round covariance swamps the ridge.
+    inst = small_instance(seed=1)
+    sched = gen_schedule("round-robin", M=2, T=40)
+    hp = HyperParams(lam=1e-300, alpha=0.25, delta=0.1, beta_mode="fixed", beta_value=1.0)
+    monkeypatch.setattr("fedlinucb.simulator._drive", lambda *a: pytest.fail("the run started"))
+    with pytest.raises(NumericalDomainError, match="rounding"):
+        run_fedlinucb(inst, sched, hp)
+
+
 # ---------------------------------------------------------------- baseline
 
 
@@ -418,7 +429,7 @@ def test_inst_regret_is_the_index_formula():
         d_set = sample_decision_set(inst, t)
         assert trace.inst_regret[k] == index_regret(inst, d_set, int(trace.arm_index[k]))
         assert trace.inst_regret[k] == instantaneous_regret(inst, d_set, trace.arms[k])
-        best = int(np.argmax(d_set.arms @ inst.theta_star))
+        best = int(np.argmax(d_set @ inst.theta_star))
         assert index_regret(inst, d_set, best) == 0.0
 
 
