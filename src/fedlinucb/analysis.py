@@ -26,6 +26,7 @@ from .core import (
     eigs_surely_above,
     epoch_comm_cap,
     inv_norm,
+    logdet_rounding,
     solve_estimate,
     theoretical_comm_bound,
     theoretical_regret_bound,
@@ -117,10 +118,11 @@ class _Replay:
         m = self.m = self._agents[k]
         x = self.x = self.trace.arms[k]
         r = self.r = self._rewards[k]
-        self.sigma_all = self.sigma_all + np.outer(x, x)
+        xx = np.outer(x, x)
+        self.sigma_all = self.sigma_all + xx
         self.b_all = self.b_all + r * x
         self._pooled = None
-        self.sigma_loc[m] = self.sigma_loc[m] + np.outer(x, x)
+        self.sigma_loc[m] = self.sigma_loc[m] + xx
         self.b_loc[m] = self.b_loc[m] + r * x
         event = self.events_by_round.get(self._rounds[k])
         self.synced = event is not None and event.agent == m
@@ -143,7 +145,7 @@ class _Replay:
 
     def pooled(self) -> SpdMatrix:
         if self._pooled is None:
-            self._pooled = SpdMatrix.from_dense(self.sigma_all, min_eig=self.lam)
+            self._pooled = SpdMatrix._factor(self.sigma_all, min_eig=self.lam)
         return self._pooled
 
 
@@ -287,7 +289,7 @@ class _Coverage:
         if not _weighted_norm(sigma_all, self.theta - theta_all) <= self.global_bound:
             self.global_viol += 1
         if event is not None:
-            sigma_m = SpdMatrix.from_dense(rep.synced_sigma[rep.m], min_eig=self.lam)
+            sigma_m = SpdMatrix._factor(rep.synced_sigma[rep.m], min_eig=self.lam)
             theta_m = solve_estimate(sigma_m, rep.synced_b[rep.m])
             self.n_local += 1
             if not _weighted_norm(sigma_m, self.theta - theta_m) <= self.beta:
@@ -507,17 +509,21 @@ def _trace_consistency_check(trace: SimulationTrace) -> BoundReport:
 
 
 def _sync_criterion_check(trace: SimulationTrace, alpha: float) -> BoundReport:
+    """Every sync's fresh-factor gain ``logdet_after - logdet_before`` exceeds
+    ``log1p(alpha)``, up to the rounding of the two log-determinants."""
+    p = trace.params
+    tol = logdet_rounding(int(p["d"]), float(p["lambda"]), float(p["L"]), int(p["T"]))
     violations = 0
     worst_margin = math.inf
     for ev in trace.events:
         margin = ev.logdet_after - ev.logdet_before - math.log1p(alpha)
         worst_margin = min(worst_margin, margin)
-        if margin <= 0.0:
+        if margin < -tol:
             violations += 1
     return BoundReport(
         "sync-criterion-events", float(violations), 0.0, violations == 0, -float(violations),
         {"worst_margin": None if math.isinf(worst_margin) else worst_margin,
-         "events": len(trace.events)},
+         "events": len(trace.events), "tolerance": tol},
     )
 
 

@@ -3,7 +3,8 @@
 Everything downstream (protocol state machine, simulator, analysis) goes
 through the small set of primitives defined here: a validated SPD matrix
 wrapper with a cached Cholesky handle, log-determinant / inverse-norm / ridge
-solves on that wrapper (straight through LAPACK ``dpotrs``), the
+solves on that wrapper (straight through LAPACK ``dpotrs``), the Cholesky
+screen that spares ``eigvalsh`` (LAPACK ``dpotrf``), the
 confidence-radius and bound formulas, and the optimistic arm-selection rule.
 """
 
@@ -48,7 +49,8 @@ def _load_flapack() -> Any:
     return module
 
 
-dpotrs = _load_flapack().dpotrs
+_flapack = _load_flapack()
+dpotrs, dpotrf = _flapack.dpotrs, _flapack.dpotrf
 
 Vector = NDArray[np.float64]
 Matrix = NDArray[np.float64]
@@ -73,13 +75,16 @@ class SpdMatrix:
     Construct through :meth:`from_dense`, which rejects non-finite entries,
     validates symmetry, runs a fresh Cholesky factorization, and (when a
     positive spectral floor is stated) verifies every eigenvalue sits above
-    it.  Instances are treated as immutable; covariance updates build new
-    objects.
+    it.  The package's own covariances, ``lam I`` plus sums of ``x x^T``, are
+    factored by the internal :meth:`_factor`, which runs the same Cholesky
+    and floor check and trusts the rest.  Instances are treated as
+    immutable; covariance updates build new objects.
 
     Attributes
     ----------
     mat:
-        The dense matrix, owned copy, never mutated.
+        The dense matrix, never mutated: an owned copy from :meth:`from_dense`,
+        or the array given to :meth:`_factor`, which its caller never mutates.
     chol:
         Lower-triangular Cholesky factor ``L`` with ``L @ L.T == mat``.
     min_eig:
@@ -107,29 +112,24 @@ class SpdMatrix:
             raise NumericalDomainError("matrix has a non-finite entry")
         if float(np.abs(m - m.T).max(initial=0.0)) > SYMMETRY_RTOL * max(scale, 1.0):
             raise NumericalDomainError("matrix is not symmetric within tolerance")
-        try:
-            chol = np.linalg.cholesky(m)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalDomainError(f"matrix is not positive definite: {exc}") from exc
+        chol = _cholesky(m)
         recon_err = float(np.abs(chol @ chol.T - m).max(initial=0.0))
         if recon_err > FACTOR_RTOL * max(scale, 1.0):
             raise NumericalDomainError("factorization failed to reproduce the matrix")
-        if min_eig > 0.0:
-            # A factored matrix has a positive diagonal: its trace is tr|m|.
-            margin = floor_margin(m.shape[0], float(m.trace()), min_eig)
-            if not margin < min_eig:
-                raise NumericalDomainError(
-                    f"stated floor {min_eig} is not above this matrix's rounding {margin:.6g}"
-                )
-            # A shortfall inside the matrix's own rounding is no violation.
-            floor = min(min_eig * (1.0 - 1e-9) - 1e-12, min_eig - margin)
-            if not eigs_surely_above(m, floor):
-                smallest = float(np.linalg.eigvalsh(m)[0])
-                if smallest < floor:
-                    raise NumericalDomainError(
-                        f"smallest eigenvalue {smallest} below stated floor {min_eig}"
-                    )
+        _check_floor(m, min_eig)
         return cls(mat=m, chol=chol, min_eig=float(min_eig))
+
+    @classmethod
+    def _factor(cls, mat: Matrix, min_eig: float = 0.0) -> "SpdMatrix":
+        """:meth:`from_dense` for a float64 ``lam I + sum x x^T`` the package built and
+        never mutates: no copy, and only the Cholesky, last-pivot and floor checks
+        (the sum is exactly symmetric, and a backward-stable Cholesky reproduces it)."""
+        chol = _cholesky(mat)
+        # LAPACK does not reject NaN pivots; a NaN anywhere reaches the last one.
+        if not math.isfinite(chol[-1, -1]):
+            raise NumericalDomainError("matrix is not positive definite: non-finite pivot")
+        _check_floor(mat, min_eig)
+        return cls(mat=mat, chol=chol, min_eig=float(min_eig))
 
     @property
     def dim(self) -> int:
@@ -147,11 +147,46 @@ class SpdMatrix:
             return float(np.prod(np.diag(self.chol)) ** 2)
 
 
+def _cholesky(m: Matrix) -> Matrix:
+    """numpy's lower Cholesky factor of ``m``; NumericalDomainError where it fails."""
+    try:
+        return np.linalg.cholesky(m)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalDomainError(f"matrix is not positive definite: {exc}") from exc
+
+
+def _check_floor(m: Matrix, min_eig: float) -> None:
+    """NumericalDomainError unless a positive ``min_eig`` is, within rounding, a
+    floor under the eigenvalues of the factored matrix ``m``."""
+    if min_eig > 0.0:
+        # A factored matrix has a positive diagonal: its trace is tr|m|.
+        margin = floor_margin(m.shape[0], float(m.trace()), min_eig)
+        if not margin < min_eig:
+            raise NumericalDomainError(
+                f"stated floor {min_eig} is not above this matrix's rounding {margin:.6g}"
+            )
+        # A shortfall inside the matrix's own rounding is no violation.
+        floor = min(min_eig * (1.0 - 1e-9) - 1e-12, min_eig - margin)
+        if not eigs_surely_above(m, floor):
+            smallest = float(np.linalg.eigvalsh(m)[0])
+            if smallest < floor:
+                raise NumericalDomainError(
+                    f"smallest eigenvalue {smallest} below stated floor {min_eig}"
+                )
+
+
 def floor_margin(d: int, trace: float, floor: float) -> float:
     """``8 d eps (trace + d |floor|)``: above the rounding of a factorization of a
     d x d matrix of absolute trace ``trace`` shifted by ``floor``, and of its
     ``eigvalsh`` (each a small multiple of d eps ||mat||)."""
     return 8.0 * d * np.finfo(np.float64).eps * (trace + d * abs(floor))
+
+
+def logdet_rounding(d: int, lam: float, L: float, T: int) -> float:
+    """Bound on the rounding of a difference of two log-determinants of T-round
+    covariances: each is within ``d m / lam``, with ``m`` the :func:`floor_margin`
+    at the worst-case trace ``d lam + T L^2``."""
+    return 2.0 * d * floor_margin(d, d * lam + T * L * L, lam) / lam
 
 
 def check_ridge_domain(d: int, lam: float, L: float, T: int) -> None:
@@ -168,18 +203,17 @@ def eigs_surely_above(mat: Matrix, floor: float) -> bool:
 
     Factors ``mat - (floor + margin) I`` with the :func:`floor_margin` of
     ``mat``, so True means ``eigvalsh`` could not come out below the floor
-    and may be skipped; False decides nothing.
+    and may be skipped; False decides nothing.  Any backward-stable Cholesky
+    proves this, so the screen runs the bound LAPACK ``dpotrf`` on a Fortran
+    copy and reads the lower triangle, the one ``eigvalsh`` reads.
     """
     d = mat.shape[0]
-    margin = floor_margin(d, np.abs(np.diagonal(mat)).sum(), floor)
-    shifted = mat.copy()
-    shifted.flat[:: d + 1] -= floor + margin
-    try:
-        factor = np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        return False
+    shifted = np.array(mat, dtype=np.float64, order="F")
+    diag = shifted.ravel("K")[:: d + 1]  # a view: ravel("K") of a Fortran array copies nothing
+    diag -= floor + floor_margin(d, float(np.abs(diag).sum()), floor)
+    factor, info = dpotrf(shifted, lower=1, clean=0, overwrite_a=1)
     # LAPACK does not reject NaN pivots; a NaN anywhere reaches the last one.
-    return math.isfinite(factor[-1, -1])
+    return info == 0 and math.isfinite(factor[-1, -1])
 
 
 def _chol_solve(chol: Matrix, b: Any) -> NDArray[np.float64]:

@@ -58,7 +58,7 @@ class AgentState:
         is buffered): the sync's ``logdet_after`` and the eager selection matrix."""
         if not self.sigma_loc.any():
             return self.sigma
-        return SpdMatrix.from_dense(self.sigma.mat + self.sigma_loc)
+        return SpdMatrix._factor(self.sigma.mat + self.sigma_loc)
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,7 +77,7 @@ class CommEvent:
     ``logdet_before`` and ``logdet_after`` are the natural log-determinants of
     the uploader's synced covariance and of it plus the uploaded buffer, each
     from a fresh factorization; the sync-criterion check verifies that their
-    difference exceeds ``log1p(alpha)``.
+    difference exceeds ``log1p(alpha)``, up to the rounding of the two.
     """
 
     round: int
@@ -152,9 +152,7 @@ def sync(
     """
     logdet_before = a.sigma.logdet
     logdet_after = a.combined.logdet
-    new_sigma = SpdMatrix.from_dense(
-        s.sigma_ser.mat + a.sigma_loc, min_eig=s.sigma_ser.min_eig
-    )
+    new_sigma = SpdMatrix._factor(s.sigma_ser.mat + a.sigma_loc, min_eig=s.sigma_ser.min_eig)
     new_b = s.b_ser + a.b_loc
     event = CommEvent(
         round=round_,

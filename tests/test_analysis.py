@@ -358,6 +358,54 @@ def test_suite_raises_when_the_pooled_floor_breaks():
         run_invariant_suite(dataclasses.replace(trace, arms=arms), inst, hp)
 
 
+def test_suite_checks_the_pooled_floor_on_a_factorable_matrix():
+    # The pooled covariance here factors (two orthogonal arms), but at trace
+    # 1.8e10 its rounding swamps lambda = 1e-6: the floor block itself raises.
+    # Without events no synced factor is built, so only the pooled floor can.
+    inst = gen_instance("random-sphere", d=2, K=4, seed=3)
+    hp = HyperParams(lam=1e-6, alpha=0.5, delta=0.1)
+    trace = run_fedlinucb(inst, gen_schedule("round-robin", M=2, T=20), hp)
+    arms = np.tile([[3e4, 0.0], [0.0, 3e4]], (10, 1))
+    with pytest.raises(NumericalDomainError, match="rounding"):
+        run_invariant_suite(dataclasses.replace(trace, arms=arms, events=[]), inst, hp)
+
+
+def test_package_covariances_skip_the_public_checks(monkeypatch):
+    # from_dense is the checked boundary; the run and the suite factor their
+    # own covariances through SpdMatrix._factor.  Only the M + 1 priors
+    # (one per agent and the server's) come through from_dense.
+    calls = []
+    real = fedlinucb.SpdMatrix.from_dense
+    monkeypatch.setattr(fedlinucb.SpdMatrix, "from_dense",
+                        staticmethod(lambda *a, **k: calls.append(1) or real(*a, **k)))
+    inst = gen_instance("random-sphere", d=4, K=5, seed=11)
+    hp = HyperParams(lam=1.0, alpha=1.0 / 9.0, delta=0.1, estimate_mode="eager")
+    trace = run_fedlinucb(inst, gen_schedule("iid-uniform", M=3, T=200, seed=12), hp)
+    reports = run_invariant_suite(trace, inst, hp)
+    assert trace.events and all(r.satisfied for r in reports)
+    assert len(calls) == 3 + 1
+
+
+def test_sync_criterion_allows_only_logdet_rounding():
+    inst, hp, trace = run_small(seed=13, T=200)
+    clean = analysis._sync_criterion_check(trace, hp.alpha)
+    assert clean.satisfied and clean.detail["worst_margin"] > 0.0
+    tol = clean.detail["tolerance"]
+    assert 0.0 < tol < 1e-9  # d = 3, T = 200, L = 1, lambda = 1
+
+    def with_margin(margin):
+        ev = trace.events[0]
+        bent = dataclasses.replace(
+            ev, logdet_after=ev.logdet_before + math.log1p(hp.alpha) + margin)
+        doctored = dataclasses.replace(trace, events=[bent] + trace.events[1:])
+        return analysis._sync_criterion_check(doctored, hp.alpha)
+
+    assert with_margin(-0.5 * tol).satisfied
+    report = with_margin(-1e-3)
+    assert not report.satisfied and report.empirical == 1.0
+    assert report.detail["worst_margin"] == pytest.approx(-1e-3)
+
+
 EXPECTED_SUITE = [
     "trace-consistency",
     "sync-criterion-events",

@@ -304,16 +304,16 @@ def test_huge_S_is_a_config_error_without_overflow(tmp_path, capsys):
     assert not out.exists()
 
 
-def _floor_config(tmp_path):
-    # Three arms of norm L = 100 in d = 8: the pooled covariance keeps
-    # eigenvalue lambda = 1 exactly in five directions, and its rounding at
+def _floor_config(tmp_path, L=100.0):
+    # Three arms of norm L in d = 8: the pooled covariance keeps eigenvalue
+    # lambda = 1 exactly in five directions, and at L = 100 its rounding at
     # trace T*L^2 = 1e7 puts eigvalsh about 2e-9 below it.
     arms = np.random.default_rng(0).standard_normal((3, 8))
-    arms *= 100.0 / np.linalg.norm(arms, axis=1, keepdims=True)
+    arms *= L / np.linalg.norm(arms, axis=1, keepdims=True)
     arms_file = tmp_path / "arms.txt"
     arms_file.write_text("\n".join(" ".join(repr(v) for v in row) for row in arms.tolist()))
     return {
-        "instance": {"kind": "fixed-list", "arms_file": str(arms_file), "L": 100.0},
+        "instance": {"kind": "fixed-list", "arms_file": str(arms_file), "L": L},
         "schedule": {"kind": "round-robin", "M": 2, "T": 1000},
         "params": {"lambda": 1.0, "alpha": 0.25},
     }
@@ -343,6 +343,19 @@ def test_ridge_floor_decided_within_rounding(tmp_path, capsys, command, case):
     else:
         assert rc == 2 and "config error" in err and "rounding" in err, err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("L", [1e3, 1e4])
+def test_sync_criterion_within_logdet_rounding(tmp_path, capsys, L):
+    # At L = 1e4 (trace T*L^2 = 1e11) a sync's fresh-factor margin reads
+    # -2.1e-8: rounding of two log-determinants, not a missed trigger.
+    out = tmp_path / "out"
+    rc = main(["check", "--config", write_config(tmp_path, _floor_config(tmp_path, L)),
+               "--out", str(out)])
+    assert rc == 0, capsys.readouterr().err
+    report = json.loads((out / "check_report.json").read_text())
+    sync_check = next(c for c in report["checks"] if c["name"] == "sync-criterion-events")
+    assert sync_check["satisfied"]
 
 
 BAD_VALUES = [math.nan, math.inf, -math.inf, 0, -1, 2.5, "x", None, True]

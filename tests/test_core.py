@@ -8,6 +8,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import fedlinucb.core as core
 from fedlinucb import (
@@ -136,6 +138,66 @@ def test_spd_floor_shortfall_within_rounding():
     # A floor no larger than the margin cannot be decided in double.
     with pytest.raises(NumericalDomainError, match="rounding"):
         SpdMatrix.from_dense(np.diag([1e20, 1e20]), min_eig=1e-6)
+
+
+@st.composite
+def ridge_covariances(draw):
+    """lambda I + sum x x^T as the package builds it: random-sphere arms, or a
+    few fixed arms (rank below d) pulled up to the ridge-domain edge."""
+    d = draw(st.integers(1, 64))
+    lam = draw(st.sampled_from([1e-3, 0.1, 1.0, 4.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        arms = rng.standard_normal((draw(st.integers(0, 80)), d))
+        arms *= draw(st.sampled_from([0.1, 1.0, 30.0])) / np.linalg.norm(arms, axis=1,
+                                                                         keepdims=True)
+    else:
+        arms = rng.standard_normal((draw(st.integers(1, 3)), d))
+        arms /= np.linalg.norm(arms, axis=1, keepdims=True)
+        # check_ridge_domain admits a total of T L^2 up to lam / (8 d eps) - 2 d lam.
+        edge = lam / (8.0 * d * np.finfo(np.float64).eps) - 2.0 * d * lam
+        arms *= np.sqrt(edge * draw(st.floats(1e-9, 1.0)) / len(arms))
+    mat = lam * np.eye(d)
+    for x in arms:
+        mat = mat + x[:, None] * x
+    return mat, lam
+
+
+def _factored(build, mat, lam):
+    try:
+        return build(mat, lam)
+    except NumericalDomainError as exc:
+        return str(exc)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(ridge_covariances())
+def test_internal_factor_equals_the_checked_one(case):
+    mat, lam = case
+    trusted = _factored(SpdMatrix._factor, mat, lam)
+    checked = _factored(SpdMatrix.from_dense, mat, lam)
+    if isinstance(checked, str):
+        assert trusted == checked
+        return
+    assert not isinstance(trusted, str), trusted
+    assert trusted.mat is mat  # no copy
+    assert np.array_equal(trusted.chol, checked.chol)
+    assert np.array_equal(trusted.mat, checked.mat)
+    assert trusted.min_eig == checked.min_eig == lam
+
+
+def test_internal_factor_keeps_the_floor_and_pivot_checks():
+    with pytest.raises(NumericalDomainError, match="below stated floor"):
+        SpdMatrix._factor(np.diag([0.5, 2.0]), min_eig=1.0)
+    with pytest.raises(NumericalDomainError, match="rounding"):
+        SpdMatrix._factor(np.diag([1e20, 1e20]), min_eig=1e-6)
+    with pytest.raises(NumericalDomainError, match="not positive definite"):
+        SpdMatrix._factor(np.diag([1.0, -0.5]))
+    nan = np.eye(3)
+    nan[2, 1] = nan[1, 2] = np.nan
+    with pytest.raises(NumericalDomainError, match="not positive definite"):
+        SpdMatrix._factor(nan)
 
 
 def test_spd_rejects_non_square():

@@ -9,6 +9,7 @@ including the fallback paths where a Loewner claim is violated.
 import dataclasses
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -136,6 +137,40 @@ def test_screen_success_implies_eigvalsh_at_or_above_floor(d, seed, shift):
     mat = (mat + mat.T) / 2.0
     if eigs_surely_above(mat, 1.0):
         assert float(np.linalg.eigvalsh(mat)[0]) >= 1.0
+
+
+@PROPERTY
+@given(
+    st.integers(1, 64),
+    st.integers(0, 2**32 - 1),
+    st.floats(-1e-6, 1e-6),
+    st.sampled_from([1e-3, 0.1, 1.0, 4.0]),
+)
+def test_screen_soundness_up_to_d64(d, seed, shift, floor):
+    # As above at the dimensions and floors the runs use.
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    eigs = np.concatenate([[floor + shift], floor * (1.0 + rng.uniform(0.0, 10.0, d - 1))])
+    mat = (q * eigs) @ q.T
+    mat = (mat + mat.T) / 2.0
+    if eigs_surely_above(mat, floor):
+        assert float(np.linalg.eigvalsh(mat)[0]) >= floor
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 32])
+def test_screen_reads_only_the_lower_triangle(d):
+    # eigvalsh reads the lower triangle; the screen must decide on the same one.
+    rng = np.random.default_rng(d)
+    g = rng.standard_normal((d, d))
+    mat = g @ g.T + np.eye(d)
+    smallest = float(np.linalg.eigvalsh(mat)[0])
+    doctored = mat.copy()
+    doctored[np.triu_indices(d, 1)] = np.nan
+    assert np.array_equal(np.linalg.eigvalsh(doctored), np.linalg.eigvalsh(mat))
+    for floor in (0.0, 0.5 * smallest, smallest, 2.0 * smallest):
+        assert eigs_surely_above(doctored, floor) == eigs_surely_above(mat, floor)
+    assert eigs_surely_above(doctored, 0.5 * smallest)
+    assert not eigs_surely_above(doctored, 2.0 * smallest)
 
 
 def test_screen_rejects_nan_and_indefinite():

@@ -9,6 +9,9 @@ from hypothesis import strategies as st
 
 from fedlinucb import (
     HyperParams,
+    NumericalDomainError,
+    ServerState,
+    SpdMatrix,
     init_agent,
     init_server,
     local_update,
@@ -97,6 +100,18 @@ def test_trigger_state_tracks_inverse_and_log_ratio():
     a2, s2, _ = sync(a, init_server(3, lam=0.5), round_=1)
     assert a2.log_gain == 0.0
     np.testing.assert_allclose(a2.v_inv, np.linalg.inv(s2.sigma_ser.mat), rtol=1e-9, atol=1e-12)
+
+
+def test_sync_checks_the_server_floor():
+    # The new server matrix inherits the server's floor and is checked against
+    # it: a server aggregate below lambda = 1 makes the sync raise.
+    a = agent_with_pull([0.0, 1.0], 0.3)
+    broken = np.diag([0.5, 2.0])
+    server = ServerState(SpdMatrix(broken, np.linalg.cholesky(broken), 1.0), np.zeros(2))
+    with pytest.raises(NumericalDomainError, match="below stated floor"):
+        sync(a, server, round_=1)
+    _, s, _ = sync(a, init_server(2, lam=1.0), round_=1)
+    assert s.sigma_ser.min_eig == 1.0
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
