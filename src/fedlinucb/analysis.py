@@ -2,7 +2,7 @@
 
 The invariant checks rebuild the protocol bookkeeping from the trace's
 columns and events alone (:class:`_Replay`) and compare it against the stored
-payload checksums (and, on debug traces, the stored payloads themselves).
+upload checksums.
 Each replay-based check is an accumulator fed once per replayed round, and
 :func:`run_invariant_suite`, the one public entry point for the checks, drives
 all of them through a single pass.  Within the pass every round's pooled
@@ -109,7 +109,6 @@ class _Replay:
         self._agents = trace.agent.tolist()
         self._rewards = trace.reward.tolist()
         self.checksum_mismatches = 0
-        self.payload_deviation = 0.0
         self.synced = False
         self._pooled: SpdMatrix | None = None
 
@@ -129,12 +128,6 @@ class _Replay:
         if self.synced:
             if payload_checksum(self.sigma_loc[m], self.b_loc[m]) != event.payload_checksum:
                 self.checksum_mismatches += 1
-            if event.payload is not None:
-                dev = max(
-                    float(np.abs(event.payload[0] - self.sigma_loc[m]).max(initial=0.0)),
-                    float(np.abs(event.payload[1] - self.b_loc[m]).max(initial=0.0)),
-                )
-                self.payload_deviation = max(self.payload_deviation, dev)
             self.server_sigma = self.server_sigma + self.sigma_loc[m]
             self.server_b = self.server_b + self.b_loc[m]
             self.sigma_loc[m] = np.zeros((self.d, self.d))
@@ -208,8 +201,8 @@ class _Conservation:
 
     Checked at every round against a direct accumulation of the played arms;
     deviation is measured relative to the pooled magnitude (the sums differ
-    only in floating-point association order).  On debug traces the stored
-    upload payloads are compared against the replayed buffers as well.
+    only in floating-point association order).  Each event's upload checksum
+    must also equal the sha256 of the replayed buffers it claims to upload.
     """
 
     def __init__(self):
@@ -232,7 +225,6 @@ class _Conservation:
             "conservation", empirical, bound,
             satisfied=empirical <= bound and rep.checksum_mismatches == 0,
             checksum_mismatches=rep.checksum_mismatches,
-            payload_deviation=rep.payload_deviation,
         )]
 
 

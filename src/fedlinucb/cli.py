@@ -387,9 +387,9 @@ def cmd_bias_demo(m_agents: int, beta: float, alpha: float, seed: int, out_dir: 
 
 
 def cmd_check(raw: dict, out_dir: str) -> int:
-    """Run the config once (with payload capture) and evaluate every invariant."""
+    """Run the config once, exactly as ``run`` does, and evaluate every invariant."""
     cfg, inst, schedule, hp = build_run(raw)
-    trace = run_fedlinucb(inst, schedule, hp, debug=True)
+    trace = run_fedlinucb(inst, schedule, hp)
     reports = run_invariant_suite(trace, inst, hp)
     failed = [r for r in reports if not r.satisfied]
     for r in reports:

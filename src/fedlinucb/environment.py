@@ -13,6 +13,7 @@ runners comparable trace-for-trace.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -161,6 +162,9 @@ def gen_instance(
     if norm == 0.0:  # astronomically unlikely; keep the draw total anyway
         direction = np.ones(d)
         norm = float(np.linalg.norm(direction))
+    # S multiplies first, so a finite S that would overflow there is refused here.
+    if math.isfinite(S) and not math.isfinite(S * float(np.abs(direction).max())):
+        raise ValueError(f"S = {S!r} overflows theta_star = S * direction / norm")
     theta_star = S * direction / norm
     return ProblemInstance(
         dim=d,

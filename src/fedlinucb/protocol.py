@@ -50,7 +50,6 @@ class AgentState:
     theta_hat: Vector
     v_inv: np.ndarray
     log_gain: float = 0.0
-    last_sync_round: int = 0
 
     @cached_property
     def combined(self) -> SpdMatrix:
@@ -85,7 +84,6 @@ class CommEvent:
     logdet_before: float
     logdet_after: float
     payload_checksum: str
-    payload: tuple[np.ndarray, Vector] | None = None
 
 
 def init_agent(agent_id: int, d: int, lam: float) -> AgentState:
@@ -141,12 +139,10 @@ def should_sync(a: AgentState, alpha: float) -> bool:
     return a.log_gain > math.log1p(alpha)
 
 
-def sync(
-    a: AgentState, s: ServerState, round_: int, debug: bool = False
-) -> tuple[AgentState, ServerState, CommEvent]:
+def sync(a: AgentState, s: ServerState, round_: int) -> tuple[AgentState, ServerState, CommEvent]:
     """Upload the agent's buffers, then download the post-update aggregate.
 
-    Works for an all-zero payload as well (server values unchanged, agent
+    Works for an all-zero upload as well (server values unchanged, agent
     re-downloads an identical state); the run loop never produces that case
     because the strict trigger cannot fire on empty buffers.
     """
@@ -160,7 +156,6 @@ def sync(
         logdet_before=logdet_before,
         logdet_after=logdet_after,
         payload_checksum=payload_checksum(a.sigma_loc, a.b_loc),
-        payload=(a.sigma_loc.copy(), a.b_loc.copy()) if debug else None,
     )
     server = ServerState(sigma_ser=new_sigma, b_ser=new_b, upload_count=s.upload_count + 1)
     d = a.sigma.dim
@@ -173,7 +168,6 @@ def sync(
         theta_hat=solve_estimate(new_sigma, new_b),
         v_inv=_chol_solve(new_sigma.chol, np.eye(d)),
         log_gain=0.0,
-        last_sync_round=round_,
     )
     return agent, server, event
 
@@ -186,7 +180,6 @@ def step_agent(
     hp: HyperParams,
     beta: float,
     round_: int,
-    debug: bool = False,
 ) -> tuple[AgentState, ServerState, int, float, CommEvent | None]:
     """One activation: select, observe, buffer, and sync when triggered.
 
@@ -209,5 +202,5 @@ def step_agent(
     if should_sync(a, hp.alpha):
         # The strict trigger cannot fire without local data.
         assert np.any(a.sigma_loc != 0.0), "sync triggered on empty buffers"
-        a, s, event = sync(a, s, round_, debug=debug)
+        a, s, event = sync(a, s, round_)
     return a, s, idx, r, event

@@ -179,7 +179,6 @@ def _drive(
     private: bool,
     beta_used: float,
     params: dict,
-    debug: bool = False,
 ) -> SimulationTrace:
     """Run ``activations[k]`` (agent ids 1..len(betas)) at round k + 1.
 
@@ -205,7 +204,7 @@ def _drive(
         j = m - 1 if private else 0
         d_set = sample_decision_set(inst, t)
         agents[m - 1], servers[j], idx, r, event = step_agent(
-            agents[m - 1], servers[j], d_set, reward_fn, hp, betas[m - 1], t, debug=debug
+            agents[m - 1], servers[j], d_set, reward_fn, hp, betas[m - 1], t
         )
         arm_index[k] = idx
         arms[k] = d_set[idx]
@@ -244,7 +243,6 @@ def run_fedlinucb(
     inst: ProblemInstance,
     schedule: Schedule,
     hp: HyperParams,
-    debug: bool = False,
 ) -> SimulationTrace:
     """Sequential federated run over the given activation schedule.
 
@@ -260,7 +258,7 @@ def run_fedlinucb(
     cap = theoretical_comm_bound(inst.dim, M, hp.alpha, hp.lam, inst.L, T)
     check_ridge_domain(inst.dim, hp.lam, inst.L, T)
     trace = _drive(inst, hp, schedule.agents, [beta] * M, False, beta,
-                   _params_echo(inst, hp, M, T, schedule.descriptor), debug)
+                   _params_echo(inst, hp, M, T, schedule.descriptor))
     trace.epoch_starts = epoch_boundaries(trace, hp.lam, inst.dim)
     _assert_comm_bounds(trace, hp, M, cap)
     return trace
@@ -271,7 +269,6 @@ def run_episodic(
     participation_sets: list[list[int]],
     hp: HyperParams,
     M: int | None = None,
-    debug: bool = False,
 ) -> SimulationTrace:
     """Episodic run: in episode k the agents of participation_sets[k] act in order.
 
@@ -289,7 +286,7 @@ def run_episodic(
         flat.extend(ids)
     schedule = Schedule(M=M if M is not None else max(flat, default=1), T=len(flat),
                         agents=flat, descriptor=f"episodic(K={len(participation_sets)})")
-    return run_fedlinucb(inst, schedule, hp, debug)
+    return run_fedlinucb(inst, schedule, hp)
 
 
 def run_independent_oful(

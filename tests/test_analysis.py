@@ -25,11 +25,11 @@ from fedlinucb.environment import _BIAS_ARMS
 from fedlinucb.protocol import CommEvent, init_agent, local_update, payload_checksum, should_sync
 
 
-def run_small(seed=7, d=3, K=5, M=3, T=300, alpha=1.0 / 9.0, debug=False, **inst_kw):
+def run_small(seed=7, d=3, K=5, M=3, T=300, alpha=1.0 / 9.0, **inst_kw):
     inst = gen_instance("random-sphere", d=d, K=K, seed=seed, **inst_kw)
     sched = gen_schedule("iid-uniform", M=M, T=T, seed=seed + 1)
     hp = HyperParams(lam=1.0, alpha=alpha, delta=0.1)
-    return inst, hp, run_fedlinucb(inst, sched, hp, debug=debug)
+    return inst, hp, run_fedlinucb(inst, sched, hp)
 
 
 def suite_by_name(trace, inst, hp):
@@ -130,13 +130,26 @@ def test_noise_decomposition_report():
 # ---------------------------------------------------------------- conservation
 
 
-def test_conservation_on_clean_trace_with_payloads():
-    inst, hp, trace = run_small(seed=19, debug=True)
+def test_conservation_on_clean_trace():
+    inst, hp, trace = run_small(seed=19)
+    assert trace.events
     report = suite_by_name(trace, inst, hp)["conservation"]
     assert report.satisfied
     assert report.detail["checksum_mismatches"] == 0
-    assert report.detail["payload_deviation"] == 0.0
-    assert trace.events and all(ev.payload is not None for ev in trace.events)
+
+
+def test_conservation_catches_one_tampered_upload_checksum():
+    inst, hp, trace = run_small(seed=19)
+    assert len(trace.events) >= 2
+    k = len(trace.events) // 2
+    events = list(trace.events)
+    events[k] = dataclasses.replace(events[k], payload_checksum="0" * 64)
+    clean = suite_by_name(trace, inst, hp)["conservation"]
+    report = suite_by_name(dataclasses.replace(trace, events=events), inst, hp)["conservation"]
+    assert not report.satisfied
+    assert report.detail["checksum_mismatches"] == 1
+    # The replayed sums do not read the record, so only the checksum half fails.
+    assert report.empirical == clean.empirical
 
 
 def test_conservation_catches_tampered_reward():

@@ -375,9 +375,27 @@ def _finite_numbers(obj) -> bool:
     return not isinstance(obj, float) or math.isfinite(obj)
 
 
+EXTREME_FIELDS = (
+    [("instance", k) for k in ("S", "L", "R")]
+    + [("params", k) for k in ("alpha", "lambda", "delta", "beta")]
+)
+# Log-uniform magnitudes from 2**-1023 (about 1.1e-308) up to the largest finite float.
+MAGNITUDES = st.builds(math.ldexp, st.floats(1.0, 2.0, exclude_max=True), st.integers(-1023, 1023))
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(field=st.sampled_from(PROPERTY_FIELDS), value=st.sampled_from(BAD_VALUES))
 def test_one_bad_field_exits_0_finite_or_2(field, value):
+    _assert_exits_0_finite_or_2(field, value)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(field=st.sampled_from(EXTREME_FIELDS), magnitude=MAGNITUDES, negative=st.booleans())
+def test_one_extreme_field_exits_0_finite_or_2(field, magnitude, negative):
+    _assert_exits_0_finite_or_2(field, -magnitude if negative else magnitude)
+
+
+def _assert_exits_0_finite_or_2(field, value):
     # Every config one field away from a valid one either runs to finite
     # numbers or is refused as a config error: never exit 1, a traceback or
     # a numpy warning.
@@ -610,22 +628,23 @@ def test_check_exit_code_on_failure(tmp_path, capsys, monkeypatch):
 # ---------------------------------------------------------------- entry point
 
 
-def test_import_leaves_scipy_linalg_and_the_process_pool_unloaded():
+def test_import_leaves_scipy_linalg_and_the_process_pool_unloaded(child_env):
     # Start-up pays for neither: the package binds LAPACK dpotrs from scipy's
     # extension directly, and sweep imports the pool only for --parallel.
     probe = ("import sys, fedlinucb.cli; "
              "print(sorted({'scipy.linalg', 'concurrent.futures.process'} & set(sys.modules)))")
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=child_env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
 
-def test_console_script_runs(tmp_path):
+def test_console_script_runs(tmp_path, child_env):
     cfg_path = write_config(tmp_path, GOLDEN_CONFIG)
     proc = subprocess.run(
         [sys.executable, "-m", "fedlinucb.cli", "run", "--config", cfg_path,
          "--out", str(tmp_path / "out")],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=child_env,
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out/summary.json").exists()

@@ -278,8 +278,9 @@ for d in (1, 2, 8, 32, 200):
 """
 
 
-def test_bound_dpotrs_is_bit_identical_to_scipy():
-    proc = subprocess.run([sys.executable, "-c", KERNEL_IDENTITY], capture_output=True, text=True)
+def test_bound_dpotrs_is_bit_identical_to_scipy(child_env):
+    proc = subprocess.run([sys.executable, "-c", KERNEL_IDENTITY], capture_output=True, text=True,
+                          env=child_env)
     assert proc.returncode == 0, proc.stderr
 
 

@@ -60,8 +60,7 @@ def cases(draw):
         delta=0.1,
         estimate_mode=draw(st.sampled_from(["lazy", "eager"])),
     )
-    trace = run_fedlinucb(inst, gen_schedule(kind, M=M, T=T, seed=seed + 1), hp,
-                          debug=draw(st.booleans()))
+    trace = run_fedlinucb(inst, gen_schedule(kind, M=M, T=T, seed=seed + 1), hp)
     check_alpha = draw(st.sampled_from([1e-3, 1e-2, hp.alpha]))
     return inst, hp, trace, check_alpha
 
