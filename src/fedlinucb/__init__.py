@@ -47,7 +47,6 @@ from .analysis import (
     BiasDemoReport,
     BoundReport,
     bias_demo,
-    instantaneous_regret,
     run_invariant_suite,
 )
 

@@ -33,12 +33,11 @@ from .core import (
 )
 from .environment import _BIAS_ARMS, gen_instance, gen_schedule
 from .protocol import CommEvent, init_agent, local_update, payload_checksum, should_sync
-from .simulator import SimulationTrace, _comm_per_epoch, index_regret, run_fedlinucb
+from .simulator import SimulationTrace, _comm_per_epoch, run_fedlinucb
 
 __all__ = [
     "BoundReport",
     "BiasDemoReport",
-    "instantaneous_regret",
     "theoretical_regret_bound",
     "theoretical_comm_bound",
     "bias_demo",
@@ -58,18 +57,6 @@ class BoundReport:
     detail: dict = field(default_factory=dict)
 
 
-def instantaneous_regret(inst: ProblemInstance, d_set: np.ndarray, chosen: np.ndarray) -> float:
-    """Best achievable mean reward in the (K, d) decision set minus the chosen arm's mean."""
-    chosen = np.asarray(chosen, dtype=np.float64)
-    matches = np.flatnonzero((d_set == chosen).all(axis=1))
-    if matches.size == 0:
-        close = np.flatnonzero(np.isclose(d_set, chosen, rtol=1e-12, atol=0.0).all(axis=1))
-        if close.size == 0:
-            raise ValueError("chosen arm is not a member of the decision set")
-        matches = close
-    return index_regret(inst, d_set, int(matches[0]))
-
-
 def _capped(name: str, empirical: float, bound: float, satisfied: bool | None = None,
             **detail) -> BoundReport:
     """Report for ``empirical <= bound`` (unless told otherwise), slack ``bound - empirical``."""
@@ -82,7 +69,7 @@ class _Replay:
     """Protocol state rebuilt round by round from a trace.
 
     After ``step(k)`` (k = 0-based row of the trace) the attributes hold
-    end-of-round values for round ``trace.t[k]``: the acting agent ``m`` and
+    end-of-round values for round k + 1: the acting agent ``m`` and
     its arm ``x`` and reward ``r``, the pooled statistics, the server
     aggregate, every agent's unsynced buffers and synced covariance/target,
     and ``synced``, whether the round's agent uploaded.  ``pooled()`` factors
@@ -90,12 +77,9 @@ class _Replay:
     verified, for every check to share.
     """
 
-    def __init__(self, trace: SimulationTrace):
+    def __init__(self, trace: SimulationTrace, d: int, lam: float):
         self.trace = trace
-        p = trace.params
-        d = self.d = int(p["d"])
-        self.M = int(p["M"])
-        self.lam = float(p["lambda"])
+        self.d, self.M, self.lam = d, trace.M, lam
         self.sigma_all = self.lam * np.eye(d)
         self.b_all = np.zeros(d)
         self.server_sigma = self.lam * np.eye(d)
@@ -105,7 +89,6 @@ class _Replay:
         self.synced_sigma = {m: self.lam * np.eye(d) for m in range(1, self.M + 1)}
         self.synced_b = {m: np.zeros(d) for m in range(1, self.M + 1)}
         self.events_by_round = {ev.round: ev for ev in trace.events}
-        self._rounds = trace.t.tolist()
         self._agents = trace.agent.tolist()
         self._rewards = trace.reward.tolist()
         self.checksum_mismatches = 0
@@ -123,7 +106,7 @@ class _Replay:
         self._pooled = None
         self.sigma_loc[m] = self.sigma_loc[m] + xx
         self.b_loc[m] = self.b_loc[m] + r * x
-        event = self.events_by_round.get(self._rounds[k])
+        event = self.events_by_round.get(k + 1)
         self.synced = event is not None and event.agent == m
         if self.synced:
             if payload_checksum(self.sigma_loc[m], self.b_loc[m]) != event.payload_checksum:
@@ -142,10 +125,10 @@ class _Replay:
         return self._pooled
 
 
-def _run_pass(trace: SimulationTrace, checks: list) -> list[BoundReport]:
+def _run_pass(trace: SimulationTrace, d: int, lam: float, checks: list) -> list[BoundReport]:
     """Feed each round of one replay to every accumulator; return their reports in order."""
-    rep = _Replay(trace)
-    for k in range(len(trace.t)):
+    rep = _Replay(trace, d, lam)
+    for k in range(len(trace.agent)):
         event = rep.step(k)
         for check in checks:
             check.update(rep, k, event)
@@ -154,7 +137,7 @@ def _run_pass(trace: SimulationTrace, checks: list) -> list[BoundReport]:
 
 def _synced_rows(trace: SimulationTrace) -> np.ndarray:
     """Per row, whether an event records an upload by that round's own agent."""
-    synced = np.zeros(len(trace.t), dtype=bool)
+    synced = np.zeros(len(trace.agent), dtype=bool)
     for ev in trace.events:
         synced[ev.round - 1] |= trace.agent[ev.round - 1] == ev.agent
     return synced
@@ -168,8 +151,8 @@ class _Noise:
     rebuilt from every agent's uploaded plus pending shares; the two must agree.
     """
 
-    def __init__(self, trace: SimulationTrace, inst: ProblemInstance):
-        d, M = int(trace.params["d"]), int(trace.params["M"])
+    def __init__(self, inst: ProblemInstance, M: int):
+        d = inst.dim
         self.theta = inst.theta_star
         self.u_all = np.zeros(d)
         self.u_up = {m: np.zeros(d) for m in range(1, M + 1)}
@@ -235,9 +218,7 @@ class _Elliptical:
     sigma_all_t the end-of-round pooled covariance.
     """
 
-    def __init__(self, trace: SimulationTrace):
-        p = trace.params
-        d, lam, L, T = int(p["d"]), float(p["lambda"]), float(p["L"]), int(p["T"])
+    def __init__(self, d: int, lam: float, L: float, T: int):
         self.bound = 2.0 * d * math.log(1.0 + T * L * L / lam)
         self.total = 0.0
 
@@ -262,11 +243,8 @@ class _Coverage:
     clean) that are expected to be zero at the default confidence levels.
     """
 
-    def __init__(self, trace: SimulationTrace, inst: ProblemInstance, beta: float):
-        p = trace.params
-        d, lam, delta = int(p["d"]), float(p["lambda"]), float(p["delta"])
-        T, L = int(p["T"]), float(p["L"])
-        R, S = inst.R, inst.S
+    def __init__(self, inst: ProblemInstance, hp: HyperParams, T: int, beta: float):
+        d, lam, delta, L, R, S = inst.dim, hp.lam, hp.delta, inst.L, inst.R, inst.S
         self.global_bound = (
             R * math.sqrt(d * math.log((1.0 + T * L * L / lam) / delta)) + math.sqrt(lam) * S
         )
@@ -369,7 +347,7 @@ def _single_agent_windows(trace: SimulationTrace) -> list[tuple[int, int, int]]:
     t1, and the comparison is not claimed there.
     """
     agent, t = trace.agent, trace.t
-    T = len(t)
+    T = len(agent)
     if T == 0:
         return []
     # Last row of the run of consecutive activations that each row belongs to.
@@ -454,7 +432,7 @@ def bias_demo(
         mode=mode,
         n_agents=m_agents,
         predicted_reward_arm_a=float(long_arm @ theta_server),
-        upload_fraction=server.upload_count / m_agents,
+        upload_fraction=trace.switch_count / m_agents,
         beta=beta_fixed,
         alpha=alpha,
     )
@@ -463,16 +441,6 @@ def bias_demo(
 def _trace_consistency_check(trace: SimulationTrace) -> BoundReport:
     problems = 0
     detail = {}
-    comm_sum = int(trace.comm.sum())
-    if trace.comm_count != comm_sum:
-        problems += 1
-        detail["comm_count_vs_records"] = (trace.comm_count, comm_sum)
-    if trace.comm_count != 2 * len(trace.events) and trace.events:
-        problems += 1
-        detail["comm_count_vs_events"] = (trace.comm_count, 2 * len(trace.events))
-    if trace.switch_count * 2 != trace.comm_count:
-        problems += 1
-        detail["switch_identity"] = (trace.switch_count, trace.comm_count)
     non_finite = int((~(np.isfinite(trace.reward) & np.isfinite(trace.arms).all(-1))).sum())
     if non_finite:
         problems += 1
@@ -481,17 +449,6 @@ def _trace_consistency_check(trace: SimulationTrace) -> BoundReport:
     if negative:
         problems += 1
         detail["negative_regret_rounds"] = negative
-    T = len(trace.t)
-    if T != len(trace.cum_regret):
-        problems += 1
-        detail["cum_regret_length"] = (T, len(trace.cum_regret))
-    else:
-        expected = np.cumsum(trace.inst_regret)
-        if T and float(np.abs(expected - trace.cum_regret).max()) > 1e-9 * max(
-            1.0, float(expected[-1])
-        ):
-            problems += 1
-            detail["cum_regret_mismatch"] = float(np.abs(expected - trace.cum_regret).max())
     before, after = trace.logdet_server[:-1], trace.logdet_server[1:]
     if trace.events and np.any(after < before - 1e-12 * np.maximum(1.0, np.abs(before))):
         problems += 1
@@ -500,15 +457,15 @@ def _trace_consistency_check(trace: SimulationTrace) -> BoundReport:
                        -float(problems), detail)
 
 
-def _sync_criterion_check(trace: SimulationTrace, alpha: float) -> BoundReport:
+def _sync_criterion_check(trace: SimulationTrace, inst: ProblemInstance,
+                          hp: HyperParams) -> BoundReport:
     """Every sync's fresh-factor gain ``logdet_after - logdet_before`` exceeds
     ``log1p(alpha)``, up to the rounding of the two log-determinants."""
-    p = trace.params
-    tol = logdet_rounding(int(p["d"]), float(p["lambda"]), float(p["L"]), int(p["T"]))
+    tol = logdet_rounding(inst.dim, hp.lam, inst.L, len(trace.agent))
     violations = 0
     worst_margin = math.inf
     for ev in trace.events:
-        margin = ev.logdet_after - ev.logdet_before - math.log1p(alpha)
+        margin = ev.logdet_after - ev.logdet_before - math.log1p(hp.alpha)
         worst_margin = min(worst_margin, margin)
         if margin < -tol:
             violations += 1
@@ -527,20 +484,21 @@ def run_invariant_suite(
     This is the one public entry point for the checks.  One replay of the
     trace feeds every replay-based check.  The two confidence checks are
     high-probability statements (they may fail on a delta-tail run by
-    design); everything else is deterministic.
+    design); everything else is deterministic.  Every parameter comes from
+    ``inst`` and ``hp``, the horizon from the trace's length and the agent
+    count from ``trace.M``.
     """
-    p = trace.params
-    d, M, T, L = int(p["d"]), int(p["M"]), int(p["T"]), float(p["L"])
-    reports = [_trace_consistency_check(trace), _sync_criterion_check(trace, hp.alpha)]
+    d, M, T, L = inst.dim, trace.M, len(trace.agent), inst.L
+    reports = [_trace_consistency_check(trace), _sync_criterion_check(trace, inst, hp)]
 
     comm_bound = theoretical_comm_bound(d, M, hp.alpha, hp.lam, L, T)
     reports.append(_capped("comm-bound", float(trace.comm_count), comm_bound))
     worst_epoch = float(max(_comm_per_epoch(trace), default=0))
     reports.append(_capped("epoch-comm", worst_epoch, epoch_comm_cap(M, hp.alpha)))
 
-    reports += _run_pass(trace, [
-        _Elliptical(trace), _Conservation(), _Noise(trace, inst),
-        _Covariance(trace, hp.alpha, M), _Coverage(trace, inst, trace.beta_used),
+    reports += _run_pass(trace, d, hp.lam, [
+        _Elliptical(d, hp.lam, L, T), _Conservation(), _Noise(inst, M),
+        _Covariance(trace, hp.alpha, M), _Coverage(inst, hp, T, trace.beta_used),
     ])
 
     regret_bound = theoretical_regret_bound(inst, hp, M, T, trace.beta_used)

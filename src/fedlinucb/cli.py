@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -137,8 +138,14 @@ def _build(cfg: dict) -> tuple[ProblemInstance, Schedule, HyperParams]:
             section[key] = built
     with _config_section("schedule"):
         schedule = build_schedule(cfg)
+    if "lambda" not in cfg["params"]:
+        square = inst.S * inst.S
+        lam = 1.0 / square if square else math.inf
+        if not 0.0 < lam < math.inf:
+            raise ConfigError(f"params: at S = {inst.S!r} the default lambda = 1/S^2 is "
+                              f"{lam!r}, not a positive finite ridge; state 'lambda'")
+        cfg["params"]["lambda"] = lam
     with _config_section("params"):
-        cfg["params"].setdefault("lambda", 1.0 / (inst.S * inst.S))
         cfg["params"].setdefault("alpha", 1.0 / (schedule.M * schedule.M))
         hp = build_hyperparams(cfg)
         # The radius, both bounds and the ridge domain once, so that parameters
@@ -245,7 +252,7 @@ def write_trace_csv(trace, path: Path) -> None:
 
 def _run_figures(trace, inst: ProblemInstance, hp: HyperParams) -> dict:
     """Communication counts, radius and both bounds of a run, in output order."""
-    M, T = int(trace.params["M"]), int(trace.params["T"])
+    M, T = trace.M, len(trace.agent)
     return {
         "comm_count": trace.comm_count,
         "switch_count": trace.switch_count,
@@ -310,8 +317,8 @@ def _sweep_cell(task: tuple) -> dict:
         "instance_seed": cfg["instance"]["seed"],
         "schedule_seed": cfg["schedule"]["seed"],
         "total_regret": trace.total_regret,
-        "mean_round_regret": float(np.mean(trace.inst_regret)) if len(trace.t) else 0.0,
-        "max_round_regret": float(np.max(trace.inst_regret)) if len(trace.t) else 0.0,
+        "mean_round_regret": float(np.mean(trace.inst_regret)) if len(trace.agent) else 0.0,
+        "max_round_regret": float(np.max(trace.inst_regret)) if len(trace.agent) else 0.0,
         **_run_figures(trace, inst, hp),
     }
     if baseline:

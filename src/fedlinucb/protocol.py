@@ -66,7 +66,6 @@ class ServerState:
 
     sigma_ser: SpdMatrix
     b_ser: Vector
-    upload_count: int = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,7 +156,7 @@ def sync(a: AgentState, s: ServerState, round_: int) -> tuple[AgentState, Server
         logdet_after=logdet_after,
         payload_checksum=payload_checksum(a.sigma_loc, a.b_loc),
     )
-    server = ServerState(sigma_ser=new_sigma, b_ser=new_b, upload_count=s.upload_count + 1)
+    server = ServerState(sigma_ser=new_sigma, b_ser=new_b)
     d = a.sigma.dim
     agent = replace(
         a,

@@ -45,62 +45,63 @@ class CommBoundError(AssertionError):
 class SimulationTrace:
     """Complete record of one run, one array entry per round in round order.
 
-    Columns (length T): ``t`` (round index 1..T), ``agent`` (acting agent id),
-    ``arm_index`` (chosen index into the round's decision set), ``arms``
-    (T, d; the chosen arms), ``reward``, ``inst_regret``, ``comm`` (0 or 2
-    communications), ``logdet_server`` (end-of-round server log-determinant)
-    and the display-only ``det_server`` (its linear-space value; 0.0 or inf
-    outside the float range).  ``events`` has one entry per sync;
-    ``cum_regret[t-1]`` is the regret accumulated through round t;
-    ``epoch_starts`` lists (i, tau_i) for every realized doubling index of
-    the server determinant.  ``final_agents`` / ``final_server`` carry the
-    terminal protocol states for downstream checks.
+    Columns (length T): ``agent`` (acting agent id), ``arm_index`` (chosen
+    index into the round's decision set), ``arms`` (T, d; the chosen arms),
+    ``reward``, ``inst_regret``, ``logdet_server`` (end-of-round server
+    log-determinant) and the display-only ``det_server`` (its linear-space
+    value; 0.0 or inf outside the float range).  ``events`` has one entry per
+    sync; ``epoch_starts`` lists (i, tau_i) for every realized doubling index
+    of the server determinant; ``M`` is the schedule's agent count.
+    ``final_agents`` / ``final_server`` carry the terminal protocol states for
+    downstream checks.  ``t``, ``comm``, ``cum_regret``, ``comm_count`` and
+    ``switch_count`` are derived from these.
     """
 
-    t: np.ndarray
     agent: np.ndarray
     arm_index: np.ndarray
     arms: np.ndarray
     reward: np.ndarray
     inst_regret: np.ndarray
-    comm: np.ndarray
     logdet_server: np.ndarray
     det_server: np.ndarray
     events: list[CommEvent]
-    cum_regret: np.ndarray
-    comm_count: int
-    switch_count: int
     epoch_starts: list[tuple[int, int]]
     beta_used: float
-    params: dict
+    M: int
     final_agents: list[AgentState] = field(default_factory=list, repr=False)
     final_server: ServerState | None = field(default=None, repr=False)
 
     @property
+    def t(self) -> np.ndarray:
+        """Round index 1..T."""
+        return np.arange(1, len(self.agent) + 1)
+
+    @property
+    def comm(self) -> np.ndarray:
+        """Communications per round: 2 at each sync's round, else 0."""
+        comm = np.zeros(len(self.agent), dtype=np.int64)
+        comm[[ev.round - 1 for ev in self.events]] = 2
+        return comm
+
+    @property
+    def cum_regret(self) -> np.ndarray:
+        """``cum_regret[t-1]`` is the regret accumulated through round t."""
+        return np.cumsum(self.inst_regret)
+
+    @property
+    def comm_count(self) -> int:
+        """Uploads plus downloads: two per sync."""
+        return 2 * len(self.events)
+
+    @property
+    def switch_count(self) -> int:
+        """Policy switches: one per sync."""
+        return len(self.events)
+
+    @property
     def total_regret(self) -> float:
         """Regret accumulated through the last round; 0.0 on an empty trace."""
-        return float(self.cum_regret[-1]) if len(self.cum_regret) else 0.0
-
-
-def _params_echo(inst: ProblemInstance, hp: HyperParams, M: int, T: int, descriptor: str) -> dict:
-    return {
-        "d": inst.dim,
-        "M": M,
-        "T": T,
-        "S": inst.S,
-        "L": inst.L,
-        "R": inst.R,
-        "noise": inst.noise_spec,
-        "arm_variant": inst.arm_spec.variant,
-        "K": inst.arm_spec.K,
-        "master_seed": int(inst.master_seed),
-        "lambda": hp.lam,
-        "alpha": hp.alpha,
-        "delta": hp.delta,
-        "beta_mode": hp.beta_mode,
-        "estimate_mode": hp.estimate_mode,
-        "schedule": descriptor,
-    }
+        return float(self.cum_regret[-1]) if len(self.inst_regret) else 0.0
 
 
 def index_regret(inst: ProblemInstance, d_set: np.ndarray, idx: int) -> float:
@@ -154,7 +155,7 @@ def _comm_per_epoch(trace: SimulationTrace) -> list[int]:
         return []
     cum = np.concatenate(([0], np.cumsum(trace.comm)))
     starts = np.array([tau for _, tau in trace.epoch_starts])
-    ends = np.append(starts[1:], len(trace.comm) + 1)
+    ends = np.append(starts[1:], len(trace.agent) + 1)
     return (cum[ends - 1] - cum[starts - 1]).tolist()
 
 
@@ -178,7 +179,6 @@ def _drive(
     betas: list[float],
     private: bool,
     beta_used: float,
-    params: dict,
 ) -> SimulationTrace:
     """Run ``activations[k]`` (agent ids 1..len(betas)) at round k + 1.
 
@@ -195,7 +195,6 @@ def _drive(
     arms = np.zeros((T, d))
     reward = np.zeros(T)
     inst_regret = np.zeros(T)
-    comm = np.zeros(T, dtype=np.int64)
     logdet_server = np.zeros(T)
     det_server = np.zeros(T)
     events: list[CommEvent] = []
@@ -212,28 +211,22 @@ def _drive(
         inst_regret[k] = index_regret(inst, d_set, idx)
         if event is not None and not private:
             events.append(event)
-            comm[k] = 2
         sigma_ser = servers[j].sigma_ser
         logdet_server[k] = sigma_ser.logdet
         det_server[k] = sigma_ser.det
 
     return SimulationTrace(
-        t=np.arange(1, T + 1),
         agent=activations.astype(np.int64),
         arm_index=arm_index,
         arms=arms,
         reward=reward,
         inst_regret=inst_regret,
-        comm=comm,
         logdet_server=logdet_server,
         det_server=det_server,
         events=events,
-        cum_regret=np.cumsum(inst_regret),
-        comm_count=2 * len(events),
-        switch_count=len(events),
         epoch_starts=[],
         beta_used=beta_used,
-        params=params,
+        M=M,
         final_agents=agents,
         final_server=None if private else servers[0],
     )
@@ -257,8 +250,7 @@ def run_fedlinucb(
     # Evaluated before the run, so a non-finite cap or an unresolvable ridge is refused up front.
     cap = theoretical_comm_bound(inst.dim, M, hp.alpha, hp.lam, inst.L, T)
     check_ridge_domain(inst.dim, hp.lam, inst.L, T)
-    trace = _drive(inst, hp, schedule.agents, [beta] * M, False, beta,
-                   _params_echo(inst, hp, M, T, schedule.descriptor))
+    trace = _drive(inst, hp, schedule.agents, [beta] * M, False, beta)
     trace.epoch_starts = epoch_boundaries(trace, hp.lam, inst.dim)
     _assert_comm_bounds(trace, hp, M, cap)
     return trace
@@ -308,6 +300,4 @@ def run_independent_oful(
     rounds = np.bincount(schedule.agents, minlength=M + 1)[1:].tolist()
     # An agent without rounds selects nothing; its radius is never read.
     betas = [compute_beta(inst, hp, 1, n) if n else 0.0 for n in rounds]
-    params = _params_echo(inst, hp, M, T, schedule.descriptor + "+independent")
-    params["per_agent_beta"] = {str(m): b for m, (b, n) in enumerate(zip(betas, rounds), 1) if n}
-    return _drive(inst, hp, schedule.agents, betas, True, _resolve_beta(inst, hp, 1, T), params)
+    return _drive(inst, hp, schedule.agents, betas, True, _resolve_beta(inst, hp, 1, T))

@@ -10,9 +10,12 @@ no longer passes a determinant (``core.SpdMatrix`` computes it on use), the
 per-round records are rebuilt from the trace's columns by :func:`records`,
 the noise ledger no longer copies the arms and rewards, and the two result
 records the package no longer has, ``NoiseLedger`` and ``CoverageReport``,
-are defined here.  The record loops of ``_single_agent_windows`` and
-``_trace_consistency_check``, which the package now computes on the columns,
-are kept at the end.
+are defined here.  The checks take d, lambda, L and delta from the instance
+and hyperparameters, T from the trace's length and M from ``trace.M``, as
+the package does, since the trace no longer echoes them.  The record loops
+of ``_single_agent_windows`` and ``_trace_consistency_check``, which the
+package now computes on the columns, are kept at the end; the consistency
+loop still compares the trace's derived counters with each other.
 """
 
 from __future__ import annotations
@@ -118,12 +121,11 @@ class _Replay:
     synced covariance/target.
     """
 
-    def __init__(self, trace: SimulationTrace):
+    def __init__(self, trace: SimulationTrace, inst: ProblemInstance, hp: HyperParams):
         self.trace = trace
-        p = trace.params
-        self.d = int(p["d"])
-        self.M = int(p["M"])
-        self.lam = float(p["lambda"])
+        self.d = inst.dim
+        self.M = trace.M
+        self.lam = hp.lam
         d = self.d
         self.sigma_all = self.lam * np.eye(d)
         self.b_all = np.zeros(d)
@@ -163,7 +165,7 @@ def build_noise_ledger(trace: SimulationTrace, inst: ProblemInstance) -> NoiseLe
     eta = np.zeros(T)
     u_all = np.zeros((T, d))
     u_split = np.zeros((T, d))
-    M = int(trace.params["M"])
+    M = trace.M
     u_up = {m: np.zeros(d) for m in range(1, M + 1)}
     u_loc = {m: np.zeros(d) for m in range(1, M + 1)}
     events_by_round = {ev.round: ev for ev in trace.events}
@@ -206,7 +208,8 @@ def noise_decomposition_check(trace: SimulationTrace, inst: ProblemInstance) -> 
     )
 
 
-def conservation_check(trace: SimulationTrace) -> BoundReport:
+def conservation_check(trace: SimulationTrace, inst: ProblemInstance,
+                       hp: HyperParams) -> BoundReport:
     """Prior + uploads + pending buffers must reproduce the pooled statistics.
 
     Checked at every round against a direct accumulation of the played arms;
@@ -214,7 +217,7 @@ def conservation_check(trace: SimulationTrace) -> BoundReport:
     only in floating-point association order).  Each event's upload checksum
     must also equal the sha256 of the replayed buffers it claims to upload.
     """
-    rep = _Replay(trace)
+    rep = _Replay(trace, inst, hp)
     worst = 0.0
     scale = 1.0
     for k in range(len(trace.t)):
@@ -240,15 +243,15 @@ def conservation_check(trace: SimulationTrace) -> BoundReport:
     )
 
 
-def elliptical_potential_check(trace: SimulationTrace) -> BoundReport:
+def elliptical_potential_check(trace: SimulationTrace, inst: ProblemInstance,
+                               hp: HyperParams) -> BoundReport:
     """Sum of squared pooled-covariance norms of the played arms.
 
     sum_t inv_norm(sigma_all_t, x_t)^2 <= 2 d ln(1 + T L^2 / lambda), with
     sigma_all_t the end-of-round pooled covariance.
     """
-    p = trace.params
-    d, lam, L, T = int(p["d"]), float(p["lambda"]), float(p["L"]), int(p["T"])
-    rep = _Replay(trace)
+    d, lam, L, T = inst.dim, hp.lam, inst.L, len(trace.t)
+    rep = _Replay(trace, inst, hp)
     total = 0.0
     for k in range(len(trace.t)):
         rec, _ = rep.step(k)
@@ -269,6 +272,7 @@ def confidence_coverage(
     trace: SimulationTrace,
     ledger: NoiseLedger,
     inst: ProblemInstance,
+    hp: HyperParams,
     beta: float,
 ) -> CoverageReport:
     """Check every refreshed estimate against beta and the pooled estimate
@@ -280,13 +284,12 @@ def confidence_coverage(
     + sqrt(lam) S.  Both are high-probability statements; returned fractions
     are expected to be zero at the default confidence levels.
     """
-    p = trace.params
-    d, lam, delta = int(p["d"]), float(p["lambda"]), float(p["delta"])
-    T, L = int(p["T"]), float(p["L"])
+    d, lam, delta = inst.dim, hp.lam, hp.delta
+    T, L = len(trace.t), inst.L
     R, S = inst.R, inst.S
     global_bound = R * math.sqrt(d * math.log((1.0 + T * L * L / lam) / delta)) + math.sqrt(lam) * S
 
-    rep = _Replay(trace)
+    rep = _Replay(trace, inst, hp)
     n_local = local_viol = 0
     n_global = global_viol = 0
     theta = inst.theta_star
@@ -320,7 +323,8 @@ def _weighted_norm(m: SpdMatrix, v: np.ndarray) -> float:
     return math.sqrt(max(float(v @ m.mat @ v), 0.0))
 
 
-def covariance_comparison_check(trace: SimulationTrace, alpha: float, M: int) -> BoundReport:
+def covariance_comparison_check(trace: SimulationTrace, inst: ProblemInstance, hp: HyperParams,
+                                M: int) -> BoundReport:
     """Loewner comparisons between local, server, and pooled covariances.
 
     Always: server aggregate >= sigma_loc_m / alpha for every agent and round
@@ -328,8 +332,9 @@ def covariance_comparison_check(trace: SimulationTrace, alpha: float, M: int) ->
     every single-agent window that opens with a sync, the agent's synced
     covariance dominates the pooled one shrunk by 1/(1 + M alpha).
     """
+    alpha = hp.alpha
     tol = 1e-8
-    rep = _Replay(trace)
+    rep = _Replay(trace, inst, hp)
     T = len(trace.t)
     worst1 = 0.0  # claim 1 violation magnitude
     worst2 = 0.0
@@ -382,11 +387,10 @@ def run_invariant_suite(
     The two confidence checks are high-probability statements (they may fail
     on a delta-tail run by design); everything else is deterministic.
     """
-    p = trace.params
-    d, M, T, L = int(p["d"]), int(p["M"]), int(p["T"]), float(p["L"])
+    d, M, T, L = inst.dim, trace.M, len(trace.t), inst.L
     reports = [
         _trace_consistency_check(trace),
-        _sync_criterion_check(trace, hp.alpha),
+        _sync_criterion_check(trace, inst, hp),
     ]
 
     comm_bound = theoretical_comm_bound(d, M, hp.alpha, hp.lam, L, T)
@@ -419,13 +423,13 @@ def run_invariant_suite(
         )
     )
 
-    reports.append(elliptical_potential_check(trace))
-    reports.append(conservation_check(trace))
+    reports.append(elliptical_potential_check(trace, inst, hp))
+    reports.append(conservation_check(trace, inst, hp))
     reports.append(noise_decomposition_check(trace, inst))
-    reports.append(covariance_comparison_check(trace, hp.alpha, M))
+    reports.append(covariance_comparison_check(trace, inst, hp, M))
 
     ledger = build_noise_ledger(trace, inst)
-    coverage = confidence_coverage(trace, ledger, inst, trace.beta_used)
+    coverage = confidence_coverage(trace, ledger, inst, hp, trace.beta_used)
     reports.append(
         BoundReport(
             name="local-confidence",

@@ -83,8 +83,8 @@ def replications():
         inst = gen_instance("random-sphere", d=4, K=10, seed=REP_SEED + rep)
         trace = run_fedlinucb(inst, sched, hp)
         # One check on many traces: its accumulator alone, not the whole suite.
-        cov = analysis._Coverage(trace, inst, trace.beta_used)
-        analysis._run_pass(trace, [cov])
+        cov = analysis._Coverage(inst, hp, 2000, trace.beta_used)
+        analysis._run_pass(trace, inst.dim, hp.lam, [cov])
         rows.append(
             {
                 "local_violations": cov.local_viol,
@@ -206,7 +206,9 @@ def test_06_elliptical_potential(grid, capsys):
     violations = 0
     worst_slack = math.inf
     for cell in grid:
-        (report,) = analysis._run_pass(cell.trace, [analysis._Elliptical(cell.trace)])
+        lam = cell.hp.lam  # the grid's instances keep gen_instance's default L = 1
+        (report,) = analysis._run_pass(
+            cell.trace, cell.d, lam, [analysis._Elliptical(cell.d, lam, 1.0, cell.T)])
         violations += not report.satisfied
         worst_slack = min(worst_slack, report.slack)
     ok = violations == 0
@@ -223,7 +225,8 @@ def test_07_covariance_domination(capsys):
     for rep in range(10):
         inst = gen_instance("random-sphere", d=4, K=10, seed=700 + rep)
         trace = run_fedlinucb(inst, sched, hp)
-        (report,) = analysis._run_pass(trace, [analysis._Covariance(trace, hp.alpha, 4)])
+        (report,) = analysis._run_pass(
+            trace, inst.dim, hp.lam, [analysis._Covariance(trace, hp.alpha, 4)])
         worst = max(worst, report.detail["claim1_worst"])
         assert report.satisfied, report
     ok = worst <= 1e-8

@@ -16,7 +16,6 @@ from fedlinucb import (
     bias_demo,
     gen_instance,
     gen_schedule,
-    instantaneous_regret,
     run_fedlinucb,
     run_invariant_suite,
 )
@@ -56,38 +55,6 @@ def test_public_surface_matches_package():
     assert not hasattr(fedlinucb, "DecisionSet")
 
 
-# ---------------------------------------------------------------- regret lookup
-
-
-def test_instantaneous_regret_exact_member():
-    inst = gen_instance("fixed-list", arms=np.array([[1.0, 0.0], [0.0, 1.0]]),
-                        S=1.0, seed=0)
-    d_set = np.array([[1.0, 0.0], [0.0, 1.0]])
-    values = d_set @ inst.theta_star
-    worse = int(np.argmin(values))
-    assert instantaneous_regret(inst, d_set, d_set[worse]) == pytest.approx(
-        float(values.max() - values.min()), rel=1e-15
-    )
-    best = int(np.argmax(values))
-    assert instantaneous_regret(inst, d_set, d_set[best]) == 0.0
-
-
-def test_instantaneous_regret_tolerates_tiny_representation_drift():
-    inst = gen_instance("fixed-list", arms=np.array([[0.5, 0.0], [0.0, 0.5]]), seed=3)
-    d_set = np.array([[0.5, 0.0], [0.0, 0.5]])
-    nudged = d_set[1] * (1.0 + 1e-14)
-    got = instantaneous_regret(inst, d_set, nudged)
-    want = instantaneous_regret(inst, d_set, d_set[1])
-    assert got == want
-
-
-def test_instantaneous_regret_rejects_foreign_arm():
-    inst = gen_instance("fixed-list", arms=np.array([[0.5, 0.0]]), seed=0)
-    d_set = np.array([[0.5, 0.0]])
-    with pytest.raises(ValueError):
-        instantaneous_regret(inst, d_set, np.array([0.4, 0.0]))
-
-
 # ---------------------------------------------------------------- noise split
 
 
@@ -97,7 +64,7 @@ def test_noise_ledger_matches_direct_accumulation():
     # Independent route, straight off the trace columns: eta_t * x_t summed
     # into a running pooled total, and into per-agent pending shares that move
     # to the uploaded ones on every round whose comm column records a sync.
-    M = int(trace.params["M"])
+    M = trace.M
     run = np.zeros(inst.dim)
     up = {m: np.zeros(inst.dim) for m in range(1, M + 1)}
     loc = {m: np.zeros(inst.dim) for m in range(1, M + 1)}
@@ -255,19 +222,16 @@ def test_covariance_comparison_covers_single_agent_windows():
 
 def toy_trace(agent_seq, sync_rounds):
     T = len(agent_seq)
-    comm = [2 if (t, m) in sync_rounds else 0 for t, m in enumerate(agent_seq, 1)]
     events = [
         CommEvent(round=t, agent=m, logdet_before=0.0, logdet_after=math.log(2.0),
                   payload_checksum=payload_checksum(np.zeros((2, 2)), np.zeros(2)))
         for (t, m) in sorted(sync_rounds)
     ]
     return SimulationTrace(
-        t=np.arange(1, T + 1), agent=np.array(agent_seq), arm_index=np.zeros(T, dtype=int),
-        arms=np.zeros((T, 2)), reward=np.zeros(T), inst_regret=np.zeros(T),
-        comm=np.array(comm), logdet_server=np.zeros(T), det_server=np.ones(T),
-        events=events, cum_regret=np.zeros(T),
-        comm_count=2 * len(events), switch_count=len(events), epoch_starts=[],
-        beta_used=0.0, params={"d": 2, "M": max(agent_seq), "lambda": 1.0},
+        agent=np.array(agent_seq), arm_index=np.zeros(T, dtype=int), arms=np.zeros((T, 2)),
+        reward=np.zeros(T), inst_regret=np.zeros(T), logdet_server=np.zeros(T),
+        det_server=np.ones(T), events=events, epoch_starts=[], beta_used=0.0,
+        M=max(agent_seq),
     )
 
 
@@ -401,7 +365,7 @@ def test_package_covariances_skip_the_public_checks(monkeypatch):
 
 def test_sync_criterion_allows_only_logdet_rounding():
     inst, hp, trace = run_small(seed=13, T=200)
-    clean = analysis._sync_criterion_check(trace, hp.alpha)
+    clean = analysis._sync_criterion_check(trace, inst, hp)
     assert clean.satisfied and clean.detail["worst_margin"] > 0.0
     tol = clean.detail["tolerance"]
     assert 0.0 < tol < 1e-9  # d = 3, T = 200, L = 1, lambda = 1
@@ -411,7 +375,7 @@ def test_sync_criterion_allows_only_logdet_rounding():
         bent = dataclasses.replace(
             ev, logdet_after=ev.logdet_before + math.log1p(hp.alpha) + margin)
         doctored = dataclasses.replace(trace, events=[bent] + trace.events[1:])
-        return analysis._sync_criterion_check(doctored, hp.alpha)
+        return analysis._sync_criterion_check(doctored, inst, hp)
 
     assert with_margin(-0.5 * tol).satisfied
     report = with_margin(-1e-3)
@@ -446,11 +410,18 @@ def test_invariant_suite_clean_run_all_green():
     assert by_name["epoch-comm"].bound == pytest.approx(2 * (4 + 16.0))
 
 
-def test_invariant_suite_flags_corrupted_trace():
+@pytest.mark.parametrize("column, key", [
+    ("inst_regret", "negative_regret_rounds"),
+    ("logdet_server", "logdet_server_not_monotone"),
+])
+def test_invariant_suite_flags_doctored_trace(column, key):
     inst, hp, trace = run_small(seed=43, M=4, T=100, alpha=1.0 / 16.0)
-    # Phantom communication.
-    doctored = dataclasses.replace(trace, comm_count=trace.comm_count + 2)
-    reports = run_invariant_suite(doctored, inst, hp)
-    by_name = {r.name: r for r in reports}
-    assert not by_name["trace-consistency"].satisfied
-    assert "comm_count_vs_records" in by_name["trace-consistency"].detail
+    assert trace.events
+    # One regret entry below 0, or one step of the server log-determinant downward.
+    bent = getattr(trace, column).copy()
+    k = len(bent) // 2
+    bent[k] = -1.0 if column == "inst_regret" else bent[k - 1] - 1.0
+    report = suite_by_name(dataclasses.replace(trace, **{column: bent}), inst, hp)[
+        "trace-consistency"]
+    assert not report.satisfied and report.empirical == 1.0
+    assert list(report.detail) == [key]

@@ -291,17 +291,22 @@ def test_invalid_configs_exit_2_without_output(tmp_path, capsys):
 
 def test_huge_S_is_a_config_error_without_overflow(tmp_path, capsys):
     # theta_star is checked as ||theta/S|| <= 1, which does not overflow; the
-    # run is then refused by the default lambda = 1/S^2 = 0.
-    cfg = json.loads(json.dumps(BASE_CONFIG))
-    cfg["instance"]["S"] = 1e200
-    del cfg["params"]["lambda"]
-    out = tmp_path / "out"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        rc = main(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)])
-    assert rc == 2
-    assert "config error" in capsys.readouterr().err
-    assert not out.exists()
+    # run is then refused because the default lambda = 1/S^2 is not a
+    # positive finite number: S^2 underflows to 0 at 1e-200, and 1/S^2 is inf
+    # at 1e-160 and 0 at 1e200.
+    for S in (1e-200, 1e-160, 1e200):
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg["instance"]["S"] = S
+        del cfg["params"]["lambda"]
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert f"S = {S!r}" in err and "state 'lambda'" in err
+        assert not out.exists()
 
 
 def _floor_config(tmp_path, L=100.0):

@@ -79,9 +79,9 @@ def test_single_pass_reports_equal_the_per_check_replays(case):
     assert analysis._single_agent_windows(trace) == ref._single_agent_windows(trace)
 
 
-def brute_force_claim1_worst(trace, alpha, M):
+def brute_force_claim1_worst(trace, inst, hp, alpha, M):
     """max over agents and rounds of -lambda_min(server - sigma_loc_m / alpha)."""
-    d, lam = int(trace.params["d"]), float(trace.params["lambda"])
+    d, lam = inst.dim, hp.lam
     server = lam * np.eye(d)
     loc = {m: np.zeros((d, d)) for m in range(1, M + 1)}
     uploads = {(ev.round, ev.agent) for ev in trace.events}
@@ -100,13 +100,14 @@ def test_violated_claim_falls_back_to_eigvalsh():
     inst = gen_instance("random-sphere", d=4, K=6, seed=5)
     hp = HyperParams(lam=1.0, alpha=1.0 / 9.0, delta=0.1)
     trace = run_fedlinucb(inst, gen_schedule("iid-uniform", M=3, T=200, seed=6), hp)
-    reports = analysis.run_invariant_suite(trace, inst, dataclasses.replace(hp, alpha=1e-3))
+    check_hp = dataclasses.replace(hp, alpha=1e-3)
+    reports = analysis.run_invariant_suite(trace, inst, check_hp)
     report = next(r for r in reports if r.name == "covariance-comparison")
-    worst = brute_force_claim1_worst(trace, 1e-3, 3)
+    worst = brute_force_claim1_worst(trace, inst, hp, 1e-3, 3)
     assert worst > 1e-8  # the buffers scaled by 1/alpha are far outside the server
     assert report.detail["claim1_worst"] == worst
     assert not report.satisfied
-    assert report == ref.covariance_comparison_check(trace, 1e-3, 3)
+    assert report == ref.covariance_comparison_check(trace, inst, check_hp, 3)
 
 
 def test_clean_run_needs_no_eigvalsh(monkeypatch):

@@ -22,7 +22,6 @@ from fedlinucb import (
     compute_beta,
     gen_instance,
     gen_schedule,
-    instantaneous_regret,
     run_episodic,
     run_fedlinucb,
     run_independent_oful,
@@ -185,15 +184,18 @@ def test_trace_bookkeeping_identities():
     sched = gen_schedule("round-robin", M=3, T=240)
     hp = HyperParams(lam=1.0, alpha=1.0 / 9.0, delta=0.1)
     trace = run_fedlinucb(inst, sched, hp)
-    assert len(trace.t) == 240
+    assert trace.t.tolist() == list(range(1, 241)) and trace.t.dtype == np.int64
+    assert trace.comm.dtype == np.int64 and set(trace.comm.tolist()) == {0, 2}
+    assert np.flatnonzero(trace.comm).tolist() == [ev.round - 1 for ev in trace.events]
     assert trace.comm_count == int(trace.comm.sum())
     assert trace.switch_count == len(trace.events) == trace.comm_count // 2
     assert trace.beta_used == compute_beta(inst, hp, 3, 240)
     dets = trace.det_server
     assert np.all(dets[:-1] <= dets[1:] * (1 + 1e-12))
     assert np.all(trace.inst_regret >= 0.0)
-    assert trace.cum_regret[-1] == pytest.approx(sum(trace.inst_regret.tolist()))
-    assert trace.params["schedule"].startswith("round-robin")
+    assert np.array_equal(trace.cum_regret, np.cumsum(trace.inst_regret))
+    assert trace.total_regret == pytest.approx(sum(trace.inst_regret.tolist()))
+    assert trace.M == 3
     assert len(trace.final_agents) == 3
     # Every agent's synced state is a past server state: det no larger.
     for agent in trace.final_agents:
@@ -230,7 +232,6 @@ def test_eager_mode_changes_behavior():
     lazy = run_fedlinucb(inst, sched, HyperParams(**base, estimate_mode="lazy"))
     eager = run_fedlinucb(inst, sched, HyperParams(**base, estimate_mode="eager"))
     assert not np.array_equal(lazy.arm_index, eager.arm_index)
-    assert eager.params["estimate_mode"] == "eager"
 
 
 # ---------------------------------------------------------------- episodic
@@ -257,7 +258,7 @@ def test_episodic_groups_flatten_in_order():
     seq = run_fedlinucb(inst, flat, hp)
     assert np.array_equal(seq.arm_index, epi.arm_index)
     assert np.array_equal(seq.cum_regret, epi.cum_regret)
-    assert epi.params["M"] == 3  # inferred from the largest id
+    assert epi.M == 3  # inferred from the largest id
 
 
 def test_episodic_rejects_duplicate_in_episode():
@@ -288,11 +289,9 @@ def fake_trace(dets):
     ints = np.zeros(T, dtype=np.int64)
     # Only logdet_server matters to epoch_boundaries.
     return SimulationTrace(
-        t=np.arange(1, T + 1), agent=ints + 1, arm_index=ints, arms=np.zeros((T, 1)),
-        reward=zeros, inst_regret=zeros, comm=ints,
-        logdet_server=np.array([math.log(v) for v in dets]), det_server=zeros,
-        events=[], cum_regret=zeros,
-        comm_count=0, switch_count=0, epoch_starts=[], beta_used=0.0, params={},
+        agent=ints + 1, arm_index=ints, arms=np.zeros((T, 1)), reward=zeros,
+        inst_regret=zeros, logdet_server=np.array([math.log(v) for v in dets]),
+        det_server=zeros, events=[], epoch_starts=[], beta_used=0.0, M=1,
     )
 
 
@@ -334,10 +333,23 @@ def test_comm_cap_violation_raises():
     sched = gen_schedule("round-robin", M=2, T=40)
     hp = HyperParams(lam=1.0, alpha=0.25, delta=0.1)
     trace = run_fedlinucb(inst, sched, hp)
-    doctored = dataclasses.replace(trace, comm_count=10**6)
-    with pytest.raises(CommBoundError):
-        cap = theoretical_comm_bound(inst.dim, 2, hp.alpha, hp.lam, inst.L, 40)
-        _assert_comm_bounds(doctored, hp, 2, cap)
+    cap = theoretical_comm_bound(inst.dim, 2, hp.alpha, hp.lam, inst.L, 40)
+    assert 0 < trace.comm_count <= cap
+    _assert_comm_bounds(trace, hp, 2, cap)
+    with pytest.raises(CommBoundError, match="exceeds deterministic cap"):
+        _assert_comm_bounds(trace, hp, 2, trace.comm_count - 1)
+
+
+def test_epoch_comm_cap_violation_raises():
+    # Against a huge alpha the per-epoch cap 2(M + 1/alpha) is barely 2M = 4,
+    # below the communications that one of this run's epochs holds.
+    inst = small_instance(seed=1)
+    sched = gen_schedule("round-robin", M=2, T=200)
+    hp = HyperParams(lam=1.0, alpha=1.0 / 16.0, delta=0.1)
+    trace = run_fedlinucb(inst, sched, hp)
+    huge = dataclasses.replace(hp, alpha=1e12)
+    with pytest.raises(CommBoundError, match=r"epoch \d+ \(from round \d+\) used \d+"):
+        _assert_comm_bounds(trace, huge, 2, math.inf)
 
 
 def test_non_finite_comm_cap_is_refused_before_the_run(monkeypatch):
@@ -384,11 +396,7 @@ def test_independent_baseline_agents_learn_separately():
     ind = run_independent_oful(inst, sched, hp)
     assert len(ind.t) == 200
     assert ind.t.tolist() == list(range(1, 201))
-    # Each agent's radius is the single-agent one for its own activation count.
-    per_beta = ind.params["per_agent_beta"]
-    for m in (1, 2, 3):
-        n_m = int((sched.agents == m).sum())
-        assert per_beta[str(m)] == pytest.approx(compute_beta(inst, hp, 1, n_m), rel=1e-12)
+    assert ind.M == 3
     # Same environment as the federated run on this schedule.
     fed = run_fedlinucb(inst, sched, hp)
     same_round_rewards = [
@@ -407,7 +415,8 @@ def test_independent_baseline_matches_private_reference():
     sched = gen_schedule("iid-uniform", M=3, T=240, seed=9)
     hp = HyperParams(lam=1.0, alpha=0.25, delta=0.1)
     ind = run_independent_oful(inst, sched, hp)
-    betas = {m: ind.params["per_agent_beta"][str(m)] for m in (1, 2, 3)}
+    # Each agent's radius is the single-agent one for its own activation count.
+    betas = {m: compute_beta(inst, hp, 1, int((sched.agents == m).sum())) for m in (1, 2, 3)}
     assert len(set(betas.values())) > 1
     ref = reference_federated(inst, sched, 1.0, 0.25, betas, log_space=True, private=True)
     assert {m for _, m in ref.syncs} == {1, 2, 3}
@@ -419,8 +428,8 @@ def test_independent_baseline_matches_private_reference():
 
 
 def test_inst_regret_is_the_index_formula():
-    # The run loop and analysis.instantaneous_regret share one formula: the
-    # best arm of a round scores exactly zero.
+    # The run loop records index_regret of the chosen row: the best arm of a
+    # round scores exactly zero.
     inst = small_instance(seed=47)
     trace = run_fedlinucb(inst, gen_schedule("round-robin", M=2, T=60),
                           HyperParams(lam=1.0, alpha=0.25, delta=0.1))
@@ -428,7 +437,6 @@ def test_inst_regret_is_the_index_formula():
     for k, t in enumerate(trace.t.tolist()):
         d_set = sample_decision_set(inst, t)
         assert trace.inst_regret[k] == index_regret(inst, d_set, int(trace.arm_index[k]))
-        assert trace.inst_regret[k] == instantaneous_regret(inst, d_set, trace.arms[k])
         best = int(np.argmax(d_set @ inst.theta_star))
         assert index_regret(inst, d_set, best) == 0.0
 
