@@ -135,14 +135,6 @@ def _run_pass(trace: SimulationTrace, d: int, lam: float, checks: list) -> list[
     return [report for check in checks for report in check.reports(rep)]
 
 
-def _synced_rows(trace: SimulationTrace) -> np.ndarray:
-    """Per row, whether an event records an upload by that round's own agent."""
-    synced = np.zeros(len(trace.agent), dtype=bool)
-    for ev in trace.events:
-        synced[ev.round - 1] |= trace.agent[ev.round - 1] == ev.agent
-    return synced
-
-
 class _Noise:
     """The pooled noise sum must equal the uploaded + pending shares, each round.
 
@@ -299,14 +291,21 @@ class _Covariance:
     (smallest eigenvalue of the difference >= -1e-8).  Additionally, inside
     every single-agent window that opens with a sync, the agent's synced
     covariance dominates the pooled one shrunk by 1/(1 + M alpha).
+
+    A sync of agent m opens a window on the rounds after it, and the window
+    stays open while m keeps acting; a later sync of m closes it and opens
+    the next.  It must not reach past m's run of consecutive activations: at
+    the first round of the next run another agent can upload, growing the
+    shared aggregate past what m downloaded, and the comparison is not
+    claimed there.  A window counts once its first round is checked.
     """
 
-    def __init__(self, trace: SimulationTrace, alpha: float, M: int):
+    def __init__(self, alpha: float, M: int):
         self.alpha, self.M = alpha, M
         self.shrink = 1.0 / (1.0 + M * alpha)
-        self.windows = _single_agent_windows(trace)
-        # Window rounds are disjoint: each round is a claim-2 round of at most one agent.
-        self.window_agent = {t - 1: m for m, t1, t2 in self.windows for t in range(t1 + 1, t2 + 1)}
+        self.window: int | None = None  # agent of the open window
+        self.checked = False  # whether the open window has a checked round
+        self.windows = 0
         self.worst1 = self.worst2 = 0.0  # claim 1 / claim 2 violation magnitudes
         self.n_checks1 = self.n_checks2 = 0
 
@@ -317,48 +316,29 @@ class _Covariance:
         if k == 0 or rep.synced:
             changed = range(1, self.M + 1)
         else:
-            changed = [rep.m] if rep.m <= self.M else []
+            changed = [rep.m]
         for m in changed:
             diff = rep.server_sigma - rep.sigma_loc[m] / self.alpha
             self.worst1 = _loewner_worst(self.worst1, diff)
         self.n_checks1 += self.M
-        m = self.window_agent.get(k)
-        if m is not None:
-            diff = rep.synced_sigma[m] - self.shrink * rep.sigma_all
+        if self.window == rep.m:
+            diff = rep.synced_sigma[rep.m] - self.shrink * rep.sigma_all
             self.worst2 = _loewner_worst(self.worst2, diff)
             self.n_checks2 += 1
+            self.windows += not self.checked
+            self.checked = True
+        else:
+            self.window = None
+        if rep.synced:
+            self.window, self.checked = rep.m, False
 
     def reports(self, rep: _Replay) -> list[BoundReport]:
         return [_capped(
             "covariance-comparison", max(self.worst1, self.worst2), 1e-8,
             claim1_checks=self.n_checks1, claim1_worst=self.worst1,
             claim2_checks=self.n_checks2, claim2_worst=self.worst2,
-            windows=len(self.windows),
+            windows=self.windows,
         )]
-
-
-def _single_agent_windows(trace: SimulationTrace) -> list[tuple[int, int, int]]:
-    """Windows (m, t1, t2): agent m alone active in (t1, t2], syncing at t1.
-
-    t1 is a sync round of m; the window extends to the agent's next sync in
-    the same run of consecutive activations, or to the run's last round.  It
-    must not reach past the run: at the first round of the next run another
-    agent can upload, growing the shared aggregate past what m downloaded at
-    t1, and the comparison is not claimed there.
-    """
-    agent, t = trace.agent, trace.t
-    T = len(agent)
-    if T == 0:
-        return []
-    # Last row of the run of consecutive activations that each row belongs to.
-    last = np.flatnonzero(np.append(agent[1:] != agent[:-1], True))
-    run_end = np.repeat(last, np.diff(last, prepend=-1))
-    ks = np.flatnonzero(_synced_rows(trace))
-    # Sync rows of one run belong to its agent, so the next sync row, if it is
-    # still inside the run, is that agent's next sync there.
-    close = np.minimum(np.append(ks[1:], T), run_end[ks])
-    keep = t[close] > t[ks]
-    return list(zip(agent[ks][keep].tolist(), t[ks][keep].tolist(), t[close][keep].tolist()))
 
 
 @dataclass
@@ -415,10 +395,7 @@ def bias_demo(
         )
 
     inst = gen_instance("bias-demo", seed=seed)
-    hp = HyperParams(
-        lam=lam, alpha=alpha, delta=0.01,
-        beta_mode="fixed", beta_value=beta_fixed, estimate_mode=mode,
-    )
+    hp = HyperParams(lam=lam, alpha=alpha, delta=0.01, beta_value=beta_fixed, estimate_mode=mode)
     if m_agents == 0:
         return BiasDemoReport(
             mode=mode, n_agents=0, predicted_reward_arm_a=0.0,
@@ -498,7 +475,7 @@ def run_invariant_suite(
 
     reports += _run_pass(trace, d, hp.lam, [
         _Elliptical(d, hp.lam, L, T), _Conservation(), _Noise(inst, M),
-        _Covariance(trace, hp.alpha, M), _Coverage(inst, hp, T, trace.beta_used),
+        _Covariance(hp.alpha, M), _Coverage(inst, hp, T, trace.beta_used),
     ])
 
     regret_bound = theoretical_regret_bound(inst, hp, M, T, trace.beta_used)

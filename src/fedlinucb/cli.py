@@ -76,18 +76,21 @@ def _render_json(obj, indent: int = 0) -> str:
     return json.dumps(str(obj))
 
 
-# Config fields that must be JSON integers; the library holds their ranges.
+# Config fields that must be JSON integers, and JSON numbers (an integer or
+# not); the library holds their ranges.
 INTEGER_KEYS = {"instance": ("d", "K", "seed"), "schedule": ("M", "T", "seed")}
+NUMBER_KEYS = {"instance": ("S", "L", "R"), "params": ("lambda", "alpha", "delta")}
 
 
-def _check_integer(where: str, value) -> None:
+def _check_number(where: str, value, integer: bool = False) -> None:
     # bool is an int subclass; JSON true must not read as 1
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        raise ConfigError(f"{where} must be {'an integer' if integer else 'a number'}, "
+                          f"got {value!r}")
 
 
 def _with_defaults(raw: dict) -> dict:
-    """The config's shape, required keys, integer fields and plain defaults."""
+    """The config's shape, required keys, integer and number fields and plain defaults."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     cfg = copy.deepcopy(raw)
@@ -107,11 +110,14 @@ def _with_defaults(raw: dict) -> dict:
     for key, value in (("beta", "auto"), ("delta", 0.01), ("estimate_mode", "lazy")):
         params.setdefault(key, value)
     cfg.setdefault("replications", 1)
-    for section, keys in INTEGER_KEYS.items():
-        for key in keys:
-            if key in cfg[section]:
-                _check_integer(f"{section} {key}", cfg[section][key])
-    _check_integer("replications", cfg["replications"])
+    for integer, table in ((True, INTEGER_KEYS), (False, NUMBER_KEYS)):
+        for section, keys in table.items():
+            for key in keys:
+                if key in cfg[section]:
+                    _check_number(f"{section} {key}", cfg[section][key], integer)
+    if params["beta"] != "auto":
+        _check_number("params beta", params["beta"])
+    _check_number("replications", cfg["replications"], integer=True)
     if cfg["replications"] < 1:
         raise ConfigError("replications must be >= 1")
     return cfg
@@ -223,7 +229,6 @@ def build_hyperparams(cfg: dict) -> HyperParams:
         lam=float(params["lambda"]),
         alpha=float(params["alpha"]),
         delta=float(params["delta"]),
-        beta_mode="auto" if beta == "auto" else "fixed",
         beta_value=None if beta == "auto" else float(beta),
         estimate_mode=params["estimate_mode"],
     )

@@ -253,11 +253,11 @@ class ProblemInstance:
     rewards and regret only.  ``arm_spec`` is the decision-set generator
     descriptor (see :mod:`fedlinucb.environment`), ``noise_spec`` one of
     ``"gaussian"`` or ``"rademacher-scaled"``, and ``master_seed`` keys every
-    per-round environment draw.  A fixed arm set (``arm_spec.arms``) is
-    checked here, once, against ``dim`` and the arm rule for ``L``.
+    per-round environment draw.  The dimension ``dim`` is the length of
+    ``theta_star``.  A fixed arm set (``arm_spec.arms``) is checked here,
+    once, against ``dim`` and the arm rule for ``L``.
     """
 
-    dim: int
     theta_star: Vector
     S: float
     L: float
@@ -267,14 +267,10 @@ class ProblemInstance:
     master_seed: int
 
     def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
         theta = np.asarray(self.theta_star, dtype=np.float64)
         object.__setattr__(self, "theta_star", theta)
-        if theta.shape != (self.dim,):
-            raise DimensionMismatchError(
-                f"theta_star shape {theta.shape} does not match dim {self.dim}"
-            )
+        if theta.ndim != 1 or theta.size == 0:
+            raise DimensionMismatchError(f"theta_star must be a nonempty vector, got {theta.shape}")
         if not (0.0 < self.S < math.inf and 0.0 < self.L < math.inf):
             raise ValueError("S and L must be positive and finite")
         if not 0.0 <= self.R < math.inf:
@@ -293,6 +289,10 @@ class ProblemInstance:
         if not (0 <= int(self.master_seed) < 2**64):
             raise ValueError("master_seed must fit in an unsigned 64-bit integer")
 
+    @property
+    def dim(self) -> int:
+        return self.theta_star.shape[0]
+
 
 def check_arm_norm(worst: float, L: float) -> None:
     """The arm rule: ValueError unless the largest arm norm ``worst`` is within L(1 + 1e-9)."""
@@ -304,16 +304,15 @@ def check_arm_norm(worst: float, L: float) -> None:
 class HyperParams:
     """Algorithm hyperparameters shared by all agents and the server.
 
-    ``beta_mode`` is ``"auto"`` (confidence radius from :func:`compute_beta`)
-    or ``"fixed"`` with ``beta_value`` supplied.  ``estimate_mode`` selects
-    lazy (estimate refreshed only on sync) or eager (selection statistics
-    recombined from local buffers every round) behavior.
+    ``beta_value`` is None for the confidence radius of :func:`compute_beta`,
+    or a nonnegative finite number that fixes the radius.  ``estimate_mode``
+    selects lazy (estimate refreshed only on sync) or eager (selection
+    statistics recombined from local buffers every round) behavior.
     """
 
     lam: float
     alpha: float
     delta: float
-    beta_mode: str = "auto"
     beta_value: float | None = None
     estimate_mode: str = "lazy"
 
@@ -324,11 +323,8 @@ class HyperParams:
             raise ValueError("alpha must be positive and finite")
         if not (0.0 < self.delta < 1.0):
             raise ValueError("delta must lie in (0, 1)")
-        if self.beta_mode not in ("auto", "fixed"):
-            raise ValueError(f"unknown beta_mode {self.beta_mode!r}")
-        if self.beta_mode == "fixed":
-            if self.beta_value is None or not 0.0 <= self.beta_value < math.inf:
-                raise ValueError("fixed beta_mode requires a nonnegative finite beta_value")
+        if self.beta_value is not None and not 0.0 <= self.beta_value < math.inf:
+            raise ValueError("a fixed beta_value must be nonnegative and finite")
         if self.estimate_mode not in ("lazy", "eager"):
             raise ValueError(f"unknown estimate_mode {self.estimate_mode!r}")
 
@@ -343,16 +339,15 @@ def _finite(name: str, value: float) -> float:
 def compute_beta(inst: ProblemInstance, hp: HyperParams, M: int, T: int) -> float:
     """Confidence radius for the asynchronous federated run.
 
-    In auto mode evaluates, with natural logarithms,
+    Without a fixed ``beta_value`` evaluates, with natural logarithms,
 
         sqrt(lam)*S + (sqrt(1 + M*alpha) + M*sqrt(2*alpha))
                       * (R*sqrt(d*ln((1 + T*L^2/(min(alpha,1)*lam))/delta)) + sqrt(lam)*S)
 
-    literally as written (including ``min(alpha, 1)`` for alpha > 1).  In
-    fixed mode returns the supplied value unchanged.
+    literally as written (including ``min(alpha, 1)`` for alpha > 1).  A
+    fixed ``beta_value`` is returned unchanged.
     """
-    if hp.beta_mode == "fixed":
-        assert hp.beta_value is not None
+    if hp.beta_value is not None:
         return float(hp.beta_value)
     if M < 1 or T < 1:
         raise ValueError("auto beta requires M >= 1 and T >= 1")

@@ -55,10 +55,9 @@ class ArmSpec:
         "hypercube-corners" K arms drawn from the corners {+-L/sqrt(d)}^d,
                             fresh per round.
         "fixed-list"        the same explicit arm list every round.
-        "bias-demo-pair"    the fixed two-arm set used by the bias demo.
 
-    The two fixed variants hold their K arms as one read-only float64 (K, d)
-    array in ``arms``, and every round serves that array; the
+    A fixed list holds its K arms as one read-only float64 (K, d) array in
+    ``arms``, and every round serves that array; the
     :class:`~fedlinucb.core.ProblemInstance` holding the spec checks its
     width and norms.
     """
@@ -68,23 +67,19 @@ class ArmSpec:
     arms: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if self.variant not in ("random-sphere", "hypercube-corners", "fixed-list", "bias-demo-pair"):
+        if self.variant not in ("random-sphere", "hypercube-corners", "fixed-list"):
             raise ValueError(f"unknown arm variant {self.variant!r}")
         if self.K < 1:
             raise ValueError("K must be >= 1")
-        if self.variant == "bias-demo-pair":
-            arms = _BIAS_ARMS
-        elif self.variant == "fixed-list":
-            if self.arms is None:
-                raise ValueError("fixed-list requires an explicit arm array")
-            arms = self.arms
-        elif self.arms is not None:
-            raise ValueError(f"{self.variant} draws its arms each round; got an arm array")
-        else:
+        if self.variant != "fixed-list":
+            if self.arms is not None:
+                raise ValueError(f"{self.variant} draws its arms each round; got an arm array")
             return
-        arms = np.array(arms, dtype=np.float64)
+        if self.arms is None:
+            raise ValueError("fixed-list requires an explicit arm array")
+        arms = np.array(self.arms, dtype=np.float64)
         if arms.ndim != 2 or arms.shape[0] != self.K:
-            raise ValueError(f"{self.variant} needs a (K={self.K}, d) arm array, got {arms.shape}")
+            raise ValueError(f"fixed-list needs a (K={self.K}, d) arm array, got {arms.shape}")
         arms.flags.writeable = False
         object.__setattr__(self, "arms", arms)
 
@@ -98,21 +93,28 @@ def _check_sizes(M: int, T: int) -> None:
 
 @dataclass(frozen=True)
 class Schedule:
-    """Activation sequence: agents[t-1] is the active agent of round t (1-based ids)."""
+    """Activation sequence: agents[t-1] acts in round t (1-based ids); T is its length."""
 
     M: int
-    T: int
     agents: np.ndarray
-    descriptor: str
 
     def __post_init__(self) -> None:
-        _check_sizes(self.M, self.T)
-        agents = np.asarray(self.agents, dtype=np.int64)
-        object.__setattr__(self, "agents", agents)
-        if agents.shape != (self.T,):
-            raise ValueError(f"schedule length {agents.shape} does not match T={self.T}")
-        if self.T > 0 and (agents.min() < 1 or agents.max() > self.M):
-            raise ValueError("schedule references an agent id outside 1..M")
+        if self.M < 1:
+            raise ValueError("M must be >= 1")
+        agents = np.asarray(self.agents)
+        if agents.ndim != 1:
+            raise ValueError(f"agent ids must form a 1-D sequence, got shape {agents.shape}")
+        if agents.size:
+            # A float or bool id would otherwise be truncated to an integer.
+            if agents.dtype.kind not in "iu":
+                raise ValueError(f"agent ids must be integers, got dtype {agents.dtype}")
+            if agents.min() < 1 or agents.max() > self.M:
+                raise ValueError("schedule references an agent id outside 1..M")
+        object.__setattr__(self, "agents", agents.astype(np.int64, copy=False))
+
+    @property
+    def T(self) -> int:
+        return len(self.agents)
 
 
 def gen_instance(
@@ -136,12 +138,11 @@ def gen_instance(
     if kind == "bias-demo":
         L = max(L, 3.0)
         return ProblemInstance(
-            dim=2,
             theta_star=np.zeros(2),
             S=S,
             L=L,
             R=R,
-            arm_spec=ArmSpec("bias-demo-pair", K=2),
+            arm_spec=ArmSpec("fixed-list", K=2, arms=_BIAS_ARMS),
             noise_spec="rademacher-scaled",
             master_seed=seed,
         )
@@ -167,7 +168,6 @@ def gen_instance(
         raise ValueError(f"S = {S!r} overflows theta_star = S * direction / norm")
     theta_star = S * direction / norm
     return ProblemInstance(
-        dim=d,
         theta_star=theta_star,
         S=S,
         L=L,
@@ -220,8 +220,8 @@ def _noise_block(seed: int, noise: str, block: int) -> np.ndarray:
 def sample_decision_set(inst: ProblemInstance, t: int) -> np.ndarray:
     """Decision set of round t, a read-only float64 (K, d) array of arms.
 
-    It depends only on (master_seed, t); both fixed variants serve the same
-    array every round.
+    It depends only on (master_seed, t); a fixed list serves the same array
+    every round.
     """
     if t < 1:
         raise ValueError("rounds are 1-based")
@@ -266,8 +266,7 @@ def gen_schedule(
     if kind == "explicit-list":
         if agents is None:
             raise ValueError("explicit-list schedule requires an agent sequence")
-        seq = np.asarray(agents, dtype=np.int64)
-        return Schedule(M=M, T=len(seq), agents=seq, descriptor=f"explicit-list(M={M},T={len(seq)})")
+        return Schedule(M=M, agents=agents)
     if kind not in ("round-robin", "iid-uniform", "block"):
         raise ValueError(f"unknown schedule kind {kind!r}")
     if T is None:
@@ -275,17 +274,14 @@ def gen_schedule(
     _check_sizes(M, T)
     if kind == "round-robin":
         seq = (np.arange(T, dtype=np.int64) % M) + 1
-        desc = f"round-robin(M={M},T={T})"
     elif kind == "iid-uniform":
         rng = _block_rng(seed, "schedule", 0)
         seq = rng.integers(1, M + 1, size=T, dtype=np.int64)
-        desc = f"iid-uniform(M={M},T={T},seed={seed})"
     else:
         if T % M != 0:
             raise ValueError(f"block schedule needs M | T, got M={M}, T={T}")
         seq = np.repeat(np.arange(1, M + 1, dtype=np.int64), T // M)
-        desc = f"block(M={M},T={T})"
-    return Schedule(M=M, T=T, agents=seq, descriptor=desc)
+    return Schedule(M=M, agents=seq)
 
 
 def _read_data_lines(path: str) -> list[list[str]]:

@@ -115,8 +115,8 @@ def index_regret(inst: ProblemInstance, d_set: np.ndarray, idx: int) -> float:
 
 
 def _resolve_beta(inst: ProblemInstance, hp: HyperParams, M: int, T: int) -> float:
-    if T == 0 and hp.beta_mode == "auto":
-        return 0.0  # nothing is selected; keep the echo deterministic
+    if T == 0 and hp.beta_value is None:
+        return 0.0  # an empty run selects nothing; compute_beta refuses T = 0
     return compute_beta(inst, hp, M, T)
 
 
@@ -272,12 +272,10 @@ def run_episodic(
     """
     flat: list[int] = []
     for k, group in enumerate(participation_sets, 1):
-        ids = [int(m) for m in group]
-        if len(set(ids)) != len(ids):
+        if len(set(group)) != len(group):
             raise ValueError(f"episode {k} activates an agent more than once")
-        flat.extend(ids)
-    schedule = Schedule(M=M if M is not None else max(flat, default=1), T=len(flat),
-                        agents=flat, descriptor=f"episodic(K={len(participation_sets)})")
+        flat.extend(group)
+    schedule = Schedule(M=M if M is not None else max(flat, default=1), agents=flat)
     return run_fedlinucb(inst, schedule, hp)
 
 

@@ -226,7 +226,7 @@ def test_07_covariance_domination(capsys):
         inst = gen_instance("random-sphere", d=4, K=10, seed=700 + rep)
         trace = run_fedlinucb(inst, sched, hp)
         (report,) = analysis._run_pass(
-            trace, inst.dim, hp.lam, [analysis._Covariance(trace, hp.alpha, 4)])
+            trace, inst.dim, hp.lam, [analysis._Covariance(hp.alpha, 4)])
         worst = max(worst, report.detail["claim1_worst"])
         assert report.satisfied, report
     ok = worst <= 1e-8

@@ -19,7 +19,6 @@ from fedlinucb import (
     run_fedlinucb,
     run_invariant_suite,
 )
-from fedlinucb.analysis import _single_agent_windows
 from fedlinucb.environment import _BIAS_ARMS
 from fedlinucb.protocol import CommEvent, init_agent, local_update, payload_checksum, should_sync
 
@@ -235,18 +234,24 @@ def toy_trace(agent_seq, sync_rounds):
     )
 
 
+def window_counts(trace):
+    """(windows, claim-2 checks) of the covariance comparison on ``trace``."""
+    (report,) = analysis._run_pass(trace, 2, 1.0, [analysis._Covariance(0.5, trace.M)])
+    return report.detail["windows"], report.detail["claim2_checks"]
+
+
 def test_single_agent_window_extraction():
-    trace = toy_trace([1, 1, 1, 2, 2, 2], {(2, 1), (5, 2)})
-    assert _single_agent_windows(trace) == [(1, 2, 3), (2, 5, 6)]
+    # Windows (1, 2, 3) and (2, 5, 6): each sync's agent alone in the round after it.
+    assert window_counts(toy_trace([1, 1, 1, 2, 2, 2], {(2, 1), (5, 2)})) == (2, 2)
     # Back-to-back syncs: the earlier one opens a window up to the later one;
     # a sync on the run's last round opens nothing.
-    trace = toy_trace([1, 1, 2], {(1, 1), (2, 1)})
-    assert _single_agent_windows(trace) == [(1, 1, 2)]
-    # Windows never cross into the next agent's run.
-    trace = toy_trace([1, 1, 2, 2], {(1, 1), (3, 2)})
-    assert _single_agent_windows(trace) == [(1, 1, 2), (2, 3, 4)]
+    assert window_counts(toy_trace([1, 1, 2], {(1, 1), (2, 1)})) == (1, 1)
+    # Windows never cross into the next agent's run: (1, 1, 2) and (2, 3, 4).
+    assert window_counts(toy_trace([1, 1, 2, 2], {(1, 1), (3, 2)})) == (2, 2)
     # No syncs, no windows.
-    assert _single_agent_windows(toy_trace([1, 2, 1], set())) == []
+    assert window_counts(toy_trace([1, 2, 1], set())) == (0, 0)
+    assert not hasattr(analysis, "_single_agent_windows")
+    assert not hasattr(analysis, "_synced_rows")
 
 
 # ---------------------------------------------------------------- bias demo

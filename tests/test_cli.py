@@ -289,6 +289,39 @@ def test_invalid_configs_exit_2_without_output(tmp_path, capsys):
         assert not out.exists(), f"case {i} wrote output despite failing"
 
 
+NUMBER_FIELDS = [("instance", k) for k in ("S", "L", "R")] + [
+    ("params", k) for k in ("lambda", "alpha", "delta", "beta")]
+
+
+@pytest.mark.parametrize("field", NUMBER_FIELDS)
+@pytest.mark.parametrize("value", [True, "0.5"])
+def test_float_fields_must_be_json_numbers(tmp_path, capsys, field, value):
+    # A JSON true would read as 1, a string would be parsed; both are refused.
+    section, key = field
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg[section][key] = value
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    assert f"{section} {key} must be a number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_number_fields_take_json_integers(tmp_path):
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["instance"]["S"] = 1
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    assert (out / "summary.json").exists()
+
+
+def test_sweep_refuses_a_bool_alpha_cell_before_any_run(tmp_path, capsys):
+    cfg = dict(BASE_CONFIG, sweep={"axis": "alpha", "values": [0.5, True]})
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    assert "params alpha must be a number" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_huge_S_is_a_config_error_without_overflow(tmp_path, capsys):
     # theta_star is checked as ||theta/S|| <= 1, which does not overflow; the
     # run is then refused because the default lambda = 1/S^2 is not a

@@ -2,6 +2,7 @@
 selection rule. Expected values are recomputed here with plain math, not
 copied from the implementation."""
 
+import dataclasses
 import math
 import subprocess
 import sys
@@ -32,7 +33,7 @@ from fedlinucb.core import check_arm_norm
 def make_instance(d=2, S=1.0, L=1.0, R=1.0):
     theta = np.zeros(d)
     return ProblemInstance(
-        dim=d, theta_star=theta, S=S, L=L, R=R,
+        theta_star=theta, S=S, L=L, R=R,
         arm_spec=None, noise_spec="gaussian", master_seed=0,
     )
 
@@ -368,7 +369,7 @@ def test_compute_beta_reference_point():
 
 
 def test_compute_beta_zero_noise_zero_budget():
-    inst = ProblemInstance(dim=3, theta_star=np.zeros(3), S=1e-300, L=1.0, R=0.0,
+    inst = ProblemInstance(theta_star=np.zeros(3), S=1e-300, L=1.0, R=0.0,
                            arm_spec=None, noise_spec="gaussian", master_seed=0)
     hp = HyperParams(lam=1.0, alpha=0.5, delta=0.1)
     # R = 0 and S -> 0 collapse the radius to ~0.
@@ -377,7 +378,7 @@ def test_compute_beta_zero_noise_zero_budget():
 
 def test_compute_beta_fixed_passthrough():
     inst = make_instance()
-    hp = HyperParams(lam=1.0, alpha=0.5, delta=0.1, beta_mode="fixed", beta_value=2.5)
+    hp = HyperParams(lam=1.0, alpha=0.5, delta=0.1, beta_value=2.5)
     assert compute_beta(inst, hp, M=3, T=50) == 2.5
 
 
@@ -422,7 +423,7 @@ def test_regret_bound_monotone_in_horizon():
 
 
 def test_regret_bound_zero_when_nothing_to_learn():
-    inst = ProblemInstance(dim=2, theta_star=np.zeros(2), S=1e-300, L=1.0, R=0.0,
+    inst = ProblemInstance(theta_star=np.zeros(2), S=1e-300, L=1.0, R=0.0,
                            arm_spec=None, noise_spec="gaussian", master_seed=0)
     hp = HyperParams(lam=1.0, alpha=0.5, delta=0.1)
     assert theoretical_regret_bound(inst, hp, M=2, T=100, beta=0.0) == pytest.approx(0.0, abs=1e-290)
@@ -538,22 +539,27 @@ def test_decision_set_validation():
 
 def test_problem_instance_validation():
     with pytest.raises(ValueError):
-        ProblemInstance(dim=2, theta_star=np.array([2.0, 0.0]), S=1.0, L=1.0, R=1.0,
+        ProblemInstance(theta_star=np.array([2.0, 0.0]), S=1.0, L=1.0, R=1.0,
                         arm_spec=None, noise_spec="gaussian", master_seed=0)
     with pytest.raises(ValueError):
-        ProblemInstance(dim=2, theta_star=np.zeros(2), S=1.0, L=1.0, R=-0.5,
+        ProblemInstance(theta_star=np.zeros(2), S=1.0, L=1.0, R=-0.5,
                         arm_spec=None, noise_spec="gaussian", master_seed=0)
     with pytest.raises(ValueError):
-        ProblemInstance(dim=2, theta_star=np.zeros(2), S=1.0, L=1.0, R=1.0,
+        ProblemInstance(theta_star=np.zeros(2), S=1.0, L=1.0, R=1.0,
                         arm_spec=None, noise_spec="laplace", master_seed=0)
-    with pytest.raises(DimensionMismatchError):
-        ProblemInstance(dim=3, theta_star=np.zeros(2), S=1.0, L=1.0, R=1.0,
-                        arm_spec=None, noise_spec="gaussian", master_seed=0)
+    for theta in (np.zeros((2, 2)), np.zeros(0), 0.0):
+        with pytest.raises(DimensionMismatchError):
+            ProblemInstance(theta_star=theta, S=1.0, L=1.0, R=1.0,
+                            arm_spec=None, noise_spec="gaussian", master_seed=0)
+    inst = ProblemInstance(theta_star=[0.5, 0.0, 0.0], S=1.0, L=1.0, R=1.0,
+                           arm_spec=None, noise_spec="gaussian", master_seed=0)
+    assert inst.dim == len(inst.theta_star) == 3
+    assert "dim" not in [f.name for f in dataclasses.fields(ProblemInstance)]
     for bad in (math.nan, math.inf, -math.inf):
         for key in ("S", "L", "R"):
             fields = {"S": 1.0, "L": 1.0, "R": 1.0, key: bad}
             with pytest.raises(ValueError):
-                ProblemInstance(dim=2, theta_star=np.zeros(2), arm_spec=None,
+                ProblemInstance(theta_star=np.zeros(2), arm_spec=None,
                                 noise_spec="gaussian", master_seed=0, **fields)
 
 
@@ -565,7 +571,7 @@ def test_hyperparams_validation():
     with pytest.raises(ValueError):
         HyperParams(lam=1.0, alpha=0.5, delta=1.5)
     with pytest.raises(ValueError):
-        HyperParams(lam=1.0, alpha=0.5, delta=0.1, beta_mode="fixed")
+        HyperParams(lam=1.0, alpha=0.5, delta=0.1, beta_value=-0.5)
     with pytest.raises(ValueError):
         HyperParams(lam=1.0, alpha=0.5, delta=0.1, estimate_mode="sometimes")
     for bad in (math.nan, math.inf, -math.inf):
@@ -574,4 +580,5 @@ def test_hyperparams_validation():
         with pytest.raises(ValueError):
             HyperParams(lam=1.0, alpha=bad, delta=0.1)
         with pytest.raises(ValueError):
-            HyperParams(lam=1.0, alpha=0.5, delta=0.1, beta_mode="fixed", beta_value=bad)
+            HyperParams(lam=1.0, alpha=0.5, delta=0.1, beta_value=bad)
+    assert "beta_mode" not in [f.name for f in dataclasses.fields(HyperParams)]

@@ -1,7 +1,10 @@
 """The README's examples run against the package as documented."""
 
+import json
 import re
 from pathlib import Path
+
+from fedlinucb.cli import build_run
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -14,3 +17,19 @@ def test_readme_library_example_runs(capsys):
     # One line of run figures, then one per invariant report, all satisfied.
     assert len(lines) == 12
     assert all(line.split()[1] == "True" for line in lines[1:])
+
+
+def test_readme_config_example_resolves():
+    section = README.read_text(encoding="utf-8").split("\n### Config\n", 1)[1]
+    shown = json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+    cfg, inst, schedule, hp = build_run(shown)
+    # The documented config validates, and resolves to the values it shows.
+    for part in ("instance", "schedule", "params"):
+        assert cfg[part] == {**cfg[part], **shown[part]}
+    assert cfg["replications"] == shown["replications"]
+    params = shown["params"]
+    assert (hp.lam, hp.alpha, hp.delta, hp.estimate_mode) == (
+        params["lambda"], params["alpha"], params["delta"], params["estimate_mode"])
+    assert params["beta"] == "auto" and hp.beta_value is None
+    assert (inst.dim, schedule.M, schedule.T) == (
+        shown["instance"]["d"], shown["schedule"]["M"], shown["schedule"]["T"])

@@ -4,6 +4,7 @@ The draw tests pin the counter-based keying: every random quantity must be a
 pure function of (master_seed, round index), independent of call order.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -120,7 +121,7 @@ def test_rounds_are_one_based():
 
 
 def _fixed_beta(**kw):
-    return HyperParams(lam=1.0, alpha=0.25, delta=0.1, beta_mode="fixed", beta_value=1.0, **kw)
+    return HyperParams(lam=1.0, alpha=0.25, delta=0.1, beta_value=1.0, **kw)
 
 
 @pytest.mark.parametrize("kind", ["random-sphere", "hypercube-corners"])
@@ -183,7 +184,7 @@ def test_non_finite_arms_are_refused(bad):
         gen_instance("fixed-list", arms=arms)
     spec = ArmSpec("fixed-list", K=2, arms=arms)
     with pytest.raises(ValueError, match="exceeds stated bound"):
-        ProblemInstance(dim=2, theta_star=np.zeros(2), S=1.0, L=1.0, R=1.0, arm_spec=spec,
+        ProblemInstance(theta_star=np.zeros(2), S=1.0, L=1.0, R=1.0, arm_spec=spec,
                         noise_spec="gaussian", master_seed=0)
     inst = gen_instance("random-sphere", d=2, K=2, seed=0)
     with pytest.raises(ValueError, match="exceeds stated bound"):
@@ -193,18 +194,19 @@ def test_non_finite_arms_are_refused(bad):
 def test_fixed_arms_checked_against_instance_dim():
     spec = ArmSpec("fixed-list", K=2, arms=[[0.6, 0.0], [0.0, 0.8]])
     with pytest.raises(DimensionMismatchError):
-        ProblemInstance(dim=3, theta_star=np.zeros(3), S=1.0, L=1.0, R=1.0, arm_spec=spec,
+        ProblemInstance(theta_star=np.zeros(3), S=1.0, L=1.0, R=1.0, arm_spec=spec,
                         noise_spec="gaussian", master_seed=0)
 
 
 def test_arm_spec_k_must_match_its_arms():
     with pytest.raises(ValueError, match="K=5"):
         ArmSpec("fixed-list", K=5, arms=np.array([[0.6, 0.0], [0.0, 0.8]]))
-    with pytest.raises(ValueError, match="K=7"):
-        ArmSpec("bias-demo-pair", K=7)
     with pytest.raises(ValueError, match="draws its arms"):
         ArmSpec("random-sphere", K=2, arms=np.array([[0.6, 0.0], [0.0, 0.8]]))
-    assert ArmSpec("bias-demo-pair", K=2).arms.shape == (2, 2)
+    # The bias demo's pair is a fixed list; there is no variant of its own.
+    with pytest.raises(ValueError, match="unknown arm variant"):
+        ArmSpec("bias-demo-pair", K=2)
+    assert gen_instance("bias-demo").arm_spec.variant == "fixed-list"
 
 
 def test_fixed_sets_are_built_once():
@@ -333,12 +335,24 @@ def test_explicit_schedule_and_validation():
 
 
 def test_schedule_dataclass_validation():
+    with pytest.raises(ValueError, match="1-D"):
+        Schedule(M=2, agents=np.array([[1, 2], [2, 1]]))
     with pytest.raises(ValueError):
-        Schedule(M=2, T=3, agents=np.array([1, 2]), descriptor="bad-length")
-    with pytest.raises(ValueError):
-        Schedule(M=0, T=0, agents=np.array([], dtype=np.int64), descriptor="bad-m")
-    empty = Schedule(M=2, T=0, agents=np.array([], dtype=np.int64), descriptor="empty")
-    assert empty.T == 0
+        Schedule(M=0, agents=np.array([], dtype=np.int64))
+    with pytest.raises(ValueError, match="outside 1..M"):
+        Schedule(M=2, agents=[1, 3])
+    empty = Schedule(M=2, agents=[])
+    assert empty.T == 0 and empty.agents.dtype == np.int64
+    sched = Schedule(M=3, agents=[2, 3, 1, 3])
+    assert sched.T == len(sched.agents) == 4 and sched.agents.dtype == np.int64
+    assert [f.name for f in dataclasses.fields(Schedule)] == ["M", "agents"]
+
+
+@pytest.mark.parametrize("agents", [[1.5, 2.9, True], [1.0, 2.0], [True, False], ["1", "2"]])
+def test_schedule_refuses_non_integer_ids(agents):
+    # Truncating would run a schedule other than the one stated.
+    with pytest.raises(ValueError, match="integers"):
+        gen_schedule("explicit-list", M=3, agents=agents)
 
 
 # ---------------------------------------------------------------- file loaders

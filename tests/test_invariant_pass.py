@@ -76,7 +76,6 @@ def test_single_pass_reports_equal_the_per_check_replays(case):
         assert analysis.run_invariant_suite(trace, inst, check_hp) == ref.run_invariant_suite(
             trace, inst, check_hp
         )
-    assert analysis._single_agent_windows(trace) == ref._single_agent_windows(trace)
 
 
 def brute_force_claim1_worst(trace, inst, hp, alpha, M):

@@ -250,7 +250,7 @@ def bias_pair():
 
 
 def test_step_selects_buffers_and_syncs():
-    hp = HyperParams(lam=1.0, alpha=8.9, delta=0.1, beta_mode="fixed", beta_value=0.5)
+    hp = HyperParams(lam=1.0, alpha=8.9, delta=0.1, beta_value=0.5)
     a = init_agent(1, 2, lam=1.0)
     s = init_server(2, lam=1.0)
     a, s, idx, r, ev = step_agent(
@@ -264,7 +264,7 @@ def test_step_selects_buffers_and_syncs():
 
 
 def test_step_below_trigger_keeps_buffers():
-    hp = HyperParams(lam=1.0, alpha=10.5, delta=0.1, beta_mode="fixed", beta_value=0.5)
+    hp = HyperParams(lam=1.0, alpha=10.5, delta=0.1, beta_value=0.5)
     a = init_agent(1, 2, lam=1.0)
     s = init_server(2, lam=1.0)
     a, s, idx, r, ev = step_agent(
@@ -280,7 +280,7 @@ def test_step_below_trigger_keeps_buffers():
 def test_step_lazy_ignores_buffered_evidence():
     # Two pulls of the long arm with reward -1 under lazy scoring: the stored
     # estimate stays zero, so the long arm keeps winning.
-    hp = HyperParams(lam=1.0, alpha=1e6, delta=0.1, beta_mode="fixed", beta_value=0.5,
+    hp = HyperParams(lam=1.0, alpha=1e6, delta=0.1, beta_value=0.5,
                      estimate_mode="lazy")
     a = init_agent(1, 2, lam=1.0)
     s = init_server(2, lam=1.0)
@@ -293,7 +293,7 @@ def test_step_lazy_ignores_buffered_evidence():
 
 def test_step_eager_reacts_immediately():
     # Same setup under eager scoring: after one bad pull the short arm wins.
-    hp = HyperParams(lam=1.0, alpha=1e6, delta=0.1, beta_mode="fixed", beta_value=0.5,
+    hp = HyperParams(lam=1.0, alpha=1e6, delta=0.1, beta_value=0.5,
                      estimate_mode="eager")
     a = init_agent(1, 2, lam=1.0)
     s = init_server(2, lam=1.0)

@@ -213,12 +213,20 @@ def test_empty_horizon():
     assert trace.cum_regret.shape == (0,)
 
 
+def test_a_stated_beta_value_fixes_the_radius():
+    inst = gen_instance("random-sphere", d=2, K=3, seed=1)
+    hp = HyperParams(lam=1.0, alpha=0.5, delta=0.1, beta_value=0.3)
+    assert compute_beta(inst, hp, 2, 40) == 0.3
+    assert run_fedlinucb(inst, gen_schedule("round-robin", M=2, T=40), hp).beta_used == 0.3
+    assert run_episodic(inst, [[1, 2]], hp).beta_used == 0.3
+
+
 def test_lazy_never_updates_without_sync():
     # Huge alpha: no sync ever fires, so the stored estimate stays at zero and
     # the widest arm wins every round.
     inst = gen_instance("bias-demo", seed=2)
     sched = gen_schedule("round-robin", M=1, T=50)
-    hp = HyperParams(lam=1.0, alpha=1e9, delta=0.1, beta_mode="fixed", beta_value=0.5,
+    hp = HyperParams(lam=1.0, alpha=1e9, delta=0.1, beta_value=0.5,
                      estimate_mode="lazy")
     trace = run_fedlinucb(inst, sched, hp)
     assert np.all(trace.arm_index == 0)
@@ -228,7 +236,7 @@ def test_lazy_never_updates_without_sync():
 def test_eager_mode_changes_behavior():
     inst = gen_instance("bias-demo", seed=2)
     sched = gen_schedule("round-robin", M=1, T=50)
-    base = dict(lam=1.0, alpha=1e9, delta=0.1, beta_mode="fixed", beta_value=0.5)
+    base = dict(lam=1.0, alpha=1e9, delta=0.1, beta_value=0.5)
     lazy = run_fedlinucb(inst, sched, HyperParams(**base, estimate_mode="lazy"))
     eager = run_fedlinucb(inst, sched, HyperParams(**base, estimate_mode="eager"))
     assert not np.array_equal(lazy.arm_index, eager.arm_index)
@@ -268,6 +276,13 @@ def test_episodic_rejects_duplicate_in_episode():
         run_episodic(inst, [[1, 2, 1]], hp)
     with pytest.raises(ValueError):
         run_episodic(inst, [[1], [4]], hp, M=3)
+
+
+def test_episodic_refuses_non_integer_ids():
+    inst = small_instance(seed=1)
+    hp = HyperParams(lam=1.0, alpha=0.5, delta=0.1)
+    with pytest.raises(ValueError, match="integers"):
+        run_episodic(inst, [[1.7, 2.2]], hp)
 
 
 def test_episodic_empty_sets_are_idle_episodes():
@@ -356,7 +371,7 @@ def test_non_finite_comm_cap_is_refused_before_the_run(monkeypatch):
     # A subnormal alpha with a fixed beta: 1/alpha is inf, so only the cap overflows.
     inst = small_instance(seed=1)
     sched = gen_schedule("round-robin", M=2, T=40)
-    hp = HyperParams(lam=1.0, alpha=5e-324, delta=0.1, beta_mode="fixed", beta_value=1.0)
+    hp = HyperParams(lam=1.0, alpha=5e-324, delta=0.1, beta_value=1.0)
     monkeypatch.setattr("fedlinucb.simulator._drive", lambda *a: pytest.fail("the run started"))
     with pytest.raises(ValueError, match="communication cap is inf"):
         run_fedlinucb(inst, sched, hp)
@@ -366,7 +381,7 @@ def test_unresolvable_ridge_is_refused_before_the_run(monkeypatch):
     # At lambda = 1e-300 the rounding of a 40-round covariance swamps the ridge.
     inst = small_instance(seed=1)
     sched = gen_schedule("round-robin", M=2, T=40)
-    hp = HyperParams(lam=1e-300, alpha=0.25, delta=0.1, beta_mode="fixed", beta_value=1.0)
+    hp = HyperParams(lam=1e-300, alpha=0.25, delta=0.1, beta_value=1.0)
     monkeypatch.setattr("fedlinucb.simulator._drive", lambda *a: pytest.fail("the run started"))
     with pytest.raises(NumericalDomainError, match="rounding"):
         run_fedlinucb(inst, sched, hp)
