@@ -32,7 +32,7 @@ from .core import (
     theoretical_regret_bound,
 )
 from .environment import _BIAS_ARMS, gen_instance, gen_schedule
-from .protocol import CommEvent, init_agent, local_update, payload_checksum, should_sync
+from .protocol import init_agent, local_update, payload_checksum, should_sync
 from .simulator import SimulationTrace, _comm_per_epoch, run_fedlinucb
 
 __all__ = [
@@ -75,6 +75,11 @@ class _Replay:
     and ``synced``, whether the round's agent uploaded.  ``pooled()`` factors
     the pooled covariance at most once per round, with the ridge floor
     verified, for every check to share.
+
+    Every recorded event counts in ``checksum_mismatches`` until an upload of
+    the replay matches it: one by the round's acting agent whose replayed
+    buffers hash to the event's checksum.  So an event of another agent, a
+    second event at one round, or one outside the trace's rounds stays counted.
     """
 
     def __init__(self, trace: SimulationTrace, d: int, lam: float):
@@ -91,12 +96,12 @@ class _Replay:
         self.events_by_round = {ev.round: ev for ev in trace.events}
         self._agents = trace.agent.tolist()
         self._rewards = trace.reward.tolist()
-        self.checksum_mismatches = 0
+        self.checksum_mismatches = len(trace.events)
         self.synced = False
         self._pooled: SpdMatrix | None = None
 
-    def step(self, k: int) -> CommEvent | None:
-        """Replay row k; returns the event recorded at its round, if any."""
+    def step(self, k: int) -> None:
+        """Replay row k."""
         m = self.m = self._agents[k]
         x = self.x = self.trace.arms[k]
         r = self.r = self._rewards[k]
@@ -109,15 +114,14 @@ class _Replay:
         event = self.events_by_round.get(k + 1)
         self.synced = event is not None and event.agent == m
         if self.synced:
-            if payload_checksum(self.sigma_loc[m], self.b_loc[m]) != event.payload_checksum:
-                self.checksum_mismatches += 1
+            if payload_checksum(self.sigma_loc[m], self.b_loc[m]) == event.payload_checksum:
+                self.checksum_mismatches -= 1
             self.server_sigma = self.server_sigma + self.sigma_loc[m]
             self.server_b = self.server_b + self.b_loc[m]
             self.sigma_loc[m] = np.zeros((self.d, self.d))
             self.b_loc[m] = np.zeros(self.d)
             self.synced_sigma[m] = self.server_sigma
             self.synced_b[m] = self.server_b
-        return event
 
     def pooled(self) -> SpdMatrix:
         if self._pooled is None:
@@ -125,82 +129,14 @@ class _Replay:
         return self._pooled
 
 
-def _run_pass(trace: SimulationTrace, d: int, lam: float, checks: list) -> list[BoundReport]:
-    """Feed each round of one replay to every accumulator; return their reports in order."""
+def _run_pass(trace: SimulationTrace, d: int, lam: float, checks: list) -> _Replay:
+    """Feed each round of one replay to every accumulator; return the replay at its end."""
     rep = _Replay(trace, d, lam)
     for k in range(len(trace.agent)):
-        event = rep.step(k)
+        rep.step(k)
         for check in checks:
-            check.update(rep, k, event)
-    return [report for check in checks for report in check.reports(rep)]
-
-
-class _Noise:
-    """The pooled noise sum must equal the uploaded + pending shares, each round.
-
-    With the round's reward noise ``eta = r - x @ theta_star`` (learner-invisible,
-    analysis only), the cumulative noise-weighted arm sum through each round is
-    rebuilt from every agent's uploaded plus pending shares; the two must agree.
-    """
-
-    def __init__(self, inst: ProblemInstance, M: int):
-        d = inst.dim
-        self.theta = inst.theta_star
-        self.u_all = np.zeros(d)
-        self.u_up = {m: np.zeros(d) for m in range(1, M + 1)}
-        self.u_loc = {m: np.zeros(d) for m in range(1, M + 1)}
-        # Entrywise running maxima: np.maximum keeps a NaN, as a max over every round would.
-        self.worst = np.zeros(d)
-        self.peak = np.zeros(d)
-
-    def update(self, rep: _Replay, k: int, event) -> None:
-        m, x = rep.m, rep.x
-        # Row by row: arms @ theta_star would not reproduce each x @ theta_star.
-        ex = (rep.r - float(x @ self.theta)) * x
-        self.u_all += ex
-        self.u_loc[m] += ex
-        if rep.synced:
-            self.u_up[m] += self.u_loc[m]
-            self.u_loc[m] = np.zeros_like(ex)
-        split = sum(self.u_up.values()) + sum(self.u_loc.values())
-        np.maximum(self.worst, np.abs(self.u_all - split), out=self.worst)
-        np.maximum(self.peak, np.abs(self.u_all), out=self.peak)
-
-    def reports(self, rep: _Replay) -> list[BoundReport]:
-        scale = max(1.0, float(self.peak.max()))
-        return [_capped("noise-decomposition", float(self.worst.max()) / scale, 1e-8)]
-
-
-class _Conservation:
-    """Prior + uploads + pending buffers must reproduce the pooled statistics.
-
-    Checked at every round against a direct accumulation of the played arms;
-    deviation is measured relative to the pooled magnitude (the sums differ
-    only in floating-point association order).  Each event's upload checksum
-    must also equal the sha256 of the replayed buffers it claims to upload.
-    """
-
-    def __init__(self):
-        self.worst, self.scale = 0.0, 1.0
-
-    def update(self, rep: _Replay, k: int, event) -> None:
-        lhs_sigma = rep.server_sigma + sum(rep.sigma_loc.values())
-        lhs_b = rep.server_b + sum(rep.b_loc.values())
-        dev = np.maximum(
-            np.abs(lhs_sigma - rep.sigma_all).max(initial=0.0),
-            np.abs(lhs_b - rep.b_all).max(initial=0.0),
-        )
-        # np.maximum keeps a NaN deviation; Python's max would drop it.
-        self.worst = float(np.maximum(self.worst, dev))
-        self.scale = max(self.scale, float(np.abs(rep.sigma_all).max(initial=1.0)))
-
-    def reports(self, rep: _Replay) -> list[BoundReport]:
-        empirical, bound = self.worst / self.scale, 1e-8
-        return [_capped(
-            "conservation", empirical, bound,
-            satisfied=empirical <= bound and rep.checksum_mismatches == 0,
-            checksum_mismatches=rep.checksum_mismatches,
-        )]
+            check.update(rep, k)
+    return rep
 
 
 class _Elliptical:
@@ -214,10 +150,10 @@ class _Elliptical:
         self.bound = 2.0 * d * math.log(1.0 + T * L * L / lam)
         self.total = 0.0
 
-    def update(self, rep: _Replay, k: int, event) -> None:
+    def update(self, rep: _Replay, k: int) -> None:
         self.total += inv_norm(rep.pooled(), rep.x) ** 2
 
-    def reports(self, rep: _Replay) -> list[BoundReport]:
+    def reports(self) -> list[BoundReport]:
         tol = 1e-6
         return [_capped("elliptical-potential", self.total, self.bound,
                         satisfied=self.total <= self.bound + tol, tolerance=tol)]
@@ -243,21 +179,21 @@ class _Coverage:
         self.lam, self.theta, self.beta = lam, inst.theta_star, beta
         self.n_local = self.local_viol = self.n_global = self.global_viol = 0
 
-    def update(self, rep: _Replay, k: int, event) -> None:
+    def update(self, rep: _Replay, k: int) -> None:
         sigma_all = rep.pooled()
         theta_all = solve_estimate(sigma_all, rep.b_all)
         self.n_global += 1
         # Written as "not <=" so that a NaN norm counts as a violation.
         if not _weighted_norm(sigma_all, self.theta - theta_all) <= self.global_bound:
             self.global_viol += 1
-        if event is not None:
+        if rep.synced:
             sigma_m = SpdMatrix._factor(rep.synced_sigma[rep.m], min_eig=self.lam)
             theta_m = solve_estimate(sigma_m, rep.synced_b[rep.m])
             self.n_local += 1
             if not _weighted_norm(sigma_m, self.theta - theta_m) <= self.beta:
                 self.local_viol += 1
 
-    def reports(self, rep: _Replay) -> list[BoundReport]:
+    def reports(self) -> list[BoundReport]:
         local = self.local_viol / self.n_local if self.n_local else 0.0
         pooled = self.global_viol / self.n_global if self.n_global else 0.0
         return [
@@ -309,7 +245,7 @@ class _Covariance:
         self.worst1 = self.worst2 = 0.0  # claim 1 / claim 2 violation magnitudes
         self.n_checks1 = self.n_checks2 = 0
 
-    def update(self, rep: _Replay, k: int, event) -> None:
+    def update(self, rep: _Replay, k: int) -> None:
         # Claim 1 covers every agent every round, but an agent's difference
         # changes only with its buffer (the active agent) or the server (every
         # agent, after an upload); an unchanged one is already in the worst.
@@ -332,7 +268,7 @@ class _Covariance:
         if rep.synced:
             self.window, self.checked = rep.m, False
 
-    def reports(self, rep: _Replay) -> list[BoundReport]:
+    def reports(self) -> list[BoundReport]:
         return [_capped(
             "covariance-comparison", max(self.worst1, self.worst2), 1e-8,
             claim1_checks=self.n_checks1, claim1_worst=self.worst1,
@@ -459,11 +395,12 @@ def run_invariant_suite(
     """Every invariant check on one trace, as named pass/fail reports.
 
     This is the one public entry point for the checks.  One replay of the
-    trace feeds every replay-based check.  The two confidence checks are
-    high-probability statements (they may fail on a delta-tail run by
-    design); everything else is deterministic.  Every parameter comes from
-    ``inst`` and ``hp``, the horizon from the trace's length and the agent
-    count from ``trace.M``.
+    trace feeds every replay-based check, and ``conservation`` counts the
+    recorded events that no replayed upload matches.  The two confidence
+    checks are high-probability statements (they may fail on a delta-tail
+    run by design); everything else is deterministic.  Every parameter comes
+    from ``inst`` and ``hp``, the horizon from the trace's length and the
+    agent count from ``trace.M``.
     """
     d, M, T, L = inst.dim, trace.M, len(trace.agent), inst.L
     reports = [_trace_consistency_check(trace), _sync_criterion_check(trace, inst, hp)]
@@ -473,10 +410,14 @@ def run_invariant_suite(
     worst_epoch = float(max(_comm_per_epoch(trace), default=0))
     reports.append(_capped("epoch-comm", worst_epoch, epoch_comm_cap(M, hp.alpha)))
 
-    reports += _run_pass(trace, d, hp.lam, [
-        _Elliptical(d, hp.lam, L, T), _Conservation(), _Noise(inst, M),
-        _Covariance(hp.alpha, M), _Coverage(inst, hp, T, trace.beta_used),
-    ])
+    elliptical, covariance = _Elliptical(d, hp.lam, L, T), _Covariance(hp.alpha, M)
+    coverage = _Coverage(inst, hp, T, trace.beta_used)
+    rep = _run_pass(trace, d, hp.lam, [elliptical, covariance, coverage])
+    mismatches = rep.checksum_mismatches
+    reports += elliptical.reports()
+    reports.append(_capped("conservation", float(mismatches), 0.0,
+                           checksum_mismatches=mismatches))
+    reports += covariance.reports() + coverage.reports()
 
     regret_bound = theoretical_regret_bound(inst, hp, M, T, trace.beta_used)
     reports.append(_capped("regret-bound", trace.total_regret, regret_bound))

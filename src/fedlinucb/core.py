@@ -275,8 +275,9 @@ class ProblemInstance:
             raise ValueError("S and L must be positive and finite")
         if not 0.0 <= self.R < math.inf:
             raise ValueError("R must be nonnegative and finite")
-        if float(np.linalg.norm(theta / self.S)) > 1.0 + 1e-9:  # no overflow at large S
-            raise ValueError("theta_star exceeds the stated norm budget S")
+        # No overflow at large S; "not <=" refuses a NaN theta_star.
+        if not float(np.linalg.norm(theta / self.S)) <= 1.0 + 1e-9:
+            raise ValueError("theta_star must be finite and within the stated norm budget S")
         fixed = getattr(self.arm_spec, "arms", None)
         if fixed is not None:
             if fixed.shape[1] != self.dim:

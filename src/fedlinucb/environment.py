@@ -84,11 +84,12 @@ class ArmSpec:
         object.__setattr__(self, "arms", arms)
 
 
-def _check_sizes(M: int, T: int) -> None:
-    if M < 1:
-        raise ValueError("M must be >= 1")
-    if T < 0:
-        raise ValueError("T must be >= 0")
+def _check_count(name: str, value: int, least: int) -> None:
+    # A float or bool would otherwise be truncated, or fail later in arithmetic on it.
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
 
 
 @dataclass(frozen=True)
@@ -99,8 +100,7 @@ class Schedule:
     agents: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.M < 1:
-            raise ValueError("M must be >= 1")
+        _check_count("M", self.M, 1)
         agents = np.asarray(self.agents)
         if agents.ndim != 1:
             raise ValueError(f"agent ids must form a 1-D sequence, got shape {agents.shape}")
@@ -254,24 +254,21 @@ def gen_schedule(
     M: int,
     T: int | None = None,
     seed: int = 0,
-    agents: np.ndarray | list[int] | None = None,
 ) -> Schedule:
     """Activation schedule of one of the supported kinds.
 
     "round-robin"   1, 2, ..., M, 1, 2, ...
     "iid-uniform"   independent uniform draws over 1..M (own seed stream)
     "block"         agent m owns rounds ((m-1)*T/M, m*T/M]; requires M | T
-    "explicit-list" the given sequence, validated; T is its length
+
+    An explicit sequence is ``Schedule(M, agents)`` itself.
     """
-    if kind == "explicit-list":
-        if agents is None:
-            raise ValueError("explicit-list schedule requires an agent sequence")
-        return Schedule(M=M, agents=agents)
     if kind not in ("round-robin", "iid-uniform", "block"):
         raise ValueError(f"unknown schedule kind {kind!r}")
     if T is None:
         raise ValueError(f"{kind} schedule requires T")
-    _check_sizes(M, T)
+    _check_count("M", M, 1)
+    _check_count("T", T, 0)
     if kind == "round-robin":
         seq = (np.arange(T, dtype=np.int64) % M) + 1
     elif kind == "iid-uniform":
@@ -306,7 +303,7 @@ def load_schedule_file(path: str, M: int) -> Schedule:
         if len(tokens) != 1:
             raise ValueError(f"{path}: schedule line {lineno} must hold a single agent id")
         agents.append(int(tokens[0]))
-    return gen_schedule("explicit-list", M=M, agents=agents)
+    return Schedule(M=M, agents=agents)
 
 
 def load_arms_file(path: str) -> np.ndarray:

@@ -275,8 +275,11 @@ def run_episodic(
         if len(set(group)) != len(group):
             raise ValueError(f"episode {k} activates an agent more than once")
         flat.extend(group)
-    schedule = Schedule(M=M if M is not None else max(flat, default=1), agents=flat)
-    return run_fedlinucb(inst, schedule, hp)
+    ids = np.asarray(flat)
+    if M is None:
+        # Schedule refuses ids that are not integers; only integers give M.
+        M = int(ids.max(initial=1)) if ids.dtype.kind in "iu" else 1
+    return run_fedlinucb(inst, Schedule(M=M, agents=ids), hp)
 
 
 def run_independent_oful(

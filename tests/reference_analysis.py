@@ -8,11 +8,14 @@ single pass reports exactly what these functions report.  The check bodies
 below are kept as they were; only the imports are new, ``from_dense``
 no longer passes a determinant (``core.SpdMatrix`` computes it on use), the
 per-round records are rebuilt from the trace's columns by :func:`records`,
-the noise ledger no longer copies the arms and rewards, and the two result
-records the package no longer has, ``NoiseLedger`` and ``CoverageReport``,
-are defined here.  The checks take d, lambda, L and delta from the instance
-and hyperparameters, T from the trace's length and M from ``trace.M``, as
-the package does, since the trace no longer echoes them.  The record loops
+and the result record the package no longer has, ``CoverageReport``, is
+defined here.  The checks that compared the replay with itself (the noise
+split and the pooled-sum half of ``conservation_check``) are gone, as in
+the package: ``conservation_check`` keeps the upload checksums and counts
+every event the replay does not upload at, and the local coverage check
+counts only those uploads.  The checks take d, lambda, L and delta from
+the instance and hyperparameters, T from the trace's length and M from
+``trace.M``, as the package does, since the trace no longer echoes them.  The record loops
 of ``_single_agent_windows`` and ``_trace_consistency_check``, which the
 package now computes on the columns, are kept at the end; the consistency
 loop still compares the trace's derived counters with each other.
@@ -43,23 +46,6 @@ from fedlinucb.core import (
 )
 from fedlinucb.protocol import payload_checksum
 from fedlinucb.simulator import SimulationTrace
-
-
-@dataclass
-class NoiseLedger:
-    """Per-round noise bookkeeping (learner-invisible, analysis only).
-
-    ``eta[t-1]`` is round t's reward noise; ``u_all[t-1]`` the cumulative
-    noise-weighted arm sum through round t; ``u_split[t-1]`` the same quantity
-    rebuilt from the uploaded plus pending per-agent shares.  The two must
-    agree at every round.
-    """
-
-    eta: np.ndarray
-    u_all: np.ndarray
-    u_split: np.ndarray
-    u_up_final: dict[int, np.ndarray]
-    u_loc_final: dict[int, np.ndarray]
 
 
 @dataclass
@@ -136,6 +122,7 @@ class _Replay:
         self.synced_sigma = {m: self.lam * np.eye(d) for m in range(1, self.M + 1)}
         self.synced_b = {m: np.zeros(d) for m in range(1, self.M + 1)}
         self.events_by_round = {ev.round: ev for ev in trace.events}
+        self.uploads = 0
         self.checksum_mismatches = 0
         self.records = records(trace)
 
@@ -148,6 +135,7 @@ class _Replay:
         self.b_loc[m] = self.b_loc[m] + r * x
         event = self.events_by_round.get(rec.t)
         if event is not None and event.agent == m:
+            self.uploads += 1
             if payload_checksum(self.sigma_loc[m], self.b_loc[m]) != event.payload_checksum:
                 self.checksum_mismatches += 1
             self.server_sigma = self.server_sigma + self.sigma_loc[m]
@@ -159,87 +147,26 @@ class _Replay:
         return rec, event
 
 
-def build_noise_ledger(trace: SimulationTrace, inst: ProblemInstance) -> NoiseLedger:
-    T = len(trace.t)
-    d = inst.dim
-    eta = np.zeros(T)
-    u_all = np.zeros((T, d))
-    u_split = np.zeros((T, d))
-    M = trace.M
-    u_up = {m: np.zeros(d) for m in range(1, M + 1)}
-    u_loc = {m: np.zeros(d) for m in range(1, M + 1)}
-    events_by_round = {ev.round: ev for ev in trace.events}
-    run_u = np.zeros(d)
-    for k, rec in enumerate(records(trace)):
-        x = rec.arm
-        e = rec.reward - float(x @ inst.theta_star)
-        eta[k] = e
-        run_u = run_u + e * x
-        u_all[k] = run_u
-        u_loc[rec.agent] = u_loc[rec.agent] + e * x
-        event = events_by_round.get(rec.t)
-        if event is not None and event.agent == rec.agent:
-            u_up[rec.agent] = u_up[rec.agent] + u_loc[rec.agent]
-            u_loc[rec.agent] = np.zeros(d)
-        u_split[k] = sum(u_up.values()) + sum(u_loc.values())
-    return NoiseLedger(
-        eta=eta, u_all=u_all, u_split=u_split,
-        u_up_final=u_up, u_loc_final=u_loc,
-    )
-
-
-def noise_decomposition_check(trace: SimulationTrace, inst: ProblemInstance) -> BoundReport:
-    """The pooled noise sum must equal the uploaded + pending shares, each round."""
-    ledger = build_noise_ledger(trace, inst)
-    if len(trace.t) == 0:
-        worst = 0.0
-        scale = 1.0
-    else:
-        worst = float(np.abs(ledger.u_all - ledger.u_split).max())
-        scale = max(1.0, float(np.abs(ledger.u_all).max()))
-    empirical = worst / scale
-    bound = 1e-8
-    return BoundReport(
-        name="noise-decomposition",
-        empirical=empirical,
-        bound=bound,
-        satisfied=empirical <= bound,
-        slack=bound - empirical,
-    )
-
-
 def conservation_check(trace: SimulationTrace, inst: ProblemInstance,
                        hp: HyperParams) -> BoundReport:
-    """Prior + uploads + pending buffers must reproduce the pooled statistics.
+    """Every recorded upload must be matched by a replayed one.
 
-    Checked at every round against a direct accumulation of the played arms;
-    deviation is measured relative to the pooled magnitude (the sums differ
-    only in floating-point association order).  Each event's upload checksum
-    must also equal the sha256 of the replayed buffers it claims to upload.
+    An event counts as a mismatch unless the round's acting agent uploads at
+    it in the replay and the sha256 of the replayed buffers equals its
+    checksum.
     """
     rep = _Replay(trace, inst, hp)
-    worst = 0.0
-    scale = 1.0
     for k in range(len(trace.t)):
         rep.step(k)
-        lhs_sigma = rep.server_sigma + sum(rep.sigma_loc.values())
-        lhs_b = rep.server_b + sum(rep.b_loc.values())
-        dev = max(
-            float(np.abs(lhs_sigma - rep.sigma_all).max(initial=0.0)),
-            float(np.abs(lhs_b - rep.b_all).max(initial=0.0)),
-        )
-        worst = max(worst, dev)
-        scale = max(scale, float(np.abs(rep.sigma_all).max(initial=1.0)))
-    empirical = worst / scale
-    bound = 1e-8
-    satisfied = empirical <= bound and rep.checksum_mismatches == 0
+    # Events the replay never uploaded at: another agent's, or a second one at a round.
+    mismatches = rep.checksum_mismatches + len(trace.events) - rep.uploads
     return BoundReport(
         name="conservation",
-        empirical=empirical,
-        bound=bound,
-        satisfied=satisfied,
-        slack=bound - empirical,
-        detail={"checksum_mismatches": rep.checksum_mismatches},
+        empirical=float(mismatches),
+        bound=0.0,
+        satisfied=mismatches == 0,
+        slack=0.0 - mismatches,
+        detail={"checksum_mismatches": mismatches},
     )
 
 
@@ -270,7 +197,6 @@ def elliptical_potential_check(trace: SimulationTrace, inst: ProblemInstance,
 
 def confidence_coverage(
     trace: SimulationTrace,
-    ledger: NoiseLedger,
     inst: ProblemInstance,
     hp: HyperParams,
     beta: float,
@@ -300,7 +226,7 @@ def confidence_coverage(
         n_global += 1
         if _weighted_norm(sigma_all, theta - theta_all) > global_bound:
             global_viol += 1
-        if event is not None:
+        if event is not None and event.agent == rec.agent:
             sigma_m = SpdMatrix.from_dense(rep.synced_sigma[rec.agent], min_eig=lam)
             theta_m = solve_estimate(sigma_m, rep.synced_b[rec.agent])
             n_local += 1
@@ -425,11 +351,9 @@ def run_invariant_suite(
 
     reports.append(elliptical_potential_check(trace, inst, hp))
     reports.append(conservation_check(trace, inst, hp))
-    reports.append(noise_decomposition_check(trace, inst))
     reports.append(covariance_comparison_check(trace, inst, hp, M))
 
-    ledger = build_noise_ledger(trace, inst)
-    coverage = confidence_coverage(trace, ledger, inst, hp, trace.beta_used)
+    coverage = confidence_coverage(trace, inst, hp, trace.beta_used)
     reports.append(
         BoundReport(
             name="local-confidence",

@@ -207,8 +207,9 @@ def test_06_elliptical_potential(grid, capsys):
     worst_slack = math.inf
     for cell in grid:
         lam = cell.hp.lam  # the grid's instances keep gen_instance's default L = 1
-        (report,) = analysis._run_pass(
-            cell.trace, cell.d, lam, [analysis._Elliptical(cell.d, lam, 1.0, cell.T)])
+        elliptical = analysis._Elliptical(cell.d, lam, 1.0, cell.T)
+        analysis._run_pass(cell.trace, cell.d, lam, [elliptical])
+        (report,) = elliptical.reports()
         violations += not report.satisfied
         worst_slack = min(worst_slack, report.slack)
     ok = violations == 0
@@ -225,8 +226,9 @@ def test_07_covariance_domination(capsys):
     for rep in range(10):
         inst = gen_instance("random-sphere", d=4, K=10, seed=700 + rep)
         trace = run_fedlinucb(inst, sched, hp)
-        (report,) = analysis._run_pass(
-            trace, inst.dim, hp.lam, [analysis._Covariance(hp.alpha, 4)])
+        covariance = analysis._Covariance(hp.alpha, 4)
+        analysis._run_pass(trace, inst.dim, hp.lam, [covariance])
+        (report,) = covariance.reports()
         worst = max(worst, report.detail["claim1_worst"])
         assert report.satisfied, report
     ok = worst <= 1e-8

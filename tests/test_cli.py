@@ -635,11 +635,11 @@ def test_check_command_all_pass(tmp_path, capsys):
     assert rc == 0
     stdout = capsys.readouterr().out
     pass_lines = [ln for ln in stdout.splitlines() if ln.startswith("PASS ")]
-    assert len(pass_lines) == 11
+    assert len(pass_lines) == 10
     assert not any(ln.startswith("FAIL") for ln in stdout.splitlines())
     payload = json.loads((out / "check_report.json").read_text())
     assert payload["all_passed"] is True
-    assert len(payload["checks"]) == 11
+    assert len(payload["checks"]) == 10
 
 
 def test_check_exit_code_on_failure(tmp_path, capsys, monkeypatch):

@@ -538,9 +538,10 @@ def test_decision_set_validation():
 
 
 def test_problem_instance_validation():
-    with pytest.raises(ValueError):
-        ProblemInstance(theta_star=np.array([2.0, 0.0]), S=1.0, L=1.0, R=1.0,
-                        arm_spec=None, noise_spec="gaussian", master_seed=0)
+    for theta in ([2.0, 0.0], [math.nan, 0.0], [math.inf, 0.0]):
+        with pytest.raises(ValueError, match="theta_star"):
+            ProblemInstance(theta_star=np.array(theta), S=1.0, L=1.0, R=1.0,
+                            arm_spec=None, noise_spec="gaussian", master_seed=0)
     with pytest.raises(ValueError):
         ProblemInstance(theta_star=np.zeros(2), S=1.0, L=1.0, R=-0.5,
                         arm_spec=None, noise_spec="gaussian", master_seed=0)

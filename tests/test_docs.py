@@ -14,8 +14,11 @@ def test_readme_library_example_runs(capsys):
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     exec(compile(code, "README.md (Library)", "exec"), {})
     lines = capsys.readouterr().out.splitlines()
-    # One line of run figures, then one per invariant report, all satisfied.
-    assert len(lines) == 12
+    # One line of run figures, then one per invariant report, all satisfied,
+    # named as the README's report table lists them, in its order.
+    table = section.split("| report |", 1)[1].split("\n\n", 1)[0].splitlines()[2:]
+    documented = [re.match(r"\| `([^`]+)` \|", row).group(1) for row in table]
+    assert [line.split()[0] for line in lines[1:]] == documented
     assert all(line.split()[1] == "True" for line in lines[1:])
 
 

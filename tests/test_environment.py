@@ -316,14 +316,16 @@ def test_block_schedule_contiguity():
 
 
 def test_explicit_schedule_and_validation():
-    sched = gen_schedule("explicit-list", M=3, T=0, agents=[1, 3, 3, 2])
+    sched = Schedule(M=3, agents=[1, 3, 3, 2])
     assert sched.T == 4
     with pytest.raises(ValueError):
-        gen_schedule("explicit-list", M=2, T=0, agents=[1, 3])
+        Schedule(M=2, agents=[1, 3])
     with pytest.raises(ValueError):
-        gen_schedule("explicit-list", M=2, T=0, agents=[0, 1])
-    with pytest.raises(ValueError):
-        gen_schedule("nope", M=2, T=4)
+        Schedule(M=2, agents=[0, 1])
+    # An explicit sequence is a Schedule; gen_schedule only generates one.
+    for kind in ("nope", "explicit-list"):
+        with pytest.raises(ValueError, match="unknown schedule kind"):
+            gen_schedule(kind, M=2, T=4)
     # Sizes are checked before any arithmetic: M=0 must not reach "% M".
     for kind in ("round-robin", "iid-uniform", "block"):
         with pytest.raises(ValueError):
@@ -332,6 +334,10 @@ def test_explicit_schedule_and_validation():
             gen_schedule(kind, M=2, T=-1)
         with pytest.raises(ValueError):
             gen_schedule(kind, M=2)  # T missing
+        with pytest.raises(ValueError, match="M must be an integer"):
+            gen_schedule(kind, M=2.5, T=4)
+        with pytest.raises(ValueError, match="T must be an integer"):
+            gen_schedule(kind, M=2, T=2.5)
 
 
 def test_schedule_dataclass_validation():
@@ -341,6 +347,10 @@ def test_schedule_dataclass_validation():
         Schedule(M=0, agents=np.array([], dtype=np.int64))
     with pytest.raises(ValueError, match="outside 1..M"):
         Schedule(M=2, agents=[1, 3])
+    # M is an integer too: 2.5 would fail later in arithmetic, True would pass as 1.
+    for bad_M, agents in ((2.5, [1, 2]), (True, [1, 1]), ("2", [1, 2])):
+        with pytest.raises(ValueError, match="M must be an integer"):
+            Schedule(M=bad_M, agents=agents)
     empty = Schedule(M=2, agents=[])
     assert empty.T == 0 and empty.agents.dtype == np.int64
     sched = Schedule(M=3, agents=[2, 3, 1, 3])
@@ -352,7 +362,7 @@ def test_schedule_dataclass_validation():
 def test_schedule_refuses_non_integer_ids(agents):
     # Truncating would run a schedule other than the one stated.
     with pytest.raises(ValueError, match="integers"):
-        gen_schedule("explicit-list", M=3, agents=agents)
+        Schedule(M=3, agents=agents)
 
 
 # ---------------------------------------------------------------- file loaders

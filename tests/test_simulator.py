@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from fedlinucb import (
     HyperParams,
     NumericalDomainError,
+    Schedule,
     SimulationTrace,
     compute_beta,
     gen_instance,
@@ -262,7 +263,7 @@ def test_episodic_groups_flatten_in_order():
     inst = small_instance(seed=29)
     hp = HyperParams(lam=1.0, alpha=0.25, delta=0.1)
     epi = run_episodic(inst, [[1, 2], [3], [2, 1, 3]], hp)
-    flat = gen_schedule("explicit-list", M=3, T=0, agents=[1, 2, 3, 2, 1, 3])
+    flat = Schedule(M=3, agents=[1, 2, 3, 2, 1, 3])
     seq = run_fedlinucb(inst, flat, hp)
     assert np.array_equal(seq.arm_index, epi.arm_index)
     assert np.array_equal(seq.cum_regret, epi.cum_regret)
@@ -281,8 +282,9 @@ def test_episodic_rejects_duplicate_in_episode():
 def test_episodic_refuses_non_integer_ids():
     inst = small_instance(seed=1)
     hp = HyperParams(lam=1.0, alpha=0.5, delta=0.1)
-    with pytest.raises(ValueError, match="integers"):
-        run_episodic(inst, [[1.7, 2.2]], hp)
+    for sets in ([[1.7, 2.2]], [["1"]], [[1, "2"]]):
+        with pytest.raises(ValueError, match="integers"):
+            run_episodic(inst, sets, hp)
 
 
 def test_episodic_empty_sets_are_idle_episodes():
@@ -484,7 +486,7 @@ def test_episodic_grouping_equals_flattened_run(schedule, d, alpha, mode):
     inst = small_instance(seed=53, d=d, K=4)
     hp = HyperParams(lam=1.0, alpha=alpha, delta=0.1, estimate_mode=mode)
     epi = run_episodic(inst, groups, hp, M=M)
-    seq = run_fedlinucb(inst, gen_schedule("explicit-list", M=M, T=0, agents=agents), hp)
+    seq = run_fedlinucb(inst, Schedule(M=M, agents=agents), hp)
     for column in ("t", "agent", "arm_index", "arms", "reward", "inst_regret", "comm",
                    "logdet_server", "det_server", "cum_regret"):
         assert np.array_equal(getattr(epi, column), getattr(seq, column)), column
