@@ -1,8 +1,8 @@
 """Trace analysis: bound evaluators, concentration checks, bias demonstration.
 
 The invariant checks rebuild the protocol bookkeeping from the trace's
-columns and events alone (:class:`_Replay`) and compare it against the stored
-upload checksums.
+columns and events alone (:class:`_Replay`), compare it against the stored
+upload checksums, and derive each upload's trigger gain from it.
 Each replay-based check is an accumulator fed once per replayed round, and
 :func:`run_invariant_suite`, the one public entry point for the checks, drives
 all of them through a single pass.  Within the pass every round's pooled
@@ -71,10 +71,14 @@ class _Replay:
     After ``step(k)`` (k = 0-based row of the trace) the attributes hold
     end-of-round values for round k + 1: the acting agent ``m`` and
     its arm ``x`` and reward ``r``, the pooled statistics, the server
-    aggregate, every agent's unsynced buffers and synced covariance/target,
-    and ``synced``, whether the round's agent uploaded.  ``pooled()`` factors
-    the pooled covariance at most once per round, with the ridge floor
-    verified, for every check to share.
+    aggregate, every agent's unsynced buffers, synced covariance factor
+    (ridge floor verified) and target, and ``synced``, whether the round's
+    agent uploaded.  ``pooled()`` factors the pooled covariance at most once
+    per round, with the ridge floor verified, for every check to share.
+
+    ``gains`` holds, per upload, ``logdet(sigma + sigma_loc) - logdet(sigma)``
+    of the uploader's synced covariance and buffer, from fresh factors: the
+    quantity the run's trigger compared with ``log1p(alpha)``.
 
     Every recorded event counts in ``checksum_mismatches`` until an upload of
     the replay matches it: one by the round's acting agent whose replayed
@@ -91,12 +95,14 @@ class _Replay:
         self.server_b = np.zeros(d)
         self.sigma_loc = {m: np.zeros((d, d)) for m in range(1, self.M + 1)}
         self.b_loc = {m: np.zeros(d) for m in range(1, self.M + 1)}
-        self.synced_sigma = {m: self.lam * np.eye(d) for m in range(1, self.M + 1)}
+        prior = SpdMatrix._factor(lam * np.eye(d), min_eig=lam)
+        self.synced_factor = {m: prior for m in range(1, self.M + 1)}
         self.synced_b = {m: np.zeros(d) for m in range(1, self.M + 1)}
         self.events_by_round = {ev.round: ev for ev in trace.events}
         self._agents = trace.agent.tolist()
         self._rewards = trace.reward.tolist()
         self.checksum_mismatches = len(trace.events)
+        self.gains: list[float] = []
         self.synced = False
         self._pooled: SpdMatrix | None = None
 
@@ -116,11 +122,14 @@ class _Replay:
         if self.synced:
             if payload_checksum(self.sigma_loc[m], self.b_loc[m]) == event.payload_checksum:
                 self.checksum_mismatches -= 1
+            before = self.synced_factor[m]
+            self.gains.append(SpdMatrix._factor(before.mat + self.sigma_loc[m]).logdet
+                              - before.logdet)
             self.server_sigma = self.server_sigma + self.sigma_loc[m]
             self.server_b = self.server_b + self.b_loc[m]
             self.sigma_loc[m] = np.zeros((self.d, self.d))
             self.b_loc[m] = np.zeros(self.d)
-            self.synced_sigma[m] = self.server_sigma
+            self.synced_factor[m] = SpdMatrix._factor(self.server_sigma, min_eig=self.lam)
             self.synced_b[m] = self.server_b
 
     def pooled(self) -> SpdMatrix:
@@ -176,7 +185,7 @@ class _Coverage:
         self.global_bound = (
             R * math.sqrt(d * math.log((1.0 + T * L * L / lam) / delta)) + math.sqrt(lam) * S
         )
-        self.lam, self.theta, self.beta = lam, inst.theta_star, beta
+        self.theta, self.beta = inst.theta_star, beta
         self.n_local = self.local_viol = self.n_global = self.global_viol = 0
 
     def update(self, rep: _Replay, k: int) -> None:
@@ -187,7 +196,7 @@ class _Coverage:
         if not _weighted_norm(sigma_all, self.theta - theta_all) <= self.global_bound:
             self.global_viol += 1
         if rep.synced:
-            sigma_m = SpdMatrix._factor(rep.synced_sigma[rep.m], min_eig=self.lam)
+            sigma_m = rep.synced_factor[rep.m]
             theta_m = solve_estimate(sigma_m, rep.synced_b[rep.m])
             self.n_local += 1
             if not _weighted_norm(sigma_m, self.theta - theta_m) <= self.beta:
@@ -258,7 +267,7 @@ class _Covariance:
             self.worst1 = _loewner_worst(self.worst1, diff)
         self.n_checks1 += self.M
         if self.window == rep.m:
-            diff = rep.synced_sigma[rep.m] - self.shrink * rep.sigma_all
+            diff = rep.synced_factor[rep.m].mat - self.shrink * rep.sigma_all
             self.worst2 = _loewner_worst(self.worst2, diff)
             self.n_checks2 += 1
             self.windows += not self.checked
@@ -370,49 +379,42 @@ def _trace_consistency_check(trace: SimulationTrace) -> BoundReport:
                        -float(problems), detail)
 
 
-def _sync_criterion_check(trace: SimulationTrace, inst: ProblemInstance,
-                          hp: HyperParams) -> BoundReport:
-    """Every sync's fresh-factor gain ``logdet_after - logdet_before`` exceeds
-    ``log1p(alpha)``, up to the rounding of the two log-determinants."""
-    tol = logdet_rounding(inst.dim, hp.lam, inst.L, len(trace.agent))
-    violations = 0
-    worst_margin = math.inf
-    for ev in trace.events:
-        margin = ev.logdet_after - ev.logdet_before - math.log1p(hp.alpha)
-        worst_margin = min(worst_margin, margin)
-        if margin < -tol:
-            violations += 1
-    return BoundReport(
-        "sync-criterion-events", float(violations), 0.0, violations == 0, -float(violations),
-        {"worst_margin": None if math.isinf(worst_margin) else worst_margin,
-         "events": len(trace.events), "tolerance": tol},
-    )
-
-
 def run_invariant_suite(
     trace: SimulationTrace, inst: ProblemInstance, hp: HyperParams
 ) -> list[BoundReport]:
     """Every invariant check on one trace, as named pass/fail reports.
 
     This is the one public entry point for the checks.  One replay of the
-    trace feeds every replay-based check, and ``conservation`` counts the
-    recorded events that no replayed upload matches.  The two confidence
-    checks are high-probability statements (they may fail on a delta-tail
-    run by design); everything else is deterministic.  Every parameter comes
-    from ``inst`` and ``hp``, the horizon from the trace's length and the
-    agent count from ``trace.M``.
+    trace feeds every replay-based check, ``conservation`` counts the
+    recorded events that no replayed upload matches, and
+    ``sync-criterion-events`` checks each replayed upload's gain against
+    ``log1p(alpha)``, up to the rounding of its two log-determinants.  The
+    two confidence checks are high-probability statements (they may fail on
+    a delta-tail run by design); everything else is deterministic.  Every
+    parameter comes from ``inst`` and ``hp``, the horizon from the trace's
+    length and the agent count from ``trace.M``.
     """
     d, M, T, L = inst.dim, trace.M, len(trace.agent), inst.L
-    reports = [_trace_consistency_check(trace), _sync_criterion_check(trace, inst, hp)]
+    elliptical, covariance = _Elliptical(d, hp.lam, L, T), _Covariance(hp.alpha, M)
+    coverage = _Coverage(inst, hp, T, trace.beta_used)
+    rep = _run_pass(trace, d, hp.lam, [elliptical, covariance, coverage])
+
+    tol = logdet_rounding(d, hp.lam, L, T)
+    margins = [gain - math.log1p(hp.alpha) for gain in rep.gains]
+    # Counted in ints, so that ``satisfied`` stays a Python bool: tol is a numpy float.
+    violations = sum(1 for margin in margins if margin < -tol)
+    reports = [
+        _trace_consistency_check(trace),
+        BoundReport("sync-criterion-events", float(violations), 0.0, violations == 0,
+                    -float(violations), {"worst_margin": min(margins, default=None),
+                                         "events": len(margins), "tolerance": tol}),
+    ]
 
     comm_bound = theoretical_comm_bound(d, M, hp.alpha, hp.lam, L, T)
     reports.append(_capped("comm-bound", float(trace.comm_count), comm_bound))
     worst_epoch = float(max(_comm_per_epoch(trace), default=0))
     reports.append(_capped("epoch-comm", worst_epoch, epoch_comm_cap(M, hp.alpha)))
 
-    elliptical, covariance = _Elliptical(d, hp.lam, L, T), _Covariance(hp.alpha, M)
-    coverage = _Coverage(inst, hp, T, trace.beta_used)
-    rep = _run_pass(trace, d, hp.lam, [elliptical, covariance, coverage])
     mismatches = rep.checksum_mismatches
     reports += elliptical.reports()
     reports.append(_capped("conservation", float(mismatches), 0.0,

@@ -65,7 +65,7 @@ def _render_json(obj, indent: int = 0) -> str:
             return "[]"
         parts = [f"{inner}{_render_json(v, indent + 1)}" for v in obj]
         return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
-    if isinstance(obj, bool):
+    if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
     if obj is None:
         return "null"
@@ -218,7 +218,10 @@ def build_instance(cfg: dict) -> ProblemInstance:
 def build_schedule(cfg: dict) -> Schedule:
     sched = cfg["schedule"]
     if sched["kind"] == "explicit-list":
-        return load_schedule_file(_file_path(sched, "file"), M=sched["M"])
+        schedule = load_schedule_file(_file_path(sched, "file"), M=sched["M"])
+        if sched.get("T", schedule.T) != schedule.T:
+            raise ConfigError(f"T = {sched['T']!r} but {sched['file']} lists {schedule.T} rounds")
+        return schedule
     return gen_schedule(sched["kind"], M=sched["M"], T=sched.get("T"), seed=sched["seed"])
 
 
@@ -303,13 +306,21 @@ def _derive_seed(base: int, cell: int, rep: int) -> int:
 
 
 def _build_cell(raw: dict, axis: str, value, cell: int, rep: int) -> tuple:
-    """Resolve and build one sweep cell; its seeds derive from the config's."""
+    """Resolve and build one sweep cell; its seeds derive from the config's.
+
+    A cell whose run would not have its axis value (a fixed-list or bias-demo
+    instance fixes d) is refused, so that every row's value is the one it ran.
+    """
     section, key = SWEEP_AXES[axis]
     cfg = _with_defaults({**raw, section: {**raw.get(section, {}), key: value}})
     for part in ("instance", "schedule"):
         with _config_section(part):
             cfg[part]["seed"] = _derive_seed(cfg[part]["seed"], cell, rep)
-    return (cfg, *_build(cfg))
+    inst, schedule, hp = _build(cfg)
+    ran = {"T": schedule.T, "M": schedule.M, "alpha": hp.alpha, "d": inst.dim}[axis]
+    if ran != value:
+        raise ConfigError(f"sweep cell {axis} = {value!r} builds a run at {axis} = {ran!r}")
+    return cfg, inst, schedule, hp
 
 
 def _sweep_cell(task: tuple) -> dict:
@@ -353,6 +364,7 @@ def cmd_sweep(
         for ci, value in enumerate(values)
         for rep in range(reps)
     ]
+    # Both paths keep the task order: cells as requested, replications within.
     if parallel > 1:
         # Imported here, so that the pool machinery's import is a cost of --parallel only.
         from concurrent.futures import ProcessPoolExecutor
@@ -361,7 +373,6 @@ def cmd_sweep(
             rows = list(pool.map(_sweep_cell, tasks))
     else:
         rows = [_sweep_cell(task) for task in tasks]
-    rows.sort(key=lambda r: (values.index(r["value"]), r["replication"]))
 
     header = list(rows[0].keys())
     lines = [",".join(header)]

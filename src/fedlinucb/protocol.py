@@ -18,7 +18,6 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -51,14 +50,6 @@ class AgentState:
     v_inv: np.ndarray
     log_gain: float = 0.0
 
-    @cached_property
-    def combined(self) -> SpdMatrix:
-        """sigma + sigma_loc, factored once per state (``sigma`` itself when nothing
-        is buffered): the sync's ``logdet_after`` and the eager selection matrix."""
-        if not self.sigma_loc.any():
-            return self.sigma
-        return SpdMatrix._factor(self.sigma.mat + self.sigma_loc)
-
 
 @dataclass(frozen=True, eq=False)
 class ServerState:
@@ -70,18 +61,11 @@ class ServerState:
 
 @dataclass(frozen=True, eq=False)
 class CommEvent:
-    """One upload/download pair.
-
-    ``logdet_before`` and ``logdet_after`` are the natural log-determinants of
-    the uploader's synced covariance and of it plus the uploaded buffer, each
-    from a fresh factorization; the sync-criterion check verifies that their
-    difference exceeds ``log1p(alpha)``, up to the rounding of the two.
-    """
+    """One upload/download pair: its round, the uploader, and the sha256 of
+    the uploaded buffers.  The invariant checks derive everything else."""
 
     round: int
     agent: int
-    logdet_before: float
-    logdet_after: float
     payload_checksum: str
 
 
@@ -145,17 +129,10 @@ def sync(a: AgentState, s: ServerState, round_: int) -> tuple[AgentState, Server
     re-downloads an identical state); the run loop never produces that case
     because the strict trigger cannot fire on empty buffers.
     """
-    logdet_before = a.sigma.logdet
-    logdet_after = a.combined.logdet
     new_sigma = SpdMatrix._factor(s.sigma_ser.mat + a.sigma_loc, min_eig=s.sigma_ser.min_eig)
     new_b = s.b_ser + a.b_loc
-    event = CommEvent(
-        round=round_,
-        agent=a.id,
-        logdet_before=logdet_before,
-        logdet_after=logdet_after,
-        payload_checksum=payload_checksum(a.sigma_loc, a.b_loc),
-    )
+    event = CommEvent(round=round_, agent=a.id,
+                      payload_checksum=payload_checksum(a.sigma_loc, a.b_loc))
     server = ServerState(sigma_ser=new_sigma, b_ser=new_b)
     d = a.sigma.dim
     agent = replace(
@@ -190,8 +167,8 @@ def step_agent(
     Inactive agents are never touched at all.
     """
     if hp.estimate_mode == "eager":
-        theta = solve_estimate(a.combined, a.b + a.b_loc)
-        idx = ucb_select(theta, a.combined, beta, d_set)
+        v = SpdMatrix._factor(a.sigma.mat + a.sigma_loc) if a.sigma_loc.any() else a.sigma
+        idx = ucb_select(solve_estimate(v, a.b + a.b_loc), v, beta, d_set)
     else:
         idx = ucb_select(a.theta_hat, a.sigma, beta, d_set)
     x = d_set[idx]

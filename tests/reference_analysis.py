@@ -18,7 +18,10 @@ the instance and hyperparameters, T from the trace's length and M from
 ``trace.M``, as the package does, since the trace no longer echoes them.  The record loops
 of ``_single_agent_windows`` and ``_trace_consistency_check``, which the
 package now computes on the columns, are kept at the end; the consistency
-loop still compares the trace's derived counters with each other.
+loop still compares the trace's derived counters with each other.  Events
+no longer carry the trigger's log-determinants, so
+:func:`sync_criterion_check` rebuilds each uploader's synced covariance and
+buffer in its own records loop and factors both through ``from_dense``.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from typing import Any
 import numpy as np
 
 from fedlinucb import core
-from fedlinucb.analysis import BoundReport, _sync_criterion_check
+from fedlinucb.analysis import BoundReport
 from fedlinucb.core import (
     FACTOR_RTOL,
     SYMMETRY_RTOL,
@@ -40,6 +43,7 @@ from fedlinucb.core import (
     NumericalDomainError,
     ProblemInstance,
     inv_norm,
+    logdet_rounding,
     solve_estimate,
     theoretical_comm_bound,
     theoretical_regret_bound,
@@ -167,6 +171,42 @@ def conservation_check(trace: SimulationTrace, inst: ProblemInstance,
         satisfied=mismatches == 0,
         slack=0.0 - mismatches,
         detail={"checksum_mismatches": mismatches},
+    )
+
+
+def sync_criterion_check(trace: SimulationTrace, inst: ProblemInstance,
+                         hp: HyperParams) -> BoundReport:
+    """Every upload's fresh-factor gain ``logdet(sigma_m + sigma_loc_m) -
+    logdet(sigma_m)`` exceeds ``log1p(alpha)``, up to the rounding of the two
+    log-determinants."""
+    d, lam = inst.dim, hp.lam
+    tol = logdet_rounding(d, lam, inst.L, len(trace.t))
+    server = lam * np.eye(d)
+    synced = {m: lam * np.eye(d) for m in range(1, trace.M + 1)}
+    loc = {m: np.zeros((d, d)) for m in range(1, trace.M + 1)}
+    events_by_round = {ev.round: ev for ev in trace.events}
+    uploads = violations = 0
+    worst_margin = math.inf
+    for rec in records(trace):
+        m = rec.agent
+        loc[m] = loc[m] + np.outer(rec.arm, rec.arm)
+        event = events_by_round.get(rec.t)
+        if event is None or event.agent != m:
+            continue
+        logdet_before = SpdMatrix.from_dense(synced[m]).logdet
+        logdet_after = SpdMatrix.from_dense(synced[m] + loc[m]).logdet
+        margin = logdet_after - logdet_before - math.log1p(hp.alpha)
+        worst_margin = min(worst_margin, margin)
+        if margin < -tol:
+            violations += 1
+        uploads += 1
+        server = server + loc[m]
+        loc[m] = np.zeros((d, d))
+        synced[m] = server
+    return BoundReport(
+        "sync-criterion-events", float(violations), 0.0, violations == 0, -float(violations),
+        {"worst_margin": None if math.isinf(worst_margin) else worst_margin,
+         "events": uploads, "tolerance": tol},
     )
 
 
@@ -316,7 +356,7 @@ def run_invariant_suite(
     d, M, T, L = inst.dim, trace.M, len(trace.t), inst.L
     reports = [
         _trace_consistency_check(trace),
-        _sync_criterion_check(trace, inst, hp),
+        sync_criterion_check(trace, inst, hp),
     ]
 
     comm_bound = theoretical_comm_bound(d, M, hp.alpha, hp.lam, L, T)

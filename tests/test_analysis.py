@@ -192,7 +192,7 @@ def test_covariance_comparison_covers_single_agent_windows():
 def toy_trace(agent_seq, sync_rounds):
     T = len(agent_seq)
     events = [
-        CommEvent(round=t, agent=m, logdet_before=0.0, logdet_after=math.log(2.0),
+        CommEvent(round=t, agent=m,
                   payload_checksum=payload_checksum(np.zeros((2, 2)), np.zeros(2)))
         for (t, m) in sorted(sync_rounds)
     ]
@@ -315,7 +315,8 @@ def test_suite_raises_when_the_pooled_floor_breaks():
 def test_suite_checks_the_pooled_floor_on_a_factorable_matrix():
     # The pooled covariance here factors (two orthogonal arms), but at trace
     # 1.8e10 its rounding swamps lambda = 1e-6: the floor block itself raises.
-    # Without events no synced factor is built, so only the pooled floor can.
+    # Without events the synced factors stay the ridge prior, so only the pooled
+    # floor can.
     inst = gen_instance("random-sphere", d=2, K=4, seed=3)
     hp = HyperParams(lam=1e-6, alpha=0.5, delta=0.1)
     trace = run_fedlinucb(inst, gen_schedule("round-robin", M=2, T=20), hp)
@@ -342,21 +343,22 @@ def test_package_covariances_skip_the_public_checks(monkeypatch):
 
 def test_sync_criterion_allows_only_logdet_rounding():
     inst, hp, trace = run_small(seed=13, T=200)
-    clean = analysis._sync_criterion_check(trace, inst, hp)
-    assert clean.satisfied and clean.detail["worst_margin"] > 0.0
+    clean = suite_by_name(trace, inst, hp)["sync-criterion-events"]
+    assert clean.satisfied is True and clean.detail["worst_margin"] > 0.0
+    assert clean.detail["events"] == len(trace.events) > 0
     tol = clean.detail["tolerance"]
     assert 0.0 < tol < 1e-9  # d = 3, T = 200, L = 1, lambda = 1
 
     def with_margin(margin):
-        ev = trace.events[0]
-        bent = dataclasses.replace(
-            ev, logdet_after=ev.logdet_before + math.log1p(hp.alpha) + margin)
-        doctored = dataclasses.replace(trace, events=[bent] + trace.events[1:])
-        return analysis._sync_criterion_check(doctored, inst, hp)
+        # Checked against a larger alpha', every margin drops by
+        # log1p(alpha') - log1p(alpha); this alpha' puts the worst at ``margin``.
+        alpha = math.expm1(math.log1p(hp.alpha) + clean.detail["worst_margin"] - margin)
+        check_hp = dataclasses.replace(hp, alpha=alpha)
+        return suite_by_name(trace, inst, check_hp)["sync-criterion-events"]
 
-    assert with_margin(-0.5 * tol).satisfied
+    assert with_margin(-0.5 * tol).satisfied is True
     report = with_margin(-1e-3)
-    assert not report.satisfied and report.empirical == 1.0
+    assert report.satisfied is False and report.empirical >= 1.0
     assert report.detail["worst_margin"] == pytest.approx(-1e-3)
 
 

@@ -57,6 +57,8 @@ def test_fmt_fixed_notation_12_digits():
 def test_render_json_sorted_and_typed():
     got = _render_json({"b": 1.5, "a": True, "c": [1, 2.0], "d": None})
     assert got == '{\n  "a": true,\n  "b": 1.5,\n  "c": [\n    1,\n    2.0\n  ],\n  "d": null\n}'
+    # numpy bools, as numpy comparisons return them, are JSON bools too.
+    assert _render_json([np.bool_(True), np.bool_(False)]) == "[\n  true,\n  false\n]"
 
 
 # ---------------------------------------------------------------- defaults
@@ -155,6 +157,19 @@ def test_run_with_files_for_arms_and_schedule(tmp_path):
     assert rc == 0
     rows = (out / "trace.csv").read_text().splitlines()[1:]
     assert [r.split(",")[1] for r in rows] == ["1", "2", "2", "1", "2"]
+
+
+def test_explicit_list_refuses_a_stated_T_other_than_its_length(tmp_path, capsys):
+    sched_path = tmp_path / "sched.txt"
+    sched_path.write_text("1\n2\n2\n1\n2\n", encoding="utf-8")
+    cfg = dict(BASE_CONFIG, schedule={"kind": "explicit-list", "M": 2, "T": 100,
+                                      "file": str(sched_path)})
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    assert "config error: schedule: T = 100" in capsys.readouterr().err
+    assert not out.exists()
+    cfg["schedule"]["T"] = 5
+    assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
 
 
 GOLDEN_CONFIG = {
@@ -544,14 +559,33 @@ def test_sweep_parallel_matches_serial(tmp_path):
     }
     cfg_path = write_config(tmp_path, cfg)
     rc1 = main(["sweep", "--config", cfg_path, "--out", str(tmp_path / "serial"),
-                "--axis", "T", "--values", "20,50"])
+                "--axis", "T", "--values", "20,50,20"])
     rc2 = main(["sweep", "--config", cfg_path, "--out", str(tmp_path / "par"),
-                "--axis", "T", "--values", "20,50", "--parallel", "2"])
+                "--axis", "T", "--values", "20,50,20", "--parallel", "2"])
     assert rc1 == rc2 == 0
     assert (tmp_path / "serial/sweep.csv").read_bytes() == (tmp_path / "par/sweep.csv").read_bytes()
+    # Rows follow the requested cells, a repeated value included.
+    rows = [ln.split(",") for ln in (tmp_path / "serial/sweep.csv").read_text().splitlines()[1:]]
+    assert [(r[1], r[2]) for r in rows] == [
+        ("20", "0"), ("20", "1"), ("50", "0"), ("50", "1"), ("20", "0"), ("20", "1")]
     # --parallel is a sweep option only.
     with pytest.raises(SystemExit):
         main(["run", "--config", cfg_path, "--out", str(tmp_path / "run"), "--parallel", "2"])
+
+
+def test_sweep_refuses_a_cell_that_would_not_run_its_value(tmp_path, capsys):
+    # A fixed-list instance takes d from its file, so only d = 2 runs at d = 2.
+    arms_path = tmp_path / "arms.txt"
+    arms_path.write_text("0.6 0\n0 0.8\n0.5 0.5\n", encoding="utf-8")
+    cfg = dict(BASE_CONFIG, instance={"kind": "fixed-list", "arms_file": str(arms_path)})
+    cfg_path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg_path, "--out", str(out),
+                 "--axis", "d", "--values", "2,3,5"]) == 2
+    assert "sweep cell d = 3 builds a run at d = 2" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["sweep", "--config", cfg_path, "--out", str(out),
+                 "--axis", "d", "--values", "2"]) == 0
 
 
 def test_sweep_missing_and_empty_values(tmp_path, capsys):

@@ -4,6 +4,7 @@ import json
 import re
 from pathlib import Path
 
+from fedlinucb import run_invariant_suite
 from fedlinucb.cli import build_run
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -12,7 +13,8 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 def test_readme_library_example_runs(capsys):
     section = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
-    exec(compile(code, "README.md (Library)", "exec"), {})
+    names = {}
+    exec(compile(code, "README.md (Library)", "exec"), names)
     lines = capsys.readouterr().out.splitlines()
     # One line of run figures, then one per invariant report, all satisfied,
     # named as the README's report table lists them, in its order.
@@ -20,6 +22,11 @@ def test_readme_library_example_runs(capsys):
     documented = [re.match(r"\| `([^`]+)` \|", row).group(1) for row in table]
     assert [line.split()[0] for line in lines[1:]] == documented
     assert all(line.split()[1] == "True" for line in lines[1:])
+    # Each report's detail keys are the ones its row lists (none on a clean run
+    # for trace-consistency, whose keys name the problems found).
+    reports = run_invariant_suite(names["trace"], names["inst"], names["hp"])
+    documented_keys = [re.findall(r"`([^`]+)`", row.rsplit(" | ", 1)[1]) for row in table]
+    assert [list(r.detail) for r in reports] == documented_keys
 
 
 def test_readme_config_example_resolves():

@@ -19,6 +19,7 @@ from fedlinucb import (
     HyperParams,
     NumericalDomainError,
     Schedule,
+    SpdMatrix,
     SimulationTrace,
     compute_beta,
     gen_instance,
@@ -232,6 +233,19 @@ def test_lazy_never_updates_without_sync():
     trace = run_fedlinucb(inst, sched, hp)
     assert np.all(trace.arm_index == 0)
     assert trace.comm_count == 0
+
+
+def test_lazy_run_factors_one_matrix_per_sync(monkeypatch):
+    # The trigger reads the Sherman-Morrison log-gain, so a sync factors only
+    # the new server matrix.
+    calls = []
+    real = SpdMatrix._factor
+    monkeypatch.setattr(SpdMatrix, "_factor",
+                        classmethod(lambda cls, *a, **k: calls.append(1) or real(*a, **k)))
+    inst = gen_instance("random-sphere", d=4, K=5, seed=3)
+    hp = HyperParams(lam=1.0, alpha=1.0 / 9.0, delta=0.1)
+    trace = run_fedlinucb(inst, gen_schedule("iid-uniform", M=3, T=300, seed=4), hp)
+    assert trace.events and len(calls) == len(trace.events)
 
 
 def test_eager_mode_changes_behavior():
