@@ -33,7 +33,7 @@ from .core import (
 )
 from .environment import _BIAS_ARMS, gen_instance, gen_schedule
 from .protocol import init_agent, local_update, payload_checksum, should_sync
-from .simulator import SimulationTrace, _comm_per_epoch, run_fedlinucb
+from .simulator import SimulationTrace, _comm_per_epoch, epoch_boundaries, run_fedlinucb
 
 __all__ = [
     "BoundReport",
@@ -412,7 +412,8 @@ def run_invariant_suite(
 
     comm_bound = theoretical_comm_bound(d, M, hp.alpha, hp.lam, L, T)
     reports.append(_capped("comm-bound", float(trace.comm_count), comm_bound))
-    worst_epoch = float(max(_comm_per_epoch(trace), default=0))
+    epochs = epoch_boundaries(trace, hp.lam, d)
+    worst_epoch = float(max(_comm_per_epoch(trace, epochs), default=0))
     reports.append(_capped("epoch-comm", worst_epoch, epoch_comm_cap(M, hp.alpha)))
 
     mismatches = rep.checksum_mismatches

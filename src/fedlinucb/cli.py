@@ -29,7 +29,8 @@ from .environment import (
     load_arms_file,
     load_schedule_file,
 )
-from .simulator import CommBoundError, _resolve_beta, run_fedlinucb, run_independent_oful
+from .simulator import (CommBoundError, _resolve_beta, epoch_boundaries, run_fedlinucb,
+                        run_independent_oful)
 
 TRACE_COLUMNS = ["t", "agent", "arm_index", "reward", "inst_regret", "cum_regret", "comm", "det_server"]
 
@@ -135,13 +136,6 @@ def _config_section(name: str):
 def _build(cfg: dict) -> tuple[ProblemInstance, Schedule, HyperParams]:
     with _config_section("instance"):
         inst = build_instance(cfg)
-    # Echo the noise, and any stated d, K or L, as built: bias-demo fixes
-    # d = K = 2, L >= 3 and its own noise whatever the config asked for.
-    section = cfg["instance"]
-    for key, built in (("d", inst.dim), ("K", inst.arm_spec.K), ("L", inst.L),
-                       ("noise", inst.noise_spec)):
-        if key == "noise" or section.get(key, built) != built:
-            section[key] = built
     with _config_section("schedule"):
         schedule = build_schedule(cfg)
     if "lambda" not in cfg["params"]:
@@ -164,6 +158,20 @@ def _build(cfg: dict) -> tuple[ProblemInstance, Schedule, HyperParams]:
     return inst, schedule, hp
 
 
+def _echo_instance(cfg: dict, inst: ProblemInstance) -> None:
+    """Echo the noise, and any stated d, K or L, as built: bias-demo fixes d = K = 2,
+    L >= 3 and its own noise whatever the config asked for.  A fixed-list
+    instance takes d and K from its arm file, and refuses any other."""
+    section = cfg["instance"]
+    for key, built in (("d", inst.dim), ("K", inst.arm_spec.K), ("L", inst.L),
+                       ("noise", inst.noise_spec)):
+        if key == "noise" or section.get(key, built) != built:
+            if key in ("d", "K") and section["kind"] == "fixed-list":
+                raise ConfigError(f"instance: {key} = {section[key]!r}, but "
+                                  f"{section['arms_file']} holds {key} = {built}")
+            section[key] = built
+
+
 def build_run(raw: dict) -> tuple[dict, ProblemInstance, Schedule, HyperParams]:
     """Resolve a config and build its instance, schedule and hyperparameters.
 
@@ -171,7 +179,9 @@ def build_run(raw: dict) -> tuple[dict, ProblemInstance, Schedule, HyperParams]:
     Every range rule lives in the library constructor that owns the value.
     """
     cfg = _with_defaults(raw)
-    return (cfg, *_build(cfg))
+    inst, schedule, hp = _build(cfg)
+    _echo_instance(cfg, inst)
+    return cfg, inst, schedule, hp
 
 
 def resolve_config(raw: dict) -> dict:
@@ -244,6 +254,9 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def write_trace_csv(trace, path: Path) -> None:
+    # Display only: 0.0 or inf once the determinant leaves the float range.
+    with np.errstate(over="ignore", under="ignore"):
+        det_server = np.exp(trace.logdet_server)
     columns = [
         map(str, trace.t.tolist()),
         map(str, trace.agent.tolist()),
@@ -252,7 +265,7 @@ def write_trace_csv(trace, path: Path) -> None:
         map(_fmt, trace.inst_regret.tolist()),
         map(_fmt, trace.cum_regret.tolist()),
         map(str, trace.comm.tolist()),
-        map(_fmt, trace.det_server.tolist()),
+        map(_fmt, det_server.tolist()),
     ]
     rows = [",".join(TRACE_COLUMNS), *map(",".join, zip(*columns))]
     _write_text(path, "\n".join(rows) + "\n")
@@ -274,7 +287,7 @@ def summarize(trace, inst: ProblemInstance, hp: HyperParams, cfg: dict) -> dict:
     return {
         "total_regret": trace.total_regret,
         **_run_figures(trace, inst, hp),
-        "epoch_starts": [[i, tau] for i, tau in trace.epoch_starts],
+        "epoch_starts": [[i, tau] for i, tau in epoch_boundaries(trace, hp.lam, inst.dim)],
         "config_echo": {
             "instance": cfg["instance"],
             "params": cfg["params"],
@@ -320,6 +333,7 @@ def _build_cell(raw: dict, axis: str, value, cell: int, rep: int) -> tuple:
     ran = {"T": schedule.T, "M": schedule.M, "alpha": hp.alpha, "d": inst.dim}[axis]
     if ran != value:
         raise ConfigError(f"sweep cell {axis} = {value!r} builds a run at {axis} = {ran!r}")
+    _echo_instance(cfg, inst)
     return cfg, inst, schedule, hp
 
 

@@ -90,12 +90,9 @@ class SpdMatrix:
     min_eig:
         Spectral floor stated at construction (0.0 when none was claimed).
     logdet:
-        ``2 * sum(log(diag(L)))``, the natural log of the determinant; finite for
-        every SPD matrix, so every determinant comparison is made with it.
-    det:
-        ``prod(diag(L))**2`` in linear space, kept only for display (the
-        ``det_server`` trace column); it reads 0.0 or inf once the determinant
-        leaves the float range.  Both are computed on first use.
+        ``2 * sum(log(diag(L)))``, the natural log of the determinant, computed
+        on first use; finite for every SPD matrix, so every determinant
+        comparison is made with it.
     """
 
     mat: Matrix
@@ -138,13 +135,6 @@ class SpdMatrix:
     @cached_property
     def logdet(self) -> float:
         return 2.0 * float(np.log(np.diagonal(self.chol)).sum())
-
-    @cached_property
-    def det(self) -> float:
-        # Display only: the product leaves the float range at large d (0.0 at
-        # d=200, lam=0.01; inf at d=160, lam=100), which is documented output.
-        with np.errstate(over="ignore", under="ignore"):
-            return float(np.prod(np.diag(self.chol)) ** 2)
 
 
 def _cholesky(m: Matrix) -> Matrix:

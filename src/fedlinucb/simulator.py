@@ -41,20 +41,19 @@ class CommBoundError(AssertionError):
     """A run exceeded the deterministic communication cap. Hard failure."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimulationTrace:
     """Complete record of one run, one array entry per round in round order.
 
     Columns (length T): ``agent`` (acting agent id), ``arm_index`` (chosen
     index into the round's decision set), ``arms`` (T, d; the chosen arms),
-    ``reward``, ``inst_regret``, ``logdet_server`` (end-of-round server
-    log-determinant) and the display-only ``det_server`` (its linear-space
-    value; 0.0 or inf outside the float range).  ``events`` has one entry per
-    sync; ``epoch_starts`` lists (i, tau_i) for every realized doubling index
-    of the server determinant; ``M`` is the schedule's agent count.
-    ``final_agents`` / ``final_server`` carry the terminal protocol states for
-    downstream checks.  ``t``, ``comm``, ``cum_regret``, ``comm_count`` and
-    ``switch_count`` are derived from these.
+    ``reward``, ``inst_regret`` and ``logdet_server`` (end-of-round server
+    log-determinant).  ``events`` has one entry per sync; ``M`` is the
+    schedule's agent count.  ``final_agents`` / ``final_server`` carry the
+    terminal protocol states for downstream checks.  ``t``, ``comm``,
+    ``cum_regret``, ``comm_count``, ``switch_count`` and ``total_regret`` are
+    derived from these, and the determinant-doubling epochs come from
+    :func:`epoch_boundaries`.  A trace is built once and never assigned to.
     """
 
     agent: np.ndarray
@@ -63,9 +62,7 @@ class SimulationTrace:
     reward: np.ndarray
     inst_regret: np.ndarray
     logdet_server: np.ndarray
-    det_server: np.ndarray
     events: list[CommEvent]
-    epoch_starts: list[tuple[int, int]]
     beta_used: float
     M: int
     final_agents: list[AgentState] = field(default_factory=list, repr=False)
@@ -145,27 +142,28 @@ def epoch_boundaries(trace: SimulationTrace, lam: float, d: int) -> list[tuple[i
     return list(enumerate(taus.tolist()))
 
 
-def _comm_per_epoch(trace: SimulationTrace) -> list[int]:
-    """Communications (uploads + downloads) inside each realized epoch.
+def _comm_per_epoch(trace: SimulationTrace, epochs: list[tuple[int, int]]) -> list[int]:
+    """Communications (uploads + downloads) inside each of the realized ``epochs``.
 
     Thresholds can be crossed several at once; such epochs share a start
     round and all but the last of them count zero.
     """
-    if not trace.epoch_starts:
+    if not epochs:
         return []
     cum = np.concatenate(([0], np.cumsum(trace.comm)))
-    starts = np.array([tau for _, tau in trace.epoch_starts])
+    starts = np.array([tau for _, tau in epochs])
     ends = np.append(starts[1:], len(trace.agent) + 1)
     return (cum[ends - 1] - cum[starts - 1]).tolist()
 
 
-def _assert_comm_bounds(trace: SimulationTrace, hp: HyperParams, M: int, bound: float) -> None:
+def _assert_comm_bounds(trace: SimulationTrace, hp: HyperParams, d: int, bound: float) -> None:
     if trace.comm_count > bound:
         raise CommBoundError(
             f"comm_count {trace.comm_count} exceeds deterministic cap {bound:.6f}"
         )
-    per_epoch_cap = epoch_comm_cap(M, hp.alpha)
-    for count, (i, tau) in zip(_comm_per_epoch(trace), trace.epoch_starts):
+    per_epoch_cap = epoch_comm_cap(trace.M, hp.alpha)
+    epochs = epoch_boundaries(trace, hp.lam, d)
+    for count, (i, tau) in zip(_comm_per_epoch(trace, epochs), epochs):
         if count > per_epoch_cap:
             raise CommBoundError(
                 f"epoch {i} (from round {tau}) used {count} communications, cap {per_epoch_cap:.6f}"
@@ -196,7 +194,6 @@ def _drive(
     reward = np.zeros(T)
     inst_regret = np.zeros(T)
     logdet_server = np.zeros(T)
-    det_server = np.zeros(T)
     events: list[CommEvent] = []
     for k, m in enumerate(activations.tolist()):
         t = k + 1
@@ -211,9 +208,7 @@ def _drive(
         inst_regret[k] = index_regret(inst, d_set, idx)
         if event is not None and not private:
             events.append(event)
-        sigma_ser = servers[j].sigma_ser
-        logdet_server[k] = sigma_ser.logdet
-        det_server[k] = sigma_ser.det
+        logdet_server[k] = servers[j].sigma_ser.logdet
 
     return SimulationTrace(
         agent=activations.astype(np.int64),
@@ -222,9 +217,7 @@ def _drive(
         reward=reward,
         inst_regret=inst_regret,
         logdet_server=logdet_server,
-        det_server=det_server,
         events=events,
-        epoch_starts=[],
         beta_used=beta_used,
         M=M,
         final_agents=agents,
@@ -251,8 +244,7 @@ def run_fedlinucb(
     cap = theoretical_comm_bound(inst.dim, M, hp.alpha, hp.lam, inst.L, T)
     check_ridge_domain(inst.dim, hp.lam, inst.L, T)
     trace = _drive(inst, hp, schedule.agents, [beta] * M, False, beta)
-    trace.epoch_starts = epoch_boundaries(trace, hp.lam, inst.dim)
-    _assert_comm_bounds(trace, hp, M, cap)
+    _assert_comm_bounds(trace, hp, inst.dim, cap)
     return trace
 
 
@@ -295,7 +287,8 @@ def run_independent_oful(
     Environment draws still come from the global round index, so the baseline
     faces exactly the same decision sets and noise as a federated run on the
     same schedule.  Nothing is ever communicated: the trace reports zero
-    communications and no epochs (there is no shared server determinant).
+    communications, and its ``logdet_server`` follows the acting agent's
+    private server, so epochs read from it mean nothing.
     """
     M, T = schedule.M, schedule.T
     rounds = np.bincount(schedule.agents, minlength=M + 1)[1:].tolist()

@@ -49,7 +49,7 @@ from fedlinucb.core import (
     theoretical_regret_bound,
 )
 from fedlinucb.protocol import payload_checksum
-from fedlinucb.simulator import SimulationTrace
+from fedlinucb.simulator import SimulationTrace, epoch_boundaries
 
 
 @dataclass
@@ -372,8 +372,9 @@ def run_invariant_suite(
 
     per_epoch_cap = 2.0 * (M + 1.0 / hp.alpha)
     worst_epoch = 0.0
-    if trace.epoch_starts:
-        starts = [tau for _, tau in trace.epoch_starts]
+    epochs = epoch_boundaries(trace, hp.lam, d)
+    if epochs:
+        starts = [tau for _, tau in epochs]
         for j, tau in enumerate(starts):
             end = starts[j + 1] if j + 1 < len(starts) else T + 1
             worst_epoch = max(

@@ -123,7 +123,7 @@ def test_02_epoch_communication_cap(grid, capsys):
     violations = 0
     checked = 0
     for cell in grid:
-        dets = cell.trace.det_server
+        dets = np.exp(cell.trace.logdet_server)
         final = dets[-1]
         starts = []
         i = 0
@@ -275,7 +275,7 @@ def test_09_episodic_equivalence(capsys):
         same = (
             np.array_equal(seq.arm_index, epi.arm_index)
             and np.array_equal(seq.reward, epi.reward)
-            and np.array_equal(seq.det_server, epi.det_server)
+            and np.array_equal(seq.logdet_server, epi.logdet_server)
             and np.array_equal(seq.cum_regret, epi.cum_regret)
             and [(e.round, e.agent, e.payload_checksum) for e in seq.events]
             == [(e.round, e.agent, e.payload_checksum) for e in epi.events]

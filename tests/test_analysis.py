@@ -199,8 +199,7 @@ def toy_trace(agent_seq, sync_rounds):
     return SimulationTrace(
         agent=np.array(agent_seq), arm_index=np.zeros(T, dtype=int), arms=np.zeros((T, 2)),
         reward=np.zeros(T), inst_regret=np.zeros(T), logdet_server=np.zeros(T),
-        det_server=np.ones(T), events=events, epoch_starts=[], beta_used=0.0,
-        M=max(agent_seq),
+        events=events, beta_used=0.0, M=max(agent_seq),
     )
 
 

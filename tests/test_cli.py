@@ -24,7 +24,7 @@ from fedlinucb import (
     run_invariant_suite,
     theoretical_comm_bound,
 )
-from fedlinucb.cli import TRACE_COLUMNS, _fmt, _render_json, main, resolve_config
+from fedlinucb.cli import TRACE_COLUMNS, _fmt, _render_json, build_run, main, resolve_config
 
 BASE_CONFIG = {
     "instance": {"kind": "random-sphere", "d": 3, "K": 5, "seed": 7},
@@ -80,9 +80,10 @@ def test_resolve_config_defaults():
 # ---------------------------------------------------------------- run
 
 
-@pytest.mark.parametrize("d, lam, shown", [(200, 0.01, "0.0"), (160, 100.0, "inf")])
+@pytest.mark.parametrize("d, lam, shown", [(200, 0.01, "0.0"), (160, 100.0, "inf"), (3, 1.0, None)])
 def test_run_det_column_outside_float_range(tmp_path, d, lam, shown):
     # The run itself decides in log space; only the display column saturates.
+    # In range, each cell is exp of its round's server log-determinant.
     cfg = {
         "instance": {"kind": "random-sphere", "d": d, "K": 4, "seed": 7},
         "schedule": {"kind": "round-robin", "M": 2, "T": 20},
@@ -92,7 +93,14 @@ def test_run_det_column_outside_float_range(tmp_path, d, lam, shown):
     assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
     lines = (out / "trace.csv").read_text().splitlines()
     assert lines[0] == ",".join(TRACE_COLUMNS)
-    assert {line.split(",")[-1] for line in lines[1:]} == {shown}
+    column = [line.split(",")[-1] for line in lines[1:]]
+    if shown is None:
+        _, inst, schedule, hp = build_run(cfg)
+        logdets = run_fedlinucb(inst, schedule, hp).logdet_server.tolist()
+        assert len(set(column)) > 1
+        assert column == [_fmt(math.exp(v)) for v in logdets]
+    else:
+        assert set(column) == {shown}
     assert json.loads((out / "summary.json").read_text())["epoch_starts"][0] == [0, 1]
 
 
@@ -170,6 +178,26 @@ def test_explicit_list_refuses_a_stated_T_other_than_its_length(tmp_path, capsys
     assert not out.exists()
     cfg["schedule"]["T"] = 5
     assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("key, stated, built", [("d", 5, 2), ("K", 7, 3)])
+def test_fixed_list_refuses_a_stated_d_or_K_other_than_its_arm_file(tmp_path, capsys, key,
+                                                                    stated, built):
+    arms_path = tmp_path / "arms.txt"
+    arms_path.write_text("0.6 0\n0 0.8\n0.5 0.5\n", encoding="utf-8")  # d = 2, K = 3
+    instance = {"kind": "fixed-list", "arms_file": str(arms_path), key: stated}
+    cfg_path = write_config(tmp_path, dict(BASE_CONFIG, instance=instance))
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg_path, "--out", str(out)]) == 2
+    assert f"config error: instance: {key} = {stated}," in capsys.readouterr().err
+    assert main(["sweep", "--config", cfg_path, "--out", str(out),
+                 "--axis", "M", "--values", "1,2"]) == 2
+    assert not out.exists()
+    instance[key] = built
+    cfg_path = write_config(tmp_path, dict(BASE_CONFIG, instance=instance))
+    assert main(["run", "--config", cfg_path, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["config_echo"]["instance"][key] == built
 
 
 GOLDEN_CONFIG = {

@@ -66,8 +66,6 @@ def test_spd_logdet_known_values():
     # Far outside the float range of the determinant itself (1e-400, 1e320).
     assert logdet(0.01 * np.eye(200)) == pytest.approx(200 * math.log(0.01), rel=1e-12)
     assert logdet(100.0 * np.eye(160)) == pytest.approx(160 * math.log(100.0), rel=1e-12)
-    assert SpdMatrix.from_dense(0.01 * np.eye(200)).det == 0.0
-    assert SpdMatrix.from_dense(100.0 * np.eye(160)).det == math.inf
 
 
 def test_spd_logdet_matches_lu_route():

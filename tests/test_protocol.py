@@ -256,7 +256,7 @@ def test_step_selects_buffers_and_syncs():
     assert idx == 0
     assert r == 1.0
     assert ev is not None and ev.round == 1 and ev.agent == 1
-    assert s.sigma_ser.det == pytest.approx(10.0, rel=1e-12)
+    assert math.exp(s.sigma_ser.logdet) == pytest.approx(10.0, rel=1e-12)
 
 
 def test_step_below_trigger_keeps_buffers():
@@ -268,7 +268,7 @@ def test_step_below_trigger_keeps_buffers():
     )
     assert ev is None
     assert np.array_equal(a.sigma_loc, [[9.0, 0.0], [0.0, 0.0]])
-    assert s.sigma_ser.det == pytest.approx(1.0, rel=1e-12)
+    assert math.exp(s.sigma_ser.logdet) == pytest.approx(1.0, rel=1e-12)
     # Stored estimate still the prior zero vector.
     assert np.array_equal(a.theta_hat, np.zeros(2))
 

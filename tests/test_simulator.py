@@ -114,7 +114,7 @@ def test_matches_reference_single_agent():
     ref = reference_federated(inst, sched, lam=1.0, alpha=0.25, beta=trace.beta_used)
     assert trace.arm_index.tolist() == ref.choices
     assert [(ev.round, ev.agent) for ev in trace.events] == ref.syncs
-    np.testing.assert_allclose(trace.det_server, ref.dets, rtol=1e-9)
+    np.testing.assert_allclose(np.exp(trace.logdet_server), ref.dets, rtol=1e-9)
     np.testing.assert_allclose(trace.inst_regret, ref.regrets, rtol=0, atol=0)
 
 
@@ -127,7 +127,7 @@ def test_matches_reference_multi_agent():
     ref_sigma, ref_b = ref.servers[0]
     assert trace.arm_index.tolist() == ref.choices
     assert [(ev.round, ev.agent) for ev in trace.events] == ref.syncs
-    np.testing.assert_allclose(trace.det_server, ref.dets, rtol=1e-9)
+    np.testing.assert_allclose(np.exp(trace.logdet_server), ref.dets, rtol=1e-9)
     np.testing.assert_allclose(trace.final_server.sigma_ser.mat, ref_sigma, rtol=1e-12)
     np.testing.assert_allclose(trace.final_server.b_ser, ref_b, rtol=1e-12)
     assert trace.comm_count == 2 * len(ref.syncs)
@@ -145,7 +145,7 @@ def test_large_d_matches_slogdet_reference(d, lam):
     ref = reference_federated(inst, sched, lam, 0.25, trace.beta_used, log_space=True)
     assert trace.arm_index.tolist() == ref.choices
     assert ref.syncs and [(ev.round, ev.agent) for ev in trace.events] == ref.syncs
-    assert trace.epoch_starts == reference_epochs(ref.dets, d, lam)
+    assert epoch_boundaries(trace, lam, d) == reference_epochs(ref.dets, d, lam)
     np.testing.assert_allclose(trace.logdet_server, ref.dets, rtol=1e-12)
 
 
@@ -178,7 +178,7 @@ def test_rerun_is_bit_identical():
     assert np.array_equal(a.reward, b.reward)
     assert np.array_equal(a.cum_regret, b.cum_regret)
     assert [e.payload_checksum for e in a.events] == [e.payload_checksum for e in b.events]
-    assert a.epoch_starts == b.epoch_starts
+    assert epoch_boundaries(a, 1.0, 3) == epoch_boundaries(b, 1.0, 3)
 
 
 def test_trace_bookkeeping_identities():
@@ -192,7 +192,7 @@ def test_trace_bookkeeping_identities():
     assert trace.comm_count == int(trace.comm.sum())
     assert trace.switch_count == len(trace.events) == trace.comm_count // 2
     assert trace.beta_used == compute_beta(inst, hp, 3, 240)
-    dets = trace.det_server
+    dets = np.exp(trace.logdet_server)
     assert np.all(dets[:-1] <= dets[1:] * (1 + 1e-12))
     assert np.all(trace.inst_regret >= 0.0)
     assert np.array_equal(trace.cum_regret, np.cumsum(trace.inst_regret))
@@ -204,6 +204,16 @@ def test_trace_bookkeeping_identities():
         assert agent.sigma.logdet <= trace.final_server.sigma_ser.logdet + 1e-12
 
 
+def test_trace_is_frozen():
+    trace = run_fedlinucb(small_instance(seed=2), gen_schedule("round-robin", M=2, T=10),
+                          HyperParams(lam=1.0, alpha=0.5, delta=0.1))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        trace.M = 3
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        trace.epoch_starts = []
+    assert dataclasses.replace(trace, M=3).M == 3 and trace.M == 2
+
+
 def test_empty_horizon():
     inst = small_instance(seed=1)
     sched = gen_schedule("round-robin", M=2, T=0)
@@ -211,7 +221,7 @@ def test_empty_horizon():
     trace = run_fedlinucb(inst, sched, hp)
     assert trace.t.shape == (0,) and trace.arms.shape == (0, 3) and trace.events == []
     assert trace.comm_count == 0 and trace.beta_used == 0.0
-    assert trace.epoch_starts == []
+    assert epoch_boundaries(trace, 1.0, 3) == []
     assert trace.cum_regret.shape == (0,)
 
 
@@ -322,7 +332,7 @@ def fake_trace(dets):
     return SimulationTrace(
         agent=ints + 1, arm_index=ints, arms=np.zeros((T, 1)), reward=zeros,
         inst_regret=zeros, logdet_server=np.array([math.log(v) for v in dets]),
-        det_server=zeros, events=[], epoch_starts=[], beta_used=0.0, M=1,
+        events=[], beta_used=0.0, M=1,
     )
 
 
@@ -351,11 +361,12 @@ def test_real_run_epochs_start_at_round_one():
     sched = gen_schedule("round-robin", M=2, T=100)
     hp = HyperParams(lam=1.0, alpha=0.25, delta=0.1)
     trace = run_fedlinucb(inst, sched, hp)
-    assert trace.epoch_starts[0] == (0, 1)
-    taus = [tau for _, tau in trace.epoch_starts]
+    epochs = epoch_boundaries(trace, hp.lam, inst.dim)
+    assert epochs[0] == (0, 1)
+    taus = [tau for _, tau in epochs]
     assert taus == sorted(taus)
-    final_det = trace.det_server[-1]
-    top = trace.epoch_starts[-1][0]
+    final_det = math.exp(trace.logdet_server[-1])
+    top = epochs[-1][0]
     assert 2.0**top <= final_det * (1 + 1e-9) < 2.0 ** (top + 2)
 
 
@@ -366,9 +377,9 @@ def test_comm_cap_violation_raises():
     trace = run_fedlinucb(inst, sched, hp)
     cap = theoretical_comm_bound(inst.dim, 2, hp.alpha, hp.lam, inst.L, 40)
     assert 0 < trace.comm_count <= cap
-    _assert_comm_bounds(trace, hp, 2, cap)
+    _assert_comm_bounds(trace, hp, inst.dim, cap)
     with pytest.raises(CommBoundError, match="exceeds deterministic cap"):
-        _assert_comm_bounds(trace, hp, 2, trace.comm_count - 1)
+        _assert_comm_bounds(trace, hp, inst.dim, trace.comm_count - 1)
 
 
 def test_epoch_comm_cap_violation_raises():
@@ -380,7 +391,7 @@ def test_epoch_comm_cap_violation_raises():
     trace = run_fedlinucb(inst, sched, hp)
     huge = dataclasses.replace(hp, alpha=1e12)
     with pytest.raises(CommBoundError, match=r"epoch \d+ \(from round \d+\) used \d+"):
-        _assert_comm_bounds(trace, huge, 2, math.inf)
+        _assert_comm_bounds(trace, huge, inst.dim, math.inf)
 
 
 def test_non_finite_comm_cap_is_refused_before_the_run(monkeypatch):
@@ -417,7 +428,9 @@ def test_independent_baseline_single_agent_matches_protocol_actions():
     assert np.array_equal(fed.cum_regret, ind.cum_regret)
     assert ind.comm_count == 0 and ind.switch_count == 0
     assert np.all(ind.comm == 0)
-    assert ind.events == [] and ind.epoch_starts == []
+    assert ind.events == []
+    # One agent's private server is the shared one.
+    assert np.array_equal(fed.logdet_server, ind.logdet_server)
 
 
 def test_independent_baseline_agents_learn_separately():
@@ -502,10 +515,10 @@ def test_episodic_grouping_equals_flattened_run(schedule, d, alpha, mode):
     epi = run_episodic(inst, groups, hp, M=M)
     seq = run_fedlinucb(inst, Schedule(M=M, agents=agents), hp)
     for column in ("t", "agent", "arm_index", "arms", "reward", "inst_regret", "comm",
-                   "logdet_server", "det_server", "cum_regret"):
+                   "logdet_server", "cum_regret"):
         assert np.array_equal(getattr(epi, column), getattr(seq, column)), column
     assert [(e.round, e.agent, e.payload_checksum) for e in epi.events] == [
         (e.round, e.agent, e.payload_checksum) for e in seq.events
     ]
-    assert epi.epoch_starts == seq.epoch_starts
+    assert epoch_boundaries(epi, 1.0, d) == epoch_boundaries(seq, 1.0, d)
     assert epi.beta_used == seq.beta_used
