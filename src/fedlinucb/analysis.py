@@ -1,7 +1,7 @@
 """Trace analysis: bound evaluators, concentration checks, bias demonstration.
 
-The invariant checks rebuild the protocol bookkeeping from the trace's
-columns and events alone (:class:`_Replay`), compare it against the stored
+The invariant checks rebuild the protocol bookkeeping from the trace and the
+environment's decision sets (:class:`_Replay`), compare it against the stored
 upload checksums, and derive each upload's trigger gain from it.
 Each replay-based check is an accumulator fed once per replayed round, and
 :func:`run_invariant_suite`, the one public entry point for the checks, drives
@@ -31,7 +31,7 @@ from .core import (
     theoretical_comm_bound,
     theoretical_regret_bound,
 )
-from .environment import _BIAS_ARMS, gen_instance, gen_schedule
+from .environment import _BIAS_ARMS, gen_instance, gen_schedule, sample_decision_set
 from .protocol import init_agent, local_update, payload_checksum, should_sync
 from .simulator import SimulationTrace, _comm_per_epoch, epoch_boundaries, run_fedlinucb
 
@@ -69,12 +69,13 @@ class _Replay:
     """Protocol state rebuilt round by round from a trace.
 
     After ``step(k)`` (k = 0-based row of the trace) the attributes hold
-    end-of-round values for round k + 1: the acting agent ``m`` and
-    its arm ``x`` and reward ``r``, the pooled statistics, the server
-    aggregate, every agent's unsynced buffers, synced covariance factor
-    (ridge floor verified) and target, and ``synced``, whether the round's
-    agent uploaded.  ``pooled()`` factors the pooled covariance at most once
-    per round, with the ridge floor verified, for every check to share.
+    end-of-round values for round k + 1: the acting agent ``m``, its arm
+    ``x`` (row ``arm_index[k]`` of the round's decision set, read from the
+    environment) and reward ``r``, the pooled statistics, the server aggregate,
+    every agent's unsynced buffers, synced covariance factor (ridge floor
+    verified) and target, and ``synced``, whether the round's agent uploaded.
+    ``pooled()`` factors the pooled covariance at most once per round, with
+    the ridge floor verified, for every check to share.
 
     ``gains`` holds, per upload, ``logdet(sigma + sigma_loc) - logdet(sigma)``
     of the uploader's synced covariance and buffer, from fresh factors: the
@@ -86,8 +87,8 @@ class _Replay:
     second event at one round, or one outside the trace's rounds stays counted.
     """
 
-    def __init__(self, trace: SimulationTrace, d: int, lam: float):
-        self.trace = trace
+    def __init__(self, trace: SimulationTrace, inst: ProblemInstance, lam: float):
+        self.inst, d = inst, inst.dim
         self.d, self.M, self.lam = d, trace.M, lam
         self.sigma_all = self.lam * np.eye(d)
         self.b_all = np.zeros(d)
@@ -100,6 +101,7 @@ class _Replay:
         self.synced_b = {m: np.zeros(d) for m in range(1, self.M + 1)}
         self.events_by_round = {ev.round: ev for ev in trace.events}
         self._agents = trace.agent.tolist()
+        self._arm_index = trace.arm_index.tolist()
         self._rewards = trace.reward.tolist()
         self.checksum_mismatches = len(trace.events)
         self.gains: list[float] = []
@@ -109,7 +111,7 @@ class _Replay:
     def step(self, k: int) -> None:
         """Replay row k."""
         m = self.m = self._agents[k]
-        x = self.x = self.trace.arms[k]
+        x = self.x = sample_decision_set(self.inst, k + 1)[self._arm_index[k]]
         r = self.r = self._rewards[k]
         xx = np.outer(x, x)
         self.sigma_all = self.sigma_all + xx
@@ -138,9 +140,9 @@ class _Replay:
         return self._pooled
 
 
-def _run_pass(trace: SimulationTrace, d: int, lam: float, checks: list) -> _Replay:
+def _run_pass(trace: SimulationTrace, inst: ProblemInstance, lam: float, checks: list) -> _Replay:
     """Feed each round of one replay to every accumulator; return the replay at its end."""
-    rep = _Replay(trace, d, lam)
+    rep = _Replay(trace, inst, lam)
     for k in range(len(trace.agent)):
         rep.step(k)
         for check in checks:
@@ -363,7 +365,7 @@ def bias_demo(
 def _trace_consistency_check(trace: SimulationTrace) -> BoundReport:
     problems = 0
     detail = {}
-    non_finite = int((~(np.isfinite(trace.reward) & np.isfinite(trace.arms).all(-1))).sum())
+    non_finite = int((~np.isfinite(trace.reward)).sum())
     if non_finite:
         problems += 1
         detail["non_finite_rows"] = non_finite
@@ -392,12 +394,15 @@ def run_invariant_suite(
     two confidence checks are high-probability statements (they may fail on
     a delta-tail run by design); everything else is deterministic.  Every
     parameter comes from ``inst`` and ``hp``, the horizon from the trace's
-    length and the agent count from ``trace.M``.
+    length and the agent count from ``trace.M``.  The replay reads each
+    played arm from ``inst``, so an ``arm_index`` outside 0..K-1 is refused.
     """
-    d, M, T, L = inst.dim, trace.M, len(trace.agent), inst.L
+    d, M, T, L, K = inst.dim, trace.M, len(trace.agent), inst.L, inst.arm_spec.K
+    if T and not 0 <= trace.arm_index.min() <= trace.arm_index.max() < K:
+        raise ValueError(f"trace arm_index leaves 0..{K - 1}")
     elliptical, covariance = _Elliptical(d, hp.lam, L, T), _Covariance(hp.alpha, M)
     coverage = _Coverage(inst, hp, T, trace.beta_used)
-    rep = _run_pass(trace, d, hp.lam, [elliptical, covariance, coverage])
+    rep = _run_pass(trace, inst, hp.lam, [elliptical, covariance, coverage])
 
     tol = logdet_rounding(d, hp.lam, L, T)
     margins = [gain - math.log1p(hp.alpha) for gain in rep.gains]

@@ -371,6 +371,8 @@ def cmd_sweep(
         raise ConfigError(f"unknown sweep axis {axis!r}; expected one of {tuple(SWEEP_AXES)}")
     if not values:
         raise ConfigError("sweep requires a nonempty value list")
+    if parallel < 1:
+        raise ConfigError(f"--parallel must be >= 1, got {parallel}")
     reps = _with_defaults(cfg_raw)["replications"]
     # Every cell is built here, so a bad one stops the sweep before any run.
     tasks = [

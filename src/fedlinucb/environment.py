@@ -69,8 +69,7 @@ class ArmSpec:
     def __post_init__(self) -> None:
         if self.variant not in ("random-sphere", "hypercube-corners", "fixed-list"):
             raise ValueError(f"unknown arm variant {self.variant!r}")
-        if self.K < 1:
-            raise ValueError("K must be >= 1")
+        _check_count("K", self.K, 1)
         if self.variant != "fixed-list":
             if self.arms is not None:
                 raise ValueError(f"{self.variant} draws its arms each round; got an arm array")
@@ -89,7 +88,7 @@ def _check_count(name: str, value: int, least: int) -> None:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < least:
-        raise ValueError(f"{name} must be >= {least}")
+        raise ValueError(f"{name} must be >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -157,6 +156,7 @@ def gen_instance(
         spec = ArmSpec(kind, K=K)
     else:
         raise ValueError(f"unknown instance kind {kind!r}")
+    _check_count("d", d, 1)
 
     direction = _block_rng(seed, "theta", 0).standard_normal(d)
     norm = float(np.linalg.norm(direction))
@@ -232,21 +232,18 @@ def sample_decision_set(inst: ProblemInstance, t: int) -> np.ndarray:
     return _arm_block(inst.master_seed, spec.variant, spec.K, inst.dim, inst.L, block)[row]
 
 
-def sample_reward(inst: ProblemInstance, t: int, x: np.ndarray) -> float:
-    """Reward for playing arm x in round t: <x, theta_star> + noise(seed, t).
+def sample_reward(inst: ProblemInstance, t: int, idx: int) -> float:
+    """Reward for playing row ``idx`` of round t's decision set: <x, theta_star> + noise(seed, t).
 
-    The noise draw depends only on (master_seed, t), never on x or on which
-    agent plays, so replaying a round reproduces the same disturbance.
+    The arm was checked where it was made; only ``idx`` is checked here.  The
+    noise depends only on (master_seed, t), so replaying a round reproduces it.
     """
-    if t < 1:
-        raise ValueError("rounds are 1-based")
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (inst.dim,):
-        raise ValueError(f"arm shape {x.shape} does not match dim {inst.dim}")
-    check_arm_norm(float(np.linalg.norm(x)), inst.L)
+    d_set = sample_decision_set(inst, t)
+    if not 0 <= idx < len(d_set):
+        raise ValueError(f"arm index {idx} outside 0..{len(d_set) - 1}")
     block, row = divmod(t - 1, BLOCK)
     eta = inst.R * _noise_block(inst.master_seed, inst.noise_spec, block)[row]
-    return float(x @ inst.theta_star) + float(eta)
+    return float(d_set[idx] @ inst.theta_star) + float(eta)
 
 
 def gen_schedule(
@@ -281,15 +278,23 @@ def gen_schedule(
     return Schedule(M=M, agents=seq)
 
 
-def _read_data_lines(path: str) -> list[list[str]]:
+def _read_data_lines(path: str) -> list[tuple[int, list[str]]]:
+    """(line number in the file, tokens) of every line left after dropping blanks and comments."""
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            rows.append(line.split())
+            if line:
+                rows.append((lineno, line.split()))
     return rows
+
+
+def _parse(path: str, lineno: int, parse, token: str):
+    """``parse(token)``, with a ValueError that names the file and line of the token."""
+    try:
+        return parse(token)
+    except ValueError as exc:
+        raise ValueError(f"{path}: line {lineno}: {exc}") from exc
 
 
 def load_schedule_file(path: str, M: int) -> Schedule:
@@ -299,10 +304,10 @@ def load_schedule_file(path: str, M: int) -> Schedule:
     the agent active in round t.
     """
     agents = []
-    for lineno, tokens in enumerate(_read_data_lines(path), 1):
+    for lineno, tokens in _read_data_lines(path):
         if len(tokens) != 1:
             raise ValueError(f"{path}: schedule line {lineno} must hold a single agent id")
-        agents.append(int(tokens[0]))
+        agents.append(_parse(path, lineno, int, tokens[0]))
     return Schedule(M=M, agents=agents)
 
 
@@ -315,10 +320,10 @@ def load_arms_file(path: str) -> np.ndarray:
     rows = _read_data_lines(path)
     if not rows:
         raise ValueError(f"{path}: no arms found")
-    width = len(rows[0])
+    width = len(rows[0][1])
     arms = np.empty((len(rows), width), dtype=np.float64)
-    for i, tokens in enumerate(rows):
+    for i, (lineno, tokens) in enumerate(rows):
         if len(tokens) != width:
-            raise ValueError(f"{path}: line {i + 1} has {len(tokens)} values, expected {width}")
-        arms[i] = [float(tok) for tok in tokens]
+            raise ValueError(f"{path}: line {lineno} has {len(tokens)} values, expected {width}")
+        arms[i] = [_parse(path, lineno, float, tok) for tok in tokens]
     return arms

@@ -152,15 +152,16 @@ def step_agent(
     a: AgentState,
     s: ServerState,
     d_set: np.ndarray,
-    reward_fn: Callable[[int, np.ndarray], float],
+    reward_fn: Callable[[int, int], float],
     hp: HyperParams,
     beta: float,
     round_: int,
 ) -> tuple[AgentState, ServerState, int, float, CommEvent | None]:
     """One activation: select, observe, buffer, and sync when triggered.
 
-    Returns the new agent and server states, the chosen arm's row index in
-    the (K, d) ``d_set``, the observed reward, and the sync's event (None without one).
+    ``reward_fn(round_, idx)`` observes row ``idx`` of the round's (K, d)
+    ``d_set``.  Returns the new agent and server states, the chosen row
+    index, the observed reward, and the sync's event (None without one).
     Lazy mode scores arms with the stored (theta_hat, sigma); eager mode
     recombines (sigma + sigma_loc, b + b_loc) for selection, through a fresh
     factor of that sum, and leaves the stored state untouched.
@@ -171,9 +172,8 @@ def step_agent(
         idx = ucb_select(solve_estimate(v, a.b + a.b_loc), v, beta, d_set)
     else:
         idx = ucb_select(a.theta_hat, a.sigma, beta, d_set)
-    x = d_set[idx]
-    r = reward_fn(round_, x)
-    a = local_update(a, x, r)
+    r = reward_fn(round_, idx)
+    a = local_update(a, d_set[idx], r)
     event = None
     if should_sync(a, hp.alpha):
         # The strict trigger cannot fire without local data.

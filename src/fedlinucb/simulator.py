@@ -46,8 +46,9 @@ class SimulationTrace:
     """Complete record of one run, one array entry per round in round order.
 
     Columns (length T): ``agent`` (acting agent id), ``arm_index`` (chosen
-    index into the round's decision set), ``arms`` (T, d; the chosen arms),
-    ``reward``, ``inst_regret`` and ``logdet_server`` (end-of-round server
+    row of the round's decision set; round t's arm is
+    ``sample_decision_set(inst, t)[arm_index[t-1]]``), ``reward``,
+    ``inst_regret`` and ``logdet_server`` (end-of-round server
     log-determinant).  ``events`` has one entry per sync; ``M`` is the
     schedule's agent count.  ``final_agents`` / ``final_server`` carry the
     terminal protocol states for downstream checks.  ``t``, ``comm``,
@@ -58,7 +59,6 @@ class SimulationTrace:
 
     agent: np.ndarray
     arm_index: np.ndarray
-    arms: np.ndarray
     reward: np.ndarray
     inst_regret: np.ndarray
     logdet_server: np.ndarray
@@ -187,10 +187,9 @@ def _drive(
     T, M, d = len(activations), len(betas), inst.dim
     agents = [init_agent(m, d, hp.lam) for m in range(1, M + 1)]
     servers = [init_server(d, hp.lam) for _ in range(M if private else 1)]
-    reward_fn = lambda t, x: sample_reward(inst, t, x)  # noqa: E731
+    reward_fn = lambda t, idx: sample_reward(inst, t, idx)  # noqa: E731
 
     arm_index = np.zeros(T, dtype=np.int64)
-    arms = np.zeros((T, d))
     reward = np.zeros(T)
     inst_regret = np.zeros(T)
     logdet_server = np.zeros(T)
@@ -203,7 +202,6 @@ def _drive(
             agents[m - 1], servers[j], d_set, reward_fn, hp, betas[m - 1], t
         )
         arm_index[k] = idx
-        arms[k] = d_set[idx]
         reward[k] = r
         inst_regret[k] = index_regret(inst, d_set, idx)
         if event is not None and not private:
@@ -213,7 +211,6 @@ def _drive(
     return SimulationTrace(
         agent=activations.astype(np.int64),
         arm_index=arm_index,
-        arms=arms,
         reward=reward,
         inst_regret=inst_regret,
         logdet_server=logdet_server,

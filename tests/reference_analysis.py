@@ -8,6 +8,7 @@ single pass reports exactly what these functions report.  The check bodies
 below are kept as they were; only the imports are new, ``from_dense``
 no longer passes a determinant (``core.SpdMatrix`` computes it on use), the
 per-round records are rebuilt from the trace's columns by :func:`records`,
+which reads each played arm from the instance's decision sets,
 and the result record the package no longer has, ``CoverageReport``, is
 defined here.  The checks that compared the replay with itself (the noise
 split and the pooled-sum half of ``conservation_check``) are gone, as in
@@ -48,6 +49,7 @@ from fedlinucb.core import (
     theoretical_comm_bound,
     theoretical_regret_bound,
 )
+from fedlinucb.environment import sample_decision_set
 from fedlinucb.protocol import payload_checksum
 from fedlinucb.simulator import SimulationTrace, epoch_boundaries
 
@@ -66,11 +68,11 @@ class CoverageReport:
     global_bound: float
 
 
-def records(trace: SimulationTrace) -> list[SimpleNamespace]:
+def records(trace: SimulationTrace, inst: ProblemInstance) -> list[SimpleNamespace]:
     """One record per round, with the fields the checks below read."""
     return [
-        SimpleNamespace(t=t, agent=m, arm=x, reward=r)
-        for t, m, x, r in zip(trace.t.tolist(), trace.agent.tolist(), trace.arms,
+        SimpleNamespace(t=t, agent=m, arm=sample_decision_set(inst, t)[i], reward=r)
+        for t, m, i, r in zip(trace.t.tolist(), trace.agent.tolist(), trace.arm_index.tolist(),
                               trace.reward.tolist())
     ]
 
@@ -128,7 +130,7 @@ class _Replay:
         self.events_by_round = {ev.round: ev for ev in trace.events}
         self.uploads = 0
         self.checksum_mismatches = 0
-        self.records = records(trace)
+        self.records = records(trace, inst)
 
     def step(self, k: int):
         rec = self.records[k]
@@ -187,7 +189,7 @@ def sync_criterion_check(trace: SimulationTrace, inst: ProblemInstance,
     events_by_round = {ev.round: ev for ev in trace.events}
     uploads = violations = 0
     worst_margin = math.inf
-    for rec in records(trace):
+    for rec in records(trace, inst):
         m = rec.agent
         loc[m] = loc[m] + np.outer(rec.arm, rec.arm)
         event = events_by_round.get(rec.t)
@@ -318,7 +320,7 @@ def covariance_comparison_check(trace: SimulationTrace, inst: ProblemInstance, h
         sigma_all_by_round[k] = rep.sigma_all
         synced_by_round.append({m: rep.synced_sigma[m] for m in range(1, M + 1)})
 
-    windows = _single_agent_windows(trace)
+    windows = _single_agent_windows(trace, inst)
     n_checks2 = 0
     shrink = 1.0 / (1.0 + M * alpha)
     for (m, t1, t2) in windows:
@@ -430,9 +432,10 @@ def run_invariant_suite(
     return reports
 
 
-def _single_agent_windows(trace: SimulationTrace) -> list[tuple[int, int, int]]:
+def _single_agent_windows(trace: SimulationTrace,
+                          inst: ProblemInstance) -> list[tuple[int, int, int]]:
     """Windows (m, t1, t2): agent m alone active in (t1, t2], syncing at t1."""
-    records_ = records(trace)
+    records_ = records(trace, inst)
     T = len(records_)
     if T == 0:
         return []

@@ -18,6 +18,7 @@ import pytest
 import fedlinucb.analysis as analysis
 from fedlinucb import (
     HyperParams,
+    ProblemInstance,
     bias_demo,
     gen_instance,
     gen_schedule,
@@ -53,6 +54,7 @@ class GridCell:
     d: int
     M: int
     T: int
+    inst: ProblemInstance
     hp: HyperParams
     trace: object
     seconds: float
@@ -69,7 +71,7 @@ def grid():
                 sched = gen_schedule("round-robin", M=M, T=T)
                 t0 = time.perf_counter()
                 trace = run_fedlinucb(inst, sched, hp)
-                cells.append(GridCell(d, M, T, hp, trace, time.perf_counter() - t0))
+                cells.append(GridCell(d, M, T, inst, hp, trace, time.perf_counter() - t0))
     return cells
 
 
@@ -84,7 +86,7 @@ def replications():
         trace = run_fedlinucb(inst, sched, hp)
         # One check on many traces: its accumulator alone, not the whole suite.
         cov = analysis._Coverage(inst, hp, 2000, trace.beta_used)
-        analysis._run_pass(trace, inst.dim, hp.lam, [cov])
+        analysis._run_pass(trace, inst, hp.lam, [cov])
         rows.append(
             {
                 "local_violations": cov.local_viol,
@@ -208,7 +210,7 @@ def test_06_elliptical_potential(grid, capsys):
     for cell in grid:
         lam = cell.hp.lam  # the grid's instances keep gen_instance's default L = 1
         elliptical = analysis._Elliptical(cell.d, lam, 1.0, cell.T)
-        analysis._run_pass(cell.trace, cell.d, lam, [elliptical])
+        analysis._run_pass(cell.trace, cell.inst, lam, [elliptical])
         (report,) = elliptical.reports()
         violations += not report.satisfied
         worst_slack = min(worst_slack, report.slack)
@@ -227,7 +229,7 @@ def test_07_covariance_domination(capsys):
         inst = gen_instance("random-sphere", d=4, K=10, seed=700 + rep)
         trace = run_fedlinucb(inst, sched, hp)
         covariance = analysis._Covariance(hp.alpha, 4)
-        analysis._run_pass(trace, inst.dim, hp.lam, [covariance])
+        analysis._run_pass(trace, inst, hp.lam, [covariance])
         (report,) = covariance.reports()
         worst = max(worst, report.detail["claim1_worst"])
         assert report.satisfied, report

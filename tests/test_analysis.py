@@ -18,7 +18,9 @@ from fedlinucb import (
     gen_schedule,
     run_fedlinucb,
     run_invariant_suite,
+    sample_decision_set,
 )
+from fedlinucb import simulator
 from fedlinucb.environment import _BIAS_ARMS
 from fedlinucb.protocol import CommEvent, init_agent, local_update, payload_checksum, should_sync
 
@@ -102,6 +104,35 @@ def test_conservation_catches_tampered_reward():
     assert report.detail["checksum_mismatches"] >= 1
 
 
+def test_suite_sees_a_driver_that_serves_another_rounds_decision_set(monkeypatch):
+    # The run plays rows of round t + 1's set; the replay reads round t's
+    # from the environment, so the uploads it rebuilds are not the run's.
+    inst = gen_instance("random-sphere", d=4, K=10, seed=3)
+    hp = HyperParams(lam=1.0, alpha=1.0 / 16.0, delta=0.01)
+    served = simulator.sample_decision_set
+    monkeypatch.setattr(simulator, "sample_decision_set", lambda inst, t: served(inst, t + 1))
+    trace = run_fedlinucb(inst, gen_schedule("iid-uniform", M=4, T=2000, seed=5), hp)
+    report = suite_by_name(trace, inst, hp)["conservation"]
+    assert not report.satisfied
+    assert report.detail["checksum_mismatches"] > 0
+
+
+def test_a_trace_fails_conservation_on_another_instance():
+    inst, hp, trace = run_small(seed=19)
+    other = gen_instance("random-sphere", d=3, K=5, seed=20)
+    assert not suite_by_name(trace, other, hp)["conservation"].satisfied
+
+
+@pytest.mark.parametrize("bad", [-1, 5])
+def test_suite_refuses_an_arm_index_outside_the_decision_set(bad):
+    # numpy would read index -1 as the last arm and replay a round the run never played.
+    inst, hp, trace = run_small(seed=19)
+    arm_index = trace.arm_index.copy()
+    arm_index[7] = bad
+    with pytest.raises(ValueError, match=r"arm_index leaves 0\.\.4"):
+        run_invariant_suite(dataclasses.replace(trace, arm_index=arm_index), inst, hp)
+
+
 def test_nan_rewards_after_the_last_upload_fail_the_checks():
     # No upload carries these rewards, so no checksum sees them: the NaN
     # reaches only the row scan and the pooled estimate, which must keep it
@@ -126,7 +157,8 @@ def test_elliptical_potential_against_explicit_inverse():
     report = suite_by_name(trace, inst, hp)["elliptical-potential"]
     sigma = np.eye(inst.dim)  # lam = 1
     total = 0.0
-    for x in trace.arms:
+    for t, idx in zip(trace.t.tolist(), trace.arm_index.tolist()):
+        x = sample_decision_set(inst, t)[idx]
         sigma = sigma + np.outer(x, x)
         total += float(x @ np.linalg.inv(sigma) @ x)
     assert report.empirical == pytest.approx(total, rel=1e-9)
@@ -189,6 +221,10 @@ def test_covariance_comparison_covers_single_agent_windows():
     assert report.detail["claim2_checks"] > 0
 
 
+# Every toy trace plays row 0 of this list, the zero arm.
+TOY_INST = gen_instance("fixed-list", arms=np.zeros((1, 2)))
+
+
 def toy_trace(agent_seq, sync_rounds):
     T = len(agent_seq)
     events = [
@@ -197,7 +233,7 @@ def toy_trace(agent_seq, sync_rounds):
         for (t, m) in sorted(sync_rounds)
     ]
     return SimulationTrace(
-        agent=np.array(agent_seq), arm_index=np.zeros(T, dtype=int), arms=np.zeros((T, 2)),
+        agent=np.array(agent_seq), arm_index=np.zeros(T, dtype=int),
         reward=np.zeros(T), inst_regret=np.zeros(T), logdet_server=np.zeros(T),
         events=events, beta_used=0.0, M=max(agent_seq),
     )
@@ -206,7 +242,7 @@ def toy_trace(agent_seq, sync_rounds):
 def window_counts(trace):
     """(windows, claim-2 checks) of the covariance comparison on ``trace``."""
     covariance = analysis._Covariance(0.5, trace.M)
-    analysis._run_pass(trace, 2, 1.0, [covariance])
+    analysis._run_pass(trace, TOY_INST, 1.0, [covariance])
     (report,) = covariance.reports()
     return report.detail["windows"], report.detail["claim2_checks"]
 
@@ -300,15 +336,21 @@ def test_bias_demo_edge_cases():
 # ---------------------------------------------------------------- full suite
 
 
+def huge_arms_instance(arms):
+    """A fixed list of ``arms``, with L raised to admit them: the replay reads
+    its arms from the instance it is given, so this one doctors every arm."""
+    return gen_instance("fixed-list", arms=arms, L=float(np.linalg.norm(arms, axis=1).max()))
+
+
 def test_suite_raises_when_the_pooled_floor_breaks():
     # At lam = 1e-6 the ridge is lost below the rounding of 1e16-sized
     # entries: the pooled covariance of these arms is singular in double.
     inst = gen_instance("random-sphere", d=2, K=4, seed=3)
     hp = HyperParams(lam=1e-6, alpha=0.5, delta=0.1)
     trace = run_fedlinucb(inst, gen_schedule("round-robin", M=2, T=20), hp)
-    arms = np.tile(1e8 * np.array([1.0, 1.0]) / math.sqrt(2.0), (len(trace.t), 1))
+    doctored = huge_arms_instance(np.tile(1e8 * np.array([1.0, 1.0]) / math.sqrt(2.0), (4, 1)))
     with pytest.raises(NumericalDomainError):
-        run_invariant_suite(dataclasses.replace(trace, arms=arms), inst, hp)
+        run_invariant_suite(trace, doctored, hp)
 
 
 def test_suite_checks_the_pooled_floor_on_a_factorable_matrix():
@@ -319,9 +361,10 @@ def test_suite_checks_the_pooled_floor_on_a_factorable_matrix():
     inst = gen_instance("random-sphere", d=2, K=4, seed=3)
     hp = HyperParams(lam=1e-6, alpha=0.5, delta=0.1)
     trace = run_fedlinucb(inst, gen_schedule("round-robin", M=2, T=20), hp)
-    arms = np.tile([[3e4, 0.0], [0.0, 3e4]], (10, 1))
+    doctored = huge_arms_instance(np.array([[3e4, 0.0], [0.0, 3e4]]))
+    alternating = dataclasses.replace(trace, arm_index=np.tile([0, 1], 10), events=[])
     with pytest.raises(NumericalDomainError, match="rounding"):
-        run_invariant_suite(dataclasses.replace(trace, arms=arms, events=[]), inst, hp)
+        run_invariant_suite(alternating, doctored, hp)
 
 
 def test_package_covariances_skip_the_public_checks(monkeypatch):

@@ -1,9 +1,11 @@
-"""The benchmark's output contract, checked on each workload's tiny config.
+"""The benchmark's contract, checked on each workload's tiny config.
 
 ``perfbench/workloads.py`` holds the workloads' configs, command lines and
-output checks, and uses only the standard library; it is loaded here by its
-path, so a change that breaks a workload's outputs fails in the test suite
-and not only in the benchmark.
+output checks, and uses only the standard library; ``perfbench/worker.py``
+times the start-up that ``setup_s`` measures.  Both are loaded here by their
+paths, so a change that breaks a workload's outputs, or renames a ``cli``
+function the start-up calls, fails in the test suite and not only in the
+benchmark.
 """
 
 import importlib.util
@@ -13,17 +15,17 @@ import pytest
 
 from fedlinucb import cli
 
-WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PY)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-workloads = _load_workloads()
+workloads = _load("workloads")
 
 
 def test_trace_header_is_the_benchmark_header():
@@ -38,3 +40,14 @@ def test_tiny_workload_outputs_pass_the_benchmark_checks(tmp_path, capsys, name)
     argv = [str(out) if arg == "{out}" else arg for arg in spec["trace_argv"]]
     assert cli.main(argv) == 0, capsys.readouterr().err
     assert workloads.check_outputs(spec, out) == []
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_worker_setup_runs_on_each_tiny_workload(tmp_path, monkeypatch, name):
+    # The worker imports its sibling modules by name and checks that the
+    # package comes from PERFBENCH_SRC.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setenv("PERFBENCH_SRC", str(Path(cli.__file__).resolve().parents[1]))
+    worker = _load("worker")
+    spec = workloads.make_spec(name, workloads.DEFAULT_SEED, tmp_path / "work", tiny=True)
+    assert worker.setup(spec) is cli

@@ -321,6 +321,32 @@ def bad_config_cases(tmp_path):
     ]
 
 
+@pytest.mark.parametrize("key", ["d", "K"])
+def test_zero_d_or_K_is_a_config_error_naming_the_value(tmp_path, capsys, key):
+    out = tmp_path / "out"
+    cfg = dict(BASE_CONFIG, instance=dict(BASE_CONFIG["instance"], **{key: 0}))
+    assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    assert f"config error: instance: {key} must be >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bad_file_tokens_are_config_errors_naming_file_and_line(tmp_path, capsys):
+    sched = tmp_path / "sched.txt"
+    sched.write_text("1\n# comment\n1.5\n", encoding="utf-8")
+    arms = tmp_path / "arms.txt"
+    arms.write_text("abc 0\n", encoding="utf-8")
+    for cfg, where in (
+        (dict(BASE_CONFIG, schedule={"kind": "explicit-list", "M": 2, "file": str(sched)}),
+         f"config error: schedule: {sched}: line 3: "),
+        (dict(BASE_CONFIG, instance={"kind": "fixed-list", "arms_file": str(arms)}),
+         f"config error: instance: {arms}: line 1: "),
+    ):
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+        assert where in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_invalid_configs_exit_2_without_output(tmp_path, capsys):
     for i, cfg in enumerate(bad_config_cases(tmp_path)):
         out = tmp_path / f"out{i}"
@@ -599,6 +625,16 @@ def test_sweep_parallel_matches_serial(tmp_path):
     # --parallel is a sweep option only.
     with pytest.raises(SystemExit):
         main(["run", "--config", cfg_path, "--out", str(tmp_path / "run"), "--parallel", "2"])
+
+
+@pytest.mark.parametrize("parallel", ["0", "-3"])
+def test_sweep_refuses_parallel_below_one(tmp_path, capsys, parallel):
+    out = tmp_path / "out"
+    rc = main(["sweep", "--config", write_config(tmp_path, BASE_CONFIG), "--out", str(out),
+               "--axis", "T", "--values", "20", "--parallel", parallel])
+    assert rc == 2
+    assert f"config error: --parallel must be >= 1, got {parallel}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_refuses_a_cell_that_would_not_run_its_value(tmp_path, capsys):

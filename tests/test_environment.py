@@ -6,6 +6,7 @@ pure function of (master_seed, round index), independent of call order.
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -114,7 +115,7 @@ def test_rounds_are_one_based():
     with pytest.raises(ValueError):
         sample_decision_set(inst, 0)
     with pytest.raises(ValueError):
-        sample_reward(inst, 0, np.array([0.1, 0.0]))
+        sample_reward(inst, 0, 0)
 
 
 # ---------------------------------------------------------------- block-keyed draws
@@ -130,17 +131,18 @@ def test_block_edges_serve_the_run_trace_arms(kind):
     T = 2 * BLOCK + 40
     trace = run_fedlinucb(inst, gen_schedule("iid-uniform", M=3, T=T, seed=2), _fixed_beta())
     for t in (1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, T):
-        environment._arm_block.cache_clear()  # redraw the block from its key
-        arms = sample_decision_set(inst, t)
-        assert np.array_equal(arms[trace.arm_index[t - 1]], trace.arms[t - 1])
-        assert not np.array_equal(arms, sample_decision_set(inst, t + 1))
+        # Redraw both blocks from their keys: the played row must give the run's reward.
+        environment._arm_block.cache_clear()
+        environment._noise_block.cache_clear()
+        assert sample_reward(inst, t, trace.arm_index[t - 1]) == trace.reward[t - 1]
+        assert not np.array_equal(sample_decision_set(inst, t), sample_decision_set(inst, t + 1))
 
 
 def test_shorter_run_is_a_prefix_of_the_longer():
     inst = gen_instance("random-sphere", d=3, K=5, seed=8)
     short = run_fedlinucb(inst, gen_schedule("round-robin", M=3, T=300), _fixed_beta())
     long = run_fedlinucb(inst, gen_schedule("round-robin", M=3, T=600), _fixed_beta())
-    for col in ("t", "agent", "arm_index", "arms", "reward", "inst_regret", "comm",
+    for col in ("t", "agent", "arm_index", "reward", "inst_regret", "comm",
                 "logdet_server", "cum_regret"):
         assert np.array_equal(getattr(short, col), getattr(long, col)[:300]), col
 
@@ -186,9 +188,6 @@ def test_non_finite_arms_are_refused(bad):
     with pytest.raises(ValueError, match="exceeds stated bound"):
         ProblemInstance(theta_star=np.zeros(2), S=1.0, L=1.0, R=1.0, arm_spec=spec,
                         noise_spec="gaussian", master_seed=0)
-    inst = gen_instance("random-sphere", d=2, K=2, seed=0)
-    with pytest.raises(ValueError, match="exceeds stated bound"):
-        sample_reward(inst, 1, np.array([bad, 0.0]))
 
 
 def test_fixed_arms_checked_against_instance_dim():
@@ -250,45 +249,68 @@ def test_keyed_generator_rejects_seeds_outside_64_bits():
 
 def test_reward_noiseless_is_inner_product():
     inst = gen_instance("random-sphere", d=3, K=2, R=0.0, seed=4)
-    x = np.array([0.2, -0.1, 0.05])
-    assert sample_reward(inst, 7, x) == float(x @ inst.theta_star)
+    x = sample_decision_set(inst, 7)[1]
+    assert sample_reward(inst, 7, 1) == float(x @ inst.theta_star)
 
 
 def test_reward_noise_keyed_by_round_only():
-    inst = gen_instance("random-sphere", d=2, K=2, seed=21)
-    x = np.array([0.5, 0.0])
-    first = sample_reward(inst, 13, x)
-    sample_reward(inst, 1, x)
-    sample_reward(inst, 99, x)
-    assert sample_reward(inst, 13, x) == first
+    inst = gen_instance("fixed-list", arms=np.array([[0.5, 0.0], [0.0, 0.5]]), seed=21)
+    x, y = sample_decision_set(inst, 13)
+    first = sample_reward(inst, 13, 0)
+    sample_reward(inst, 1, 0)
+    sample_reward(inst, 99, 0)
+    assert sample_reward(inst, 13, 0) == first
     # Same round, different arm: noise identical, mean shifts.
-    y = np.array([0.0, 0.5])
     eta = first - float(x @ inst.theta_star)
-    assert sample_reward(inst, 13, y) == pytest.approx(float(y @ inst.theta_star) + eta, rel=1e-12)
+    assert sample_reward(inst, 13, 1) == pytest.approx(float(y @ inst.theta_star) + eta, rel=1e-12)
+
+
+def _noise_only(**kw):
+    """An instance whose one arm is the zero vector: every reward is the noise itself."""
+    return gen_instance("fixed-list", arms=np.zeros((1, 2)), **kw)
 
 
 def test_gaussian_noise_moments():
-    inst = gen_instance("random-sphere", d=2, K=2, R=1.5, seed=33)
-    etas = np.array(
-        [sample_reward(inst, t, np.zeros(2)) for t in range(1, 4001)]
-    )
+    inst = _noise_only(R=1.5, seed=33)
+    etas = np.array([sample_reward(inst, t, 0) for t in range(1, 4001)])
     assert abs(etas.mean()) < 3 * 1.5 / math.sqrt(4000)
     assert etas.std() == pytest.approx(1.5, rel=0.05)
 
 
 def test_scaled_coin_noise_frequency():
-    inst = gen_instance("bias-demo", R=1.0, seed=8)
-    etas = np.array([sample_reward(inst, t, np.zeros(2)) for t in range(1, 10001)])
+    inst = _noise_only(R=1.0, seed=8, noise="rademacher-scaled")
+    etas = np.array([sample_reward(inst, t, 0) for t in range(1, 10001)])
     assert set(np.unique(etas)) == {-1.0, 1.0}
     assert abs((etas == 1.0).mean() - 0.5) < 0.02
 
 
-def test_reward_rejects_oversized_arm():
-    inst = gen_instance("random-sphere", d=2, K=2, L=1.0, seed=0)
-    with pytest.raises(ValueError):
-        sample_reward(inst, 1, np.array([1.5, 0.0]))
-    with pytest.raises(ValueError):
-        sample_reward(inst, 1, np.array([0.5, 0.0, 0.0]))
+@pytest.mark.parametrize("inst", [
+    gen_instance("random-sphere", d=2, K=2, seed=0),
+    gen_instance("fixed-list", arms=np.array([[0.6, 0.0], [0.0, 0.8], [0.1, 0.1]])),
+], ids=["random-sphere", "fixed-list"])
+def test_reward_rejects_an_index_outside_the_decision_set(inst):
+    # A reward names the played row; -1 would otherwise wrap to the last arm.
+    K = inst.arm_spec.K
+    for idx in (-1, K):
+        with pytest.raises(ValueError, match=f"arm index {idx} outside 0..{K - 1}"):
+            sample_reward(inst, 1, idx)
+    sample_reward(inst, 1, K - 1)
+
+
+@pytest.mark.parametrize("kind", ["random-sphere", "hypercube-corners"])
+@pytest.mark.parametrize("size, bad", [
+    ("d", 0), ("d", -1), ("d", True), ("d", 2.0), ("K", 0), ("K", True), ("K", 3.0),
+])
+def test_instance_sizes_must_be_positive_integers(kind, size, bad):
+    sizes = {"d": 2, "K": 3, size: bad}
+    with pytest.raises(ValueError, match=f"{size} must be .*got {bad!r}"):
+        gen_instance(kind, **sizes)
+    if size == "K":
+        with pytest.raises(ValueError, match=f"K must be .*got {bad!r}"):
+            ArmSpec(kind, K=bad)
+    # A numpy integer is an integer.
+    inst = gen_instance(kind, d=np.int64(2), K=np.int64(3))
+    assert sample_decision_set(inst, 1).shape == (3, 2)
 
 
 # ---------------------------------------------------------------- schedules
@@ -407,3 +429,19 @@ def test_arms_file_rejects_ragged_and_empty(tmp_path):
     q.write_text("# nothing here\n\n", encoding="utf-8")
     with pytest.raises(ValueError):
         load_arms_file(str(q))
+
+
+def test_bad_tokens_name_their_file_and_line(tmp_path):
+    # Line numbers count every line of the file, comments and blanks included.
+    sched = tmp_path / "sched.txt"
+    sched.write_text("# order\n1\n\n1.5\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(sched))}: line 4: .*'1\.5'"):
+        load_schedule_file(str(sched), M=2)
+    arms = tmp_path / "arms.txt"
+    arms.write_text("0.1 0.2\n# comment\n0.3 abc\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(arms))}: line 3: .*'abc'"):
+        load_arms_file(str(arms))
+    ragged = tmp_path / "ragged.txt"
+    ragged.write_text("\n1 0\n0 1 0\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(ragged))}: line 3 has 3 values"):
+        load_arms_file(str(ragged))

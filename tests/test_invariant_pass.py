@@ -20,6 +20,7 @@ from fedlinucb import (
     gen_instance,
     gen_schedule,
     run_fedlinucb,
+    sample_decision_set,
 )
 from fedlinucb.core import eigs_surely_above
 
@@ -85,7 +86,8 @@ def brute_force_claim1_worst(trace, inst, hp, alpha, M):
     loc = {m: np.zeros((d, d)) for m in range(1, M + 1)}
     uploads = {(ev.round, ev.agent) for ev in trace.events}
     worst = 0.0
-    for t, a, x in zip(trace.t.tolist(), trace.agent.tolist(), trace.arms):
+    for t, a, idx in zip(trace.t.tolist(), trace.agent.tolist(), trace.arm_index.tolist()):
+        x = sample_decision_set(inst, t)[idx]
         loc[a] = loc[a] + np.outer(x, x)
         if (t, a) in uploads:
             server = server + loc[a]

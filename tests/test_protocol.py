@@ -250,7 +250,7 @@ def test_step_selects_buffers_and_syncs():
     a = init_agent(1, 2, lam=1.0)
     s = init_server(2, lam=1.0)
     a, s, idx, r, ev = step_agent(
-        a, s, bias_pair(), lambda t, x: 1.0, hp, beta=0.5, round_=1
+        a, s, bias_pair(), lambda t, idx: 1.0, hp, beta=0.5, round_=1
     )
     # Optimism picks the long arm; det 10 > 9.9 fires the trigger.
     assert idx == 0
@@ -264,7 +264,7 @@ def test_step_below_trigger_keeps_buffers():
     a = init_agent(1, 2, lam=1.0)
     s = init_server(2, lam=1.0)
     a, s, idx, r, ev = step_agent(
-        a, s, bias_pair(), lambda t, x: 1.0, hp, beta=0.5, round_=1
+        a, s, bias_pair(), lambda t, idx: 1.0, hp, beta=0.5, round_=1
     )
     assert ev is None
     assert np.array_equal(a.sigma_loc, [[9.0, 0.0], [0.0, 0.0]])
@@ -282,7 +282,7 @@ def test_step_lazy_ignores_buffered_evidence():
     s = init_server(2, lam=1.0)
     for t in (1, 2):
         a, s, idx, _, _ = step_agent(
-            a, s, bias_pair(), lambda t, x: -1.0, hp, beta=0.5, round_=t
+            a, s, bias_pair(), lambda t, idx: -1.0, hp, beta=0.5, round_=t
         )
         assert idx == 0
 
@@ -294,11 +294,11 @@ def test_step_eager_reacts_immediately():
     a = init_agent(1, 2, lam=1.0)
     s = init_server(2, lam=1.0)
     a, s, idx1, _, _ = step_agent(
-        a, s, bias_pair(), lambda t, x: -1.0, hp, beta=0.5, round_=1
+        a, s, bias_pair(), lambda t, idx: -1.0, hp, beta=0.5, round_=1
     )
     assert idx1 == 0
     a, s, idx2, _, _ = step_agent(
-        a, s, bias_pair(), lambda t, x: -1.0, hp, beta=0.5, round_=2
+        a, s, bias_pair(), lambda t, idx: -1.0, hp, beta=0.5, round_=2
     )
     assert idx2 == 1
     # Eager recombination never mutates the stored synced state.

@@ -70,7 +70,7 @@ def reference_federated(inst, schedule, lam, alpha, beta, log_space=False, priva
         widths = np.sqrt(np.clip(np.einsum("kd,dk->k", arms, inv @ arms.T), 0.0, None))
         idx = int(np.argmax(arms @ theta[m] + (beta[m] if private else beta) * widths))
         x = arms[idx]
-        r = sample_reward(inst, t, x)
+        r = sample_reward(inst, t, idx)
         sig_loc[m] = sig_loc[m] + np.outer(x, x)
         b_loc[m] = b_loc[m] + r * x
         if log_space:
@@ -219,7 +219,7 @@ def test_empty_horizon():
     sched = gen_schedule("round-robin", M=2, T=0)
     hp = HyperParams(lam=1.0, alpha=0.5, delta=0.1)
     trace = run_fedlinucb(inst, sched, hp)
-    assert trace.t.shape == (0,) and trace.arms.shape == (0, 3) and trace.events == []
+    assert trace.t.shape == (0,) and trace.arm_index.shape == (0,) and trace.events == []
     assert trace.comm_count == 0 and trace.beta_used == 0.0
     assert epoch_boundaries(trace, 1.0, 3) == []
     assert trace.cum_regret.shape == (0,)
@@ -330,7 +330,7 @@ def fake_trace(dets):
     ints = np.zeros(T, dtype=np.int64)
     # Only logdet_server matters to epoch_boundaries.
     return SimulationTrace(
-        agent=ints + 1, arm_index=ints, arms=np.zeros((T, 1)), reward=zeros,
+        agent=ints + 1, arm_index=ints, reward=zeros,
         inst_regret=zeros, logdet_server=np.array([math.log(v) for v in dets]),
         events=[], beta_used=0.0, M=1,
     )
@@ -514,7 +514,7 @@ def test_episodic_grouping_equals_flattened_run(schedule, d, alpha, mode):
     hp = HyperParams(lam=1.0, alpha=alpha, delta=0.1, estimate_mode=mode)
     epi = run_episodic(inst, groups, hp, M=M)
     seq = run_fedlinucb(inst, Schedule(M=M, agents=agents), hp)
-    for column in ("t", "agent", "arm_index", "arms", "reward", "inst_regret", "comm",
+    for column in ("t", "agent", "arm_index", "reward", "inst_regret", "comm",
                    "logdet_server", "cum_regret"):
         assert np.array_equal(getattr(epi, column), getattr(seq, column)), column
     assert [(e.round, e.agent, e.payload_checksum) for e in epi.events] == [
