@@ -253,6 +253,16 @@ def _write_text(path: Path, text: str) -> None:
         fh.write(text)
 
 
+def _fmt_column(column: np.ndarray) -> list[str]:
+    """:func:`_fmt` of every entry of a float64 column, each distinct value
+    formatted once.  Values are told apart by their bits, as -0.0 and 0.0
+    print differently."""
+    bits, inverse = np.unique(np.ascontiguousarray(column, dtype=np.float64).view(np.int64),
+                              return_inverse=True)
+    text = [_fmt(x) for x in bits.view(np.float64).tolist()]
+    return [text[i] for i in inverse.tolist()]
+
+
 def write_trace_csv(trace, path: Path) -> None:
     # Display only: 0.0 or inf once the determinant leaves the float range.
     with np.errstate(over="ignore", under="ignore"):
@@ -261,11 +271,11 @@ def write_trace_csv(trace, path: Path) -> None:
         map(str, trace.t.tolist()),
         map(str, trace.agent.tolist()),
         map(str, trace.arm_index.tolist()),
-        map(_fmt, trace.reward.tolist()),
-        map(_fmt, trace.inst_regret.tolist()),
-        map(_fmt, trace.cum_regret.tolist()),
+        _fmt_column(trace.reward),
+        _fmt_column(trace.inst_regret),
+        _fmt_column(trace.cum_regret),
         map(str, trace.comm.tolist()),
-        map(_fmt, det_server.tolist()),
+        _fmt_column(det_server),
     ]
     rows = [",".join(TRACE_COLUMNS), *map(",".join, zip(*columns))]
     _write_text(path, "\n".join(rows) + "\n")

@@ -244,8 +244,9 @@ class ProblemInstance:
     descriptor (see :mod:`fedlinucb.environment`), ``noise_spec`` one of
     ``"gaussian"`` or ``"rademacher-scaled"``, and ``master_seed`` keys every
     per-round environment draw.  The dimension ``dim`` is the length of
-    ``theta_star``.  A fixed arm set (``arm_spec.arms``) is checked here,
-    once, against ``dim`` and the arm rule for ``L``.
+    ``theta_star``, which the instance holds as its own read-only float64
+    copy.  A fixed arm set (``arm_spec.arms``) is checked here, once, against
+    ``dim`` and the arm rule for ``L``.
     """
 
     theta_star: Vector
@@ -257,7 +258,10 @@ class ProblemInstance:
     master_seed: int
 
     def __post_init__(self) -> None:
-        theta = np.asarray(self.theta_star, dtype=np.float64)
+        # An owned read-only copy: the caller's array can change neither the
+        # instance nor the values the environment caches for it.
+        theta = np.array(self.theta_star, dtype=np.float64)
+        theta.flags.writeable = False
         object.__setattr__(self, "theta_star", theta)
         if theta.ndim != 1 or theta.size == 0:
             raise DimensionMismatchError(f"theta_star must be a nonempty vector, got {theta.shape}")
@@ -406,15 +410,29 @@ def ucb_select(theta_hat: Any, m: SpdMatrix, beta: float, arms: Any) -> int:
     """
     theta_hat = np.asarray(theta_hat, dtype=np.float64)
     arms = np.asarray(arms, dtype=np.float64)
-    if arms.ndim != 2 or arms.shape[1] != m.dim or theta_hat.shape != (m.dim,):
+    if theta_hat.shape != (m.dim,):
+        raise DimensionMismatchError("arm / estimate dimensions disagree with the matrix")
+    check_selection(m.dim, beta, arms)
+    return _ucb_index(theta_hat, m.chol, beta, arms)
+
+
+def check_selection(d: int, beta: float, arms: np.ndarray) -> None:
+    """The rule :func:`ucb_select` checks on the decision set and radius:
+    ``arms`` is (K, d) with K >= 1 and ``beta`` is nonnegative.  A run checks
+    it once, on its first round's set."""
+    if arms.ndim != 2 or arms.shape[1] != d:
         raise DimensionMismatchError("arm / estimate dimensions disagree with the matrix")
     if len(arms) == 0:
         raise ValueError("decision set must contain at least one arm")
     if beta < 0.0:
         raise ValueError("beta must be nonnegative")
+
+
+def _ucb_index(theta_hat: Vector, chol: Matrix, beta: float, arms: Matrix) -> int:
+    """:func:`ucb_select` on inputs that meet its checks; ``chol`` is the lower factor."""
     # Batched quadratic forms through the cached factor; one LAPACK call for
     # the whole set instead of a python loop over arms.
-    ys = _chol_solve(m.chol, arms.T)
+    ys = _chol_solve(chol, arms.T)
     quad = np.maximum(np.einsum("kd,dk->k", arms, ys), 0.0)
     scores = arms @ theta_hat + beta * np.sqrt(quad)
-    return int(np.argmax(scores))
+    return int(scores.argmax())

@@ -8,7 +8,9 @@ decision sets and its noise are drawn in one vectorized call each, so every
 draw is a pure function of the seed and the global round index.  Re-running
 with a different activation schedule (but the same round indices)
 reproduces identical draws, which is what makes the sequential and episodic
-runners comparable trace-for-trace.
+runners comparable trace-for-trace.  What a round holds that no agent
+changes (mean rewards, regret values, scaled noise) is computed once per
+block as well, in :func:`_value_block`.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -217,6 +220,56 @@ def _noise_block(seed: int, noise: str, block: int) -> np.ndarray:
     return unit
 
 
+class _BlockValues(NamedTuple):
+    """What a block's rounds hold that no agent changes, one row per round.
+
+    ``means`` (BLOCK, K) are the arms' mean rewards, each the 1-D dot
+    ``x @ theta_star``; ``values`` (BLOCK, K) are the regret's values, each
+    row the matrix-vector product ``d_set @ theta_star``; ``best`` (BLOCK,)
+    is the row maxima of ``values``; ``noise`` (BLOCK,) is ``R`` times the
+    unit noise.  The two products round differently, so both are kept: a
+    reward is the dot of its arm, and a regret subtracts two entries of one
+    product, which makes it exactly zero at the best arm.  All read-only.
+    """
+
+    means: np.ndarray
+    values: np.ndarray
+    best: np.ndarray
+    noise: np.ndarray
+
+    def reward(self, row: int, idx: int) -> float:
+        """Reward of arm ``idx`` in the block's round ``row``: its mean plus the noise."""
+        return float(self.means[row, idx] + self.noise[row])
+
+    def regret(self, row: int, idx: int) -> float:
+        """Best value of the block's round ``row`` minus that of arm ``idx``."""
+        return float(self.best[row] - self.values[row, idx])
+
+
+@lru_cache(maxsize=1)
+def _value_block(inst: ProblemInstance, block: int) -> _BlockValues:
+    """The :class:`_BlockValues` of one block, built when a run first reaches it.
+
+    Keyed by the instance itself (it compares by identity and holds
+    read-only arrays) and the block.  A fixed list holds the same values in
+    every row.
+    """
+    spec: ArmSpec = inst.arm_spec
+    if spec.arms is None:
+        arms = _arm_block(inst.master_seed, spec.variant, spec.K, inst.dim, inst.L, block)
+    else:
+        arms = spec.arms[None]
+    values = arms @ inst.theta_star
+    noise = inst.R * _noise_block(inst.master_seed, inst.noise_spec, block)
+    noise.flags.writeable = False
+    return _BlockValues(
+        means=np.broadcast_to(np.vecdot(arms, inst.theta_star), (BLOCK, spec.K)),
+        values=np.broadcast_to(values, (BLOCK, spec.K)),
+        best=np.broadcast_to(values.max(axis=1), (BLOCK,)),
+        noise=noise,
+    )
+
+
 def sample_decision_set(inst: ProblemInstance, t: int) -> np.ndarray:
     """Decision set of round t, a read-only float64 (K, d) array of arms.
 
@@ -235,15 +288,17 @@ def sample_decision_set(inst: ProblemInstance, t: int) -> np.ndarray:
 def sample_reward(inst: ProblemInstance, t: int, idx: int) -> float:
     """Reward for playing row ``idx`` of round t's decision set: <x, theta_star> + noise(seed, t).
 
-    The arm was checked where it was made; only ``idx`` is checked here.  The
-    noise depends only on (master_seed, t), so replaying a round reproduces it.
+    The arm was checked where it was made; only ``t`` and ``idx`` are checked
+    here.  The noise depends only on (master_seed, t), so replaying a round
+    reproduces it.  The value comes from :func:`_value_block`.
     """
-    d_set = sample_decision_set(inst, t)
-    if not 0 <= idx < len(d_set):
-        raise ValueError(f"arm index {idx} outside 0..{len(d_set) - 1}")
+    if t < 1:
+        raise ValueError("rounds are 1-based")
+    K = inst.arm_spec.K
+    if not 0 <= idx < K:
+        raise ValueError(f"arm index {idx} outside 0..{K - 1}")
     block, row = divmod(t - 1, BLOCK)
-    eta = inst.R * _noise_block(inst.master_seed, inst.noise_spec, block)[row]
-    return float(d_set[idx] @ inst.theta_star) + float(eta)
+    return _value_block(inst, block).reward(row, idx)
 
 
 def gen_schedule(

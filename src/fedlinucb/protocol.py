@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -27,8 +27,7 @@ from .core import (
     HyperParams,
     SpdMatrix,
     _chol_solve,
-    solve_estimate,
-    ucb_select,
+    _ucb_index,
 )
 
 Vector = np.ndarray
@@ -102,13 +101,21 @@ def local_update(a: AgentState, x: np.ndarray, r: float) -> AgentState:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (a.sigma.dim,):
         raise DimensionMismatchError(f"arm shape {x.shape} vs dim {a.sigma.dim}")
+    return _buffer(a, x, r)
+
+
+def _buffer(a: AgentState, x: Vector, r: float) -> AgentState:
+    """:func:`local_update` of a float64 arm of shape (d,)."""
     u = a.v_inv @ x
     q = float(x @ u)
     # Broadcast outer products: the same products as np.outer, without its overhead.
-    return replace(
-        a,
+    return AgentState(
+        id=a.id,
+        sigma=a.sigma,
+        b=a.b,
         sigma_loc=a.sigma_loc + x[:, None] * x,
         b_loc=a.b_loc + r * x,
+        theta_hat=a.theta_hat,
         v_inv=a.v_inv - u[:, None] * (u / (1.0 + q)),
         log_gain=a.log_gain + math.log1p(q),
     )
@@ -119,6 +126,11 @@ def should_sync(a: AgentState, alpha: float) -> bool:
     det ratio > 1 + alpha at any d; reads ``log_gain`` and factors nothing."""
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
+    return _fires(a, alpha)
+
+
+def _fires(a: AgentState, alpha: float) -> bool:
+    """:func:`should_sync` at a positive ``alpha``."""
     return a.log_gain > math.log1p(alpha)
 
 
@@ -135,13 +147,13 @@ def sync(a: AgentState, s: ServerState, round_: int) -> tuple[AgentState, Server
                       payload_checksum=payload_checksum(a.sigma_loc, a.b_loc))
     server = ServerState(sigma_ser=new_sigma, b_ser=new_b)
     d = a.sigma.dim
-    agent = replace(
-        a,
+    agent = AgentState(
+        id=a.id,
         sigma=new_sigma,
         b=new_b,
         sigma_loc=np.zeros((d, d)),
         b_loc=np.zeros(d),
-        theta_hat=solve_estimate(new_sigma, new_b),
+        theta_hat=_chol_solve(new_sigma.chol, new_b),
         v_inv=_chol_solve(new_sigma.chol, np.eye(d)),
         log_gain=0.0,
     )
@@ -166,16 +178,21 @@ def step_agent(
     recombines (sigma + sigma_loc, b + b_loc) for selection, through a fresh
     factor of that sum, and leaves the stored state untouched.
     Inactive agents are never touched at all.
+
+    The step runs the arithmetic of :func:`ucb_select`, :func:`local_update`
+    and :func:`should_sync` without their checks: ``d_set`` must be a float64
+    (K, d) array with K >= 1 and ``beta`` nonnegative (the rule of
+    :func:`~fedlinucb.core.check_selection`), which a run checks once.
     """
     if hp.estimate_mode == "eager":
         v = SpdMatrix._factor(a.sigma.mat + a.sigma_loc) if a.sigma_loc.any() else a.sigma
-        idx = ucb_select(solve_estimate(v, a.b + a.b_loc), v, beta, d_set)
+        idx = _ucb_index(_chol_solve(v.chol, a.b + a.b_loc), v.chol, beta, d_set)
     else:
-        idx = ucb_select(a.theta_hat, a.sigma, beta, d_set)
+        idx = _ucb_index(a.theta_hat, a.sigma.chol, beta, d_set)
     r = reward_fn(round_, idx)
-    a = local_update(a, d_set[idx], r)
+    a = _buffer(a, d_set[idx], r)
     event = None
-    if should_sync(a, hp.alpha):
+    if _fires(a, hp.alpha):
         # The strict trigger cannot fire without local data.
         assert np.any(a.sigma_loc != 0.0), "sync triggered on empty buffers"
         a, s, event = sync(a, s, round_)

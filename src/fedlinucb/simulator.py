@@ -22,11 +22,12 @@ from .core import (
     HyperParams,
     ProblemInstance,
     check_ridge_domain,
+    check_selection,
     compute_beta,
     epoch_comm_cap,
     theoretical_comm_bound,
 )
-from .environment import Schedule, sample_decision_set, sample_reward
+from .environment import BLOCK, Schedule, _value_block, sample_decision_set
 from .protocol import (
     AgentState,
     CommEvent,
@@ -105,7 +106,8 @@ def index_regret(inst: ProblemInstance, d_set: np.ndarray, idx: int) -> float:
     """Best mean reward in the (K, d) decision set minus that of its arm ``idx``.
 
     Max and chosen entry come from the same dot-product array, so the result
-    is exactly nonnegative and exactly zero for the best arm.
+    is exactly nonnegative and exactly zero for the best arm.  A run reads
+    the same figure from its block's values.
     """
     values = d_set @ inst.theta_star
     return float(values.max() - values[idx])
@@ -187,7 +189,13 @@ def _drive(
     T, M, d = len(activations), len(betas), inst.dim
     agents = [init_agent(m, d, hp.lam) for m in range(1, M + 1)]
     servers = [init_server(d, hp.lam) for _ in range(M if private else 1)]
-    reward_fn = lambda t, idx: sample_reward(inst, t, idx)  # noqa: E731
+    if T:
+        # Every round's set has the shape of the first, and each radius is
+        # fixed for the run: the selection rule is checked once, here, and
+        # the steps skip it (as they skip alpha > 0, which HyperParams holds).
+        check_selection(d, min(betas), sample_decision_set(inst, 1))
+    # Observes the current round's row of its block's values.
+    reward_fn = lambda t, idx: values.reward(row, idx)  # noqa: E731
 
     arm_index = np.zeros(T, dtype=np.int64)
     reward = np.zeros(T)
@@ -197,13 +205,16 @@ def _drive(
     for k, m in enumerate(activations.tolist()):
         t = k + 1
         j = m - 1 if private else 0
+        block, row = divmod(k, BLOCK)
+        if not row:  # the run reaches a new block
+            values = _value_block(inst, block)
         d_set = sample_decision_set(inst, t)
         agents[m - 1], servers[j], idx, r, event = step_agent(
             agents[m - 1], servers[j], d_set, reward_fn, hp, betas[m - 1], t
         )
         arm_index[k] = idx
         reward[k] = r
-        inst_regret[k] = index_regret(inst, d_set, idx)
+        inst_regret[k] = values.regret(row, idx)
         if event is not None and not private:
             events.append(event)
         logdet_server[k] = servers[j].sigma_ser.logdet

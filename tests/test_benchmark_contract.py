@@ -9,11 +9,12 @@ benchmark.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
-from fedlinucb import cli
+from fedlinucb import cli, environment
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -51,3 +52,21 @@ def test_worker_setup_runs_on_each_tiny_workload(tmp_path, monkeypatch, name):
     worker = _load("worker")
     spec = workloads.make_spec(name, workloads.DEFAULT_SEED, tmp_path / "work", tiny=True)
     assert worker.setup(spec) is cli
+
+
+def test_building_the_reference_run_draws_no_block(tmp_path, monkeypatch):
+    # Set-up is import, parse and build: arm and noise blocks are drawn, and
+    # the value tables built, only once a run reaches them.
+    spec = workloads.make_spec("run-d8-lazy", workloads.DEFAULT_SEED, tmp_path / "work")
+    streams = []
+    keyed = environment._block_rng
+
+    def counting(seed, stream, block):
+        streams.append(stream)
+        return keyed(seed, stream, block)
+
+    monkeypatch.setattr(environment, "_block_rng", counting)
+    environment._value_block.cache_clear()
+    cli.build_run(json.loads(Path(spec["config"]).read_text()))
+    assert sorted(streams) == ["schedule", "theta"]
+    assert environment._value_block.cache_info().misses == 0

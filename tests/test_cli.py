@@ -1,6 +1,7 @@
 """End-to-end CLI tests: config handling, file outputs, determinism, exit codes."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -24,7 +25,8 @@ from fedlinucb import (
     run_invariant_suite,
     theoretical_comm_bound,
 )
-from fedlinucb.cli import TRACE_COLUMNS, _fmt, _render_json, build_run, main, resolve_config
+from fedlinucb.cli import (TRACE_COLUMNS, _fmt, _render_json, build_run, main, resolve_config,
+                           write_trace_csv)
 
 BASE_CONFIG = {
     "instance": {"kind": "random-sphere", "d": 3, "K": 5, "seed": 7},
@@ -128,6 +130,40 @@ def test_run_writes_trace_and_summary(tmp_path, capsys):
     assert summary["epoch_starts"][0] == [0, 1]
     assert summary["config_echo"]["params"]["alpha"] == 0.25
     assert "wrote" in capsys.readouterr().out
+
+
+def test_trace_csv_bytes_are_each_entry_formatted(tmp_path):
+    # Distinct values are formatted once per column and told apart by their
+    # bits; the file must read as if every entry went through _fmt.
+    inst = gen_instance("random-sphere", d=3, K=5, seed=7)
+    trace = run_fedlinucb(inst, gen_schedule("round-robin", M=2, T=60),
+                          HyperParams(lam=1.0, alpha=0.25, delta=0.1))
+    special = np.array([-0.0, 0.0, 1.5, -0.0, math.inf, 0.0, 1.5, 5e-324, -math.inf, 1.5])
+    doctored = dataclasses.replace(
+        trace,
+        reward=np.resize(special, 60),
+        inst_regret=np.resize([0.0, -0.0, 0.25, 0.0, 1e-17, 0.25], 60),
+        # exp overflows to inf and underflows to 0.0 in the det_server column.
+        logdet_server=np.resize([1e4, -1e4, 0.0, 1e4, 2.5, -0.0], 60),
+    )
+    write_trace_csv(doctored, tmp_path / "trace.csv")
+    with np.errstate(over="ignore", under="ignore"):
+        det_server = np.exp(doctored.logdet_server)
+    columns = [
+        map(str, doctored.t.tolist()),
+        map(str, doctored.agent.tolist()),
+        map(str, doctored.arm_index.tolist()),
+        map(_fmt, doctored.reward.tolist()),
+        map(_fmt, doctored.inst_regret.tolist()),
+        map(_fmt, doctored.cum_regret.tolist()),
+        map(str, doctored.comm.tolist()),
+        map(_fmt, det_server.tolist()),
+    ]
+    rows = [",".join(TRACE_COLUMNS), *map(",".join, zip(*columns))]
+    written = (tmp_path / "trace.csv").read_bytes()
+    assert written == ("\n".join(rows) + "\n").encode()
+    reward_column = [line.split(",")[3] for line in written.decode().splitlines()[1:11]]
+    assert reward_column[:2] == ["-0.0", "0.0"] and "inf" in reward_column
 
 
 def test_run_rerun_is_byte_identical(tmp_path):

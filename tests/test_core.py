@@ -535,6 +535,21 @@ def test_decision_set_validation():
 # ---------------------------------------------------------------- instance / params
 
 
+def test_problem_instance_owns_a_read_only_theta_star():
+    # The caller's array is copied: changing it afterwards can neither move
+    # theta_star past S nor change what the environment caches per instance.
+    th = np.array([0.6, 0.8])
+    inst = ProblemInstance(theta_star=th, S=1.0, L=1.0, R=1.0,
+                           arm_spec=None, noise_spec="gaussian", master_seed=0)
+    th *= 100
+    assert inst.theta_star.tolist() == [0.6, 0.8]
+    with pytest.raises(ValueError, match="read-only"):
+        inst.theta_star[0] = 60.0
+    ints = ProblemInstance(theta_star=np.array([1, 0]), S=1.0, L=1.0, R=1.0,
+                           arm_spec=None, noise_spec="gaussian", master_seed=0)
+    assert ints.theta_star.dtype == np.float64
+
+
 def test_problem_instance_validation():
     for theta in ([2.0, 0.0], [math.nan, 0.0], [math.inf, 0.0]):
         with pytest.raises(ValueError, match="theta_star"):

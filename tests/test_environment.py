@@ -27,6 +27,7 @@ from fedlinucb import (
 )
 from fedlinucb import environment
 from fedlinucb.environment import BLOCK
+from fedlinucb.simulator import index_regret
 
 
 # ---------------------------------------------------------------- instances
@@ -131,9 +132,11 @@ def test_block_edges_serve_the_run_trace_arms(kind):
     T = 2 * BLOCK + 40
     trace = run_fedlinucb(inst, gen_schedule("iid-uniform", M=3, T=T, seed=2), _fixed_beta())
     for t in (1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, T):
-        # Redraw both blocks from their keys: the played row must give the run's reward.
+        # Redraw both blocks and the values from their keys: the played row
+        # must give the run's reward.
         environment._arm_block.cache_clear()
         environment._noise_block.cache_clear()
+        environment._value_block.cache_clear()
         assert sample_reward(inst, t, trace.arm_index[t - 1]) == trace.reward[t - 1]
         assert not np.array_equal(sample_decision_set(inst, t), sample_decision_set(inst, t + 1))
 
@@ -234,6 +237,54 @@ def test_one_generator_per_block_and_stream(monkeypatch, kind, T):
         blocks = [b for s, b in built if s == stream]
         assert len(blocks) <= math.ceil(T / BLOCK), stream
         assert sorted(set(blocks)) == list(range(math.ceil(T / BLOCK)))
+
+
+# One instance of each arm kind; the two fixed ones serve one set every round.
+ARM_KINDS = {
+    "random-sphere": lambda: gen_instance("random-sphere", d=3, K=4, seed=41),
+    "hypercube-corners": lambda: gen_instance("hypercube-corners", d=3, K=4, R=0.5, seed=41,
+                                              noise="rademacher-scaled"),
+    "fixed-list": lambda: gen_instance(
+        "fixed-list", arms=np.array([[0.6, 0.0, 0.3], [0.0, -0.8, 0.1], [0.2, 0.2, -0.9]]),
+        R=2.0, seed=41),
+    "bias-demo": lambda: gen_instance("bias-demo", seed=41),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ARM_KINDS))
+def test_block_values_are_the_per_round_formulas_at_block_edges(kind):
+    # Rewards are the arm's 1-D dot plus R times the unit noise; regrets are
+    # index_regret's matrix-vector values.  Both must hold bit for bit on
+    # every arm of the rounds around each block edge, and in the run.
+    inst = ARM_KINDS[kind]()
+    T = 2 * BLOCK + 40
+    trace = run_fedlinucb(inst, gen_schedule("iid-uniform", M=3, T=T, seed=2), _fixed_beta())
+    for t in (1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, T):
+        d_set = sample_decision_set(inst, t)
+        block, row = divmod(t - 1, BLOCK)
+        eta = inst.R * environment._noise_block(inst.master_seed, inst.noise_spec, block)[row]
+        values = environment._value_block(inst, block)
+        for idx in range(len(d_set)):
+            assert sample_reward(inst, t, idx) == float(d_set[idx] @ inst.theta_star) + float(eta)
+            assert values.regret(row, idx) == index_regret(inst, d_set, idx)
+        idx = int(trace.arm_index[t - 1])
+        assert trace.reward[t - 1] == float(d_set[idx] @ inst.theta_star) + float(eta)
+        assert trace.inst_regret[t - 1] == index_regret(inst, d_set, idx)
+
+
+def test_block_values_are_read_only():
+    inst = ARM_KINDS["random-sphere"]()
+    for array in environment._value_block(inst, 0):
+        assert not array.flags.writeable
+        assert len(array) == BLOCK
+
+
+@pytest.mark.parametrize("kind", sorted(ARM_KINDS))
+@pytest.mark.parametrize("T", [1, BLOCK, BLOCK + 1, 3 * BLOCK - 7])
+def test_one_value_table_per_block(kind, T):
+    environment._value_block.cache_clear()
+    run_fedlinucb(ARM_KINDS[kind](), gen_schedule("round-robin", M=2, T=T), _fixed_beta())
+    assert environment._value_block.cache_info().misses == math.ceil(T / BLOCK)
 
 
 def test_keyed_generator_rejects_seeds_outside_64_bits():

@@ -24,13 +24,21 @@ from fedlinucb import (
     compute_beta,
     gen_instance,
     gen_schedule,
+    init_agent,
+    init_server,
+    local_update,
     run_episodic,
     run_fedlinucb,
     run_independent_oful,
     sample_decision_set,
     sample_reward,
+    should_sync,
+    solve_estimate,
+    sync,
     theoretical_comm_bound,
+    ucb_select,
 )
+from fedlinucb.environment import BLOCK
 from fedlinucb.simulator import (
     CommBoundError,
     _assert_comm_bounds,
@@ -522,3 +530,87 @@ def test_episodic_grouping_equals_flattened_run(schedule, d, alpha, mode):
     ]
     assert epoch_boundaries(epi, 1.0, d) == epoch_boundaries(seq, 1.0, d)
     assert epi.beta_used == seq.beta_used
+
+
+def public_step_run(inst, schedule, hp, private):
+    """A run rebuilt from the public, checked step functions, round by round.
+
+    Agent m selects with ``ucb_select`` from its stored (lazy) or recombined
+    (eager) statistics, observes ``sample_reward``, buffers with
+    ``local_update`` and syncs when ``should_sync`` fires; ``private`` gives
+    every agent a server of its own and the radius of a one-agent run over
+    its own rounds.  Returns the trace columns and the events.
+    """
+    d, M, T = inst.dim, schedule.M, schedule.T
+    if private:
+        rounds = np.bincount(schedule.agents, minlength=M + 1)[1:].tolist()
+        betas = [compute_beta(inst, hp, 1, n) if n else 0.0 for n in rounds]
+    else:
+        betas = [compute_beta(inst, hp, M, T)] * M
+    agents = {m: init_agent(m, d, hp.lam) for m in range(1, M + 1)}
+    servers = {j: init_server(d, hp.lam) for j in (range(1, M + 1) if private else [0])}
+    columns = {"arm_index": [], "reward": [], "inst_regret": [], "logdet_server": []}
+    events = []
+    for t, m in enumerate(schedule.agents.tolist(), 1):
+        a, j = agents[m], m if private else 0
+        d_set = sample_decision_set(inst, t)
+        if hp.estimate_mode == "eager":
+            v = SpdMatrix.from_dense(a.sigma.mat + a.sigma_loc) if a.sigma_loc.any() else a.sigma
+            theta = solve_estimate(v, a.b + a.b_loc)
+        else:
+            v, theta = a.sigma, a.theta_hat
+        idx = ucb_select(theta, v, betas[m - 1], d_set)
+        r = sample_reward(inst, t, idx)
+        a = local_update(a, d_set[idx], r)
+        if should_sync(a, hp.alpha):
+            a, servers[j], event = sync(a, servers[j], t)
+            if not private:
+                events.append((event.round, event.agent, event.payload_checksum))
+        agents[m] = a
+        columns["arm_index"].append(idx)
+        columns["reward"].append(r)
+        columns["inst_regret"].append(index_regret(inst, d_set, idx))
+        columns["logdet_server"].append(servers[j].sigma_ser.logdet)
+    return columns, events
+
+
+def arm_kind_instance(kind, d, K, noise, seed):
+    if kind == "bias-demo":
+        return gen_instance("bias-demo", seed=seed)
+    if kind == "fixed-list":
+        arms = np.random.default_rng(seed).standard_normal((K, d))
+        arms /= np.maximum(np.linalg.norm(arms, axis=1), 1.0)[:, None]
+        return gen_instance("fixed-list", arms=arms, noise=noise, seed=seed)
+    return gen_instance(kind, d=d, K=K, noise=noise, seed=seed)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(1, 32),
+    st.integers(1, 6),
+    st.integers(1, 6),
+    st.sampled_from(["lazy", "eager"]),
+    st.sampled_from(["round-robin", "iid-uniform", "block"]),
+    st.sampled_from(["random-sphere", "hypercube-corners", "fixed-list", "bias-demo"]),
+    st.sampled_from(["gaussian", "rademacher-scaled"]),
+    st.integers(2 * BLOCK + 1, 2 * BLOCK + 60),
+    st.sampled_from([1.0 / 16.0, 0.25, 1.0]),
+)
+def test_runs_equal_the_public_step_functions_bit_for_bit(d, K, M, mode, order, kind, noise, T,
+                                                          alpha):
+    # The run loop checks once per run and reads rewards and regrets from
+    # per-block tables; round by round through the checked public functions
+    # every column and event must come out the same, bit for bit.
+    inst = arm_kind_instance(kind, d, K, noise, seed=d * 100 + K)
+    if order == "block":
+        T += -T % M
+    schedule = gen_schedule(order, M=M, T=T, seed=K)
+    hp = HyperParams(lam=1.0, alpha=alpha, delta=0.1, estimate_mode=mode)
+    for run, private in ((run_fedlinucb, False), (run_independent_oful, True)):
+        trace = run(inst, schedule, hp)
+        columns, events = public_step_run(inst, schedule, hp, private)
+        assert trace.arm_index.tolist() == columns["arm_index"], run.__name__
+        for name in ("reward", "inst_regret", "logdet_server"):
+            expected = np.array(columns[name], dtype=np.float64)
+            assert getattr(trace, name).tobytes() == expected.tobytes(), (run.__name__, name)
+        assert [(e.round, e.agent, e.payload_checksum) for e in trace.events] == events
