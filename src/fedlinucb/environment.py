@@ -8,9 +8,11 @@ decision sets and its noise are drawn in one vectorized call each, so every
 draw is a pure function of the seed and the global round index.  Re-running
 with a different activation schedule (but the same round indices)
 reproduces identical draws, which is what makes the sequential and episodic
-runners comparable trace-for-trace.  What a round holds that no agent
-changes (mean rewards, regret values, scaled noise) is computed once per
-block as well, in :func:`_value_block`.
+runners comparable trace-for-trace.  Everything a round holds that no
+agent changes (its decision set, mean rewards, regret values and scaled
+noise) lives in one read-only table per instance and block,
+:func:`_block`, built when a run first reaches the block; only the latest
+table is kept.
 """
 
 from __future__ import annotations
@@ -186,52 +188,20 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("bkd,bkd->bk", a, a))
 
 
-@lru_cache(maxsize=1)
-def _arm_block(seed: int, variant: str, K: int, d: int, L: float, block: int) -> np.ndarray:
-    """Decision sets of the block's BLOCK rounds: a read-only (BLOCK, K, d) array.
+class _Block(NamedTuple):
+    """What the rounds of one block hold that no agent changes, one row per round.
 
-    Checked once here against the arm rule, so the rounds that serve its rows
-    do not re-check them.
-    """
-    rng = _block_rng(seed, "arms", block)
-    if variant == "random-sphere":
-        g = rng.standard_normal((BLOCK, K, d))
-        norms = _row_norms(g)
-        norms[norms == 0.0] = 1.0
-        radii = L * rng.random((BLOCK, K)) ** (1.0 / d)
-        arms = g * (radii / norms)[..., None]
-    else:  # hypercube-corners
-        signs = rng.integers(0, 2, size=(BLOCK, K, d), dtype=np.int8) * 2 - 1
-        arms = signs * (L / np.sqrt(d))
-    check_arm_norm(float(_row_norms(arms).max()), L)
-    arms.flags.writeable = False
-    return arms
-
-
-@lru_cache(maxsize=1)
-def _noise_block(seed: int, noise: str, block: int) -> np.ndarray:
-    """Unit noise of the block's BLOCK rounds, read-only: standard normal or fair +-1."""
-    rng = _block_rng(seed, "noise", block)
-    if noise == "gaussian":
-        unit = rng.standard_normal(BLOCK)
-    else:  # rademacher-scaled
-        unit = np.where(rng.random(BLOCK) < 0.5, 1.0, -1.0)
-    unit.flags.writeable = False
-    return unit
-
-
-class _BlockValues(NamedTuple):
-    """What a block's rounds hold that no agent changes, one row per round.
-
-    ``means`` (BLOCK, K) are the arms' mean rewards, each the 1-D dot
-    ``x @ theta_star``; ``values`` (BLOCK, K) are the regret's values, each
-    row the matrix-vector product ``d_set @ theta_star``; ``best`` (BLOCK,)
-    is the row maxima of ``values``; ``noise`` (BLOCK,) is ``R`` times the
-    unit noise.  The two products round differently, so both are kept: a
-    reward is the dot of its arm, and a regret subtracts two entries of one
-    product, which makes it exactly zero at the best arm.  All read-only.
+    ``arms`` (BLOCK, K, d) are the decision sets; ``means`` (BLOCK, K) the
+    arms' mean rewards, each the 1-D dot ``x @ theta_star``; ``values``
+    (BLOCK, K) the regret's values, each row the matrix-vector product
+    ``d_set @ theta_star``; ``best`` (BLOCK,) the row maxima of ``values``;
+    ``noise`` (BLOCK,) ``R`` times the unit noise.  The two products round
+    differently, so both are kept: a reward is the dot of its arm, and a
+    regret subtracts two entries of one product, which makes it exactly zero
+    at the best arm.  All read-only.
     """
 
+    arms: np.ndarray
     means: np.ndarray
     values: np.ndarray
     best: np.ndarray
@@ -247,24 +217,42 @@ class _BlockValues(NamedTuple):
 
 
 @lru_cache(maxsize=1)
-def _value_block(inst: ProblemInstance, block: int) -> _BlockValues:
-    """The :class:`_BlockValues` of one block, built when a run first reaches it.
+def _block(inst: ProblemInstance, block: int) -> _Block:
+    """The :class:`_Block` of one block, built when a run first reaches it.
 
     Keyed by the instance itself (it compares by identity and holds
-    read-only arrays) and the block.  A fixed list holds the same values in
-    every row.
+    read-only arrays) and the block.  Drawn arms are checked against the arm
+    rule once, here, so the rounds that serve them do not re-check them.  A
+    fixed list holds its one set, and its values, in every row.
     """
     spec: ArmSpec = inst.arm_spec
-    if spec.arms is None:
-        arms = _arm_block(inst.master_seed, spec.variant, spec.K, inst.dim, inst.L, block)
-    else:
+    K, d, theta = spec.K, inst.dim, inst.theta_star
+    if spec.arms is not None:
         arms = spec.arms[None]
-    values = arms @ inst.theta_star
-    noise = inst.R * _noise_block(inst.master_seed, inst.noise_spec, block)
+    else:
+        rng = _block_rng(inst.master_seed, "arms", block)
+        if spec.variant == "random-sphere":
+            g = rng.standard_normal((BLOCK, K, d))
+            norms = _row_norms(g)
+            norms[norms == 0.0] = 1.0
+            radii = inst.L * rng.random((BLOCK, K)) ** (1.0 / d)
+            arms = g * (radii / norms)[..., None]
+        else:  # hypercube-corners
+            signs = rng.integers(0, 2, size=(BLOCK, K, d), dtype=np.int8) * 2 - 1
+            arms = signs * (inst.L / np.sqrt(d))
+        check_arm_norm(float(_row_norms(arms).max()), inst.L)
+    rng = _block_rng(inst.master_seed, "noise", block)
+    if inst.noise_spec == "gaussian":
+        unit = rng.standard_normal(BLOCK)
+    else:  # rademacher-scaled: fair +-1
+        unit = np.where(rng.random(BLOCK) < 0.5, 1.0, -1.0)
+    noise = inst.R * unit
     noise.flags.writeable = False
-    return _BlockValues(
-        means=np.broadcast_to(np.vecdot(arms, inst.theta_star), (BLOCK, spec.K)),
-        values=np.broadcast_to(values, (BLOCK, spec.K)),
+    values = arms @ theta
+    return _Block(
+        arms=np.broadcast_to(arms, (BLOCK, K, d)),
+        means=np.broadcast_to(np.vecdot(arms, theta), (BLOCK, K)),
+        values=np.broadcast_to(values, (BLOCK, K)),
         best=np.broadcast_to(values.max(axis=1), (BLOCK,)),
         noise=noise,
     )
@@ -282,7 +270,7 @@ def sample_decision_set(inst: ProblemInstance, t: int) -> np.ndarray:
     if spec.arms is not None:
         return spec.arms
     block, row = divmod(t - 1, BLOCK)
-    return _arm_block(inst.master_seed, spec.variant, spec.K, inst.dim, inst.L, block)[row]
+    return _block(inst, block).arms[row]
 
 
 def sample_reward(inst: ProblemInstance, t: int, idx: int) -> float:
@@ -290,7 +278,7 @@ def sample_reward(inst: ProblemInstance, t: int, idx: int) -> float:
 
     The arm was checked where it was made; only ``t`` and ``idx`` are checked
     here.  The noise depends only on (master_seed, t), so replaying a round
-    reproduces it.  The value comes from :func:`_value_block`.
+    reproduces it.  The value comes from :func:`_block`.
     """
     if t < 1:
         raise ValueError("rounds are 1-based")
@@ -298,7 +286,7 @@ def sample_reward(inst: ProblemInstance, t: int, idx: int) -> float:
     if not 0 <= idx < K:
         raise ValueError(f"arm index {idx} outside 0..{K - 1}")
     block, row = divmod(t - 1, BLOCK)
-    return _value_block(inst, block).reward(row, idx)
+    return _block(inst, block).reward(row, idx)
 
 
 def gen_schedule(

@@ -27,7 +27,7 @@ from .core import (
     epoch_comm_cap,
     theoretical_comm_bound,
 )
-from .environment import BLOCK, Schedule, _value_block, sample_decision_set
+from .environment import BLOCK, Schedule, _block, sample_decision_set
 from .protocol import (
     AgentState,
     CommEvent,
@@ -107,7 +107,7 @@ def index_regret(inst: ProblemInstance, d_set: np.ndarray, idx: int) -> float:
 
     Max and chosen entry come from the same dot-product array, so the result
     is exactly nonnegative and exactly zero for the best arm.  A run reads
-    the same figure from its block's values.
+    the same figure from its block's table.
     """
     values = d_set @ inst.theta_star
     return float(values.max() - values[idx])
@@ -194,8 +194,8 @@ def _drive(
         # fixed for the run: the selection rule is checked once, here, and
         # the steps skip it (as they skip alpha > 0, which HyperParams holds).
         check_selection(d, min(betas), sample_decision_set(inst, 1))
-    # Observes the current round's row of its block's values.
-    reward_fn = lambda t, idx: values.reward(row, idx)  # noqa: E731
+    # Observes the current round's row of its block's table.
+    reward_fn = lambda t, idx: table.reward(row, idx)  # noqa: E731
 
     arm_index = np.zeros(T, dtype=np.int64)
     reward = np.zeros(T)
@@ -207,14 +207,14 @@ def _drive(
         j = m - 1 if private else 0
         block, row = divmod(k, BLOCK)
         if not row:  # the run reaches a new block
-            values = _value_block(inst, block)
+            table = _block(inst, block)
         d_set = sample_decision_set(inst, t)
         agents[m - 1], servers[j], idx, r, event = step_agent(
             agents[m - 1], servers[j], d_set, reward_fn, hp, betas[m - 1], t
         )
         arm_index[k] = idx
         reward[k] = r
-        inst_regret[k] = values.regret(row, idx)
+        inst_regret[k] = table.regret(row, idx)
         if event is not None and not private:
             events.append(event)
         logdet_server[k] = servers[j].sigma_ser.logdet

@@ -66,7 +66,7 @@ def test_building_the_reference_run_draws_no_block(tmp_path, monkeypatch):
         return keyed(seed, stream, block)
 
     monkeypatch.setattr(environment, "_block_rng", counting)
-    environment._value_block.cache_clear()
+    environment._block.cache_clear()
     cli.build_run(json.loads(Path(spec["config"]).read_text()))
     assert sorted(streams) == ["schedule", "theta"]
-    assert environment._value_block.cache_info().misses == 0
+    assert environment._block.cache_info().misses == 0

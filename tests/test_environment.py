@@ -134,9 +134,7 @@ def test_block_edges_serve_the_run_trace_arms(kind):
     for t in (1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, T):
         # Redraw both blocks and the values from their keys: the played row
         # must give the run's reward.
-        environment._arm_block.cache_clear()
-        environment._noise_block.cache_clear()
-        environment._value_block.cache_clear()
+        environment._block.cache_clear()
         assert sample_reward(inst, t, trace.arm_index[t - 1]) == trace.reward[t - 1]
         assert not np.array_equal(sample_decision_set(inst, t), sample_decision_set(inst, t + 1))
 
@@ -229,8 +227,7 @@ def test_one_generator_per_block_and_stream(monkeypatch, kind, T):
         return keyed(seed, stream, block)
 
     monkeypatch.setattr(environment, "_block_rng", counting)
-    environment._arm_block.cache_clear()
-    environment._noise_block.cache_clear()
+    environment._block.cache_clear()
     inst = gen_instance(kind, d=3, K=4, seed=17)
     run_fedlinucb(inst, gen_schedule("round-robin", M=2, T=T), _fixed_beta())
     for stream in ("arms", "noise"):
@@ -251,6 +248,14 @@ ARM_KINDS = {
 }
 
 
+def _unit_noise(inst, block):
+    """The block's unit noise, drawn from its keyed generator as the README states."""
+    rng = environment._block_rng(inst.master_seed, "noise", block)
+    if inst.noise_spec == "gaussian":
+        return rng.standard_normal(BLOCK)
+    return np.where(rng.random(BLOCK) < 0.5, 1.0, -1.0)
+
+
 @pytest.mark.parametrize("kind", sorted(ARM_KINDS))
 def test_block_values_are_the_per_round_formulas_at_block_edges(kind):
     # Rewards are the arm's 1-D dot plus R times the unit noise; regrets are
@@ -262,8 +267,8 @@ def test_block_values_are_the_per_round_formulas_at_block_edges(kind):
     for t in (1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, T):
         d_set = sample_decision_set(inst, t)
         block, row = divmod(t - 1, BLOCK)
-        eta = inst.R * environment._noise_block(inst.master_seed, inst.noise_spec, block)[row]
-        values = environment._value_block(inst, block)
+        eta = inst.R * _unit_noise(inst, block)[row]
+        values = environment._block(inst, block)
         for idx in range(len(d_set)):
             assert sample_reward(inst, t, idx) == float(d_set[idx] @ inst.theta_star) + float(eta)
             assert values.regret(row, idx) == index_regret(inst, d_set, idx)
@@ -274,7 +279,7 @@ def test_block_values_are_the_per_round_formulas_at_block_edges(kind):
 
 def test_block_values_are_read_only():
     inst = ARM_KINDS["random-sphere"]()
-    for array in environment._value_block(inst, 0):
+    for array in environment._block(inst, 0):
         assert not array.flags.writeable
         assert len(array) == BLOCK
 
@@ -282,9 +287,9 @@ def test_block_values_are_read_only():
 @pytest.mark.parametrize("kind", sorted(ARM_KINDS))
 @pytest.mark.parametrize("T", [1, BLOCK, BLOCK + 1, 3 * BLOCK - 7])
 def test_one_value_table_per_block(kind, T):
-    environment._value_block.cache_clear()
+    environment._block.cache_clear()
     run_fedlinucb(ARM_KINDS[kind](), gen_schedule("round-robin", M=2, T=T), _fixed_beta())
-    assert environment._value_block.cache_info().misses == math.ceil(T / BLOCK)
+    assert environment._block.cache_info().misses == math.ceil(T / BLOCK)
 
 
 def test_keyed_generator_rejects_seeds_outside_64_bits():
