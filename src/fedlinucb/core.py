@@ -288,6 +288,11 @@ class ProblemInstance:
     def dim(self) -> int:
         return self.theta_star.shape[0]
 
+    def __reduce__(self):
+        # Through the constructor, so a pickled copy holds read-only arrays too.
+        return ProblemInstance, (self.theta_star, self.S, self.L, self.R, self.arm_spec,
+                                 self.noise_spec, self.master_seed)
+
 
 def check_arm_norm(worst: float, L: float) -> None:
     """The arm rule: ValueError unless the largest arm norm ``worst`` is within L(1 + 1e-9)."""

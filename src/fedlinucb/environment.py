@@ -87,6 +87,10 @@ class ArmSpec:
         arms.flags.writeable = False
         object.__setattr__(self, "arms", arms)
 
+    def __reduce__(self):
+        # Through the constructor, so a pickled copy holds a read-only array too.
+        return ArmSpec, (self.variant, self.K, self.arms)
+
 
 def _check_count(name: str, value: int, least: int) -> None:
     # A float or bool would otherwise be truncated, or fail later in arithmetic on it.
@@ -264,8 +268,7 @@ def sample_decision_set(inst: ProblemInstance, t: int) -> np.ndarray:
     It depends only on (master_seed, t); a fixed list serves the same array
     every round.
     """
-    if t < 1:
-        raise ValueError("rounds are 1-based")
+    _check_count("round t", t, 1)
     spec: ArmSpec = inst.arm_spec
     if spec.arms is not None:
         return spec.arms
@@ -277,14 +280,15 @@ def sample_reward(inst: ProblemInstance, t: int, idx: int) -> float:
     """Reward for playing row ``idx`` of round t's decision set: <x, theta_star> + noise(seed, t).
 
     The arm was checked where it was made; only ``t`` and ``idx`` are checked
-    here.  The noise depends only on (master_seed, t), so replaying a round
-    reproduces it.  The value comes from :func:`_block`.
+    here, each an integer (a numpy one too) in its range.  The value is read
+    from the table of the instance and the round's block, so it depends only
+    on (master_seed, t) and the arm, and replaying a round reproduces it.
     """
-    if t < 1:
-        raise ValueError("rounds are 1-based")
+    _check_count("round t", t, 1)
     K = inst.arm_spec.K
     if not 0 <= idx < K:
         raise ValueError(f"arm index {idx} outside 0..{K - 1}")
+    _check_count("arm index", idx, 0)  # after the range, so -1 is named as outside it
     block, row = divmod(t - 1, BLOCK)
     return _block(inst, block).reward(row, idx)
 

@@ -106,8 +106,9 @@ def index_regret(inst: ProblemInstance, d_set: np.ndarray, idx: int) -> float:
     """Best mean reward in the (K, d) decision set minus that of its arm ``idx``.
 
     Max and chosen entry come from the same dot-product array, so the result
-    is exactly nonnegative and exactly zero for the best arm.  A run reads
-    the same figure from its block's table.
+    is exactly nonnegative and exactly zero for the best arm.  This is the
+    reference formula; a run reads the same figure, bit for bit, from the
+    table of its instance and the round's block (``environment._block``).
     """
     values = d_set @ inst.theta_star
     return float(values.max() - values[idx])

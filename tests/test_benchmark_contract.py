@@ -55,9 +55,12 @@ def test_worker_setup_runs_on_each_tiny_workload(tmp_path, monkeypatch, name):
 
 
 def test_building_the_reference_run_draws_no_block(tmp_path, monkeypatch):
-    # Set-up is import, parse and build: arm and noise blocks are drawn, and
-    # the value tables built, only once a run reaches them.
-    spec = workloads.make_spec("run-d8-lazy", workloads.DEFAULT_SEED, tmp_path / "work")
+    # Set-up, as setup_s times it on every workload, is import, parse and
+    # build: arm and noise blocks are drawn, and tables built, only once a
+    # run reaches them.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setenv("PERFBENCH_SRC", str(Path(cli.__file__).resolve().parents[1]))
+    worker = _load("worker")
     streams = []
     keyed = environment._block_rng
 
@@ -67,6 +70,11 @@ def test_building_the_reference_run_draws_no_block(tmp_path, monkeypatch):
 
     monkeypatch.setattr(environment, "_block_rng", counting)
     environment._block.cache_clear()
-    cli.build_run(json.loads(Path(spec["config"]).read_text()))
-    assert sorted(streams) == ["schedule", "theta"]
+    for name in sorted(workloads.WORKLOADS):
+        spec = workloads.make_spec(name, workloads.DEFAULT_SEED, tmp_path / name)
+        streams.clear()
+        worker.setup(spec)
+        schedule = json.loads(Path(spec["config"]).read_text())["schedule"]["kind"]
+        drawn = {"theta", "schedule"} if schedule == "iid-uniform" else {"theta"}
+        assert set(streams) == drawn, name
     assert environment._block.cache_info().misses == 0

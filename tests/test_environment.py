@@ -6,6 +6,7 @@ pure function of (master_seed, round index), independent of call order.
 
 import dataclasses
 import math
+import pickle
 import re
 
 import numpy as np
@@ -119,6 +120,27 @@ def test_rounds_are_one_based():
         sample_reward(inst, 0, 0)
 
 
+@pytest.mark.parametrize("inst", [
+    gen_instance("fixed-list", arms=[[0.5, 0.1]], seed=1),
+    gen_instance("hypercube-corners", d=3, K=4, R=0.5, seed=2, noise="rademacher-scaled"),
+], ids=["fixed-list", "hypercube-corners"])
+def test_a_pickled_instance_keeps_its_arrays_read_only(inst):
+    # sweep --parallel sends built instances to its workers through pickle,
+    # and the block tables trust an instance's arrays never to change.
+    copy = pickle.loads(pickle.dumps(inst))
+    arrays = [(inst.theta_star, copy.theta_star)]
+    if inst.arm_spec.arms is not None:
+        arrays.append((inst.arm_spec.arms, copy.arm_spec.arms))
+    for before, after in arrays:
+        assert np.array_equal(after, before) and not after.flags.writeable
+        with pytest.raises(ValueError):
+            after[0] = 0.0
+    for name in ("S", "L", "R", "noise_spec", "master_seed"):
+        assert getattr(copy, name) == getattr(inst, name), name
+    assert (copy.arm_spec.variant, copy.arm_spec.K) == (inst.arm_spec.variant, inst.arm_spec.K)
+    assert all(sample_reward(copy, t, 0) == sample_reward(inst, t, 0) for t in (1, BLOCK + 1))
+
+
 # ---------------------------------------------------------------- block-keyed draws
 
 
@@ -132,8 +154,8 @@ def test_block_edges_serve_the_run_trace_arms(kind):
     T = 2 * BLOCK + 40
     trace = run_fedlinucb(inst, gen_schedule("iid-uniform", M=3, T=T, seed=2), _fixed_beta())
     for t in (1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, T):
-        # Redraw both blocks and the values from their keys: the played row
-        # must give the run's reward.
+        # Rebuild the block's table from its keys: the played row must give
+        # the run's reward.
         environment._block.cache_clear()
         assert sample_reward(inst, t, trace.arm_index[t - 1]) == trace.reward[t - 1]
         assert not np.array_equal(sample_decision_set(inst, t), sample_decision_set(inst, t + 1))
@@ -216,26 +238,6 @@ def test_fixed_sets_are_built_once():
         assert all(sample_decision_set(inst, t) is first for t in (2, BLOCK + 1, 10**6))
 
 
-@pytest.mark.parametrize("kind", ["random-sphere", "hypercube-corners"])
-@pytest.mark.parametrize("T", [1, BLOCK, BLOCK + 1, 3 * BLOCK - 7])
-def test_one_generator_per_block_and_stream(monkeypatch, kind, T):
-    built = []
-    keyed = environment._block_rng
-
-    def counting(seed, stream, block):
-        built.append((stream, block))
-        return keyed(seed, stream, block)
-
-    monkeypatch.setattr(environment, "_block_rng", counting)
-    environment._block.cache_clear()
-    inst = gen_instance(kind, d=3, K=4, seed=17)
-    run_fedlinucb(inst, gen_schedule("round-robin", M=2, T=T), _fixed_beta())
-    for stream in ("arms", "noise"):
-        blocks = [b for s, b in built if s == stream]
-        assert len(blocks) <= math.ceil(T / BLOCK), stream
-        assert sorted(set(blocks)) == list(range(math.ceil(T / BLOCK)))
-
-
 # One instance of each arm kind; the two fixed ones serve one set every round.
 ARM_KINDS = {
     "random-sphere": lambda: gen_instance("random-sphere", d=3, K=4, seed=41),
@@ -286,10 +288,24 @@ def test_block_values_are_read_only():
 
 @pytest.mark.parametrize("kind", sorted(ARM_KINDS))
 @pytest.mark.parametrize("T", [1, BLOCK, BLOCK + 1, 3 * BLOCK - 7])
-def test_one_value_table_per_block(kind, T):
+def test_one_value_table_per_block(monkeypatch, kind, T):
+    # A run builds each block's table once, and the table draws each stream
+    # it needs (arms for the drawn kinds, noise for all) from one generator.
+    inst = ARM_KINDS[kind]()
+    built = []
+    keyed = environment._block_rng
+
+    def counting(seed, stream, block):
+        built.append((stream, block))
+        return keyed(seed, stream, block)
+
+    monkeypatch.setattr(environment, "_block_rng", counting)
     environment._block.cache_clear()
-    run_fedlinucb(ARM_KINDS[kind](), gen_schedule("round-robin", M=2, T=T), _fixed_beta())
-    assert environment._block.cache_info().misses == math.ceil(T / BLOCK)
+    run_fedlinucb(inst, gen_schedule("round-robin", M=2, T=T), _fixed_beta())
+    blocks = range(math.ceil(T / BLOCK))
+    assert environment._block.cache_info().misses == len(blocks)
+    streams = ("noise",) if inst.arm_spec.arms is not None else ("arms", "noise")
+    assert sorted(built) == sorted((stream, b) for stream in streams for b in blocks)
 
 
 def test_keyed_generator_rejects_seeds_outside_64_bits():
@@ -351,6 +367,30 @@ def test_reward_rejects_an_index_outside_the_decision_set(inst):
         with pytest.raises(ValueError, match=f"arm index {idx} outside 0..{K - 1}"):
             sample_reward(inst, 1, idx)
     sample_reward(inst, 1, K - 1)
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("inst", [
+    gen_instance("random-sphere", d=2, K=4, seed=5),
+    gen_instance("fixed-list", arms=np.array([[0.6, 0.0], [0.0, 0.8]]), seed=5),
+], ids=["random-sphere", "fixed-list"])
+def test_a_round_or_index_that_is_not_an_integer_is_refused(inst, warm):
+    # Cold, 2.5 would fail in the generator's counter arithmetic; warm, 3.0
+    # would fail as a table index and True would select through a mask.
+    environment._block.cache_clear()
+    if warm:
+        sample_reward(inst, 3, 1)
+    for t in (2.5, 3.0, True):
+        with pytest.raises(ValueError, match="round t must be an integer"):
+            sample_decision_set(inst, t)
+        with pytest.raises(ValueError, match="round t must be an integer"):
+            sample_reward(inst, t, 0)
+    for idx in (0.5, 1.0, True):
+        with pytest.raises(ValueError, match="arm index must be an integer"):
+            sample_reward(inst, 3, idx)
+    # A numpy integer is an integer.
+    assert sample_reward(inst, np.int64(3), np.int64(1)) == sample_reward(inst, 3, 1)
+    assert np.array_equal(sample_decision_set(inst, np.int64(3)), sample_decision_set(inst, 3))
 
 
 @pytest.mark.parametrize("kind", ["random-sphere", "hypercube-corners"])
