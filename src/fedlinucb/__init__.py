@@ -39,7 +39,6 @@ from .simulator import (
     CommBoundError,
     SimulationTrace,
     epoch_boundaries,
-    run_episodic,
     run_fedlinucb,
     run_independent_oful,
 )

@@ -7,8 +7,8 @@ counter starts at the round's block, ``(t - 1) // BLOCK``.  A block's
 decision sets and its noise are drawn in one vectorized call each, so every
 draw is a pure function of the seed and the global round index.  Re-running
 with a different activation schedule (but the same round indices)
-reproduces identical draws, which is what makes the sequential and episodic
-runners comparable trace-for-trace.  Everything a round holds that no
+reproduces identical draws, which is what lets an episodic run be the run
+of its flattened schedule (:meth:`Schedule.from_episodes`).  Everything a round holds that no
 agent changes (its decision set, mean rewards, regret values and scaled
 noise) lives in one read-only table per instance and block,
 :func:`_block`, built when a run first reaches the block; only the latest
@@ -123,6 +123,27 @@ class Schedule:
     @property
     def T(self) -> int:
         return len(self.agents)
+
+    @classmethod
+    def from_episodes(cls, sets: list[list[int]], M: int | None = None) -> "Schedule":
+        """Schedule of episodic participation sets: in episode k the agents of
+        ``sets[k]`` act in set order, and the episodes follow each other.
+
+        Within an episode each agent acts at most once, so a duplicated id
+        inside one set is refused.  Without ``M`` the largest id gives it.
+        Agents are independent between their own syncs, so the run of this
+        flattening is the episodic run.
+        """
+        flat: list[int] = []
+        for k, group in enumerate(sets, 1):
+            if len(set(group)) != len(group):
+                raise ValueError(f"episode {k} activates an agent more than once")
+            flat.extend(group)
+        ids = np.asarray(flat)
+        if M is None:
+            # The constructor refuses ids that are not integers; only integers give M.
+            M = int(ids.max(initial=1)) if ids.dtype.kind in "iu" else 1
+        return cls(M=M, agents=ids)
 
 
 def gen_instance(

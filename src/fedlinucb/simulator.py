@@ -1,14 +1,13 @@
 """One run driver over an activation sequence, and trace assembly.
 
 FedLinUCB is fully asynchronous: one agent acts per round and an activation
-never triggers another agent's step.  The sequential runner, the episodic
-runner and the no-communication baseline are therefore one loop
-(:func:`_drive`) over the sequence of acting agents; the baseline runs it
-with a private server per agent.  Every run shares the protocol step and the
-counter-based environment, so a round's decision set and noise depend only
-on (master_seed, global round index), and the sequential and episodic
-runners produce bit-identical traces whenever the episodic participation
-sets flatten to the same activation sequence.
+never triggers another agent's step.  The federated run and the
+no-communication baseline are therefore one loop (:func:`_drive`) over the
+sequence of acting agents; the baseline runs it with a private server per
+agent.  Every run shares the protocol step and the counter-based
+environment, so a round's decision set and noise depend only on
+(master_seed, global round index), and an episodic run is the run of its
+flattened schedule (:meth:`~fedlinucb.environment.Schedule.from_episodes`).
 """
 
 from __future__ import annotations
@@ -255,32 +254,6 @@ def run_fedlinucb(
     trace = _drive(inst, hp, schedule.agents, [beta] * M, False, beta)
     _assert_comm_bounds(trace, hp, inst.dim, cap)
     return trace
-
-
-def run_episodic(
-    inst: ProblemInstance,
-    participation_sets: list[list[int]],
-    hp: HyperParams,
-    M: int | None = None,
-) -> SimulationTrace:
-    """Episodic run: in episode k the agents of participation_sets[k] act in order.
-
-    Each activation is flattened to a global round index (episode by episode,
-    in-set order) for environment draws, so any grouping reproduces the
-    sequential runner's trace on the flattened sequence bit for bit.  A
-    duplicated agent id inside one set is rejected: within an episode each
-    agent acts at most once, and simultaneity cannot be expressed.
-    """
-    flat: list[int] = []
-    for k, group in enumerate(participation_sets, 1):
-        if len(set(group)) != len(group):
-            raise ValueError(f"episode {k} activates an agent more than once")
-        flat.extend(group)
-    ids = np.asarray(flat)
-    if M is None:
-        # Schedule refuses ids that are not integers; only integers give M.
-        M = int(ids.max(initial=1)) if ids.dtype.kind in "iu" else 1
-    return run_fedlinucb(inst, Schedule(M=M, agents=ids), hp)
 
 
 def run_independent_oful(

@@ -19,15 +19,16 @@ import fedlinucb.analysis as analysis
 from fedlinucb import (
     HyperParams,
     ProblemInstance,
+    Schedule,
     bias_demo,
     gen_instance,
     gen_schedule,
-    run_episodic,
     run_fedlinucb,
     run_independent_oful,
     theoretical_comm_bound,
     theoretical_regret_bound,
 )
+from test_simulator import differing, public_step_run
 
 GRID_D = (2, 8)
 GRID_M = (1, 4, 16)
@@ -260,7 +261,8 @@ def test_08_bias_demonstration(capsys):
 
 
 def test_09_episodic_equivalence(capsys):
-    """Singleton episodes replay the sequential runner bit for bit."""
+    """Episodes whose agents all select before any of them syncs replay the
+    run of their flattened schedule bit for bit."""
     mismatches = 0
     for seed in range(5):
         rng = np.random.default_rng(seed)
@@ -270,19 +272,16 @@ def test_09_episodic_equivalence(capsys):
         T = int(rng.integers(50, 301))
         alpha = float(rng.choice([1.0 / 25.0, 1.0 / 9.0, 0.25, 1.0]))
         inst = gen_instance("random-sphere", d=d, K=K, seed=seed)
-        sched = gen_schedule("iid-uniform", M=M, T=T, seed=seed + 50)
-        hp = HyperParams(lam=1.0, alpha=alpha, delta=0.1)
-        seq = run_fedlinucb(inst, sched, hp)
-        epi = run_episodic(inst, [[int(m)] for m in sched.agents], hp, M=M)
-        same = (
-            np.array_equal(seq.arm_index, epi.arm_index)
-            and np.array_equal(seq.reward, epi.reward)
-            and np.array_equal(seq.logdet_server, epi.logdet_server)
-            and np.array_equal(seq.cum_regret, epi.cum_regret)
-            and [(e.round, e.agent, e.payload_checksum) for e in seq.events]
-            == [(e.round, e.agent, e.payload_checksum) for e in epi.events]
-        )
-        mismatches += not same
+        # Episodes of 1..M distinct agents in random order, at least T rounds in all.
+        sets, flat = [], 0
+        while flat < T:
+            sets.append((rng.permutation(M)[:rng.integers(1, M + 1)] + 1).tolist())
+            flat += len(sets[-1])
+        hp = HyperParams(lam=1.0, alpha=alpha, delta=0.1,
+                         estimate_mode=("lazy", "eager")[seed % 2])
+        seq = run_fedlinucb(inst, Schedule.from_episodes(sets, M=M), hp)
+        epi = public_step_run(inst, sets, M, hp)
+        mismatches += bool(differing(seq, epi))
     ok = mismatches == 0
     announce(capsys, 9, "episodic/sequential equivalence",
              ok, f"5 random configurations, {mismatches} mismatched traces")

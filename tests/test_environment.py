@@ -490,6 +490,33 @@ def test_schedule_refuses_non_integer_ids(agents):
         Schedule(M=3, agents=agents)
 
 
+def test_episodic_groups_flatten_in_order():
+    sched = Schedule.from_episodes([[1, 2], [3], [2, 1, 3]])
+    assert sched.agents.tolist() == [1, 2, 3, 2, 1, 3]
+    assert sched.M == 3  # inferred from the largest id
+
+
+def test_episodic_rejects_duplicate_in_episode():
+    with pytest.raises(ValueError, match="episode 1 activates an agent more than once"):
+        Schedule.from_episodes([[1, 2, 1]])
+    with pytest.raises(ValueError, match="outside 1..M"):
+        Schedule.from_episodes([[1], [4]], M=3)
+
+
+def test_episodic_refuses_non_integer_ids():
+    for sets in ([[1.7, 2.2]], [["1"]], [[1, "2"]]):
+        with pytest.raises(ValueError, match="integers"):
+            Schedule.from_episodes(sets)
+
+
+def test_episodic_empty_sets_are_idle_episodes():
+    sched = Schedule.from_episodes([[], [1], [], [2]], M=2)
+    assert sched.T == 2 and sched.agents.tolist() == [1, 2]
+    empty = Schedule.from_episodes([], M=2)
+    assert empty.T == 0 and empty.M == 2
+    assert Schedule.from_episodes([]).M == 1
+
+
 # ---------------------------------------------------------------- file loaders
 
 

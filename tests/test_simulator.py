@@ -27,7 +27,6 @@ from fedlinucb import (
     init_agent,
     init_server,
     local_update,
-    run_episodic,
     run_fedlinucb,
     run_independent_oful,
     sample_decision_set,
@@ -38,6 +37,7 @@ from fedlinucb import (
     theoretical_comm_bound,
     ucb_select,
 )
+from fedlinucb import protocol
 from fedlinucb.environment import BLOCK
 from fedlinucb.simulator import (
     CommBoundError,
@@ -238,7 +238,7 @@ def test_a_stated_beta_value_fixes_the_radius():
     hp = HyperParams(lam=1.0, alpha=0.5, delta=0.1, beta_value=0.3)
     assert compute_beta(inst, hp, 2, 40) == 0.3
     assert run_fedlinucb(inst, gen_schedule("round-robin", M=2, T=40), hp).beta_used == 0.3
-    assert run_episodic(inst, [[1, 2]], hp).beta_used == 0.3
+    assert run_fedlinucb(inst, Schedule.from_episodes([[1, 2]]), hp).beta_used == 0.3
 
 
 def test_lazy_never_updates_without_sync():
@@ -282,51 +282,12 @@ def test_episodic_singletons_reproduce_sequential():
     inst = small_instance(seed=23)
     sched = gen_schedule("iid-uniform", M=3, T=150, seed=4)
     hp = HyperParams(lam=1.0, alpha=1.0 / 9.0, delta=0.1)
-    seq = run_fedlinucb(inst, sched, hp)
-    epi = run_episodic(inst, [[int(m)] for m in sched.agents], hp, M=3)
-    assert np.array_equal(seq.arm_index, epi.arm_index)
-    assert np.array_equal(seq.reward, epi.reward)
-    assert np.array_equal(seq.cum_regret, epi.cum_regret)
-    assert [(e.round, e.agent) for e in seq.events] == [(e.round, e.agent) for e in epi.events]
+    singletons = [[m] for m in sched.agents.tolist()]
+    assert np.array_equal(Schedule.from_episodes(singletons, M=3).agents, sched.agents)
+    seq = run_fedlinucb(inst, Schedule.from_episodes(singletons, M=3), hp)
+    epi = public_step_run(inst, singletons, 3, hp)
+    assert differing(seq, epi) == []
     assert seq.comm_count == epi.comm_count
-
-
-def test_episodic_groups_flatten_in_order():
-    inst = small_instance(seed=29)
-    hp = HyperParams(lam=1.0, alpha=0.25, delta=0.1)
-    epi = run_episodic(inst, [[1, 2], [3], [2, 1, 3]], hp)
-    flat = Schedule(M=3, agents=[1, 2, 3, 2, 1, 3])
-    seq = run_fedlinucb(inst, flat, hp)
-    assert np.array_equal(seq.arm_index, epi.arm_index)
-    assert np.array_equal(seq.cum_regret, epi.cum_regret)
-    assert epi.M == 3  # inferred from the largest id
-
-
-def test_episodic_rejects_duplicate_in_episode():
-    inst = small_instance(seed=1)
-    hp = HyperParams(lam=1.0, alpha=0.5, delta=0.1)
-    with pytest.raises(ValueError):
-        run_episodic(inst, [[1, 2, 1]], hp)
-    with pytest.raises(ValueError):
-        run_episodic(inst, [[1], [4]], hp, M=3)
-
-
-def test_episodic_refuses_non_integer_ids():
-    inst = small_instance(seed=1)
-    hp = HyperParams(lam=1.0, alpha=0.5, delta=0.1)
-    for sets in ([[1.7, 2.2]], [["1"]], [[1, "2"]]):
-        with pytest.raises(ValueError, match="integers"):
-            run_episodic(inst, sets, hp)
-
-
-def test_episodic_empty_sets_are_idle_episodes():
-    inst = small_instance(seed=1)
-    hp = HyperParams(lam=1.0, alpha=0.5, delta=0.1)
-    trace = run_episodic(inst, [[], [1], [], [2]], hp, M=2)
-    assert len(trace.t) == 2
-    assert trace.t.tolist() == [1, 2]
-    empty = run_episodic(inst, [], hp, M=2)
-    assert empty.t.shape == (0,)
 
 
 # ---------------------------------------------------------------- epochs
@@ -520,58 +481,92 @@ def test_episodic_grouping_equals_flattened_run(schedule, d, alpha, mode):
     M, agents, groups = schedule
     inst = small_instance(seed=53, d=d, K=4)
     hp = HyperParams(lam=1.0, alpha=alpha, delta=0.1, estimate_mode=mode)
-    epi = run_episodic(inst, groups, hp, M=M)
-    seq = run_fedlinucb(inst, Schedule(M=M, agents=agents), hp)
-    for column in ("t", "agent", "arm_index", "reward", "inst_regret", "comm",
-                   "logdet_server", "cum_regret"):
-        assert np.array_equal(getattr(epi, column), getattr(seq, column)), column
-    assert [(e.round, e.agent, e.payload_checksum) for e in epi.events] == [
-        (e.round, e.agent, e.payload_checksum) for e in seq.events
-    ]
+    flat = Schedule.from_episodes(groups, M=M)
+    assert flat.agents.tolist() == agents
+    epi = public_step_run(inst, groups, M, hp)
+    seq = run_fedlinucb(inst, flat, hp)
+    assert differing(epi, seq) == []
     assert epoch_boundaries(epi, 1.0, d) == epoch_boundaries(seq, 1.0, d)
     assert epi.beta_used == seq.beta_used
 
 
-def public_step_run(inst, schedule, hp, private):
-    """A run rebuilt from the public, checked step functions, round by round.
+TRACE_COLUMNS = ("t", "agent", "arm_index", "reward", "inst_regret", "comm", "logdet_server",
+                 "cum_regret")
 
-    Agent m selects with ``ucb_select`` from its stored (lazy) or recombined
-    (eager) statistics, observes ``sample_reward``, buffers with
-    ``local_update`` and syncs when ``should_sync`` fires; ``private`` gives
-    every agent a server of its own and the radius of a one-agent run over
-    its own rounds.  Returns the trace columns and the events.
+
+def differing(a, b):
+    """The trace columns, and "events", on which traces ``a`` and ``b`` differ bit for bit."""
+    events = [[(e.round, e.agent, e.payload_checksum) for e in tr.events] for tr in (a, b)]
+    return [name for name in TRACE_COLUMNS
+            if getattr(a, name).tobytes() != getattr(b, name).tobytes()] + (
+        ["events"] if events[0] != events[1] else [])
+
+
+def public_step_run(inst, episodes, M, hp, private=False):
+    """A run rebuilt from the public, checked step functions, episode by episode.
+
+    ``episodes`` lists each episode's agent ids in set order, and the rounds
+    are their flattening; a schedule is its singleton episodes.  In each
+    episode every agent first selects with ``ucb_select`` from its stored
+    (lazy) or recombined (eager) statistics; then each, in set order,
+    observes ``sample_reward``, buffers with ``local_update`` and syncs when
+    ``should_sync`` fires.  Between its own syncs an agent reads only its own
+    state, so this order must reproduce the run of the flattening.
+    ``private`` gives every agent a server of its own and the radius of a
+    one-agent run over its own rounds.  Returns the trace.
     """
-    d, M, T = inst.dim, schedule.M, schedule.T
+    flat = [m for group in episodes for m in group]
+    d, T = inst.dim, len(flat)
+
+    def radius(agent_count, n):
+        # A radius over no rounds is never read; compute_beta refuses n = 0.
+        return compute_beta(inst, hp, agent_count, n) if n or hp.beta_value is not None else 0.0
+
     if private:
-        rounds = np.bincount(schedule.agents, minlength=M + 1)[1:].tolist()
-        betas = [compute_beta(inst, hp, 1, n) if n else 0.0 for n in rounds]
+        betas = [radius(1, n) for n in np.bincount(flat, minlength=M + 1)[1:].tolist()]
+        beta_used = radius(1, T)
     else:
-        betas = [compute_beta(inst, hp, M, T)] * M
-    agents = {m: init_agent(m, d, hp.lam) for m in range(1, M + 1)}
-    servers = {j: init_server(d, hp.lam) for j in (range(1, M + 1) if private else [0])}
-    columns = {"arm_index": [], "reward": [], "inst_regret": [], "logdet_server": []}
-    events = []
-    for t, m in enumerate(schedule.agents.tolist(), 1):
-        a, j = agents[m], m if private else 0
-        d_set = sample_decision_set(inst, t)
+        beta_used = radius(M, T)
+        betas = [beta_used] * M
+
+    def select(a, d_set):
         if hp.estimate_mode == "eager":
             v = SpdMatrix.from_dense(a.sigma.mat + a.sigma_loc) if a.sigma_loc.any() else a.sigma
             theta = solve_estimate(v, a.b + a.b_loc)
         else:
             v, theta = a.sigma, a.theta_hat
-        idx = ucb_select(theta, v, betas[m - 1], d_set)
-        r = sample_reward(inst, t, idx)
-        a = local_update(a, d_set[idx], r)
-        if should_sync(a, hp.alpha):
-            a, servers[j], event = sync(a, servers[j], t)
-            if not private:
-                events.append((event.round, event.agent, event.payload_checksum))
-        agents[m] = a
-        columns["arm_index"].append(idx)
-        columns["reward"].append(r)
-        columns["inst_regret"].append(index_regret(inst, d_set, idx))
-        columns["logdet_server"].append(servers[j].sigma_ser.logdet)
-    return columns, events
+        return ucb_select(theta, v, betas[a.id - 1], d_set)
+
+    agents = {m: init_agent(m, d, hp.lam) for m in range(1, M + 1)}
+    servers = {j: init_server(d, hp.lam) for j in (range(1, M + 1) if private else [0])}
+    columns = {"arm_index": [], "reward": [], "inst_regret": [], "logdet_server": []}
+    events = []
+    t = 0
+    for group in episodes:
+        rounds = range(t + 1, t + len(group) + 1)
+        t += len(group)
+        chosen = [select(agents[m], sample_decision_set(inst, s)) for m, s in zip(group, rounds)]
+        for m, s, idx in zip(group, rounds, chosen):
+            a, j = agents[m], m if private else 0
+            d_set = sample_decision_set(inst, s)
+            r = sample_reward(inst, s, idx)
+            a = local_update(a, d_set[idx], r)
+            if should_sync(a, hp.alpha):
+                a, servers[j], event = sync(a, servers[j], s)
+                if not private:
+                    events.append(event)
+            agents[m] = a
+            columns["arm_index"].append(idx)
+            columns["reward"].append(r)
+            columns["inst_regret"].append(index_regret(inst, d_set, idx))
+            columns["logdet_server"].append(servers[j].sigma_ser.logdet)
+    return SimulationTrace(
+        agent=np.array(flat, dtype=np.int64),
+        arm_index=np.array(columns["arm_index"], dtype=np.int64),
+        **{name: np.array(columns[name], dtype=np.float64)
+           for name in ("reward", "inst_regret", "logdet_server")},
+        events=events, beta_used=beta_used, M=M,
+    )
 
 
 def arm_kind_instance(kind, d, K, noise, seed):
@@ -606,11 +601,38 @@ def test_runs_equal_the_public_step_functions_bit_for_bit(d, K, M, mode, order, 
         T += -T % M
     schedule = gen_schedule(order, M=M, T=T, seed=K)
     hp = HyperParams(lam=1.0, alpha=alpha, delta=0.1, estimate_mode=mode)
+    singletons = [[m] for m in schedule.agents.tolist()]
     for run, private in ((run_fedlinucb, False), (run_independent_oful, True)):
         trace = run(inst, schedule, hp)
-        columns, events = public_step_run(inst, schedule, hp, private)
-        assert trace.arm_index.tolist() == columns["arm_index"], run.__name__
-        for name in ("reward", "inst_regret", "logdet_server"):
-            expected = np.array(columns[name], dtype=np.float64)
-            assert getattr(trace, name).tobytes() == expected.tobytes(), (run.__name__, name)
-        assert [(e.round, e.agent, e.payload_checksum) for e in trace.events] == events
+        ref = public_step_run(inst, singletons, M, hp, private)
+        assert differing(trace, ref) == [], run.__name__
+
+
+def test_only_episode_order_sees_a_server_matrix_updated_in_place(monkeypatch):
+    # sync must build a new server matrix: every agent's synced sigma aliases
+    # the one it downloaded.  Adding each upload into that matrix in place
+    # lets an agent that synced earlier see later uploads through sigma.mat,
+    # which eager selection reads.  Round by round the run and the singleton
+    # driver read the shared matrix at the same moments and still agree;
+    # selecting a whole episode before its syncs exposes the sharing.
+    real_sync = protocol.sync
+
+    def in_place_sync(a, s, round_):
+        agent, server, event = real_sync(a, s, round_)
+        mat = s.sigma_ser.mat
+        mat += a.sigma_loc
+        sigma = dataclasses.replace(server.sigma_ser, mat=mat)
+        return (dataclasses.replace(agent, sigma=sigma),
+                dataclasses.replace(server, sigma_ser=sigma), event)
+
+    monkeypatch.setattr(protocol, "sync", in_place_sync)
+    monkeypatch.setitem(globals(), "sync", in_place_sync)
+    M, rng = 4, np.random.default_rng(61)
+    episodes = [rng.permutation(np.arange(1, M + 1))[:rng.integers(1, M + 1)].tolist()
+                for _ in range(150)]
+    inst = gen_instance("random-sphere", d=4, K=8, seed=61)
+    hp = HyperParams(lam=1.0, alpha=1.0 / 16.0, delta=0.1, estimate_mode="eager")
+    trace = run_fedlinucb(inst, Schedule.from_episodes(episodes, M=M), hp)
+    singletons = [[m] for m in trace.agent.tolist()]
+    assert differing(trace, public_step_run(inst, singletons, M, hp)) == []
+    assert "arm_index" in differing(trace, public_step_run(inst, episodes, M, hp))
