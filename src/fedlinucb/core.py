@@ -417,20 +417,24 @@ def ucb_select(theta_hat: Any, m: SpdMatrix, beta: float, arms: Any) -> int:
     arms = np.asarray(arms, dtype=np.float64)
     if theta_hat.shape != (m.dim,):
         raise DimensionMismatchError("arm / estimate dimensions disagree with the matrix")
+    if not np.isfinite(theta_hat).all():
+        raise ValueError("theta_hat must be finite")
     check_selection(m.dim, beta, arms)
     return _ucb_index(theta_hat, m.chol, beta, arms)
 
 
 def check_selection(d: int, beta: float, arms: np.ndarray) -> None:
     """The rule :func:`ucb_select` checks on the decision set and radius:
-    ``arms`` is (K, d) with K >= 1 and ``beta`` is nonnegative.  A run checks
-    it once, on its first round's set."""
+    ``arms`` is (K, d) with K >= 1 and finite entries, and ``beta`` is
+    nonnegative and finite.  A run checks it once, on its first round's set."""
     if arms.ndim != 2 or arms.shape[1] != d:
         raise DimensionMismatchError("arm / estimate dimensions disagree with the matrix")
     if len(arms) == 0:
         raise ValueError("decision set must contain at least one arm")
-    if beta < 0.0:
-        raise ValueError("beta must be nonnegative")
+    if not np.isfinite(arms).all():
+        raise ValueError("decision set holds a non-finite arm")
+    if not 0.0 <= beta < math.inf:
+        raise ValueError("beta must be nonnegative and finite")
 
 
 def _ucb_index(theta_hat: Vector, chol: Matrix, beta: float, arms: Matrix) -> int:

@@ -8,9 +8,9 @@ decision sets and its noise are drawn in one vectorized call each, so every
 draw is a pure function of the seed and the global round index.  Re-running
 with a different activation schedule (but the same round indices)
 reproduces identical draws, which is what lets an episodic run be the run
-of its flattened schedule (:meth:`Schedule.from_episodes`).  Everything a round holds that no
-agent changes (its decision set, mean rewards, regret values and scaled
-noise) lives in one read-only table per instance and block,
+of its flattened schedule (:meth:`Schedule.from_episodes`).  Everything a
+round holds that no agent changes (its decision set, mean rewards, regret
+values and scaled noise) lives in one read-only table per instance and block,
 :func:`_block`, built when a run first reaches the block; only the latest
 table is kept.
 """
@@ -102,7 +102,9 @@ def _check_count(name: str, value: int, least: int) -> None:
 
 @dataclass(frozen=True)
 class Schedule:
-    """Activation sequence: agents[t-1] acts in round t (1-based ids); T is its length."""
+    """Activation sequence: agents[t-1] acts in round t (1-based ids); T is its length.
+
+    ``agents`` is an owned, read-only int64 array."""
 
     M: int
     agents: np.ndarray
@@ -118,7 +120,14 @@ class Schedule:
                 raise ValueError(f"agent ids must be integers, got dtype {agents.dtype}")
             if agents.min() < 1 or agents.max() > self.M:
                 raise ValueError("schedule references an agent id outside 1..M")
-        object.__setattr__(self, "agents", agents.astype(np.int64, copy=False))
+        # An owned copy: a later write to the caller's array cannot change the schedule.
+        agents = agents.astype(np.int64)
+        agents.flags.writeable = False
+        object.__setattr__(self, "agents", agents)
+
+    def __reduce__(self):
+        # Through the constructor, so a pickled copy holds a read-only array too.
+        return Schedule, (self.M, self.agents)
 
     @property
     def T(self) -> int:

@@ -101,6 +101,8 @@ def local_update(a: AgentState, x: np.ndarray, r: float) -> AgentState:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (a.sigma.dim,):
         raise DimensionMismatchError(f"arm shape {x.shape} vs dim {a.sigma.dim}")
+    if not (np.isfinite(x).all() and math.isfinite(r)):
+        raise ValueError("arm and reward must be finite")
     return _buffer(a, x, r)
 
 
@@ -124,8 +126,8 @@ def _buffer(a: AgentState, x: Vector, r: float) -> AgentState:
 def should_sync(a: AgentState, alpha: float) -> bool:
     """Strict trigger logdet(sigma + sigma_loc) - logdet(sigma) > log1p(alpha), i.e.
     det ratio > 1 + alpha at any d; reads ``log_gain`` and factors nothing."""
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError("alpha must be positive and finite")
     return _fires(a, alpha)
 
 
@@ -180,9 +182,9 @@ def step_agent(
     Inactive agents are never touched at all.
 
     The step runs the arithmetic of :func:`ucb_select`, :func:`local_update`
-    and :func:`should_sync` without their checks: ``d_set`` must be a float64
-    (K, d) array with K >= 1 and ``beta`` nonnegative (the rule of
-    :func:`~fedlinucb.core.check_selection`), which a run checks once.
+    and :func:`should_sync` without their checks: ``d_set`` must be a finite
+    float64 (K, d) array with K >= 1 and ``beta`` nonnegative and finite (the
+    rule of :func:`~fedlinucb.core.check_selection`), which a run checks once.
     """
     if hp.estimate_mode == "eager":
         v = SpdMatrix._factor(a.sigma.mat + a.sigma_loc) if a.sigma_loc.any() else a.sigma

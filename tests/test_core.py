@@ -519,6 +519,14 @@ def test_decision_set_validation():
         ucb_select(np.zeros(2), eye, 1.0, np.zeros((0, 2)))
     with pytest.raises(DimensionMismatchError):
         ucb_select(np.zeros(2), eye, 1.0, np.zeros(2))
+    # Every input is finite: a NaN would otherwise select row 0 silently.
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="beta must be nonnegative and finite"):
+            ucb_select(np.zeros(2), eye, bad, np.eye(2))
+        with pytest.raises(ValueError, match="non-finite arm"):
+            ucb_select(np.zeros(2), eye, 1.0, np.array([[1.0, 0.0], [bad, 0.0]]))
+        with pytest.raises(ValueError, match="theta_hat must be finite"):
+            ucb_select(np.array([bad, 0.0]), eye, 1.0, np.eye(2))
     # The arm rule, at its edge, and as a fixed-list instance applies it.
     with pytest.raises(ValueError, match="exceeds stated bound 1.0"):
         check_arm_norm(3.0, 1.0)

@@ -1,9 +1,12 @@
 """The README's examples run against the package as documented."""
 
+import importlib
 import json
 import re
+from functools import reduce
 from pathlib import Path
 
+import fedlinucb
 from fedlinucb import run_invariant_suite
 from fedlinucb.cli import build_run
 
@@ -43,3 +46,16 @@ def test_readme_config_example_resolves():
     assert params["beta"] == "auto" and hp.beta_value is None
     assert (inst.dim, schedule.M, schedule.T) == (
         shown["instance"]["d"], shown["schedule"]["M"], shown["schedule"]["T"])
+
+
+def test_readme_names_resolve():
+    # A rename or a deletion must take the README's mention along.
+    text = README.read_text(encoding="utf-8")
+    dotted = re.findall(r"`(core|environment|protocol|simulator|analysis|cli)((?:\.\w+)+)`", text)
+    assert len(dotted) >= 13
+    for module, path in dotted:
+        obj = importlib.import_module(f"fedlinucb.{module}")
+        reduce(getattr, path[1:].split("."), obj)  # AttributeError names what is gone
+    runs = set(re.findall(r"`(run_\w+)", text))
+    assert {"run_fedlinucb", "run_independent_oful"} <= runs
+    assert [name for name in sorted(runs) if not hasattr(fedlinucb, name)] == []

@@ -481,6 +481,16 @@ def test_schedule_dataclass_validation():
     sched = Schedule(M=3, agents=[2, 3, 1, 3])
     assert sched.T == len(sched.agents) == 4 and sched.agents.dtype == np.int64
     assert [f.name for f in dataclasses.fields(Schedule)] == ["M", "agents"]
+    # The schedule owns a read-only copy: neither a later write to the
+    # caller's array nor a pickled copy can change what runs.
+    ids = np.array([1, 2, 1, 2])
+    sched = Schedule(M=2, agents=ids)
+    ids[0] = 7
+    for copy in (sched, pickle.loads(pickle.dumps(sched))):
+        assert copy.M == 2 and copy.agents.tolist() == [1, 2, 1, 2]
+        assert copy.agents.dtype == np.int64 and not copy.agents.flags.writeable
+        with pytest.raises(ValueError):
+            copy.agents[0] = 2
 
 
 @pytest.mark.parametrize("agents", [[1.5, 2.9, True], [1.0, 2.0], [True, False], ["1", "2"]])

@@ -54,6 +54,16 @@ def test_local_update_returns_fresh_state():
     assert a1 is not a0
 
 
+def test_local_update_refuses_non_finite_inputs():
+    # A NaN arm would make log_gain NaN and silence the trigger for good; a
+    # NaN reward would poison b_loc.
+    a = init_agent(1, 2, lam=1.0)
+    for x, r in (([math.nan, 0.0], 1.0), ([math.inf, 0.0], 1.0), ([1.0, 0.0], math.nan),
+                 ([1.0, 0.0], -math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            local_update(a, np.array(x), r)
+
+
 def test_local_update_order_independent_sums():
     rng = np.random.default_rng(2)
     xs = rng.standard_normal((10, 3))
@@ -153,8 +163,10 @@ def test_trigger_on_short_arm_stays_quiet():
 def test_trigger_empty_buffer_never_fires():
     a = init_agent(1, 4, lam=0.3)
     assert not should_sync(a, alpha=1e-12)
-    with pytest.raises(ValueError):
-        should_sync(a, alpha=0.0)
+    # A NaN or infinite alpha would give a trigger that can never fire.
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            should_sync(a, alpha=bad)
 
 
 # ---------------------------------------------------------------- sync

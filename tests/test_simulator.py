@@ -283,9 +283,9 @@ def test_episodic_singletons_reproduce_sequential():
     sched = gen_schedule("iid-uniform", M=3, T=150, seed=4)
     hp = HyperParams(lam=1.0, alpha=1.0 / 9.0, delta=0.1)
     singletons = [[m] for m in sched.agents.tolist()]
-    assert np.array_equal(Schedule.from_episodes(singletons, M=3).agents, sched.agents)
     seq = run_fedlinucb(inst, Schedule.from_episodes(singletons, M=3), hp)
     epi = public_step_run(inst, singletons, 3, hp)
+    assert np.array_equal(seq.agent, sched.agents)
     assert differing(seq, epi) == []
     assert seq.comm_count == epi.comm_count
 
@@ -497,9 +497,8 @@ TRACE_COLUMNS = ("t", "agent", "arm_index", "reward", "inst_regret", "comm", "lo
 def differing(a, b):
     """The trace columns, and "events", on which traces ``a`` and ``b`` differ bit for bit."""
     events = [[(e.round, e.agent, e.payload_checksum) for e in tr.events] for tr in (a, b)]
-    return [name for name in TRACE_COLUMNS
-            if getattr(a, name).tobytes() != getattr(b, name).tobytes()] + (
-        ["events"] if events[0] != events[1] else [])
+    names = [n for n in TRACE_COLUMNS if getattr(a, n).tobytes() != getattr(b, n).tobytes()]
+    return names + ["events"] * (events[0] != events[1])
 
 
 def public_step_run(inst, episodes, M, hp, private=False):
