@@ -32,7 +32,6 @@ from .protocol import (
     local_update,
     payload_checksum,
     should_sync,
-    step_agent,
     sync,
 )
 from .simulator import (

@@ -5,6 +5,13 @@ agent's synced covariance can safely alias the server's (both are
 immutable-after-construction).  Uploads move the agent's local buffers into
 the server aggregate; downloads hand the post-update aggregate straight back
 to the uploading agent.  One sync therefore costs exactly two communications.
+Every agent is built as a download (:func:`_download`): at the start, of the
+prior, and after each of its syncs, of the post-upload aggregate.
+
+A run's round (``simulator._drive``) is :func:`_select`, the reward,
+:func:`_buffer`, and :func:`sync` when :func:`_fires`: the arithmetic of the
+public :func:`~fedlinucb.core.ucb_select`, :func:`local_update` and
+:func:`should_sync` without their per-call checks, which a run makes once.
 
 The trigger compares log-determinants and needs no factorization between
 syncs: by the matrix determinant lemma each buffered arm ``x`` raises
@@ -18,13 +25,10 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
 from .core import (
     DimensionMismatchError,
-    HyperParams,
     SpdMatrix,
     _chol_solve,
     _ucb_index,
@@ -69,16 +73,7 @@ class CommEvent:
 
 
 def init_agent(agent_id: int, d: int, lam: float) -> AgentState:
-    prior = SpdMatrix.from_dense(lam * np.eye(d), min_eig=lam)
-    return AgentState(
-        id=agent_id,
-        sigma=prior,
-        b=np.zeros(d),
-        sigma_loc=np.zeros((d, d)),
-        b_loc=np.zeros(d),
-        theta_hat=np.zeros(d),
-        v_inv=_chol_solve(prior.chol, np.eye(d)),
-    )
+    return _download(agent_id, init_server(d, lam))
 
 
 def init_server(d: int, lam: float) -> ServerState:
@@ -143,59 +138,37 @@ def sync(a: AgentState, s: ServerState, round_: int) -> tuple[AgentState, Server
     re-downloads an identical state); the run loop never produces that case
     because the strict trigger cannot fire on empty buffers.
     """
-    new_sigma = SpdMatrix._factor(s.sigma_ser.mat + a.sigma_loc, min_eig=s.sigma_ser.min_eig)
-    new_b = s.b_ser + a.b_loc
+    server = ServerState(
+        sigma_ser=SpdMatrix._factor(s.sigma_ser.mat + a.sigma_loc, min_eig=s.sigma_ser.min_eig),
+        b_ser=s.b_ser + a.b_loc,
+    )
     event = CommEvent(round=round_, agent=a.id,
                       payload_checksum=payload_checksum(a.sigma_loc, a.b_loc))
-    server = ServerState(sigma_ser=new_sigma, b_ser=new_b)
-    d = a.sigma.dim
-    agent = AgentState(
-        id=a.id,
-        sigma=new_sigma,
-        b=new_b,
+    return _download(a.id, server), server, event
+
+
+def _download(agent_id: int, s: ServerState) -> AgentState:
+    """An agent that holds the server's statistics, with empty buffers."""
+    sigma, d = s.sigma_ser, s.sigma_ser.dim
+    return AgentState(
+        id=agent_id,
+        sigma=sigma,
+        b=s.b_ser,
         sigma_loc=np.zeros((d, d)),
         b_loc=np.zeros(d),
-        theta_hat=_chol_solve(new_sigma.chol, new_b),
-        v_inv=_chol_solve(new_sigma.chol, np.eye(d)),
-        log_gain=0.0,
+        theta_hat=_chol_solve(sigma.chol, s.b_ser),
+        v_inv=_chol_solve(sigma.chol, np.eye(d)),
     )
-    return agent, server, event
 
 
-def step_agent(
-    a: AgentState,
-    s: ServerState,
-    d_set: np.ndarray,
-    reward_fn: Callable[[int, int], float],
-    hp: HyperParams,
-    beta: float,
-    round_: int,
-) -> tuple[AgentState, ServerState, int, float, CommEvent | None]:
-    """One activation: select, observe, buffer, and sync when triggered.
-
-    ``reward_fn(round_, idx)`` observes row ``idx`` of the round's (K, d)
-    ``d_set``.  Returns the new agent and server states, the chosen row
-    index, the observed reward, and the sync's event (None without one).
-    Lazy mode scores arms with the stored (theta_hat, sigma); eager mode
-    recombines (sigma + sigma_loc, b + b_loc) for selection, through a fresh
-    factor of that sum, and leaves the stored state untouched.
-    Inactive agents are never touched at all.
-
-    The step runs the arithmetic of :func:`ucb_select`, :func:`local_update`
-    and :func:`should_sync` without their checks: ``d_set`` must be a finite
-    float64 (K, d) array with K >= 1 and ``beta`` nonnegative and finite (the
-    rule of :func:`~fedlinucb.core.check_selection`), which a run checks once.
-    """
-    if hp.estimate_mode == "eager":
+def _select(a: AgentState, d_set: np.ndarray, beta: float, eager: bool) -> int:
+    """:func:`~fedlinucb.core.ucb_select` without its checks, on the agent's
+    stored (theta_hat, sigma), or with ``eager`` on the recombined
+    (sigma + sigma_loc, b + b_loc) through a fresh factor of that sum; the
+    stored state is never touched.  ``d_set`` must be a finite float64 (K, d)
+    array with K >= 1 and ``beta`` nonnegative and finite (the rule of
+    :func:`~fedlinucb.core.check_selection`), which a run checks once."""
+    if eager:
         v = SpdMatrix._factor(a.sigma.mat + a.sigma_loc) if a.sigma_loc.any() else a.sigma
-        idx = _ucb_index(_chol_solve(v.chol, a.b + a.b_loc), v.chol, beta, d_set)
-    else:
-        idx = _ucb_index(a.theta_hat, a.sigma.chol, beta, d_set)
-    r = reward_fn(round_, idx)
-    a = _buffer(a, d_set[idx], r)
-    event = None
-    if _fires(a, hp.alpha):
-        # The strict trigger cannot fire without local data.
-        assert np.any(a.sigma_loc != 0.0), "sync triggered on empty buffers"
-        a, s, event = sync(a, s, round_)
-    return a, s, idx, r, event
+        return _ucb_index(_chol_solve(v.chol, a.b + a.b_loc), v.chol, beta, d_set)
+    return _ucb_index(a.theta_hat, a.sigma.chol, beta, d_set)

@@ -4,8 +4,11 @@ FedLinUCB is fully asynchronous: one agent acts per round and an activation
 never triggers another agent's step.  The federated run and the
 no-communication baseline are therefore one loop (:func:`_drive`) over the
 sequence of acting agents; the baseline runs it with a private server per
-agent.  Every run shares the protocol step and the counter-based
-environment, so a round's decision set and noise depend only on
+agent.  The round is written once, in :func:`_drive`: the acting agent
+selects (``protocol._select``), observes its reward, buffers
+(``protocol._buffer``), and syncs (``protocol.sync``) when the trigger
+(``protocol._fires``) fires.  Every run shares that round and the
+counter-based environment, so a round's decision set and noise depend only on
 (master_seed, global round index), and an episodic run is the run of its
 flattened schedule (:meth:`~fedlinucb.environment.Schedule.from_episodes`).
 """
@@ -27,14 +30,8 @@ from .core import (
     theoretical_comm_bound,
 )
 from .environment import BLOCK, Schedule, _block, sample_decision_set
-from .protocol import (
-    AgentState,
-    CommEvent,
-    ServerState,
-    init_agent,
-    init_server,
-    step_agent,
-)
+from . import protocol
+from .protocol import AgentState, CommEvent, ServerState, init_agent, init_server
 
 
 class CommBoundError(AssertionError):
@@ -184,18 +181,19 @@ def _drive(
 
     Agent m selects with radius ``betas[m-1]``.  With ``private`` every agent
     syncs with its own server: its refreshes are policy switches, not
-    communications, so no event is kept and ``comm`` stays 0.
+    communications, so no event is kept and ``comm`` stays 0.  The protocol
+    functions are looked up on the module at each call, so a patched one
+    reaches the run.
     """
     T, M, d = len(activations), len(betas), inst.dim
+    eager, alpha = hp.estimate_mode == "eager", hp.alpha
     agents = [init_agent(m, d, hp.lam) for m in range(1, M + 1)]
     servers = [init_server(d, hp.lam) for _ in range(M if private else 1)]
     if T:
         # Every round's set has the shape of the first, and each radius is
         # fixed for the run: the selection rule is checked once, here, and
-        # the steps skip it (as they skip alpha > 0, which HyperParams holds).
+        # the rounds skip it (as they skip alpha > 0, which HyperParams holds).
         check_selection(d, min(betas), sample_decision_set(inst, 1))
-    # Observes the current round's row of its block's table.
-    reward_fn = lambda t, idx: table.reward(row, idx)  # noqa: E731
 
     arm_index = np.zeros(T, dtype=np.int64)
     reward = np.zeros(T)
@@ -209,14 +207,19 @@ def _drive(
         if not row:  # the run reaches a new block
             table = _block(inst, block)
         d_set = sample_decision_set(inst, t)
-        agents[m - 1], servers[j], idx, r, event = step_agent(
-            agents[m - 1], servers[j], d_set, reward_fn, hp, betas[m - 1], t
-        )
+        idx = protocol._select(agents[m - 1], d_set, betas[m - 1], eager)
+        r = table.reward(row, idx)
+        a = protocol._buffer(agents[m - 1], d_set[idx], r)
+        if protocol._fires(a, alpha):
+            # The strict trigger cannot fire without local data.
+            assert np.any(a.sigma_loc != 0.0), "sync triggered on empty buffers"
+            a, servers[j], event = protocol.sync(a, servers[j], t)
+            if not private:
+                events.append(event)
+        agents[m - 1] = a
         arm_index[k] = idx
         reward[k] = r
         inst_regret[k] = table.regret(row, idx)
-        if event is not None and not private:
-            events.append(event)
         logdet_server[k] = servers[j].sigma_ser.logdet
 
     return SimulationTrace(

@@ -8,16 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedlinucb import (
+    ArmSpec,
     HyperParams,
     NumericalDomainError,
+    ProblemInstance,
+    Schedule,
     ServerState,
     SpdMatrix,
     init_agent,
     init_server,
     local_update,
     payload_checksum,
+    run_fedlinucb,
     should_sync,
-    step_agent,
     sync,
 )
 
@@ -253,34 +256,34 @@ def test_sync_checksum_matches_uploaded_buffers():
 # ---------------------------------------------------------------- step
 
 
-def bias_pair():
-    return np.array([[3.0, 0.0], [0.0, 1.0 / math.sqrt(10.0)]])
+def bias_pair_run(long_arm_pays, T, alpha, mode="lazy"):
+    """One agent's run of T rounds on the noise-free fixed list
+    [[3, 0], [0, 1/sqrt(10)]], whose long arm pays ``long_arm_pays`` (+-1)."""
+    arms = np.array([[3.0, 0.0], [0.0, 1.0 / math.sqrt(10.0)]])
+    inst = ProblemInstance(theta_star=np.array([long_arm_pays / 3.0, 0.0]), S=1.0, L=3.0,
+                           R=0.0, arm_spec=ArmSpec("fixed-list", 2, arms),
+                           noise_spec="gaussian", master_seed=0)
+    hp = HyperParams(lam=1.0, alpha=alpha, delta=0.1, beta_value=0.5, estimate_mode=mode)
+    return run_fedlinucb(inst, Schedule(1, [1] * T), hp)
 
 
 def test_step_selects_buffers_and_syncs():
-    hp = HyperParams(lam=1.0, alpha=8.9, delta=0.1, beta_value=0.5)
-    a = init_agent(1, 2, lam=1.0)
-    s = init_server(2, lam=1.0)
-    a, s, idx, r, ev = step_agent(
-        a, s, bias_pair(), lambda t, idx: 1.0, hp, beta=0.5, round_=1
-    )
+    trace = bias_pair_run(1.0, T=1, alpha=8.9)
     # Optimism picks the long arm; det 10 > 9.9 fires the trigger.
-    assert idx == 0
-    assert r == 1.0
-    assert ev is not None and ev.round == 1 and ev.agent == 1
-    assert math.exp(s.sigma_ser.logdet) == pytest.approx(10.0, rel=1e-12)
+    assert trace.arm_index.tolist() == [0]
+    assert trace.reward.tolist() == [1.0]
+    assert [(ev.round, ev.agent) for ev in trace.events] == [(1, 1)]
+    assert math.exp(trace.final_server.sigma_ser.logdet) == pytest.approx(10.0, rel=1e-12)
 
 
 def test_step_below_trigger_keeps_buffers():
-    hp = HyperParams(lam=1.0, alpha=10.5, delta=0.1, beta_value=0.5)
-    a = init_agent(1, 2, lam=1.0)
-    s = init_server(2, lam=1.0)
-    a, s, idx, r, ev = step_agent(
-        a, s, bias_pair(), lambda t, idx: 1.0, hp, beta=0.5, round_=1
-    )
-    assert ev is None
+    trace = bias_pair_run(1.0, T=1, alpha=10.5)
+    (a,) = trace.final_agents
+    assert trace.arm_index.tolist() == [0]
+    assert trace.reward.tolist() == [1.0]
+    assert trace.events == []
     assert np.array_equal(a.sigma_loc, [[9.0, 0.0], [0.0, 0.0]])
-    assert math.exp(s.sigma_ser.logdet) == pytest.approx(1.0, rel=1e-12)
+    assert math.exp(trace.final_server.sigma_ser.logdet) == pytest.approx(1.0, rel=1e-12)
     # Stored estimate still the prior zero vector.
     assert np.array_equal(a.theta_hat, np.zeros(2))
 
@@ -288,31 +291,20 @@ def test_step_below_trigger_keeps_buffers():
 def test_step_lazy_ignores_buffered_evidence():
     # Two pulls of the long arm with reward -1 under lazy scoring: the stored
     # estimate stays zero, so the long arm keeps winning.
-    hp = HyperParams(lam=1.0, alpha=1e6, delta=0.1, beta_value=0.5,
-                     estimate_mode="lazy")
-    a = init_agent(1, 2, lam=1.0)
-    s = init_server(2, lam=1.0)
-    for t in (1, 2):
-        a, s, idx, _, _ = step_agent(
-            a, s, bias_pair(), lambda t, idx: -1.0, hp, beta=0.5, round_=t
-        )
-        assert idx == 0
+    trace = bias_pair_run(-1.0, T=2, alpha=1e6, mode="lazy")
+    assert trace.arm_index.tolist() == [0, 0]
+    assert trace.reward.tolist() == [-1.0, -1.0]
+    assert trace.events == []
 
 
 def test_step_eager_reacts_immediately():
     # Same setup under eager scoring: after one bad pull the short arm wins.
-    hp = HyperParams(lam=1.0, alpha=1e6, delta=0.1, beta_value=0.5,
-                     estimate_mode="eager")
-    a = init_agent(1, 2, lam=1.0)
-    s = init_server(2, lam=1.0)
-    a, s, idx1, _, _ = step_agent(
-        a, s, bias_pair(), lambda t, idx: -1.0, hp, beta=0.5, round_=1
-    )
-    assert idx1 == 0
-    a, s, idx2, _, _ = step_agent(
-        a, s, bias_pair(), lambda t, idx: -1.0, hp, beta=0.5, round_=2
-    )
-    assert idx2 == 1
+    trace = bias_pair_run(-1.0, T=2, alpha=1e6, mode="eager")
+    (a,) = trace.final_agents
+    assert trace.arm_index.tolist() == [0, 1]
+    assert trace.reward.tolist() == [-1.0, 0.0]
+    assert trace.events == []
     # Eager recombination never mutates the stored synced state.
     assert np.array_equal(a.sigma.mat, np.eye(2))
     assert np.array_equal(a.theta_hat, np.zeros(2))
+

@@ -635,3 +635,14 @@ def test_only_episode_order_sees_a_server_matrix_updated_in_place(monkeypatch):
     singletons = [[m] for m in trace.agent.tolist()]
     assert differing(trace, public_step_run(inst, singletons, M, hp)) == []
     assert "arm_index" in differing(trace, public_step_run(inst, episodes, M, hp))
+
+
+def test_a_trigger_patched_never_to_fire_leaves_the_run_without_events(monkeypatch):
+    # The run looks the trigger up on the protocol module at each round.
+    inst = gen_instance("random-sphere", d=3, K=5, seed=4)
+    schedule = gen_schedule("iid-uniform", M=3, T=300, seed=4)
+    hp = HyperParams(lam=1.0, alpha=1.0 / 16.0, delta=0.1)
+    assert run_fedlinucb(inst, schedule, hp).events != []
+    monkeypatch.setattr(protocol, "_fires", lambda a, alpha: False)
+    trace = run_fedlinucb(inst, schedule, hp)
+    assert trace.events == [] and trace.comm_count == 0
