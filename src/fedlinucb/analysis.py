@@ -83,8 +83,8 @@ class _Replay:
 
     Every recorded event counts in ``checksum_mismatches`` until an upload of
     the replay matches it: one by the round's acting agent whose replayed
-    buffers hash to the event's checksum.  So an event of another agent, a
-    second event at one round, or one outside the trace's rounds stays counted.
+    buffers hash to the event's checksum.  So an event of another agent or a
+    second event at one round stays counted.
     """
 
     def __init__(self, trace: SimulationTrace, inst: ProblemInstance, lam: float):
@@ -395,11 +395,15 @@ def run_invariant_suite(
     a delta-tail run by design); everything else is deterministic.  Every
     parameter comes from ``inst`` and ``hp``, the horizon from the trace's
     length and the agent count from ``trace.M``.  The replay reads each
-    played arm from ``inst``, so an ``arm_index`` outside 0..K-1 is refused.
+    played arm from ``inst``, so an ``arm_index`` outside 0..K-1 is refused,
+    as is an event at a round outside 1..T.
     """
     d, M, T, L, K = inst.dim, trace.M, len(trace.agent), inst.L, inst.arm_spec.K
     if T and not 0 <= trace.arm_index.min() <= trace.arm_index.max() < K:
         raise ValueError(f"trace arm_index leaves 0..{K - 1}")
+    for ev in trace.events:
+        if not 1 <= ev.round <= T:
+            raise ValueError(f"trace event at round {ev.round} leaves 1..{T}")
     elliptical, covariance = _Elliptical(d, hp.lam, L, T), _Covariance(hp.alpha, M)
     coverage = _Coverage(inst, hp, T, trace.beta_used)
     rep = _run_pass(trace, inst, hp.lam, [elliptical, covariance, coverage])

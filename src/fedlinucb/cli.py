@@ -523,9 +523,11 @@ def main(argv: list[str] | None = None) -> int:
                 values = sweep_cfg["values"]
             else:
                 raise ConfigError("sweep needs --values or a config 'sweep.values' list")
-            baseline = bool(args.baseline or sweep_cfg.get("baseline", False))
+            baseline = sweep_cfg.get("baseline", False)
+            if not isinstance(baseline, bool):
+                raise ConfigError(f"sweep.baseline must be true or false, got {baseline!r}")
             return cmd_sweep(raw, axis, values, args.out, parallel=args.parallel,
-                             baseline=baseline)
+                             baseline=args.baseline or baseline)
         if args.command == "check":
             return cmd_check(raw, args.out)
         raise ConfigError(f"unknown command {args.command!r}")

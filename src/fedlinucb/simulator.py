@@ -271,12 +271,15 @@ def run_independent_oful(
     schedule, with its auto radius computed for M=1 and its own round count.
     Environment draws still come from the global round index, so the baseline
     faces exactly the same decision sets and noise as a federated run on the
-    same schedule.  Nothing is ever communicated: the trace reports zero
+    same schedule.  An unresolvable ridge is refused before the run, as in
+    :func:`run_fedlinucb`.  Nothing is ever communicated: the trace reports zero
     communications, and its ``logdet_server`` follows the acting agent's
     private server, so epochs read from it mean nothing.
     """
     M, T = schedule.M, schedule.T
     rounds = np.bincount(schedule.agents, minlength=M + 1)[1:].tolist()
+    # Each private server sees only its own agent's rounds.
+    check_ridge_domain(inst.dim, hp.lam, inst.L, max(rounds))
     # An agent without rounds selects nothing; its radius is never read.
     betas = [compute_beta(inst, hp, 1, n) if n else 0.0 for n in rounds]
     return _drive(inst, hp, schedule.agents, betas, True, _resolve_beta(inst, hp, 1, T))

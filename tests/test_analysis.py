@@ -133,6 +133,17 @@ def test_suite_refuses_an_arm_index_outside_the_decision_set(bad):
         run_invariant_suite(dataclasses.replace(trace, arm_index=arm_index), inst, hp)
 
 
+@pytest.mark.parametrize("bad", [0, -5, "T+1"])
+def test_suite_refuses_an_event_outside_the_trace_rounds(bad):
+    # numpy would file round 0 under the last round's row and round T+1 nowhere.
+    inst, hp, trace = run_small(seed=19)
+    T = len(trace.agent)
+    bad = T + 1 if bad == "T+1" else bad
+    events = trace.events + [CommEvent(round=bad, agent=1, payload_checksum="0" * 64)]
+    with pytest.raises(ValueError, match=rf"event at round {bad} leaves 1\.\.{T}$"):
+        run_invariant_suite(dataclasses.replace(trace, events=events), inst, hp)
+
+
 def test_nan_rewards_after_the_last_upload_fail_the_checks():
     # No upload carries these rewards, so no checksum sees them: the NaN
     # reaches only the row scan and the pooled estimate, which must keep it

@@ -641,6 +641,20 @@ def test_sweep_from_config_block(tmp_path):
     assert [ln.split(",")[1] for ln in lines[1:]] == ["10", "30"]
 
 
+@pytest.mark.parametrize("flag", ["false", 1, None])
+def test_sweep_refuses_a_baseline_that_is_not_a_json_boolean(tmp_path, capsys, flag):
+    # A truthiness read would run the baseline on "false".
+    cfg = dict(BASE_CONFIG, sweep={"axis": "T", "values": [10], "baseline": flag})
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    assert f"config error: sweep.baseline must be true or false, got {flag!r}" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+    cfg["sweep"]["baseline"] = False
+    assert main(["sweep", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    assert "baseline_total_regret" not in (out / "sweep.csv").read_text()
+
+
 def test_sweep_parallel_matches_serial(tmp_path):
     cfg = {
         "instance": {"kind": "random-sphere", "d": 2, "K": 3, "seed": 19},

@@ -383,6 +383,18 @@ def test_unresolvable_ridge_is_refused_before_the_run(monkeypatch):
         run_fedlinucb(inst, sched, hp)
 
 
+def test_baseline_refuses_an_unresolvable_ridge_before_the_run(monkeypatch):
+    # Each private server sees only its agent's 1000 rounds, whose rounding
+    # still swamps lambda = 1e-12 at d = 2.
+    inst = small_instance(seed=1, d=2)
+    sched = gen_schedule("round-robin", M=2, T=2000)
+    hp = HyperParams(lam=1e-12, alpha=0.25, delta=0.1)
+    monkeypatch.setattr("fedlinucb.simulator._drive", lambda *a: pytest.fail("the run started"))
+    with pytest.raises(NumericalDomainError,
+                       match=r"lambda 1e-12 is not above the rounding .* 1000-round covariance"):
+        run_independent_oful(inst, sched, hp)
+
+
 # ---------------------------------------------------------------- baseline
 
 
