@@ -83,10 +83,10 @@ class SpdMatrix:
     Attributes
     ----------
     mat:
-        The dense matrix, never mutated: an owned copy from :meth:`from_dense`,
-        or the array given to :meth:`_factor`, which its caller never mutates.
+        The dense matrix, read-only: an owned copy from :meth:`from_dense`,
+        or the array given to :meth:`_factor`.
     chol:
-        Lower-triangular Cholesky factor ``L`` with ``L @ L.T == mat``.
+        Lower-triangular Cholesky factor ``L`` with ``L @ L.T == mat``, read-only.
     min_eig:
         Spectral floor stated at construction (0.0 when none was claimed).
     logdet:
@@ -114,19 +114,20 @@ class SpdMatrix:
         if recon_err > FACTOR_RTOL * max(scale, 1.0):
             raise NumericalDomainError("factorization failed to reproduce the matrix")
         _check_floor(m, min_eig)
-        return cls(mat=m, chol=chol, min_eig=float(min_eig))
+        return cls(mat=_read_only(m), chol=_read_only(chol), min_eig=float(min_eig))
 
     @classmethod
     def _factor(cls, mat: Matrix, min_eig: float = 0.0) -> "SpdMatrix":
-        """:meth:`from_dense` for a float64 ``lam I + sum x x^T`` the package built and
-        never mutates: no copy, and only the Cholesky, last-pivot and floor checks
-        (the sum is exactly symmetric, and a backward-stable Cholesky reproduces it)."""
+        """:meth:`from_dense` for a float64 ``lam I + sum x x^T`` the package built: no
+        copy (the array itself is kept, flagged read-only), and only the Cholesky,
+        last-pivot and floor checks (the sum is exactly symmetric, and a
+        backward-stable Cholesky reproduces it)."""
         chol = _cholesky(mat)
         # LAPACK does not reject NaN pivots; a NaN anywhere reaches the last one.
         if not math.isfinite(chol[-1, -1]):
             raise NumericalDomainError("matrix is not positive definite: non-finite pivot")
         _check_floor(mat, min_eig)
-        return cls(mat=mat, chol=chol, min_eig=float(min_eig))
+        return cls(mat=_read_only(mat), chol=_read_only(chol), min_eig=float(min_eig))
 
     @property
     def dim(self) -> int:
@@ -135,6 +136,12 @@ class SpdMatrix:
     @cached_property
     def logdet(self) -> float:
         return 2.0 * float(np.log(np.diagonal(self.chol)).sum())
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, flagged read-only: agents alias the server arrays they download."""
+    a.flags.writeable = False
+    return a
 
 
 def _cholesky(m: Matrix) -> Matrix:
@@ -420,7 +427,7 @@ def ucb_select(theta_hat: Any, m: SpdMatrix, beta: float, arms: Any) -> int:
     if not np.isfinite(theta_hat).all():
         raise ValueError("theta_hat must be finite")
     check_selection(m.dim, beta, arms)
-    return _ucb_index(theta_hat, m.chol, beta, arms)
+    return int(_ucb_index(theta_hat, m.chol, beta, arms))
 
 
 def check_selection(d: int, beta: float, arms: np.ndarray) -> None:
@@ -437,11 +444,18 @@ def check_selection(d: int, beta: float, arms: np.ndarray) -> None:
         raise ValueError("beta must be nonnegative and finite")
 
 
-def _ucb_index(theta_hat: Vector, chol: Matrix, beta: float, arms: Matrix) -> int:
-    """:func:`ucb_select` on inputs that meet its checks; ``chol`` is the lower factor."""
+def _ucb_index(theta_hat: Vector, chol: Matrix, beta: float, arms: Any) -> Any:
+    """:func:`ucb_select`'s index, as a numpy integer, on inputs that meet its
+    checks; ``chol`` is the lower factor.
+
+    ``arms`` may also be an (r, K, d) stack of decision sets scored with the
+    same statistics: the result is then the (r,) array of their indices, each
+    the index of its set alone, bit for bit.
+    """
     # Batched quadratic forms through the cached factor; one LAPACK call for
-    # the whole set instead of a python loop over arms.
-    ys = _chol_solve(chol, arms.T)
-    quad = np.maximum(np.einsum("kd,dk->k", arms, ys), 0.0)
+    # every arm of every set instead of a python loop over arms or sets.
+    flat = arms.reshape(-1, arms.shape[-1])
+    ys = _chol_solve(chol, flat.T)
+    quad = np.maximum(np.einsum("kd,dk->k", flat, ys), 0.0).reshape(arms.shape[:-1])
     scores = arms @ theta_hat + beta * np.sqrt(quad)
-    return int(scores.argmax())
+    return scores.argmax(axis=-1)

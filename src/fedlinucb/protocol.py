@@ -1,17 +1,20 @@
 """Agent/server state machine with determinant-triggered synchronization.
 
 States are frozen dataclasses; every update returns fresh objects, so an
-agent's synced covariance can safely alias the server's (both are
-immutable-after-construction).  Uploads move the agent's local buffers into
+agent's synced covariance and vector can safely alias the server's: the
+server's arrays are read-only.  Uploads move the agent's local buffers into
 the server aggregate; downloads hand the post-update aggregate straight back
 to the uploading agent.  One sync therefore costs exactly two communications.
 Every agent is built as a download (:func:`_download`): at the start, of the
 prior, and after each of its syncs, of the post-upload aggregate.
 
-A run's round (``simulator._drive``) is :func:`_select`, the reward,
-:func:`_buffer`, and :func:`sync` when :func:`_fires`: the arithmetic of the
-public :func:`~fedlinucb.core.ucb_select`, :func:`local_update` and
-:func:`should_sync` without their per-call checks, which a run makes once.
+A run (``simulator._drive``) makes the arithmetic of the public
+:func:`~fedlinucb.core.ucb_select`, :func:`local_update` and
+:func:`should_sync` without their per-call checks, which it makes once.  It
+scores through :func:`~fedlinucb.core._ucb_index`, on an agent's stored
+(theta_hat, sigma) or, in eager mode, on :func:`_recombined`; it advances an
+agent's trigger state by the step :func:`local_update` takes,
+:func:`_rank_one`; and it calls :func:`sync` when :func:`_fires`.
 
 The trigger compares log-determinants and needs no factorization between
 syncs: by the matrix determinant lemma each buffered arm ``x`` raises
@@ -31,7 +34,7 @@ from .core import (
     DimensionMismatchError,
     SpdMatrix,
     _chol_solve,
-    _ucb_index,
+    _read_only,
 )
 
 Vector = np.ndarray
@@ -79,7 +82,7 @@ def init_agent(agent_id: int, d: int, lam: float) -> AgentState:
 def init_server(d: int, lam: float) -> ServerState:
     return ServerState(
         sigma_ser=SpdMatrix.from_dense(lam * np.eye(d), min_eig=lam),
-        b_ser=np.zeros(d),
+        b_ser=_read_only(np.zeros(d)),
     )
 
 
@@ -98,13 +101,7 @@ def local_update(a: AgentState, x: np.ndarray, r: float) -> AgentState:
         raise DimensionMismatchError(f"arm shape {x.shape} vs dim {a.sigma.dim}")
     if not (np.isfinite(x).all() and math.isfinite(r)):
         raise ValueError("arm and reward must be finite")
-    return _buffer(a, x, r)
-
-
-def _buffer(a: AgentState, x: Vector, r: float) -> AgentState:
-    """:func:`local_update` of a float64 arm of shape (d,)."""
-    u = a.v_inv @ x
-    q = float(x @ u)
+    v_inv, gain = _rank_one(a.v_inv, x)
     # Broadcast outer products: the same products as np.outer, without its overhead.
     return AgentState(
         id=a.id,
@@ -113,9 +110,18 @@ def _buffer(a: AgentState, x: Vector, r: float) -> AgentState:
         sigma_loc=a.sigma_loc + x[:, None] * x,
         b_loc=a.b_loc + r * x,
         theta_hat=a.theta_hat,
-        v_inv=a.v_inv - u[:, None] * (u / (1.0 + q)),
-        log_gain=a.log_gain + math.log1p(q),
+        v_inv=v_inv,
+        log_gain=a.log_gain + gain,
     )
+
+
+def _rank_one(v_inv: np.ndarray, x: Vector) -> tuple[np.ndarray, float]:
+    """The trigger step of one buffered float64 arm ``x`` of shape (d,):
+    ``(V + x x^T)^{-1}`` by Sherman-Morrison from ``v_inv = V^{-1}``, and
+    ``logdet(V + x x^T) - logdet(V) = log1p(x^T V^{-1} x)``."""
+    u = v_inv @ x
+    q = float(x @ u)
+    return v_inv - u[:, None] * (u / (1.0 + q)), math.log1p(q)
 
 
 def should_sync(a: AgentState, alpha: float) -> bool:
@@ -123,12 +129,12 @@ def should_sync(a: AgentState, alpha: float) -> bool:
     det ratio > 1 + alpha at any d; reads ``log_gain`` and factors nothing."""
     if not 0.0 < alpha < math.inf:
         raise ValueError("alpha must be positive and finite")
-    return _fires(a, alpha)
+    return _fires(a.log_gain, alpha)
 
 
-def _fires(a: AgentState, alpha: float) -> bool:
-    """:func:`should_sync` at a positive ``alpha``."""
-    return a.log_gain > math.log1p(alpha)
+def _fires(log_gain: float, alpha: float) -> bool:
+    """:func:`should_sync` of an agent's ``log_gain`` at a positive ``alpha``."""
+    return log_gain > math.log1p(alpha)
 
 
 def sync(a: AgentState, s: ServerState, round_: int) -> tuple[AgentState, ServerState, CommEvent]:
@@ -140,7 +146,7 @@ def sync(a: AgentState, s: ServerState, round_: int) -> tuple[AgentState, Server
     """
     server = ServerState(
         sigma_ser=SpdMatrix._factor(s.sigma_ser.mat + a.sigma_loc, min_eig=s.sigma_ser.min_eig),
-        b_ser=s.b_ser + a.b_loc,
+        b_ser=_read_only(s.b_ser + a.b_loc),
     )
     event = CommEvent(round=round_, agent=a.id,
                       payload_checksum=payload_checksum(a.sigma_loc, a.b_loc))
@@ -161,14 +167,11 @@ def _download(agent_id: int, s: ServerState) -> AgentState:
     )
 
 
-def _select(a: AgentState, d_set: np.ndarray, beta: float, eager: bool) -> int:
-    """:func:`~fedlinucb.core.ucb_select` without its checks, on the agent's
-    stored (theta_hat, sigma), or with ``eager`` on the recombined
-    (sigma + sigma_loc, b + b_loc) through a fresh factor of that sum; the
-    stored state is never touched.  ``d_set`` must be a finite float64 (K, d)
-    array with K >= 1 and ``beta`` nonnegative and finite (the rule of
-    :func:`~fedlinucb.core.check_selection`), which a run checks once."""
-    if eager:
-        v = SpdMatrix._factor(a.sigma.mat + a.sigma_loc) if a.sigma_loc.any() else a.sigma
-        return _ucb_index(_chol_solve(v.chol, a.b + a.b_loc), v.chol, beta, d_set)
-    return _ucb_index(a.theta_hat, a.sigma.chol, beta, d_set)
+def _recombined(sigma: SpdMatrix, b: Vector, sigma_loc: np.ndarray,
+                b_loc: Vector) -> tuple[Vector, np.ndarray]:
+    """The eager statistics of synced (sigma, b) and buffers (sigma_loc, b_loc):
+    the estimate and lower factor of (sigma + sigma_loc, b + b_loc), through a
+    fresh factor of the sum when the buffers hold anything.  Nothing given is
+    touched."""
+    v = SpdMatrix._factor(sigma.mat + sigma_loc) if sigma_loc.any() else sigma
+    return _chol_solve(v.chol, b + b_loc), v.chol

@@ -4,13 +4,20 @@ FedLinUCB is fully asynchronous: one agent acts per round and an activation
 never triggers another agent's step.  The federated run and the
 no-communication baseline are therefore one loop (:func:`_drive`) over the
 sequence of acting agents; the baseline runs it with a private server per
-agent.  The round is written once, in :func:`_drive`: the acting agent
-selects (``protocol._select``), observes its reward, buffers
-(``protocol._buffer``), and syncs (``protocol.sync``) when the trigger
-(``protocol._fires``) fires.  Every run shares that round and the
-counter-based environment, so a round's decision set and noise depend only on
-(master_seed, global round index), and an episodic run is the run of its
-flattened schedule (:meth:`~fedlinucb.environment.Schedule.from_episodes`).
+agent.  The round is written once, in :func:`_drive`: the acting agent takes
+its choice from its plan, observes its reward in the block's table, buffers
+it and advances its trigger state (``protocol._rank_one``), and syncs
+(``protocol.sync``) when the trigger (``protocol._fires``) fires; both are
+looked up on the module every round, so a patched one reaches the run.  A
+lazy agent's statistics change only when it syncs, so its plan scores its
+next activations inside the block as one stack (``core._ucb_index``) and
+holds until it syncs; the width restarts at one after a sync and doubles each
+time a plan runs out.  An eager agent scores each activation on its
+recombined statistics (``protocol._recombined``).  Every run shares that
+round and the counter-based environment, so a round's decision set and noise
+depend only on (master_seed, global round index), and an episodic run is the
+run of its flattened schedule
+(:meth:`~fedlinucb.environment.Schedule.from_episodes`).
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ from .core import (
     compute_beta,
     epoch_comm_cap,
     theoretical_comm_bound,
+    _ucb_index,
 )
 from .environment import BLOCK, Schedule, _block, sample_decision_set
 from . import protocol
@@ -181,14 +189,36 @@ def _drive(
 
     Agent m selects with radius ``betas[m-1]``.  With ``private`` every agent
     syncs with its own server: its refreshes are policy switches, not
-    communications, so no event is kept and ``comm`` stays 0.  The protocol
-    functions are looked up on the module at each call, so a patched one
-    reaches the run.
+    communications, so no event is kept and ``comm`` stays 0.
+
+    A lazy agent's choices up to its next sync depend only on the decision
+    sets, so a plan scores them ahead, as one stack, within the block.  Its
+    width starts at one after each sync and doubles only while no sync cuts
+    it short, so an agent that syncs often scores few sets it never plays.
+    An eager agent's buffers change its statistics every round, so it scores
+    each activation on its own.
     """
     T, M, d = len(activations), len(betas), inst.dim
     eager, alpha = hp.estimate_mode == "eager", hp.alpha
-    agents = [init_agent(m, d, hp.lam) for m in range(1, M + 1)]
     servers = [init_server(d, hp.lam) for _ in range(M if private else 1)]
+    # Each agent's last download holds its synced statistics; its buffers are
+    # running arrays that the run owns and updates in place, and its trigger
+    # state is kept in slots.  A whole AgentState is built only to sync and at
+    # the end.  v_inv stays as dpotrs returned it, in Fortran order, until the
+    # first step replaces it: ``v_inv @ x`` rounds by layout.
+    agents = [init_agent(m, d, hp.lam) for m in range(1, M + 1)]
+    sigma_loc = [a.sigma_loc for a in agents]
+    b_loc = [a.b_loc for a in agents]
+    v_inv = [a.v_inv for a in agents]
+    log_gain = [a.log_gain for a in agents]
+    width = [1] * M
+    logdets = [s.sigma_ser.logdet for s in servers]
+
+    def state(i: int) -> AgentState:
+        a = agents[i]
+        return AgentState(id=a.id, sigma=a.sigma, b=a.b, sigma_loc=sigma_loc[i], b_loc=b_loc[i],
+                          theta_hat=a.theta_hat, v_inv=v_inv[i], log_gain=log_gain[i])
+
     if T:
         # Every round's set has the shape of the first, and each radius is
         # fixed for the run: the selection rule is checked once, here, and
@@ -200,27 +230,50 @@ def _drive(
     inst_regret = np.zeros(T)
     logdet_server = np.zeros(T)
     events: list[CommEvent] = []
-    for k, m in enumerate(activations.tolist()):
-        t = k + 1
-        j = m - 1 if private else 0
-        block, row = divmod(k, BLOCK)
-        if not row:  # the run reaches a new block
-            table = _block(inst, block)
-        d_set = sample_decision_set(inst, t)
-        idx = protocol._select(agents[m - 1], d_set, betas[m - 1], eager)
-        r = table.reward(row, idx)
-        a = protocol._buffer(agents[m - 1], d_set[idx], r)
-        if protocol._fires(a, alpha):
-            # The strict trigger cannot fire without local data.
-            assert np.any(a.sigma_loc != 0.0), "sync triggered on empty buffers"
-            a, servers[j], event = protocol.sync(a, servers[j], t)
-            if not private:
-                events.append(event)
-        agents[m - 1] = a
-        arm_index[k] = idx
-        reward[k] = r
-        inst_regret[k] = table.regret(row, idx)
-        logdet_server[k] = servers[j].sigma_ser.logdet
+    for start in range(0, T, BLOCK):
+        table = _block(inst, start // BLOCK)
+        arms, means, noise = table.arms, table.means, table.noise
+        ids = activations[start:start + BLOCK]
+        rows_of = [np.flatnonzero(ids == m) for m in range(1, M + 1)]
+        plans: list[list[int]] = [[] for _ in range(M)]  # each agent's next choices, last first
+        choice, dets = [], []
+        for row, m in enumerate(ids.tolist()):
+            i, j = m - 1, m - 1 if private else 0
+            a = agents[i]
+            if eager:
+                theta, chol = protocol._recombined(a.sigma, a.b, sigma_loc[i], b_loc[i])
+                idx = int(_ucb_index(theta, chol, betas[i], arms[row]))
+            else:
+                if not plans[i]:
+                    p, n, width[i] = rows_of[i].searchsorted(row), width[i], 2 * width[i]
+                    stack = arms[rows_of[i][p:p + n]]
+                    plans[i] = _ucb_index(a.theta_hat, a.sigma.chol, betas[i], stack).tolist()[::-1]
+                idx = plans[i].pop()
+            x = arms[row, idx]
+            r = means[row, idx] + noise[row]
+            sigma_loc[i] += x[:, None] * x
+            b_loc[i] += r * x
+            v_inv[i], gain = protocol._rank_one(v_inv[i], x)
+            log_gain[i] += gain
+            if protocol._fires(log_gain[i], alpha):
+                # The strict trigger cannot fire without local data.
+                assert sigma_loc[i].any(), "sync triggered on empty buffers"
+                a, servers[j], event = protocol.sync(state(i), servers[j], start + row + 1)
+                agents[i], sigma_loc[i], b_loc[i] = a, a.sigma_loc, a.b_loc
+                v_inv[i], log_gain[i] = a.v_inv, a.log_gain
+                logdets[j] = servers[j].sigma_ser.logdet
+                plans[i], width[i] = [], 1
+                if not private:
+                    events.append(event)
+            choice.append(idx)
+            dets.append(logdets[j])
+        # The reward and regret of every round, from the table: the same sums
+        # and differences as the per-round floats, bit for bit.
+        rows, span = np.arange(len(ids)), slice(start, start + len(ids))
+        arm_index[span] = choice
+        reward[span] = means[rows, choice] + noise[rows]
+        inst_regret[span] = table.best[rows] - table.values[rows, choice]
+        logdet_server[span] = dets
 
     return SimulationTrace(
         agent=activations.astype(np.int64),
@@ -231,7 +284,7 @@ def _drive(
         events=events,
         beta_used=beta_used,
         M=M,
-        final_agents=agents,
+        final_agents=[state(i) for i in range(M)],
         final_server=None if private else servers[0],
     )
 

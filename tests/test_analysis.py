@@ -105,13 +105,16 @@ def test_conservation_catches_tampered_reward():
 
 
 def test_suite_sees_a_driver_that_serves_another_rounds_decision_set(monkeypatch):
-    # The run plays rows of round t + 1's set; the replay reads round t's
-    # from the environment, so the uploads it rebuilds are not the run's.
+    # The run plays rows of the sets of block b + 1 in block b; the replay
+    # reads round t's from the environment, so the uploads it rebuilds are
+    # not the run's.  The run takes its decision sets from its block tables.
     inst = gen_instance("random-sphere", d=4, K=10, seed=3)
     hp = HyperParams(lam=1.0, alpha=1.0 / 16.0, delta=0.01)
-    served = simulator.sample_decision_set
-    monkeypatch.setattr(simulator, "sample_decision_set", lambda inst, t: served(inst, t + 1))
+    served, calls = simulator._block, []
+    monkeypatch.setattr(simulator, "_block",
+                        lambda inst, block: calls.append(block) or served(inst, block + 1))
     trace = run_fedlinucb(inst, gen_schedule("iid-uniform", M=4, T=2000, seed=5), hp)
+    assert calls, "the run no longer reads its decision sets through simulator._block"
     report = suite_by_name(trace, inst, hp)["conservation"]
     assert not report.satisfied
     assert report.detail["checksum_mismatches"] > 0

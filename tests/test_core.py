@@ -506,6 +506,23 @@ def test_ucb_select_invariant_to_appended_duplicates():
         assert ucb_select(theta, m, beta, extended) == base
 
 
+@pytest.mark.parametrize("d", [1, 8, 32, 200])
+@pytest.mark.parametrize("K", [1, 10])
+@pytest.mark.parametrize("r", [1, 64, 256])
+def test_a_stack_of_decision_sets_selects_as_its_sets_one_by_one(d, K, r):
+    # One solve for the arms of r sets must round as r solves of one set
+    # each.  Every set's arms are one arm scaled within a few ulps, so its
+    # choice is decided by the last bits of the scores.
+    rng = np.random.default_rng(d * K + r)
+    m = SpdMatrix.from_dense(random_spd(rng, d))
+    theta = rng.standard_normal(d)
+    scale = 1.0 + rng.integers(0, 8, size=(r, K, 1)) * np.finfo(np.float64).eps
+    stack = rng.standard_normal((r, 1, d)) * scale
+    got = core._ucb_index(theta, m.chol, 0.7, stack)
+    assert got.shape == (r,)
+    assert got.tolist() == [core._ucb_index(theta, m.chol, 0.7, arms) for arms in stack]
+
+
 def test_ucb_select_rejects_mismatched_shapes():
     arms = np.ones((2, 3))
     with pytest.raises(DimensionMismatchError):

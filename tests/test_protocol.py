@@ -190,6 +190,18 @@ def test_sync_moves_buffers_to_server():
     assert ev.agent == 1 and ev.round == 1
 
 
+def test_a_downloaded_agent_cannot_write_into_its_server():
+    # An agent's synced statistics alias the server's arrays.
+    a2, s2, _ = sync(agent_with_pull([1.0, 0.0], 2.0), init_server(2, 1.0), round_=1)
+    assert a2.sigma is s2.sigma_ser and a2.b is s2.b_ser
+    for agent in (init_agent(1, 2, 1.0), a2):
+        for array in (agent.sigma.mat, agent.sigma.chol, agent.b):
+            with pytest.raises(ValueError, match="read-only"):
+                array += 1.0
+    assert np.array_equal(s2.sigma_ser.mat, [[2.0, 0.0], [0.0, 1.0]])
+    assert np.array_equal(s2.b_ser, [2.0, 0.0])
+
+
 def test_sync_second_agent_sees_first_upload():
     s = init_server(2, lam=1.0)
     a1 = agent_with_pull([3.0, 0.0], 1.0, agent_id=1)

@@ -37,7 +37,7 @@ from fedlinucb import (
     theoretical_comm_bound,
     ucb_select,
 )
-from fedlinucb import protocol
+from fedlinucb import protocol, simulator
 from fedlinucb.environment import BLOCK
 from fedlinucb.simulator import (
     CommBoundError,
@@ -264,6 +264,24 @@ def test_lazy_run_factors_one_matrix_per_sync(monkeypatch):
     hp = HyperParams(lam=1.0, alpha=1.0 / 9.0, delta=0.1)
     trace = run_fedlinucb(inst, gen_schedule("iid-uniform", M=3, T=300, seed=4), hp)
     assert trace.events and len(calls) == len(trace.events)
+
+
+@pytest.mark.parametrize("mode", ["lazy", "eager"])
+def test_a_lazy_run_scores_in_stacks_and_an_eager_one_per_activation(monkeypatch, mode):
+    # A lazy agent's plan holds until its next sync and doubles while it
+    # holds; an eager agent's statistics change with every buffered arm.
+    calls = []
+    real = simulator._ucb_index
+    monkeypatch.setattr(simulator, "_ucb_index", lambda *a: calls.append(1) or real(*a))
+    inst = gen_instance("random-sphere", d=8, K=10, seed=3)
+    hp = HyperParams(lam=1.0, alpha=1.0 / 16.0, delta=0.1, estimate_mode=mode)
+    T = 10000  # the benchmark's reference run; it syncs on about 6% of rounds
+    trace = run_fedlinucb(inst, gen_schedule("iid-uniform", M=4, T=T, seed=4), hp)
+    assert trace.events
+    if mode == "lazy":
+        assert len(calls) <= math.ceil(T / 4)
+    else:
+        assert len(calls) == T
 
 
 def test_eager_mode_changes_behavior():
@@ -506,11 +524,27 @@ TRACE_COLUMNS = ("t", "agent", "arm_index", "reward", "inst_regret", "comm", "lo
                  "cum_regret")
 
 
+AGENT_FIELDS = ("sigma", "b", "sigma_loc", "b_loc", "theta_hat", "v_inv", "log_gain")
+
+
+def final_states(trace):
+    """The bytes of every final agent's fields, and of the final server's."""
+    def raw(value):
+        return np.asarray(getattr(value, "mat", value)).tobytes()
+
+    server = trace.final_server
+    return ([[raw(getattr(a, f)) for f in AGENT_FIELDS] for a in trace.final_agents],
+            server and [raw(server.sigma_ser), raw(server.b_ser)])
+
+
 def differing(a, b):
-    """The trace columns, and "events", on which traces ``a`` and ``b`` differ bit for bit."""
+    """The trace columns, "events", "final_agents" and "final_server" on which
+    traces ``a`` and ``b`` differ bit for bit."""
     events = [[(e.round, e.agent, e.payload_checksum) for e in tr.events] for tr in (a, b)]
     names = [n for n in TRACE_COLUMNS if getattr(a, n).tobytes() != getattr(b, n).tobytes()]
-    return names + ["events"] * (events[0] != events[1])
+    (agents_a, server_a), (agents_b, server_b) = final_states(a), final_states(b)
+    return (names + ["events"] * (events[0] != events[1])
+            + ["final_agents"] * (agents_a != agents_b) + ["final_server"] * (server_a != server_b))
 
 
 def public_step_run(inst, episodes, M, hp, private=False):
@@ -524,7 +558,8 @@ def public_step_run(inst, episodes, M, hp, private=False):
     ``should_sync`` fires.  Between its own syncs an agent reads only its own
     state, so this order must reproduce the run of the flattening.
     ``private`` gives every agent a server of its own and the radius of a
-    one-agent run over its own rounds.  Returns the trace.
+    one-agent run over its own rounds.  Returns the trace, with its final
+    agents and (unless ``private``) its final server.
     """
     flat = [m for group in episodes for m in group]
     d, T = inst.dim, len(flat)
@@ -577,6 +612,8 @@ def public_step_run(inst, episodes, M, hp, private=False):
         **{name: np.array(columns[name], dtype=np.float64)
            for name in ("reward", "inst_regret", "logdet_server")},
         events=events, beta_used=beta_used, M=M,
+        final_agents=[agents[m] for m in range(1, M + 1)],
+        final_server=None if private else servers[0],
     )
 
 
@@ -600,13 +637,15 @@ def arm_kind_instance(kind, d, K, noise, seed):
     st.sampled_from(["random-sphere", "hypercube-corners", "fixed-list", "bias-demo"]),
     st.sampled_from(["gaussian", "rademacher-scaled"]),
     st.integers(2 * BLOCK + 1, 2 * BLOCK + 60),
-    st.sampled_from([1.0 / 16.0, 0.25, 1.0]),
+    st.sampled_from([1.0 / 256.0, 1.0 / 16.0, 0.25, 1.0]),
 )
 def test_runs_equal_the_public_step_functions_bit_for_bit(d, K, M, mode, order, kind, noise, T,
                                                           alpha):
-    # The run loop checks once per run and reads rewards and regrets from
-    # per-block tables; round by round through the checked public functions
-    # every column and event must come out the same, bit for bit.
+    # The run loop checks once per run, scores a lazy agent's activations in
+    # stacks and reads rewards and regrets from per-block tables; round by
+    # round through the checked public functions every column, event and
+    # final state must come out the same, bit for bit.  At alpha = 1/256 an
+    # agent syncs at almost every activation, so most of its plans hold one.
     inst = arm_kind_instance(kind, d, K, noise, seed=d * 100 + K)
     if order == "block":
         T += -T % M
@@ -625,12 +664,14 @@ def test_only_episode_order_sees_a_server_matrix_updated_in_place(monkeypatch):
     # lets an agent that synced earlier see later uploads through sigma.mat,
     # which eager selection reads.  Round by round the run and the singleton
     # driver read the shared matrix at the same moments and still agree;
-    # selecting a whole episode before its syncs exposes the sharing.
+    # selecting a whole episode before its syncs exposes the sharing.  The
+    # server matrix is read-only, so the fault first makes it writable.
     real_sync = protocol.sync
 
     def in_place_sync(a, s, round_):
         agent, server, event = real_sync(a, s, round_)
         mat = s.sigma_ser.mat
+        mat.flags.writeable = True
         mat += a.sigma_loc
         sigma = dataclasses.replace(server.sigma_ser, mat=mat)
         return (dataclasses.replace(agent, sigma=sigma),
