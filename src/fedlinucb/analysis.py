@@ -5,11 +5,12 @@ environment's decision sets (:class:`_Replay`), compare it against the stored
 upload checksums, and derive each upload's trigger gain from it.
 Each replay-based check is an accumulator fed once per replayed round, and
 :func:`run_invariant_suite`, the one public entry point for the checks, drives
-all of them through a single pass.  Within the pass every round's pooled
-covariance is factored once, a Loewner comparison is recomputed only when its
-operands changed, and each ``eigvalsh`` is screened by a Cholesky
-factorization (:func:`~fedlinucb.core.eigs_surely_above`) that skips it only
-where its value could not change the report.
+all of them through a single pass, fed the run's rows block by block.  Within
+the pass every round's pooled covariance is factored once, a Loewner
+comparison is recomputed only when its operands changed, and each
+``eigvalsh`` is screened by a Cholesky factorization
+(:func:`~fedlinucb.core.eigs_surely_above`) that skips it only where its
+value could not change the report.
 """
 
 from __future__ import annotations
@@ -66,16 +67,17 @@ def _capped(name: str, empirical: float, bound: float, satisfied: bool | None = 
 
 
 class _Replay:
-    """Protocol state rebuilt round by round from a trace.
+    """Protocol state rebuilt round by round from a run's rows.
 
-    After ``step(k)`` (k = 0-based row of the trace) the attributes hold
-    end-of-round values for round k + 1: the acting agent ``m``, its arm
-    ``x`` (row ``arm_index[k]`` of the round's decision set, read from the
+    ``feed`` replays the next rows of the run.  After each row the attributes
+    hold end-of-round values for its round: the acting agent ``m``, its arm
+    ``x`` (row ``arm_index`` of the round's decision set, read from the
     environment) and reward ``r``, the pooled statistics, the server aggregate,
     every agent's unsynced buffers, synced covariance factor (ridge floor
     verified) and target, and ``synced``, whether the round's agent uploaded.
     ``pooled()`` factors the pooled covariance at most once per round, with
-    the ridge floor verified, for every check to share.
+    the ridge floor verified, for every check to share.  ``rows`` counts the
+    rows replayed.
 
     ``gains`` holds, per upload, ``logdet(sigma + sigma_loc) - logdet(sigma)``
     of the uploader's synced covariance and buffer, from fresh factors: the
@@ -87,9 +89,9 @@ class _Replay:
     second event at one round stays counted.
     """
 
-    def __init__(self, trace: SimulationTrace, inst: ProblemInstance, lam: float):
+    def __init__(self, inst: ProblemInstance, M: int, lam: float):
         self.inst, d = inst, inst.dim
-        self.d, self.M, self.lam = d, trace.M, lam
+        self.d, self.M, self.lam = d, M, lam
         self.sigma_all = self.lam * np.eye(d)
         self.b_all = np.zeros(d)
         self.server_sigma = self.lam * np.eye(d)
@@ -99,27 +101,37 @@ class _Replay:
         prior = SpdMatrix._factor(lam * np.eye(d), min_eig=lam)
         self.synced_factor = {m: prior for m in range(1, self.M + 1)}
         self.synced_b = {m: np.zeros(d) for m in range(1, self.M + 1)}
-        self.events_by_round = {ev.round: ev for ev in trace.events}
-        self._agents = trace.agent.tolist()
-        self._arm_index = trace.arm_index.tolist()
-        self._rewards = trace.reward.tolist()
-        self.checksum_mismatches = len(trace.events)
+        self.events_by_round: dict = {}
+        self.checksum_mismatches = 0
         self.gains: list[float] = []
         self.synced = False
         self._pooled: SpdMatrix | None = None
+        self.rows = 0
 
-    def step(self, k: int) -> None:
-        """Replay row k."""
-        m = self.m = self._agents[k]
-        x = self.x = sample_decision_set(self.inst, k + 1)[self._arm_index[k]]
-        r = self.r = self._rewards[k]
+    def feed(self, agent: np.ndarray, arm_index: np.ndarray, reward: np.ndarray,
+             events: list, checks: list) -> None:
+        """Replay the next rows (their agents, arm indices and rewards, with the
+        events recorded at their rounds), updating every check after each row."""
+        self.checksum_mismatches += len(events)
+        self.events_by_round.update((ev.round, ev) for ev in events)
+        for m, idx, r in zip(agent.tolist(), arm_index.tolist(), reward.tolist()):
+            k = self.rows
+            self.step(m, idx, r)
+            for check in checks:
+                check.update(self, k)
+
+    def step(self, m: int, idx: int, r: float) -> None:
+        """Replay the next round t: agent m plays arm ``idx`` of round t for reward r."""
+        t = self.rows = self.rows + 1
+        self.m, self.r = m, r
+        x = self.x = sample_decision_set(self.inst, t)[idx]
         xx = np.outer(x, x)
         self.sigma_all = self.sigma_all + xx
         self.b_all = self.b_all + r * x
         self._pooled = None
         self.sigma_loc[m] = self.sigma_loc[m] + xx
         self.b_loc[m] = self.b_loc[m] + r * x
-        event = self.events_by_round.get(k + 1)
+        event = self.events_by_round.get(t)
         self.synced = event is not None and event.agent == m
         if self.synced:
             if payload_checksum(self.sigma_loc[m], self.b_loc[m]) == event.payload_checksum:
@@ -142,11 +154,8 @@ class _Replay:
 
 def _run_pass(trace: SimulationTrace, inst: ProblemInstance, lam: float, checks: list) -> _Replay:
     """Feed each round of one replay to every accumulator; return the replay at its end."""
-    rep = _Replay(trace, inst, lam)
-    for k in range(len(trace.agent)):
-        rep.step(k)
-        for check in checks:
-            check.update(rep, k)
+    rep = _Replay(inst, trace.M, lam)
+    rep.feed(trace.agent, trace.arm_index, trace.reward, trace.events, checks)
     return rep
 
 
@@ -381,6 +390,18 @@ def _trace_consistency_check(trace: SimulationTrace) -> BoundReport:
                        -float(problems), detail)
 
 
+def _blocks(trace):
+    """Yield the run's rows as (arm_index, reward, events) blocks; return the finished trace.
+
+    A :class:`SimulationTrace` is one block.  Anything else is a run in
+    progress, which streams its own blocks from ``trace.blocks()``.
+    """
+    if isinstance(trace, SimulationTrace):
+        yield trace.arm_index, trace.reward, trace.events
+        return trace
+    return (yield from trace.blocks())
+
+
 def run_invariant_suite(
     trace: SimulationTrace, inst: ProblemInstance, hp: HyperParams
 ) -> list[BoundReport]:
@@ -394,19 +415,39 @@ def run_invariant_suite(
     two confidence checks are high-probability statements (they may fail on
     a delta-tail run by design); everything else is deterministic.  Every
     parameter comes from ``inst`` and ``hp``, the horizon from the trace's
-    length and the agent count from ``trace.M``.  The replay reads each
-    played arm from ``inst``, so an ``arm_index`` outside 0..K-1 is refused,
-    as is an event at a round outside 1..T.
+    length and the agent count from ``trace.M``.
+
+    The replay is fed blocks of rows, each (arm_index, reward, events of
+    those rows), and replays each as it comes.  A finished trace is one
+    block.  ``trace`` may instead be a run in progress, as ``check`` streams
+    from a second process: it holds ``agent``, ``M`` and ``beta_used`` from
+    the start, and its ``blocks()`` generator yields each finished block and
+    returns the finished trace, whose ``beta_used`` must match.  Only
+    ``trace-consistency``, ``comm-bound``, ``epoch-comm`` and
+    ``regret-bound`` wait for the whole trace.  The replay reads each played
+    arm from ``inst``, so a block whose ``arm_index`` leaves 0..K-1 is
+    refused, as is an event at a round outside 1..T.
     """
     d, M, T, L, K = inst.dim, trace.M, len(trace.agent), inst.L, inst.arm_spec.K
-    if T and not 0 <= trace.arm_index.min() <= trace.arm_index.max() < K:
-        raise ValueError(f"trace arm_index leaves 0..{K - 1}")
-    for ev in trace.events:
-        if not 1 <= ev.round <= T:
-            raise ValueError(f"trace event at round {ev.round} leaves 1..{T}")
     elliptical, covariance = _Elliptical(d, hp.lam, L, T), _Covariance(hp.alpha, M)
     coverage = _Coverage(inst, hp, T, trace.beta_used)
-    rep = _run_pass(trace, inst, hp.lam, [elliptical, covariance, coverage])
+    rep = _Replay(inst, M, hp.lam)
+    blocks = _blocks(trace)
+    while True:
+        try:
+            arm_index, reward, events = next(blocks)
+        except StopIteration as end:
+            trace = end.value
+            break
+        if len(arm_index) and not 0 <= arm_index.min() <= arm_index.max() < K:
+            raise ValueError(f"trace arm_index leaves 0..{K - 1}")
+        for ev in events:
+            if not 1 <= ev.round <= T:
+                raise ValueError(f"trace event at round {ev.round} leaves 1..{T}")
+        agent = trace.agent[rep.rows:rep.rows + len(arm_index)]
+        rep.feed(agent, arm_index, reward, events, [elliptical, covariance, coverage])
+    # The radius the replay checked against was known before the run ended.
+    assert rep.rows == len(trace.agent) and trace.beta_used == coverage.beta
 
     tol = logdet_rounding(d, hp.lam, L, T)
     margins = [gain - math.log1p(hp.alpha) for gain in rep.gains]

@@ -29,8 +29,8 @@ from .environment import (
     load_arms_file,
     load_schedule_file,
 )
-from .simulator import (CommBoundError, _resolve_beta, epoch_boundaries, run_fedlinucb,
-                        run_independent_oful)
+from .simulator import (CommBoundError, _resolve_beta, _run_fedlinucb, epoch_boundaries,
+                        run_fedlinucb, run_independent_oful)
 
 TRACE_COLUMNS = ["t", "agent", "arm_index", "reward", "inst_regret", "cum_regret", "comm", "det_server"]
 
@@ -435,11 +435,82 @@ def cmd_bias_demo(m_agents: int, beta: float, alpha: float, seed: int, out_dir: 
     return 0
 
 
+def _send_run(conn, inst: ProblemInstance, schedule: Schedule, hp: HyperParams) -> None:
+    """The run of ``check``'s second process: each finished block down ``conn``,
+    then the trace, or the exception the run raised with its traceback."""
+    try:
+        trace = _run_fedlinucb(inst, schedule, hp, lambda *block: conn.send(("block", block)))
+        message = ("trace", trace)
+    except Exception as exc:
+        import traceback
+
+        message = ("error", (exc, traceback.format_exc()))
+    conn.send(message)
+
+
+class _RunProcess:
+    """``run_fedlinucb(inst, schedule, hp)`` in a second process, read as it goes.
+
+    ``agent``, ``M`` and ``beta_used`` are known before the run ends, and
+    :meth:`blocks` yields each finished block's (arm_index, reward, events)
+    as it arrives and returns the finished trace, or raises what the run
+    raised.  The process starts with the platform's default method, as the
+    sweep's pool does.  Leaving the ``with`` block joins it, and first stops
+    it unless its trace was read, so none is left running, whatever raised.
+    """
+
+    def __init__(self, inst: ProblemInstance, schedule: Schedule, hp: HyperParams):
+        # Imported here, so that start-up does not pay for it.
+        import multiprocessing
+
+        self.agent, self.M = schedule.agents, schedule.M
+        self.beta_used = _resolve_beta(inst, hp, schedule.M, schedule.T)
+        ctx = multiprocessing.get_context()
+        self._conn, child_conn = ctx.Pipe(duplex=False)
+        self._process = ctx.Process(target=_send_run, args=(child_conn, inst, schedule, hp),
+                                    daemon=True)
+        self._process.start()
+        child_conn.close()
+        self._done = False
+
+    def blocks(self):
+        while True:
+            try:
+                kind, value = self._conn.recv()
+            except EOFError:
+                self._process.join()
+                raise ChildProcessError(
+                    f"the run's process exited with code {self._process.exitcode} "
+                    f"before sending its trace") from None
+            if kind == "block":
+                yield value
+                continue
+            self._done = True
+            if kind == "error":
+                exc, where = value
+                # The cause carries the traceback from the run's process.
+                raise exc from ChildProcessError(f"raised in the run's process:\n{where}")
+            return value
+
+    def __enter__(self) -> "_RunProcess":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if not self._done:
+            self._process.kill()
+        self._process.join()
+        self._conn.close()
+
+
 def cmd_check(raw: dict, out_dir: str) -> int:
-    """Run the config once, exactly as ``run`` does, and evaluate every invariant."""
+    """Run the config once, exactly as ``run`` does, and evaluate every invariant.
+
+    The run goes in a second process and streams its blocks to the replay,
+    which runs here while the run goes on.
+    """
     cfg, inst, schedule, hp = build_run(raw)
-    trace = run_fedlinucb(inst, schedule, hp)
-    reports = run_invariant_suite(trace, inst, hp)
+    with _RunProcess(inst, schedule, hp) as run:
+        reports = run_invariant_suite(run, inst, hp)
     failed = [r for r in reports if not r.satisfied]
     for r in reports:
         status = "PASS" if r.satisfied else "FAIL"

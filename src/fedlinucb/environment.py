@@ -245,10 +245,6 @@ class _Block(NamedTuple):
         """Reward of arm ``idx`` in the block's round ``row``: its mean plus the noise."""
         return float(self.means[row, idx] + self.noise[row])
 
-    def regret(self, row: int, idx: int) -> float:
-        """Best value of the block's round ``row`` minus that of arm ``idx``."""
-        return float(self.best[row] - self.values[row, idx])
-
 
 @lru_cache(maxsize=1)
 def _block(inst: ProblemInstance, block: int) -> _Block:

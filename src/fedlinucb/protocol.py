@@ -156,14 +156,20 @@ def sync(a: AgentState, s: ServerState, round_: int) -> tuple[AgentState, Server
 def _download(agent_id: int, s: ServerState) -> AgentState:
     """An agent that holds the server's statistics, with empty buffers."""
     sigma, d = s.sigma_ser, s.sigma_ser.dim
+    # One dpotrs solve of [b | I]; v_inv is a Fortran-order slice of it, the
+    # layout ``v_inv @ x`` rounds by, as a solve of the identity alone returns.
+    rhs = np.zeros((d, d + 1), order="F")
+    rhs[:, 0] = s.b_ser
+    rhs[np.arange(d), np.arange(1, d + 1)] = 1.0
+    x = _chol_solve(sigma.chol, rhs)
     return AgentState(
         id=agent_id,
         sigma=sigma,
         b=s.b_ser,
         sigma_loc=np.zeros((d, d)),
         b_loc=np.zeros(d),
-        theta_hat=_chol_solve(sigma.chol, s.b_ser),
-        v_inv=_chol_solve(sigma.chol, np.eye(d)),
+        theta_hat=x[:, 0],
+        v_inv=x[:, 1:],
     )
 
 

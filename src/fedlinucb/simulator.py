@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -184,12 +185,15 @@ def _drive(
     betas: list[float],
     private: bool,
     beta_used: float,
+    on_block: Callable[[np.ndarray, np.ndarray, list[CommEvent]], None] | None = None,
 ) -> SimulationTrace:
     """Run ``activations[k]`` (agent ids 1..len(betas)) at round k + 1.
 
     Agent m selects with radius ``betas[m-1]``.  With ``private`` every agent
     syncs with its own server: its refreshes are policy switches, not
-    communications, so no event is kept and ``comm`` stays 0.
+    communications, so no event is kept and ``comm`` stays 0.  ``on_block``,
+    if given, receives each finished block's ``arm_index`` and ``reward``
+    and the events of its rounds, in round order.
 
     A lazy agent's choices up to its next sync depend only on the decision
     sets, so a plan scores them ahead, as one stack, within the block.  Its
@@ -236,7 +240,7 @@ def _drive(
         ids = activations[start:start + BLOCK]
         rows_of = [np.flatnonzero(ids == m) for m in range(1, M + 1)]
         plans: list[list[int]] = [[] for _ in range(M)]  # each agent's next choices, last first
-        choice, dets = [], []
+        choice, dets, first_event = [], [], len(events)
         for row, m in enumerate(ids.tolist()):
             i, j = m - 1, m - 1 if private else 0
             a = agents[i]
@@ -274,6 +278,8 @@ def _drive(
         reward[span] = means[rows, choice] + noise[rows]
         inst_regret[span] = table.best[rows] - table.values[rows, choice]
         logdet_server[span] = dets
+        if on_block is not None:
+            on_block(arm_index[span], reward[span], events[first_event:])
 
     return SimulationTrace(
         agent=activations.astype(np.int64),
@@ -302,12 +308,18 @@ def run_fedlinucb(
     deterministic communication cap is asserted at the end of every run and
     raises :class:`CommBoundError` when violated.
     """
+    return _run_fedlinucb(inst, schedule, hp)
+
+
+def _run_fedlinucb(inst: ProblemInstance, schedule: Schedule, hp: HyperParams,
+                   on_block: Callable | None = None) -> SimulationTrace:
+    """:func:`run_fedlinucb`, handing each finished block to ``on_block`` (see :func:`_drive`)."""
     M, T = schedule.M, schedule.T
     beta = _resolve_beta(inst, hp, M, T)
     # Evaluated before the run, so a non-finite cap or an unresolvable ridge is refused up front.
     cap = theoretical_comm_bound(inst.dim, M, hp.alpha, hp.lam, inst.L, T)
     check_ridge_domain(inst.dim, hp.lam, inst.L, T)
-    trace = _drive(inst, hp, schedule.agents, [beta] * M, False, beta)
+    trace = _drive(inst, hp, schedule.agents, [beta] * M, False, beta, on_block)
     _assert_comm_bounds(trace, hp, inst.dim, cap)
     return trace
 

@@ -3,11 +3,16 @@
 import contextlib
 import dataclasses
 import io
+import itertools
 import json
 import math
+import multiprocessing
+import os
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -17,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedlinucb import (
+    CommBoundError,
     HyperParams,
     compute_beta,
     gen_instance,
@@ -25,8 +31,9 @@ from fedlinucb import (
     run_invariant_suite,
     theoretical_comm_bound,
 )
-from fedlinucb.cli import (TRACE_COLUMNS, _fmt, _render_json, build_run, main, resolve_config,
-                           write_trace_csv)
+from fedlinucb.cli import (TRACE_COLUMNS, _fmt, _render_json, _RunProcess, build_run, main,
+                           resolve_config, write_trace_csv)
+from fedlinucb.environment import BLOCK
 
 BASE_CONFIG = {
     "instance": {"kind": "random-sphere", "d": 3, "K": 5, "seed": 7},
@@ -788,6 +795,7 @@ def test_check_command_all_pass(tmp_path, capsys):
     payload = json.loads((out / "check_report.json").read_text())
     assert payload["all_passed"] is True
     assert len(payload["checks"]) == 10
+    assert multiprocessing.active_children() == []
 
 
 def test_check_exit_code_on_failure(tmp_path, capsys, monkeypatch):
@@ -809,6 +817,122 @@ def test_check_exit_code_on_failure(tmp_path, capsys, monkeypatch):
     assert "synthetic" in captured.err
     payload = json.loads((tmp_path / "o/check_report.json").read_text())
     assert payload["all_passed"] is False
+
+
+# The run of ``check`` goes in a second process; a patch made here reaches it
+# only through fork.
+needs_fork = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                                reason="patches reach the run's process only through fork")
+
+
+@pytest.mark.parametrize("mode", ["lazy", "eager"])
+@pytest.mark.parametrize("T", [1, 255, 256, 257, 513])
+def test_block_fed_suite_equals_the_whole_trace_suite(mode, T):
+    inst = gen_instance("random-sphere", d=3, K=5, seed=T)
+    schedule = gen_schedule("iid-uniform", M=3, T=T, seed=1)
+    hp = HyperParams(lam=1.0, alpha=1.0 / 9.0, delta=0.1, estimate_mode=mode)
+    with _RunProcess(inst, schedule, hp) as run:
+        streamed = run_invariant_suite(run, inst, hp)
+    trace = run_fedlinucb(inst, schedule, hp)
+    assert T < 100 or trace.events
+    assert streamed == run_invariant_suite(trace, inst, hp)
+    assert multiprocessing.active_children() == []
+
+
+# Two blocks and a half, with syncs in each.
+LONG_CONFIG = dict(BASE_CONFIG, schedule={"kind": "round-robin", "M": 2, "T": 600})
+
+
+@needs_fork
+@pytest.mark.parametrize("fault", ["sync", "cap"])
+def test_check_reports_a_run_error_as_a_run_does(tmp_path, capsys, monkeypatch, fault):
+    import fedlinucb.protocol as protocol
+    import fedlinucb.simulator as simulator
+    from fedlinucb import NumericalDomainError
+
+    if fault == "sync":
+        # A sync in the run's second block raises, after the first was replayed.
+        real = protocol.sync
+
+        def sync(a, s, round_):
+            if round_ > BLOCK:
+                raise NumericalDomainError(f"patched sync at round {round_}")
+            return real(a, s, round_)
+
+        monkeypatch.setattr(protocol, "sync", sync)
+    else:
+        monkeypatch.setattr(simulator, "theoretical_comm_bound", lambda *args: 0.0)
+    cfg, inst, schedule, hp = build_run(LONG_CONFIG)
+    with pytest.raises((NumericalDomainError, CommBoundError)) as raised:
+        run_fedlinucb(inst, schedule, hp)
+    rc = main(["check", "--config", write_config(tmp_path, LONG_CONFIG),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {raised.value}\n"
+    assert not (tmp_path / "out").exists()
+    # The suite raises the run's own error, caused by the run process's traceback.
+    with pytest.raises(type(raised.value)) as streamed, _RunProcess(inst, schedule, hp) as run:
+        run_invariant_suite(run, inst, hp)
+    assert str(streamed.value) == str(raised.value)
+    assert "Traceback (most recent call last)" in str(streamed.value.__cause__)
+    assert multiprocessing.active_children() == []
+
+
+def _fault_at_round(monkeypatch, t, fault):
+    """Make ``fault()`` happen where the run's trigger is asked about round t."""
+    import fedlinucb.protocol as protocol
+
+    real, calls = protocol._fires, itertools.count(1)
+
+    def fires(log_gain, alpha):
+        if next(calls) == t:
+            fault()
+        return real(log_gain, alpha)
+
+    monkeypatch.setattr(protocol, "_fires", fires)
+
+
+def _record_run_processes(monkeypatch):
+    seen, real = [], _RunProcess.__init__
+
+    def init(self, *args):
+        seen.append(self)
+        real(self, *args)
+
+    monkeypatch.setattr(_RunProcess, "__init__", init)
+    return seen
+
+
+@needs_fork
+def test_check_stops_the_run_when_the_replay_raises(tmp_path, capsys, monkeypatch):
+    import fedlinucb.analysis as analysis
+
+    def replay_fault(*args):
+        raise ValueError("replay fault")
+
+    # The run stalls in its second block; only a kill ends it in time.
+    _fault_at_round(monkeypatch, BLOCK + 10, lambda: time.sleep(60))
+    monkeypatch.setattr(analysis._Elliptical, "update", replay_fault)
+    runs = _record_run_processes(monkeypatch)
+    start = time.monotonic()
+    rc = main(["check", "--config", write_config(tmp_path, LONG_CONFIG),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1 and time.monotonic() - start < 30
+    assert capsys.readouterr().err == "error: replay fault\n"
+    assert runs[0]._process.exitcode == -signal.SIGKILL
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_check_refuses_a_run_process_that_dies_without_its_trace(tmp_path, capsys, monkeypatch):
+    _fault_at_round(monkeypatch, BLOCK + 10, lambda: os._exit(3))
+    rc = main(["check", "--config", write_config(tmp_path, LONG_CONFIG),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: the run's process exited with code 3 before sending its trace\n")
+    assert not (tmp_path / "out").exists()
+    assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------- entry point

@@ -270,10 +270,11 @@ def test_block_values_are_the_per_round_formulas_at_block_edges(kind):
         d_set = sample_decision_set(inst, t)
         block, row = divmod(t - 1, BLOCK)
         eta = inst.R * _unit_noise(inst, block)[row]
-        values = environment._block(inst, block)
+        table = environment._block(inst, block)
         for idx in range(len(d_set)):
             assert sample_reward(inst, t, idx) == float(d_set[idx] @ inst.theta_star) + float(eta)
-            assert values.regret(row, idx) == index_regret(inst, d_set, idx)
+            regret = table.best[row] - table.values[row, idx]
+            assert regret == index_regret(inst, d_set, idx)
         idx = int(trace.arm_index[t - 1])
         assert trace.reward[t - 1] == float(d_set[idx] @ inst.theta_star) + float(eta)
         assert trace.inst_regret[t - 1] == index_regret(inst, d_set, idx)

@@ -202,6 +202,28 @@ def test_a_downloaded_agent_cannot_write_into_its_server():
     assert np.array_equal(s2.b_ser, [2.0, 0.0])
 
 
+@pytest.mark.parametrize("d", [1, 8, 32, 64])
+def test_download_solves_estimate_and_inverse_in_one_call(d):
+    # One dpotrs solve of [b | I] gives the columns of two separate solves,
+    # bit for bit, and v_inv keeps the Fortran layout ``v_inv @ x`` rounds by.
+    from fedlinucb.core import _chol_solve
+    from fedlinucb.protocol import _download
+
+    rng = np.random.default_rng(d)
+    for _ in range(20):
+        g = rng.standard_normal((d, d + 2))
+        server = ServerState(sigma_ser=SpdMatrix.from_dense(g @ g.T + np.eye(d)),
+                             b_ser=rng.standard_normal(d))
+        a = _download(3, server)
+        chol = server.sigma_ser.chol
+        assert np.array_equal(a.theta_hat, _chol_solve(chol, server.b_ser))
+        v_inv = _chol_solve(chol, np.eye(d))
+        assert np.array_equal(a.v_inv, v_inv)
+        assert a.v_inv.flags.f_contiguous and v_inv.flags.f_contiguous
+        x = rng.standard_normal(d)
+        assert np.array_equal(a.v_inv @ x, v_inv @ x)
+
+
 def test_sync_second_agent_sees_first_upload():
     s = init_server(2, lam=1.0)
     a1 = agent_with_pull([3.0, 0.0], 1.0, agent_id=1)
