@@ -1,11 +1,13 @@
 """Trace-analysis checks: replays, concentration reports, the bias demo."""
 
+import contextlib
 import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import faults
 import fedlinucb
 import fedlinucb.analysis as analysis
 import fedlinucb.core as core
@@ -20,7 +22,6 @@ from fedlinucb import (
     run_invariant_suite,
     sample_decision_set,
 )
-from fedlinucb import simulator
 from fedlinucb.environment import _BIAS_ARMS
 from fedlinucb.protocol import CommEvent, init_agent, local_update, payload_checksum, should_sync
 
@@ -104,20 +105,45 @@ def test_conservation_catches_tampered_reward():
     assert report.detail["checksum_mismatches"] >= 1
 
 
-def test_suite_sees_a_driver_that_serves_another_rounds_decision_set(monkeypatch):
-    # The run plays rows of the sets of block b + 1 in block b; the replay
-    # reads round t's from the environment, so the uploads it rebuilds are
-    # not the run's.  The run takes its decision sets from its block tables.
+# What the suite catches of each protocol fault in ``faults``: the reports
+# that fail on a run made under the fault, in either mode.  A fault that
+# nothing catches is pinned as caught by nothing (caught 5 of 8).
+FAULT_VERDICTS = {
+    "doubled-server-b": set(),
+    "doubled-server-sigma": {"covariance-comparison"},
+    "half-dropped-download": set(),
+    "stale-download": {"sync-criterion-events"},
+    "trigger-1.02": set(),
+    "trigger-1.1": {"covariance-comparison"},
+    "wrong-agent-event": {"conservation", "covariance-comparison"},
+    "another-rounds-decision-set": {"conservation", "covariance-comparison",
+                                    "global-confidence", "sync-criterion-events"},
+}
+
+
+def fault_run(mode, fault=None):
+    """The fault table's run (d=4, K=10, iid-uniform M=4, T=500, alpha=1/16),
+    made under ``faults.FAULTS[fault]`` unless ``fault`` is None."""
     inst = gen_instance("random-sphere", d=4, K=10, seed=3)
-    hp = HyperParams(lam=1.0, alpha=1.0 / 16.0, delta=0.01)
-    served, calls = simulator._block, []
-    monkeypatch.setattr(simulator, "_block",
-                        lambda inst, block: calls.append(block) or served(inst, block + 1))
-    trace = run_fedlinucb(inst, gen_schedule("iid-uniform", M=4, T=2000, seed=5), hp)
-    assert calls, "the run no longer reads its decision sets through simulator._block"
-    report = suite_by_name(trace, inst, hp)["conservation"]
-    assert not report.satisfied
-    assert report.detail["checksum_mismatches"] > 0
+    hp = HyperParams(lam=1.0, alpha=1.0 / 16.0, delta=0.01, estimate_mode=mode)
+    with faults.FAULTS[fault]() if fault else contextlib.nullcontext():
+        trace = run_fedlinucb(inst, gen_schedule("iid-uniform", M=4, T=500, seed=5), hp)
+    return inst, hp, trace
+
+
+def played(trace):
+    """What a run did: its arms and its events."""
+    return trace.arm_index.tolist(), [dataclasses.astuple(ev) for ev in trace.events]
+
+
+@pytest.mark.parametrize("mode", ["lazy", "eager"])
+@pytest.mark.parametrize("fault", list(FAULT_VERDICTS))
+def test_fault_verdicts(fault, mode):
+    inst, hp, trace = fault_run(mode, fault)
+    # Every fault reaches the run, the ones no report catches too.
+    assert trace.events and played(trace) != played(fault_run(mode)[2])
+    failing = {r.name for r in run_invariant_suite(trace, inst, hp) if not r.satisfied}
+    assert failing == FAULT_VERDICTS[fault]
 
 
 def test_a_trace_fails_conservation_on_another_instance():
