@@ -6,11 +6,14 @@ upload checksums, and derive each upload's trigger gain from it.
 Each replay-based check is an accumulator fed once per replayed round, and
 :func:`run_invariant_suite`, the one public entry point for the checks, drives
 all of them through a single pass, fed the run's rows block by block.  Within
-the pass every round's pooled covariance is factored once, a Loewner
-comparison is recomputed only when its operands changed, and each
+the pass the played arms of each environment block are gathered from its
+table at once, every round's pooled covariance is factored once, and each
 ``eigvalsh`` is screened by a Cholesky factorization
 (:func:`~fedlinucb.core.eigs_surely_above`) that skips it only where its
-value could not change the report.
+value could not change the report.  A Loewner comparison is screened only
+on the rows where it can raise its worst: claim 1 of the covariance
+comparison for the acting agent on a row without an upload, and for no
+agent on an upload row (:class:`_Covariance` says why).
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .core import (
     theoretical_comm_bound,
     theoretical_regret_bound,
 )
-from .environment import _BIAS_ARMS, gen_instance, gen_schedule, sample_decision_set
+from .environment import _BIAS_ARMS, BLOCK, _block, gen_instance, gen_schedule
 from .protocol import init_agent, local_update, payload_checksum, should_sync
 from .simulator import SimulationTrace, _comm_per_epoch, epoch_boundaries, run_fedlinucb
 
@@ -114,18 +117,31 @@ class _Replay:
         events recorded at their rounds), updating every check after each row."""
         self.checksum_mismatches += len(events)
         self.events_by_round.update((ev.round, ev) for ev in events)
-        for m, idx, r in zip(agent.tolist(), arm_index.tolist(), reward.tolist()):
-            k = self.rows
-            self.step(m, idx, r)
-            for check in checks:
-                check.update(self, k)
+        fixed, first, end = self.inst.arm_spec.arms, self.rows, self.rows + len(arm_index)
+        lo = first
+        while lo < end:
+            # The played arms of the rows inside one environment block, gathered
+            # at once from its table (a fixed list's from the list itself).
+            block = lo // BLOCK
+            hi = min(end, (block + 1) * BLOCK)
+            part = slice(lo - first, hi - first)
+            if fixed is None:
+                rows = np.arange(lo - block * BLOCK, hi - block * BLOCK)
+                xs = _block(self.inst, block).arms[rows, arm_index[part]]
+            else:
+                xs = fixed[arm_index[part]]
+            for m, x, r in zip(agent[part].tolist(), xs, reward[part].tolist()):
+                k = self.rows
+                self.step(m, x, r)
+                for check in checks:
+                    check.update(self, k)
+            lo = hi
 
-    def step(self, m: int, idx: int, r: float) -> None:
-        """Replay the next round t: agent m plays arm ``idx`` of round t for reward r."""
+    def step(self, m: int, x: np.ndarray, r: float) -> None:
+        """Replay the next round: agent m plays arm ``x`` for reward r."""
         t = self.rows = self.rows + 1
-        self.m, self.r = m, r
-        x = self.x = sample_decision_set(self.inst, t)[idx]
-        xx = np.outer(x, x)
+        self.m, self.r, self.x = m, r, x
+        xx = x[:, None] * x  # np.outer's products, without its overhead
         self.sigma_all = self.sigma_all + xx
         self.b_all = self.b_all + r * x
         self._pooled = None
@@ -150,13 +166,6 @@ class _Replay:
         if self._pooled is None:
             self._pooled = SpdMatrix._factor(self.sigma_all, min_eig=self.lam)
         return self._pooled
-
-
-def _run_pass(trace: SimulationTrace, inst: ProblemInstance, lam: float, checks: list) -> _Replay:
-    """Feed each round of one replay to every accumulator; return the replay at its end."""
-    rep = _Replay(inst, trace.M, lam)
-    rep.feed(trace.agent, trace.arm_index, trace.reward, trace.events, checks)
-    return rep
 
 
 class _Elliptical:
@@ -254,6 +263,18 @@ class _Covariance:
     the first round of the next run another agent can upload, growing the
     shared aggregate past what m downloaded, and the comparison is not
     claimed there.  A window counts once its first round is checked.
+
+    Claim 1 is counted for every agent on every row, but an agent's
+    difference ``server - sigma_loc_m / alpha`` is screened only on the rows
+    where it can raise the running worst, which starts at 0.  After the
+    first row it changes only with the acting agent's buffer or with an
+    upload.  A row without an upload moves only the acting agent's.  An
+    upload row moves nobody's towards a violation: the uploader's buffer is
+    empty, so its difference is the server aggregate itself, whose
+    smallest ``eigvalsh`` the replay's ``synced_factor`` has just checked
+    against the ridge floor, lam less a rounding margin kept below lam, so
+    it is at least 0; every other agent's difference grew by the uploaded
+    buffer, a PSD matrix.
     """
 
     def __init__(self, alpha: float, M: int):
@@ -266,14 +287,17 @@ class _Covariance:
         self.n_checks1 = self.n_checks2 = 0
 
     def update(self, rep: _Replay, k: int) -> None:
-        # Claim 1 covers every agent every round, but an agent's difference
-        # changes only with its buffer (the active agent) or the server (every
-        # agent, after an upload); an unchanged one is already in the worst.
-        if k == 0 or rep.synced:
-            changed = range(1, self.M + 1)
+        # Claim 1 covers every agent every round, screened where it can move
+        # the worst (see the class docstring): every agent on the first row,
+        # then the acting agent on a row without an upload, nobody on an
+        # upload row.
+        if k == 0:
+            screened = range(1, self.M + 1)
+        elif rep.synced:
+            screened = ()
         else:
-            changed = [rep.m]
-        for m in changed:
+            screened = (rep.m,)
+        for m in screened:
             diff = rep.server_sigma - rep.sigma_loc[m] / self.alpha
             self.worst1 = _loewner_worst(self.worst1, diff)
         self.n_checks1 += self.M

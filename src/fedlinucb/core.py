@@ -15,10 +15,10 @@ import importlib.util
 import math
 import os
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Any
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 from numpy.typing import NDArray
 
 
@@ -59,6 +59,8 @@ Matrix = NDArray[np.float64]
 SYMMETRY_RTOL = 1e-9
 FACTOR_RTOL = 1e-8
 
+_EPS = np.finfo(np.float64).eps
+
 
 class NumericalDomainError(ValueError):
     """A matrix operation left its numerical domain (e.g. non-PSD input)."""
@@ -91,8 +93,8 @@ class SpdMatrix:
         Spectral floor stated at construction (0.0 when none was claimed).
     logdet:
         ``2 * sum(log(diag(L)))``, the natural log of the determinant, computed
-        on first use; finite for every SPD matrix, so every determinant
-        comparison is made with it.
+        on each read (the package reads each factor's at most once); finite
+        for every SPD matrix, so every determinant comparison is made with it.
     """
 
     mat: Matrix
@@ -123,9 +125,6 @@ class SpdMatrix:
         last-pivot and floor checks (the sum is exactly symmetric, and a
         backward-stable Cholesky reproduces it)."""
         chol = _cholesky(mat)
-        # LAPACK does not reject NaN pivots; a NaN anywhere reaches the last one.
-        if not math.isfinite(chol[-1, -1]):
-            raise NumericalDomainError("matrix is not positive definite: non-finite pivot")
         _check_floor(mat, min_eig)
         return cls(mat=_read_only(mat), chol=_read_only(chol), min_eig=float(min_eig))
 
@@ -133,7 +132,7 @@ class SpdMatrix:
     def dim(self) -> int:
         return self.mat.shape[0]
 
-    @cached_property
+    @property
     def logdet(self) -> float:
         return 2.0 * float(np.log(np.diagonal(self.chol)).sum())
 
@@ -145,11 +144,20 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 def _cholesky(m: Matrix) -> Matrix:
-    """numpy's lower Cholesky factor of ``m``; NumericalDomainError where it fails."""
-    try:
-        return np.linalg.cholesky(m)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalDomainError(f"matrix is not positive definite: {exc}") from exc
+    """numpy's lower Cholesky factor of the square float64 ``m``, bit for bit;
+    NumericalDomainError where it fails or meets a non-finite pivot.
+
+    Calls the LAPACK gufunc that ``np.linalg.cholesky`` wraps, without the
+    wrapper's checks and error callback: a failed factorization comes back
+    filled with NaN, and the floating-point flags it raises are ignored, as
+    ``np.linalg.cholesky`` ignores them.
+    """
+    with np.errstate(all="ignore"):
+        chol = _umath_linalg.cholesky_lo(m, signature="d->d")
+    # LAPACK does not reject NaN pivots either; a NaN anywhere reaches the last one.
+    if len(chol) and not math.isfinite(chol[-1, -1]):
+        raise NumericalDomainError("matrix is not positive definite: non-finite pivot")
+    return chol
 
 
 def _check_floor(m: Matrix, min_eig: float) -> None:
@@ -176,7 +184,7 @@ def floor_margin(d: int, trace: float, floor: float) -> float:
     """``8 d eps (trace + d |floor|)``: above the rounding of a factorization of a
     d x d matrix of absolute trace ``trace`` shifted by ``floor``, and of its
     ``eigvalsh`` (each a small multiple of d eps ||mat||)."""
-    return 8.0 * d * np.finfo(np.float64).eps * (trace + d * abs(floor))
+    return 8.0 * d * _EPS * (trace + d * abs(floor))
 
 
 def logdet_rounding(d: int, lam: float, L: float, T: int) -> float:

@@ -28,6 +28,8 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+
 import numpy as np
 
 from .core import (
@@ -158,9 +160,8 @@ def _download(agent_id: int, s: ServerState) -> AgentState:
     sigma, d = s.sigma_ser, s.sigma_ser.dim
     # One dpotrs solve of [b | I]; v_inv is a Fortran-order slice of it, the
     # layout ``v_inv @ x`` rounds by, as a solve of the identity alone returns.
-    rhs = np.zeros((d, d + 1), order="F")
+    rhs = _zero_identity(d).copy(order="F")
     rhs[:, 0] = s.b_ser
-    rhs[np.arange(d), np.arange(1, d + 1)] = 1.0
     x = _chol_solve(sigma.chol, rhs)
     return AgentState(
         id=agent_id,
@@ -171,6 +172,14 @@ def _download(agent_id: int, s: ServerState) -> AgentState:
         theta_hat=x[:, 0],
         v_inv=x[:, 1:],
     )
+
+
+@lru_cache(maxsize=8)
+def _zero_identity(d: int) -> np.ndarray:
+    """The read-only Fortran-order (d, d + 1) matrix ``[0 | I]``, one per dimension."""
+    rhs = np.zeros((d, d + 1), order="F")
+    rhs[:, 1:] = np.eye(d)
+    return _read_only(rhs)
 
 
 def _recombined(sigma: SpdMatrix, b: Vector, sigma_loc: np.ndarray,

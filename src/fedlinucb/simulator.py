@@ -40,7 +40,7 @@ from .core import (
 )
 from .environment import BLOCK, Schedule, _block, sample_decision_set
 from . import protocol
-from .protocol import AgentState, CommEvent, ServerState, init_agent, init_server
+from .protocol import AgentState, CommEvent, ServerState, init_server
 
 
 class CommBoundError(AssertionError):
@@ -210,7 +210,7 @@ def _drive(
     # state is kept in slots.  A whole AgentState is built only to sync and at
     # the end.  v_inv stays as dpotrs returned it, in Fortran order, until the
     # first step replaces it: ``v_inv @ x`` rounds by layout.
-    agents = [init_agent(m, d, hp.lam) for m in range(1, M + 1)]
+    agents = [protocol._download(m, servers[m - 1 if private else 0]) for m in range(1, M + 1)]
     sigma_loc = [a.sigma_loc for a in agents]
     b_loc = [a.b_loc for a in agents]
     v_inv = [a.v_inv for a in agents]
@@ -234,12 +234,21 @@ def _drive(
     inst_regret = np.zeros(T)
     logdet_server = np.zeros(T)
     events: list[CommEvent] = []
+    # Each agent's next choices, last first.  A plan holds rows of one block
+    # only, so each has run out, or been dropped at a sync, by the block's end.
+    plans: list[list[int]] = [[] for _ in range(M)]
     for start in range(0, T, BLOCK):
         table = _block(inst, start // BLOCK)
         arms, means, noise = table.arms, table.means, table.noise
         ids = activations[start:start + BLOCK]
-        rows_of = [np.flatnonzero(ids == m) for m in range(1, M + 1)]
-        plans: list[list[int]] = [[] for _ in range(M)]  # each agent's next choices, last first
+        if not eager:
+            # The block's rows by agent, each agent's in round order: row r is
+            # at place[r] in ``order``, and its agent's rows end before ends[r].
+            order = np.argsort(ids, kind="stable")
+            place = np.empty_like(order)
+            place[order] = np.arange(len(ids))
+            ends = np.searchsorted(ids[order], ids, side="right")
+            place_l, ends_l = place.tolist(), ends.tolist()
         choice, dets, first_event = [], [], len(events)
         for row, m in enumerate(ids.tolist()):
             i, j = m - 1, m - 1 if private else 0
@@ -249,8 +258,8 @@ def _drive(
                 idx = int(_ucb_index(theta, chol, betas[i], arms[row]))
             else:
                 if not plans[i]:
-                    p, n, width[i] = rows_of[i].searchsorted(row), width[i], 2 * width[i]
-                    stack = arms[rows_of[i][p:p + n]]
+                    p, n, width[i] = place_l[row], width[i], 2 * width[i]
+                    stack = arms[order[p:min(p + n, ends_l[row])]]
                     plans[i] = _ucb_index(a.theta_hat, a.sigma.chol, betas[i], stack).tolist()[::-1]
                 idx = plans[i].pop()
             x = arms[row, idx]

@@ -28,6 +28,7 @@ from fedlinucb import (
     theoretical_comm_bound,
     theoretical_regret_bound,
 )
+from test_analysis import replay_checks
 from test_simulator import differing, public_step_run
 
 GRID_D = (2, 8)
@@ -87,7 +88,7 @@ def replications():
         trace = run_fedlinucb(inst, sched, hp)
         # One check on many traces: its accumulator alone, not the whole suite.
         cov = analysis._Coverage(inst, hp, 2000, trace.beta_used)
-        analysis._run_pass(trace, inst, hp.lam, [cov])
+        replay_checks(trace, inst, hp.lam, [cov])
         rows.append(
             {
                 "local_violations": cov.local_viol,
@@ -211,7 +212,7 @@ def test_06_elliptical_potential(grid, capsys):
     for cell in grid:
         lam = cell.hp.lam  # the grid's instances keep gen_instance's default L = 1
         elliptical = analysis._Elliptical(cell.d, lam, 1.0, cell.T)
-        analysis._run_pass(cell.trace, cell.inst, lam, [elliptical])
+        replay_checks(cell.trace, cell.inst, lam, [elliptical])
         (report,) = elliptical.reports()
         violations += not report.satisfied
         worst_slack = min(worst_slack, report.slack)
@@ -230,7 +231,7 @@ def test_07_covariance_domination(capsys):
         inst = gen_instance("random-sphere", d=4, K=10, seed=700 + rep)
         trace = run_fedlinucb(inst, sched, hp)
         covariance = analysis._Covariance(hp.alpha, 4)
-        analysis._run_pass(trace, inst, hp.lam, [covariance])
+        replay_checks(trace, inst, hp.lam, [covariance])
         (report,) = covariance.reports()
         worst = max(worst, report.detail["claim1_worst"])
         assert report.satisfied, report

@@ -33,6 +33,12 @@ def run_small(seed=7, d=3, K=5, M=3, T=300, alpha=1.0 / 9.0, **inst_kw):
     return inst, hp, run_fedlinucb(inst, sched, hp)
 
 
+def replay_checks(trace, inst, lam, checks):
+    """Feed the whole of ``trace`` through one replay to the accumulators ``checks``."""
+    analysis._Replay(inst, trace.M, lam).feed(trace.agent, trace.arm_index, trace.reward,
+                                              trace.events, checks)
+
+
 def suite_by_name(trace, inst, hp):
     """The invariant suite's reports on ``trace``, keyed by name."""
     return {r.name: r for r in run_invariant_suite(trace, inst, hp)}
@@ -282,7 +288,7 @@ def toy_trace(agent_seq, sync_rounds):
 def window_counts(trace):
     """(windows, claim-2 checks) of the covariance comparison on ``trace``."""
     covariance = analysis._Covariance(0.5, trace.M)
-    analysis._run_pass(trace, TOY_INST, 1.0, [covariance])
+    replay_checks(trace, TOY_INST, 1.0, [covariance])
     (report,) = covariance.reports()
     return report.detail["windows"], report.detail["claim2_checks"]
 
@@ -409,8 +415,8 @@ def test_suite_checks_the_pooled_floor_on_a_factorable_matrix():
 
 def test_package_covariances_skip_the_public_checks(monkeypatch):
     # from_dense is the checked boundary; the run and the suite factor their
-    # own covariances through SpdMatrix._factor.  Only the M + 1 priors
-    # (one per agent and the server's) come through from_dense.
+    # own covariances through SpdMatrix._factor.  Only the server's prior
+    # comes through from_dense; every agent starts as a download of it.
     calls = []
     real = fedlinucb.SpdMatrix.from_dense
     monkeypatch.setattr(fedlinucb.SpdMatrix, "from_dense",
@@ -420,7 +426,7 @@ def test_package_covariances_skip_the_public_checks(monkeypatch):
     trace = run_fedlinucb(inst, gen_schedule("iid-uniform", M=3, T=200, seed=12), hp)
     reports = run_invariant_suite(trace, inst, hp)
     assert trace.events and all(r.satisfied for r in reports)
-    assert len(calls) == 3 + 1
+    assert len(calls) == 1
 
 
 def test_sync_criterion_allows_only_logdet_rounding():

@@ -199,6 +199,30 @@ def test_internal_factor_keeps_the_floor_and_pivot_checks():
         SpdMatrix._factor(nan)
 
 
+def test_cholesky_is_numpys_bit_for_bit():
+    # The kernel calls the gufunc np.linalg.cholesky wraps: the same factor,
+    # byte for byte, at every dimension the runs use.
+    rng = np.random.default_rng(64)
+    for d in range(1, 65):
+        g = rng.standard_normal((d, 2 * d))
+        for mat in (g @ g.T + 1e-3 * np.eye(d), random_spd(rng, d, scale=1e6),
+                    np.asfortranarray(random_spd(rng, d))):
+            got = core._cholesky(mat)
+            want = np.linalg.cholesky(mat)
+            assert got.dtype == want.dtype and got.shape == want.shape, d
+            assert got.tobytes() == want.tobytes(), d
+
+
+@pytest.mark.parametrize("bad", ["indefinite", "nan", "inf"])
+def test_cholesky_refuses_what_numpy_refuses(bad):
+    mat = {"indefinite": np.diag([1.0, -0.5, 2.0]), "nan": np.eye(3), "inf": np.eye(3)}[bad]
+    if bad != "indefinite":
+        mat[2, 1] = mat[1, 2] = np.nan if bad == "nan" else np.inf
+    # No floating-point warning escapes (the test config makes one an error).
+    with pytest.raises(NumericalDomainError, match="matrix is not positive definite"):
+        core._cholesky(mat)
+
+
 def test_spd_rejects_non_square():
     with pytest.raises(DimensionMismatchError):
         SpdMatrix.from_dense(np.ones((2, 3)))

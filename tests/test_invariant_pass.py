@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import fedlinucb.analysis as analysis
+import fedlinucb.core as core
 import reference_analysis as ref
 from fedlinucb import (
     HyperParams,
@@ -109,6 +110,49 @@ def test_violated_claim_falls_back_to_eigvalsh():
     assert report.detail["claim1_worst"] == worst
     assert not report.satisfied
     assert report == ref.covariance_comparison_check(trace, inst, check_hp, 3)
+
+
+def test_high_sync_claim1_equals_every_agent_every_round():
+    # M = 16 at alpha = 1/256 uploads on most rounds, so claim 1 is screened
+    # only on the rows without an upload; checked at alpha = 1e-3 the claim
+    # fails, and its worst is the one of every agent's eigvalsh at every round.
+    inst = gen_instance("random-sphere", d=6, K=6, seed=16)
+    hp = HyperParams(lam=1.0, alpha=1.0 / 256.0, delta=0.1)
+    trace = run_fedlinucb(inst, gen_schedule("iid-uniform", M=16, T=1500, seed=17), hp)
+    assert 0.9 * len(trace.agent) < len(trace.events) < len(trace.agent)
+    check_hp = dataclasses.replace(hp, alpha=1e-3)
+    report = next(r for r in analysis.run_invariant_suite(trace, inst, check_hp)
+                  if r.name == "covariance-comparison")
+    assert report == ref.covariance_comparison_check(trace, inst, check_hp, 16)
+    assert report.detail["claim1_worst"] == brute_force_claim1_worst(trace, inst, hp, 1e-3, 16)
+    assert report.detail["claim1_worst"] > 1e-8 and not report.satisfied
+
+
+def test_screens_are_flat_in_agents_times_syncs(monkeypatch):
+    # Every Cholesky screen of one suite pass, counted: the floor check of
+    # each factor with a floor (the prior, the pooled covariance of every
+    # row, the synced factor of every upload), claim 1 for every agent on the
+    # first row and for the acting agent on each later row without an upload,
+    # and each claim-2 check.  An upload row screens no claim-1 difference.
+    calls = []
+    real = eigs_surely_above
+    counted = lambda mat, floor: calls.append(1) or real(mat, floor)
+    monkeypatch.setattr(core, "eigs_surely_above", counted)
+    monkeypatch.setattr(analysis, "eigs_surely_above", counted)
+    M, T = 16, 600
+    inst = gen_instance("random-sphere", d=3, K=6, seed=21)
+    hp = HyperParams(lam=1.0, alpha=1.0 / 16.0, delta=0.1)
+    trace = run_fedlinucb(inst, gen_schedule("iid-uniform", M=M, T=T, seed=22), hp)
+    calls.clear()
+    report = next(r for r in analysis.run_invariant_suite(trace, inst, hp)
+                  if r.name == "covariance-comparison")
+    uploads = {ev.round for ev in trace.events}
+    assert len(uploads) == len(trace.events) > 100
+    floor_checks = 1 + T + len(trace.events)
+    later_rows_without_upload = sum(1 for t in range(2, T + 1) if t not in uploads)
+    claim2 = report.detail["claim2_checks"]
+    assert report.detail["claim1_checks"] == M * T
+    assert len(calls) == floor_checks + later_rows_without_upload + claim2 + M
 
 
 def test_clean_run_needs_no_eigvalsh(monkeypatch):
