@@ -36,6 +36,7 @@ from .core import (
     DimensionMismatchError,
     SpdMatrix,
     _chol_solve,
+    _cholesky,
     _read_only,
 )
 
@@ -188,5 +189,5 @@ def _recombined(sigma: SpdMatrix, b: Vector, sigma_loc: np.ndarray,
     the estimate and lower factor of (sigma + sigma_loc, b + b_loc), through a
     fresh factor of the sum when the buffers hold anything.  Nothing given is
     touched."""
-    v = SpdMatrix._factor(sigma.mat + sigma_loc) if sigma_loc.any() else sigma
-    return _chol_solve(v.chol, b + b_loc), v.chol
+    chol = _cholesky(sigma.mat + sigma_loc) if sigma_loc.any() else sigma.chol
+    return _chol_solve(chol, b + b_loc), chol
