@@ -2,7 +2,7 @@
 
 Each fault is a context manager that patches one function the run looks up
 on its module every round (``protocol.sync``, ``protocol._fires``,
-``simulator._block``) and restores it on exit.  A run made inside it is a
+``protocol._recombined``, ``simulator._block``) and restores it on exit.  A run made inside it is a
 run of a faulty protocol; the suite that checks it runs outside, on the
 true protocol's replay.  ``FAULTS`` maps each fault's name to it.
 """
@@ -10,6 +10,8 @@ true protocol's replay.  ``FAULTS`` maps each fault's name to it.
 import dataclasses
 import math
 from contextlib import contextmanager
+
+import numpy as np
 
 from fedlinucb import protocol, simulator
 from fedlinucb.core import SpdMatrix, _read_only
@@ -63,6 +65,13 @@ def stale_download():
     return _faulty_sync(lambda a, server: server, lambda a, s, server: s)
 
 
+def skipped_download():
+    """The uploader keeps the statistics it held before its upload: the server
+    takes the upload, the agent empties its buffers and downloads nothing."""
+    return _faulty_sync(lambda a, server: server,
+                        lambda a, s, server: ServerState(a.sigma, a.b))
+
+
 def trigger_at(factor):
     """The trigger fires at ``factor`` times ``log1p(alpha)``."""
     return _patched(protocol, "_fires", lambda real: (
@@ -88,6 +97,22 @@ def another_rounds_decision_set():
                     lambda real: lambda inst, block: real(inst, block + 1))
 
 
+def another_rounds_reward():
+    """Each round's reward takes the noise of the round before it (a block's
+    first round that of the block's last): the right arm's mean, another
+    round's draw."""
+    return _patched(simulator, "_block", lambda real: lambda inst, block: (
+        lambda table: table._replace(noise=np.roll(table.noise, 1)))(real(inst, block)))
+
+
+def stale_b_loc():
+    """An eager step scores with its buffered ``b_loc`` as it was at its last
+    sync, empty, while its covariance buffer stays current.  A lazy run never
+    recombines its buffers, so the fault reaches eager runs only."""
+    return _patched(protocol, "_recombined", lambda real: (
+        lambda sigma, b, sigma_loc, b_loc: real(sigma, b, sigma_loc, np.zeros_like(b_loc))))
+
+
 FAULTS = {
     "doubled-server-b": doubled_server_b,
     "doubled-server-sigma": doubled_server_sigma,
@@ -97,4 +122,7 @@ FAULTS = {
     "trigger-1.1": lambda: trigger_at(1.1),
     "wrong-agent-event": wrong_agent_event,
     "another-rounds-decision-set": another_rounds_decision_set,
+    "skipped-download": skipped_download,
+    "another-rounds-reward": another_rounds_reward,
+    "stale-b-loc": stale_b_loc,
 }

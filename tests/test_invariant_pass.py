@@ -80,6 +80,26 @@ def test_single_pass_reports_equal_the_per_check_replays(case):
         )
 
 
+# Every d, every M and each mode meet every horizon of 255, 256, 257 and 600.
+EDGE_CASES = [
+    (1, 1, "lazy", 255), (1, 1, "eager", 256), (1, 3, "lazy", 257), (1, 3, "eager", 600),
+    (3, 1, "lazy", 256), (3, 1, "eager", 257), (3, 3, "lazy", 600), (3, 3, "eager", 255),
+    (32, 1, "lazy", 257), (32, 1, "eager", 600), (32, 3, "lazy", 255), (32, 3, "eager", 256),
+]
+
+
+@pytest.mark.parametrize("d,M,mode,T", EDGE_CASES)
+def test_block_and_stack_edges_equal_the_per_check_replays(d, M, mode, T):
+    # The property draws T <= 150, inside one block.  These horizons end just
+    # before, on and just after the first block edge, and past the second; at
+    # d = 32 the replay's stacks of rows end inside each block as well.
+    inst = gen_instance("random-sphere", d=d, K=6, seed=100 * d + M)
+    hp = HyperParams(lam=1.0, alpha=0.5, delta=0.1, estimate_mode=mode)
+    trace = run_fedlinucb(inst, gen_schedule("iid-uniform", M=M, T=T, seed=T), hp)
+    assert analysis.run_invariant_suite(trace, inst, hp) == ref.run_invariant_suite(
+        trace, inst, hp)
+
+
 def brute_force_claim1_worst(trace, inst, hp, alpha, M):
     """max over agents and rounds of -lambda_min(server - sigma_loc_m / alpha)."""
     d, lam = inst.dim, hp.lam
@@ -134,9 +154,10 @@ def test_screens_are_flat_in_agents_times_syncs(monkeypatch):
     # row, the synced factor of every upload), claim 1 for every agent on the
     # first row and for the acting agent on each later row without an upload,
     # and each claim-2 check.  An upload row screens no claim-1 difference.
+    # A stack counts one screen per matrix.
     calls = []
     real = eigs_surely_above
-    counted = lambda mat, floor: calls.append(1) or real(mat, floor)
+    counted = lambda mat, floor: calls.append(len(mat) if mat.ndim == 3 else 1) or real(mat, floor)
     monkeypatch.setattr(core, "eigs_surely_above", counted)
     monkeypatch.setattr(analysis, "eigs_surely_above", counted)
     M, T = 16, 600
@@ -152,7 +173,7 @@ def test_screens_are_flat_in_agents_times_syncs(monkeypatch):
     later_rows_without_upload = sum(1 for t in range(2, T + 1) if t not in uploads)
     claim2 = report.detail["claim2_checks"]
     assert report.detail["claim1_checks"] == M * T
-    assert len(calls) == floor_checks + later_rows_without_upload + claim2 + M
+    assert sum(calls) == floor_checks + later_rows_without_upload + claim2 + M
 
 
 def test_clean_run_needs_no_eigvalsh(monkeypatch):
