@@ -3,17 +3,18 @@
 The invariant checks rebuild the protocol bookkeeping from the trace and the
 environment's decision sets (:class:`_Replay`), compare it against the stored
 upload checksums, and derive each upload's trigger gain from it.
-Each replay-based check is an accumulator fed once per replayed round, and
 :func:`run_invariant_suite`, the one public entry point for the checks, drives
-all of them through a single pass, fed the run's rows block by block.  Within
-the pass the played arms of each environment block are gathered from its
-table at once, every round's pooled covariance is factored once, and each
-``eigvalsh`` is screened by a Cholesky factorization
-(:func:`~fedlinucb.core.eigs_surely_above`) that skips it only where its
-value could not change the report.  A Loewner comparison is screened only
-on the rows where it can raise its worst: claim 1 of the covariance
-comparison for the acting agent on a row without an upload, and for no
-agent on an upload row (:class:`_Covariance` says why).
+every check through a single pass, fed the run's rows block by block.  The
+pass replays a stack of consecutive rows at a time, and each replay-based
+check is an accumulator fed once per stack, as array code over its rows: a
+row keeps only its running sums, one LAPACK ``dpotrs`` and its weighted norm,
+and every factor, log-determinant and floor screen of a stack is one stacked
+call, bit for bit the per-matrix one.  Each ``eigvalsh`` is screened by a
+Cholesky factorization (:func:`~fedlinucb.core.eigs_surely_above`) that skips
+it only where its value could not change the report.  A Loewner comparison is
+screened only on the rows where it can raise its worst: claim 1 of the
+covariance comparison for the acting agent on a row without an upload, and
+for no agent on an upload row (:class:`_Covariance` says why).
 """
 
 from __future__ import annotations
@@ -25,11 +26,15 @@ import numpy as np
 
 from .core import (
     HyperParams,
+    NumericalDomainError,
     ProblemInstance,
     SpdMatrix,
+    _check_floor,
+    _chol_solve,
+    _cholesky,
+    _logdet,
     eigs_surely_above,
     epoch_comm_cap,
-    inv_norm,
     logdet_rounding,
     solve_estimate,
     theoretical_comm_bound,
@@ -69,18 +74,33 @@ def _capped(name: str, empirical: float, bound: float, satisfied: bool | None = 
     return BoundReport(name, empirical, bound, satisfied, bound - empirical, detail)
 
 
-class _Replay:
-    """Protocol state rebuilt round by round from a run's rows.
+# Rows replayed as one stack: each (rows, d, d) stack of the replay holds at
+# most this many floats (16 rows at d = 32, a whole block at d <= 8), so that
+# the few stacks alive at once stay small next to the check's own memory.
+_STACK_FLOATS = 2**14
 
-    ``feed`` replays the next rows of the run.  After each row the attributes
-    hold end-of-round values for its round: the acting agent ``m``, its arm
-    ``x`` (row ``arm_index`` of the round's decision set, read from the
-    environment) and reward ``r``, the pooled statistics, the server aggregate,
-    every agent's unsynced buffers, synced covariance factor (ridge floor
-    verified) and target, and ``synced``, whether the round's agent uploaded.
-    ``pooled()`` factors the pooled covariance at most once per round, with
-    the ridge floor verified, for every check to share.  ``rows`` counts the
-    rows replayed.
+
+class _Replay:
+    """Protocol state rebuilt from a run's rows, one stack of rows at a time.
+
+    ``feed`` replays the next rows in stacks of consecutive rows inside one
+    environment block and hands each stack to every check.  Each row's
+    running sums are made in row order, as the run makes them; the stack's
+    factors, log-determinants and floor screens are stacked calls.  A stack
+    that fails them is refactored one matrix at a time, in row order, so
+    that the first failing row raises its own error.
+
+    After each stack, per row k (global row ``first + k``): ``agents``, the
+    played arms ``xs`` (row ``arm_index`` of the round's decision set, read
+    from the environment), the end-of-round pooled ``pooled`` and
+    ``pooled_b``, ``pooled_chol`` (ridge floor verified), ``buffers`` (the
+    acting agent's buffer after its arm, the uploaded one on an upload row)
+    and ``uploaded``.  ``servers`` stacks the server aggregate before the
+    stack and after each upload, and ``server_at[k]`` indexes the one at the
+    end of row k.  Upload j made its uploader's synced covariance
+    ``servers[j + 1]``, factored as ``synced_chols[j]`` (floor verified),
+    and target ``synced_bs[j]``.  ``solves()`` gives each row's pooled solve
+    of its arm and of ``pooled_b``.  ``rows`` counts the rows replayed.
 
     ``gains`` holds, per upload, ``logdet(sigma + sigma_loc) - logdet(sigma)``
     of the uploader's synced covariance and buffer, from fresh factors: the
@@ -102,70 +122,116 @@ class _Replay:
         self.sigma_loc = {m: np.zeros((d, d)) for m in range(1, self.M + 1)}
         self.b_loc = {m: np.zeros(d) for m in range(1, self.M + 1)}
         prior = SpdMatrix._factor(lam * np.eye(d), min_eig=lam)
-        self.synced_factor = {m: prior for m in range(1, self.M + 1)}
-        self.synced_b = {m: np.zeros(d) for m in range(1, self.M + 1)}
+        self.synced_sigma = dict.fromkeys(range(1, self.M + 1), prior.mat)
+        self.synced_logdet = dict.fromkeys(range(1, self.M + 1), prior.logdet)
         self.events_by_round: dict = {}
         self.checksum_mismatches = 0
         self.gains: list[float] = []
-        self.synced = False
-        self._pooled: SpdMatrix | None = None
         self.rows = 0
 
     def feed(self, agent: np.ndarray, arm_index: np.ndarray, reward: np.ndarray,
              events: list, checks: list) -> None:
         """Replay the next rows (their agents, arm indices and rewards, with the
-        events recorded at their rounds), updating every check after each row."""
+        events recorded at their rounds), updating every check after each stack."""
         self.checksum_mismatches += len(events)
         self.events_by_round.update((ev.round, ev) for ev in events)
         fixed, first, end = self.inst.arm_spec.arms, self.rows, self.rows + len(arm_index)
+        size = max(1, _STACK_FLOATS // self.d**2)
         lo = first
         while lo < end:
             # The played arms of the rows inside one environment block, gathered
             # at once from its table (a fixed list's from the list itself).
             block = lo // BLOCK
-            hi = min(end, (block + 1) * BLOCK)
+            hi = min(end, (block + 1) * BLOCK, lo + size)
             part = slice(lo - first, hi - first)
             if fixed is None:
                 rows = np.arange(lo - block * BLOCK, hi - block * BLOCK)
                 xs = _block(self.inst, block).arms[rows, arm_index[part]]
             else:
                 xs = fixed[arm_index[part]]
-            for m, x, r in zip(agent[part].tolist(), xs, reward[part].tolist()):
-                k = self.rows
-                self.step(m, x, r)
-                for check in checks:
-                    check.update(self, k)
+            self.step(agent[part], xs, reward[part])
+            for check in checks:
+                check.update(self)
             lo = hi
 
-    def step(self, m: int, x: np.ndarray, r: float) -> None:
-        """Replay the next round: agent m plays arm ``x`` for reward r."""
-        t = self.rows = self.rows + 1
-        self.m, self.r, self.x = m, r, x
-        xx = x[:, None] * x  # np.outer's products, without its overhead
-        self.sigma_all = self.sigma_all + xx
-        self.b_all = self.b_all + r * x
-        self._pooled = None
-        self.sigma_loc[m] = self.sigma_loc[m] + xx
-        self.b_loc[m] = self.b_loc[m] + r * x
-        event = self.events_by_round.get(t)
-        self.synced = event is not None and event.agent == m
-        if self.synced:
-            if payload_checksum(self.sigma_loc[m], self.b_loc[m]) == event.payload_checksum:
+    def step(self, agents: np.ndarray, xs: np.ndarray, rewards: np.ndarray) -> None:
+        """Replay the next rows: agent ``agents[k]`` plays arm ``xs[k]`` for
+        reward ``rewards[k]``."""
+        n, d, first = len(xs), self.d, self.rows
+        # The last stack's arrays go before this one's are made.
+        self.pooled = self.pooled_b = self.pooled_chol = self.buffers = None
+        self.servers = self.synced_chols = self.synced_bs = self._solves = None
+        self.first, self.agents, self.xs = first, agents, xs
+        xx = xs[:, :, None] * xs[:, None, :]  # each row's x[:, None] * x
+        rx = np.asarray(rewards, dtype=np.float64)[:, None] * xs
+        # add.accumulate sums in row order, as the chain b = b + r x does.
+        self.pooled_b = np.add.accumulate(np.concatenate([self.b_all[None], rx]))[1:]
+        self.pooled = pooled = np.empty((n, d, d))
+        self.buffers = buffers = np.empty((n, d, d))
+        self.uploaded = np.zeros(n, dtype=bool)
+        # The server aggregate before the stack and after each upload, and each
+        # upload's synced covariance plus buffer, written in place.
+        servers, gains = np.empty((n + 1, d, d)), np.empty((n, d, d))
+        servers[0] = self.server_sigma
+        server_bs, uploaders = [], []
+        total = self.sigma_all
+        for k, m in enumerate(agents.tolist()):
+            total = np.add(total, xx[k], out=pooled[k])
+            self.sigma_loc[m] = buf = np.add(self.sigma_loc[m], xx[k], out=buffers[k])
+            self.b_loc[m] = self.b_loc[m] + rx[k]
+            event = self.events_by_round.get(first + k + 1)
+            if event is None or event.agent != m:
+                continue
+            self.uploaded[k] = True
+            if payload_checksum(buf, self.b_loc[m]) == event.payload_checksum:
                 self.checksum_mismatches -= 1
-            before = self.synced_factor[m]
-            self.gains.append(SpdMatrix._factor(before.mat + self.sigma_loc[m]).logdet
-                              - before.logdet)
-            self.server_sigma = self.server_sigma + self.sigma_loc[m]
+            j = len(uploaders)
+            np.add(self.synced_sigma[m], buf, out=gains[j])
+            self.server_sigma = np.add(self.server_sigma, buf, out=servers[j + 1])
             self.server_b = self.server_b + self.b_loc[m]
-            self.sigma_loc[m] = np.zeros((self.d, self.d))
-            self.b_loc[m] = np.zeros(self.d)
-            self.synced_factor[m] = SpdMatrix._factor(self.server_sigma, min_eig=self.lam)
-            self.synced_b[m] = self.server_b
+            server_bs.append(self.server_b)
+            uploaders.append(m)
+            self.sigma_loc[m] = np.zeros((d, d))
+            self.b_loc[m] = np.zeros(d)
+            self.synced_sigma[m] = self.server_sigma
+        del xx, rx
+        u = len(uploaders)
+        # Own copies of what outlives the stack, so that no view keeps it alive.
+        self.sigma_all, self.b_all = pooled[-1].copy(), self.pooled_b[-1].copy()
+        self.server_sigma = servers[u].copy()
+        for m in set(agents.tolist()):
+            self.sigma_loc[m] = self.sigma_loc[m].copy()
+        for m in set(uploaders):
+            self.synced_sigma[m] = self.synced_sigma[m].copy()
+        self.servers, self.synced_bs, gains = servers[:u + 1], server_bs, gains[:u]
+        self.server_at = np.cumsum(self.uploaded)
+        try:
+            gain_logdets = _logdet(_cholesky(gains)).tolist()
+            self.synced_chols = _cholesky(self.servers[1:])
+            _check_floor(self.servers[1:], self.lam)
+            self.pooled_chol = _cholesky(pooled)
+            _check_floor(pooled, self.lam)
+        except NumericalDomainError:
+            for k, j in enumerate(self.server_at.tolist()):
+                if self.uploaded[k]:
+                    SpdMatrix._factor(gains[j - 1])
+                    SpdMatrix._factor(self.servers[j], min_eig=self.lam)
+                SpdMatrix._factor(pooled[k], min_eig=self.lam)
+            raise
+        for m, gain_logdet, logdet in zip(uploaders, gain_logdets,
+                                          _logdet(self.synced_chols).tolist()):
+            self.gains.append(gain_logdet - self.synced_logdet[m])
+            self.synced_logdet[m] = logdet
+        self.rows += n
 
-    def pooled(self) -> SpdMatrix:
-        if self._pooled is None:
-            self._pooled = SpdMatrix._factor(self.sigma_all, min_eig=self.lam)
-        return self._pooled
+    def solves(self) -> np.ndarray:
+        """The (rows, 2, d) solves of each row's pooled covariance: of its arm,
+        then of its pooled ``b``, one LAPACK ``dpotrs`` of both per row."""
+        if self._solves is None:
+            rhs = np.stack([self.xs, self.pooled_b], axis=-1)
+            self._solves = np.array([_chol_solve(chol, b).T
+                                     for chol, b in zip(self.pooled_chol, rhs)])
+        return self._solves
 
 
 class _Elliptical:
@@ -179,8 +245,10 @@ class _Elliptical:
         self.bound = 2.0 * d * math.log(1.0 + T * L * L / lam)
         self.total = 0.0
 
-    def update(self, rep: _Replay, k: int) -> None:
-        self.total += inv_norm(rep.pooled(), rep.x) ** 2
+    def update(self, rep: _Replay) -> None:
+        # inv_norm's arithmetic, squared and summed in row order.
+        for quad in np.vecdot(rep.xs, rep.solves()[:, 0]).tolist():
+            self.total += math.sqrt(max(quad, 0.0)) ** 2
 
     def reports(self) -> list[BoundReport]:
         tol = 1e-6
@@ -208,19 +276,17 @@ class _Coverage:
         self.theta, self.beta = inst.theta_star, beta
         self.n_local = self.local_viol = self.n_global = self.global_viol = 0
 
-    def update(self, rep: _Replay, k: int) -> None:
-        sigma_all = rep.pooled()
-        theta_all = solve_estimate(sigma_all, rep.b_all)
-        self.n_global += 1
+    def update(self, rep: _Replay) -> None:
+        norms = _weighted_norms(rep.pooled, self.theta - rep.solves()[:, 1])
+        self.n_global += len(norms)
         # Written as "not <=" so that a NaN norm counts as a violation.
-        if not _weighted_norm(sigma_all, self.theta - theta_all) <= self.global_bound:
-            self.global_viol += 1
-        if rep.synced:
-            sigma_m = rep.synced_factor[rep.m]
-            theta_m = solve_estimate(sigma_m, rep.synced_b[rep.m])
-            self.n_local += 1
-            if not _weighted_norm(sigma_m, self.theta - theta_m) <= self.beta:
-                self.local_viol += 1
+        self.global_viol += int(np.count_nonzero(~(norms <= self.global_bound)))
+        if rep.synced_bs:
+            thetas = np.array([_chol_solve(chol, b)
+                               for chol, b in zip(rep.synced_chols, rep.synced_bs)])
+            norms = _weighted_norms(rep.servers[1:], self.theta - thetas)
+            self.n_local += len(norms)
+            self.local_viol += int(np.count_nonzero(~(norms <= self.beta)))
 
     def reports(self) -> list[BoundReport]:
         local = self.local_viol / self.n_local if self.n_local else 0.0
@@ -233,20 +299,24 @@ class _Coverage:
         ]
 
 
-def _weighted_norm(m: SpdMatrix, v: np.ndarray) -> float:
-    """||v||_m = sqrt(v^T m v) (direct norm, not the inverse one)."""
-    return math.sqrt(max(float(v @ m.mat @ v), 0.0))
+def _weighted_norms(mats: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """||v||_m = sqrt(v^T m v) (direct norm, not the inverse one) of each row v of
+    ``vs`` under its matrix m of the stack ``mats``, bit for bit ``v @ m @ v``."""
+    quad = np.vecdot(np.matmul(vs[:, None, :], mats)[:, 0], vs)
+    return np.sqrt(np.maximum(quad, 0.0))
 
 
-def _loewner_worst(worst: float, diff: np.ndarray) -> float:
-    """``max(worst, -eigvalsh(diff)[0])`` for a running worst that starts at 0.0.
+def _loewner_worst(worst: float, diffs: np.ndarray) -> float:
+    """``max(worst, -eigvalsh(diff)[0])`` over the (n, d, d) stack ``diffs``, in
+    order, for a running worst that starts at 0.0.
 
-    ``eigvalsh`` runs only when the Cholesky screen cannot prove its value
-    nonnegative, that is, when it could raise the worst.
+    ``eigvalsh`` runs only where the Cholesky screen cannot prove its value
+    nonnegative, that is, where it could raise the worst.
     """
-    if eigs_surely_above(diff, 0.0):
-        return worst
-    return max(worst, -float(np.linalg.eigvalsh(diff)[0]))
+    if len(diffs):
+        for diff in diffs[~eigs_surely_above(diffs, 0.0)]:
+            worst = max(worst, -float(np.linalg.eigvalsh(diff)[0]))
+    return worst
 
 
 class _Covariance:
@@ -271,10 +341,11 @@ class _Covariance:
     upload.  A row without an upload moves only the acting agent's.  An
     upload row moves nobody's towards a violation: the uploader's buffer is
     empty, so its difference is the server aggregate itself, whose
-    smallest ``eigvalsh`` the replay's ``synced_factor`` has just checked
-    against the ridge floor, lam less a rounding margin kept below lam, so
-    it is at least 0; every other agent's difference grew by the uploaded
-    buffer, a PSD matrix.
+    smallest ``eigvalsh`` the replay has just checked, as the uploader's
+    synced covariance, against the ridge floor, lam less a rounding margin
+    kept below lam, so it is at least 0; every other agent's difference grew
+    by the uploaded buffer, a PSD matrix.  Each stack of rows is screened in
+    one call, in row order.
     """
 
     def __init__(self, alpha: float, M: int):
@@ -286,31 +357,45 @@ class _Covariance:
         self.worst1 = self.worst2 = 0.0  # claim 1 / claim 2 violation magnitudes
         self.n_checks1 = self.n_checks2 = 0
 
-    def update(self, rep: _Replay, k: int) -> None:
+    def update(self, rep: _Replay) -> None:
         # Claim 1 covers every agent every round, screened where it can move
         # the worst (see the class docstring): every agent on the first row,
         # then the acting agent on a row without an upload, nobody on an
         # upload row.
-        if k == 0:
-            screened = range(1, self.M + 1)
-        elif rep.synced:
-            screened = ()
-        else:
-            screened = (rep.m,)
-        for m in screened:
-            diff = rep.server_sigma - rep.sigma_loc[m] / self.alpha
-            self.worst1 = _loewner_worst(self.worst1, diff)
-        self.n_checks1 += self.M
-        if self.window == rep.m:
-            diff = rep.synced_factor[rep.m].mat - self.shrink * rep.sigma_all
-            self.worst2 = _loewner_worst(self.worst2, diff)
-            self.n_checks2 += 1
-            self.windows += not self.checked
-            self.checked = True
-        else:
-            self.window = None
-        if rep.synced:
-            self.window, self.checked = rep.m, False
+        rows = np.flatnonzero(~rep.uploaded)
+        if rep.first == 0:
+            # Every agent's buffer but the acting one's is empty; the agents
+            # go in stacks of the replay's size.
+            server, acting = rep.servers[rep.server_at[0]], int(rep.agents[0]) - 1
+            size = max(1, _STACK_FLOATS // rep.d**2)
+            for lo in range(0, self.M, size):
+                buffers = np.zeros((min(size, self.M - lo), rep.d, rep.d))
+                if lo <= acting < lo + size and not rep.uploaded[0]:
+                    buffers[acting - lo] = rep.buffers[0]
+                self.worst1 = _loewner_worst(self.worst1, server - buffers / self.alpha)
+            rows = rows[rows > 0]
+        # server - buffer / alpha, made in place.
+        diffs = np.divide(rep.buffers[rows], self.alpha)
+        np.subtract(rep.servers[rep.server_at[rows]], diffs, out=diffs)
+        self.worst1 = _loewner_worst(self.worst1, diffs)
+        self.n_checks1 += self.M * len(rep.agents)
+        # Claim 2 on the rows inside a window.  There only the window's agent
+        # has uploaded since it opened, so its synced covariance is the server
+        # aggregate standing at the end of the row.
+        rows = []
+        for k, (m, uploaded) in enumerate(zip(rep.agents.tolist(), rep.uploaded.tolist())):
+            if self.window == m:
+                rows.append(k)
+                self.windows += not self.checked
+                self.checked = True
+            else:
+                self.window = None
+            if uploaded:
+                self.window, self.checked = m, False
+        diffs = np.multiply(self.shrink, rep.pooled[rows])
+        np.subtract(rep.servers[rep.server_at[rows]], diffs, out=diffs)
+        self.worst2 = _loewner_worst(self.worst2, diffs)
+        self.n_checks2 += len(rows)
 
     def reports(self) -> list[BoundReport]:
         return [_capped(

@@ -4,8 +4,10 @@ Everything downstream (protocol state machine, simulator, analysis) goes
 through the small set of primitives defined here: a validated SPD matrix
 wrapper with a cached Cholesky handle, log-determinant / inverse-norm / ridge
 solves on that wrapper (straight through LAPACK ``dpotrs``), the Cholesky
-screen that spares ``eigvalsh`` (LAPACK ``dpotrf``), the
-confidence-radius and bound formulas, and the optimistic arm-selection rule.
+screen that spares ``eigvalsh``, the confidence-radius and bound formulas,
+and the optimistic arm-selection rule.  The factor, the floor check and the
+screen take one matrix or an ``(n, d, d)`` stack of them alike, so a replay
+factors and screens many covariances in one LAPACK gufunc call.
 """
 
 from __future__ import annotations
@@ -134,7 +136,7 @@ class SpdMatrix:
 
     @property
     def logdet(self) -> float:
-        return 2.0 * float(np.log(np.diagonal(self.chol)).sum())
+        return float(_logdet(self.chol))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -147,40 +149,67 @@ def _cholesky(m: Matrix) -> Matrix:
     """numpy's lower Cholesky factor of the square float64 ``m``, bit for bit;
     NumericalDomainError where it fails or meets a non-finite pivot.
 
-    Calls the LAPACK gufunc that ``np.linalg.cholesky`` wraps, without the
-    wrapper's checks and error callback: a failed factorization comes back
-    filled with NaN, and the floating-point flags it raises are ignored, as
+    ``m`` may be an (n, d, d) stack: the result is then the stack of each
+    matrix's factor, and one failure refuses the stack.  Calls the LAPACK
+    gufunc that ``np.linalg.cholesky`` wraps, without the wrapper's checks
+    and error callback: a failed factorization comes back filled with NaN,
+    and the floating-point flags it raises are ignored, as
     ``np.linalg.cholesky`` ignores them.
     """
     with np.errstate(all="ignore"):
         chol = _umath_linalg.cholesky_lo(m, signature="d->d")
-    # LAPACK does not reject NaN pivots either; a NaN anywhere reaches the last one.
-    if len(chol) and not math.isfinite(chol[-1, -1]):
+    # LAPACK does not reject NaN pivots either; a NaN anywhere reaches the last
+    # one.  The exact sum of the last pivots (each finite or NaN, at most
+    # sqrt(max float)) is finite only where every one is.
+    if chol.size and not math.isfinite(math.fsum(chol[..., -1, -1].flat)):
         raise NumericalDomainError("matrix is not positive definite: non-finite pivot")
     return chol
 
 
+def _logdet(chol: Matrix) -> Any:
+    """``2 * sum(log(diag(L)))`` of a lower factor, or of each in an (n, d, d) stack."""
+    return 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(-1)
+
+
 def _check_floor(m: Matrix, min_eig: float) -> None:
     """NumericalDomainError unless a positive ``min_eig`` is, within rounding, a
-    floor under the eigenvalues of the factored matrix ``m``."""
+    floor under the eigenvalues of the factored matrix ``m``, or of every
+    matrix of an (n, d, d) stack; the first one that fails is named.
+
+    A shortfall inside the matrix's own rounding is no violation: the floor
+    checked is ``min_eig`` less the larger of a relative 1e-9 (plus 1e-12,
+    or 1e-9 again where ``min_eig`` is below 1e-3, so that the floor stays
+    positive) and the :func:`floor_margin`.  ``eigvalsh`` runs only on the
+    matrices that the Cholesky screen cannot prove above that floor.  A
+    stack is screened in one call; one matrix, as the run checks at every
+    sync, in Python floats, which cost less per call than array arithmetic.
+    """
     if min_eig > 0.0:
+        d = m.shape[-1]
+        floor = min_eig * (1.0 - 1e-9) - min(1e-12, 1e-9 * min_eig)
         # A factored matrix has a positive diagonal: its trace is tr|m|.
-        margin = floor_margin(m.shape[0], float(m.trace()), min_eig)
-        if not margin < min_eig:
-            raise NumericalDomainError(
-                f"stated floor {min_eig} is not above this matrix's rounding {margin:.6g}"
-            )
-        # A shortfall inside the matrix's own rounding is no violation.
-        floor = min(min_eig * (1.0 - 1e-9) - 1e-12, min_eig - margin)
-        if not eigs_surely_above(m, floor):
-            smallest = float(np.linalg.eigvalsh(m)[0])
-            if smallest < floor:
+        if m.ndim == 2:
+            margin = floor_margin(d, float(m.trace()), min_eig)
+            floor = min(floor, min_eig - margin)
+            if margin < min_eig and eigs_surely_above(m, floor):
+                return
+            stack, margins, floors, unproven = m[None], [margin], [floor], [0]
+        else:
+            stack, margins = m, floor_margin(d, m.trace(axis1=1, axis2=2), min_eig)
+            floors = np.minimum(floor, min_eig - margins)
+            unproven = np.flatnonzero(~(eigs_surely_above(m, floors) & (margins < min_eig)))
+        for i in unproven:
+            if not margins[i] < min_eig:
+                raise NumericalDomainError(f"stated floor {min_eig} is not above this "
+                                           f"matrix's rounding {margins[i]:.6g}")
+            smallest = float(np.linalg.eigvalsh(stack[i])[0])
+            if smallest < floors[i]:
                 raise NumericalDomainError(
                     f"smallest eigenvalue {smallest} below stated floor {min_eig}"
                 )
 
 
-def floor_margin(d: int, trace: float, floor: float) -> float:
+def floor_margin(d: int, trace: Any, floor: Any) -> Any:
     """``8 d eps (trace + d |floor|)``: above the rounding of a factorization of a
     d x d matrix of absolute trace ``trace`` shifted by ``floor``, and of its
     ``eigvalsh`` (each a small multiple of d eps ||mat||)."""
@@ -203,22 +232,32 @@ def check_ridge_domain(d: int, lam: float, L: float, T: int) -> None:
                                    f"of a {T}-round covariance at d={d}, L={L}")
 
 
-def eigs_surely_above(mat: Matrix, floor: float) -> bool:
+def eigs_surely_above(mat: Matrix, floor: Any) -> Any:
     """Whether a Cholesky factorization proves ``eigvalsh(mat)[0] >= floor``.
 
     Factors ``mat - (floor + margin) I`` with the :func:`floor_margin` of
     ``mat``, so True means ``eigvalsh`` could not come out below the floor
     and may be skipped; False decides nothing.  Any backward-stable Cholesky
-    proves this, so the screen runs the bound LAPACK ``dpotrf`` on a Fortran
-    copy and reads the lower triangle, the one ``eigvalsh`` reads.
+    proves this, of the lower triangle, the one ``eigvalsh`` reads.  ``mat``
+    may be an (n, d, d) stack, with one floor or one per matrix: the result
+    is then the (n,) array of each matrix's answer, from one call of numpy's
+    LAPACK gufunc.  One matrix is factored by the bound LAPACK ``dpotrf`` on
+    a Fortran copy, which costs less for one than a gufunc call.
     """
-    d = mat.shape[0]
-    shifted = np.array(mat, dtype=np.float64, order="F")
-    diag = shifted.ravel("K")[:: d + 1]  # a view: ravel("K") of a Fortran array copies nothing
-    diag -= floor + floor_margin(d, float(np.abs(diag).sum()), floor)
-    factor, info = dpotrf(shifted, lower=1, clean=0, overwrite_a=1)
-    # LAPACK does not reject NaN pivots; a NaN anywhere reaches the last one.
-    return info == 0 and math.isfinite(factor[-1, -1])
+    d = mat.shape[-1]
+    if mat.ndim == 2:
+        shifted = np.array(mat, dtype=np.float64, order="F")
+        diag = shifted.ravel("K")[:: d + 1]  # a view: ravel("K") of a Fortran array copies nothing
+        diag -= floor + floor_margin(d, float(np.abs(diag).sum()), floor)
+        factor, info = dpotrf(shifted, lower=1, clean=0, overwrite_a=1)
+        # LAPACK does not reject NaN pivots; a NaN anywhere reaches the last one.
+        return info == 0 and math.isfinite(factor[-1, -1])
+    shifted = np.array(mat, dtype=np.float64)
+    diag = shifted.reshape(len(shifted), d * d)[:, :: d + 1]  # a view of the fresh copy
+    diag -= (floor + floor_margin(d, np.abs(diag).sum(-1), floor))[:, None]
+    with np.errstate(all="ignore"):
+        _umath_linalg.cholesky_lo(shifted, signature="d->d", out=shifted)
+    return np.isfinite(shifted[:, -1, -1])
 
 
 def _chol_solve(chol: Matrix, b: Any) -> NDArray[np.float64]:

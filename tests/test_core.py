@@ -223,6 +223,116 @@ def test_cholesky_refuses_what_numpy_refuses(bad):
         core._cholesky(mat)
 
 
+# ---------------------------------------------------------------- stacked kernels
+#
+# A replay factors, screens and takes log-determinants of (n, d, d) stacks of
+# running covariances, and solves two right-hand sides at once.  Each must
+# give the bits of the per-matrix call it replaces.
+
+KERNELS = settings(max_examples=60, deadline=None, derandomize=True, database=None,
+                   suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def running_sums(draw):
+    """A few arms and rewards, as a replay's stack of rows meets them."""
+    d = draw(st.integers(1, 64))
+    lam = draw(st.sampled_from([1e-3, 0.1, 1.0, 4.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    xs = rng.standard_normal((draw(st.integers(1, 8)), d))
+    xs *= draw(st.sampled_from([0.1, 1.0, 30.0])) / np.linalg.norm(xs, axis=1, keepdims=True)
+    return lam, xs, rng.standard_normal(len(xs))
+
+
+@KERNELS
+@given(running_sums())
+def test_stacked_kernels_equal_the_per_matrix_ones(case):
+    lam, xs, rs = case
+    n, d = xs.shape
+    # The running sums: row by row into a stack, and by accumulate, against
+    # the chains a = a + x x^T and b = b + r x.
+    stack, prev = np.empty((n, d, d)), lam * np.eye(d)
+    a, b, chain, b_chain = lam * np.eye(d), np.zeros(d), [], []
+    for k, (x, r) in enumerate(zip(xs, rs.tolist())):
+        prev = np.add(prev, x[:, None] * x, out=stack[k])
+        a, b = a + x[:, None] * x, b + r * x
+        chain.append(a)
+        b_chain.append(b)
+    assert stack.tobytes() == np.array(chain).tobytes()
+    b_stack = np.add.accumulate(np.concatenate([np.zeros((1, d)), rs[:, None] * xs]))[1:]
+    assert b_stack.tobytes() == np.array(b_chain).tobytes()
+    chols = core._cholesky(stack)
+    logdets = core._logdet(chols).tolist()
+    for k, mat in enumerate(chain):
+        one = SpdMatrix._factor(mat)
+        assert chols[k].tobytes() == one.chol.tobytes()
+        assert logdets[k] == one.logdet
+        # One solve of two columns, each column its own solve.
+        both = core._chol_solve(chols[k], np.stack([xs[k], b_chain[k]], axis=-1))
+        assert both[:, 0].tobytes() == core._chol_solve(one.chol, xs[k]).tobytes()
+        assert both[:, 1].tobytes() == core._chol_solve(one.chol, b_chain[k]).tobytes()
+
+
+@KERNELS
+@given(
+    st.integers(1, 64),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.floats(-1e-6, 1e-6), min_size=1, max_size=6),
+    st.sampled_from([1e-3, 0.1, 1.0, 4.0]),
+)
+def test_a_passing_stacked_screen_proves_the_floor(d, seed, shifts, floor):
+    # A stack of matrices whose smallest eigenvalues sit within a hair of the floor.
+    rng = np.random.default_rng(seed)
+    mats = []
+    for shift in shifts:
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        eigs = np.concatenate([[floor + shift], floor * (1.0 + rng.uniform(0.0, 10.0, d - 1))])
+        mat = (q * eigs) @ q.T
+        mats.append((mat + mat.T) / 2.0)
+    surely = core.eigs_surely_above(np.array(mats), floor)
+    assert surely.shape == (len(mats),)
+    per_floor = core.eigs_surely_above(np.array(mats), np.full(len(mats), floor))
+    assert np.array_equal(per_floor, surely)
+    for mat, passed in zip(mats, surely.tolist()):
+        assert passed == core.eigs_surely_above(mat, floor)
+        if passed:
+            assert float(np.linalg.eigvalsh(mat)[0]) >= floor
+
+
+def test_cholesky_refuses_a_stack_with_one_failure():
+    stack = np.array([np.eye(2), np.diag([1.0, -0.5]), np.eye(2)])
+    with pytest.raises(NumericalDomainError, match="matrix is not positive definite"):
+        core._cholesky(stack)
+    assert core._cholesky(stack[[0, 2]]).tobytes() == np.array([np.eye(2)] * 2).tobytes()
+    assert core._cholesky(np.zeros((0, 3, 3))).shape == (0, 3, 3)
+
+
+def test_floor_stays_positive_below_1e_12():
+    # The allowed shortfall of 1e-9 relative plus 1e-12 outgrew a floor below
+    # about 1e-12, so a matrix ten times under its floor passed.  Below 1e-3
+    # the shortfall is relative only, on one matrix and in a stack alike.
+    bad, edge = np.diag([1e-14, 1.0]), np.diag([1e-13, 1.0])
+    with pytest.raises(NumericalDomainError) as one:
+        SpdMatrix._factor(bad, min_eig=1e-13)
+    assert str(one.value) == "smallest eigenvalue 1e-14 below stated floor 1e-13"
+    with pytest.raises(NumericalDomainError) as stacked:
+        core._check_floor(np.array([edge, bad]), 1e-13)
+    assert str(stacked.value) == str(one.value)
+    SpdMatrix._factor(edge, min_eig=1e-13)
+    core._check_floor(np.array([edge, edge]), 1e-13)
+
+
+def test_a_stack_is_refused_as_its_first_failing_matrix():
+    ok, below, huge = np.diag([1.0, 2.0]), np.diag([0.5, 2.0]), np.diag([1e20, 1e20])
+    core._check_floor(np.array([ok, ok]), 1.0)
+    for stack, single in (([ok, below, huge], below), ([ok, huge, below], huge)):
+        with pytest.raises(NumericalDomainError) as one:
+            core._check_floor(single, 1.0)
+        with pytest.raises(NumericalDomainError) as stacked:
+            core._check_floor(np.array(stack), 1.0)
+        assert str(stacked.value) == str(one.value)
+
+
 def test_spd_rejects_non_square():
     with pytest.raises(DimensionMismatchError):
         SpdMatrix.from_dense(np.ones((2, 3)))

@@ -100,6 +100,47 @@ def test_block_and_stack_edges_equal_the_per_check_replays(d, M, mode, T):
         trace, inst, hp)
 
 
+def test_replay_stacks_hold_the_per_row_chains():
+    # Across stacks (16 rows at d = 32) and a block edge, the replay's pooled
+    # statistics are the chains a = a + x x^T and b = b + r x, bit for bit.
+    inst = gen_instance("random-sphere", d=32, K=6, seed=7)
+    hp = HyperParams(lam=1.0, alpha=0.5, delta=0.1)
+    trace = run_fedlinucb(inst, gen_schedule("iid-uniform", M=3, T=300, seed=8), hp)
+    stacks = []
+
+    class Record:
+        def update(self, rep):
+            stacks.append((rep.pooled.copy(), rep.pooled_b.copy()))
+
+    analysis._Replay(inst, 3, 1.0).feed(trace.agent, trace.arm_index, trace.reward,
+                                         trace.events, [Record()])
+    assert len(stacks) == 19
+    a, b, chain, b_chain = np.eye(32), np.zeros(32), [], []
+    for t, idx, r in zip(trace.t.tolist(), trace.arm_index.tolist(), trace.reward.tolist()):
+        x = sample_decision_set(inst, t)[idx]
+        a, b = a + x[:, None] * x, b + r * x
+        chain.append(a)
+        b_chain.append(b)
+    assert np.concatenate([p for p, _ in stacks]).tobytes() == np.array(chain).tobytes()
+    assert np.concatenate([q for _, q in stacks]).tobytes() == np.array(b_chain).tobytes()
+
+
+def test_first_row_screens_more_agents_than_a_stack_holds():
+    # At d = 32 a stack holds 16 matrices, so the first row's 40 claim-1
+    # differences go in three stacks.  The run's first round does not sync,
+    # and checked at alpha = 1e-3 the acting agent's difference fails there.
+    inst = gen_instance("random-sphere", d=32, K=6, seed=40)
+    hp = HyperParams(lam=1.0, alpha=50.0, delta=0.1)
+    trace = run_fedlinucb(inst, gen_schedule("round-robin", M=40, T=60), hp)
+    check_hp = dataclasses.replace(hp, alpha=1e-3)
+    report = next(r for r in analysis.run_invariant_suite(trace, inst, check_hp)
+                  if r.name == "covariance-comparison")
+    assert 40 > analysis._STACK_FLOATS // 32**2
+    assert report == ref.covariance_comparison_check(trace, inst, check_hp, 40)
+    assert all(ev.round > 1 for ev in trace.events)
+    assert report.detail["claim1_checks"] == 40 * 60 and not report.satisfied
+
+
 def brute_force_claim1_worst(trace, inst, hp, alpha, M):
     """max over agents and rounds of -lambda_min(server - sigma_loc_m / alpha)."""
     d, lam = inst.dim, hp.lam
