@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
+from numpy._core.umath import _extobj_contextvar
+from numpy._core.multiarray import c_einsum
 from numpy.linalg import _umath_linalg
 from numpy.typing import NDArray
 
@@ -62,6 +64,11 @@ SYMMETRY_RTOL = 1e-9
 FACTOR_RTOL = 1e-8
 
 _EPS = np.finfo(np.float64).eps
+_add_reduce = np.add.reduce
+
+# The error state ``np.errstate(all="ignore")`` enters, built once for :func:`_cholesky`.
+with np.errstate(all="ignore"):
+    _QUIET = _extobj_contextvar.get()
 
 
 class NumericalDomainError(ValueError):
@@ -76,13 +83,13 @@ class DimensionMismatchError(ValueError):
 class SpdMatrix:
     """Symmetric positive definite matrix with a cached factorization.
 
-    Construct through :meth:`from_dense`, which rejects non-finite entries,
-    validates symmetry, runs a fresh Cholesky factorization, and (when a
-    positive spectral floor is stated) verifies every eigenvalue sits above
-    it.  The package's own covariances, ``lam I`` plus sums of ``x x^T``, are
-    factored by the internal :meth:`_factor`, which runs the same Cholesky
-    and floor check and trusts the rest.  Instances are treated as
-    immutable; covariance updates build new objects.
+    Construct through :meth:`from_dense`, which rejects non-finite entries
+    and a NaN floor, validates symmetry, runs a fresh Cholesky
+    factorization, and (when a positive spectral floor is stated) verifies
+    every eigenvalue sits above it.  The package's own covariances, ``lam I``
+    plus sums of ``x x^T``, are factored by the internal :meth:`_factor`,
+    which runs the same Cholesky and floor check and trusts the rest.
+    Instances are treated as immutable; covariance updates build new objects.
 
     Attributes
     ----------
@@ -105,6 +112,8 @@ class SpdMatrix:
 
     @classmethod
     def from_dense(cls, mat: Any, min_eig: float = 0.0) -> "SpdMatrix":
+        if math.isnan(min_eig):  # "nan > 0.0" is False: every later floor check would pass
+            raise NumericalDomainError("stated floor is NaN")
         m = np.array(mat, dtype=np.float64)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
@@ -128,7 +137,9 @@ class SpdMatrix:
         backward-stable Cholesky reproduces it)."""
         chol = _cholesky(mat)
         _check_floor(mat, min_eig)
-        return cls(mat=_read_only(mat), chol=_read_only(chol), min_eig=float(min_eig))
+        mat.setflags(write=False)
+        chol.setflags(write=False)
+        return cls(mat, chol, float(min_eig))
 
     @property
     def dim(self) -> int:
@@ -136,12 +147,13 @@ class SpdMatrix:
 
     @property
     def logdet(self) -> float:
-        return float(_logdet(self.chol))
+        # _logdet of one factor, without np.diagonal's dispatch: the same sum.
+        return 2.0 * float(_add_reduce(np.log(self.chol.diagonal())))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     """``a``, flagged read-only: agents alias the server arrays they download."""
-    a.flags.writeable = False
+    a.setflags(write=False)
     return a
 
 
@@ -153,15 +165,20 @@ def _cholesky(m: Matrix) -> Matrix:
     matrix's factor, and one failure refuses the stack.  Calls the LAPACK
     gufunc that ``np.linalg.cholesky`` wraps, without the wrapper's checks
     and error callback: a failed factorization comes back filled with NaN,
-    and the floating-point flags it raises are ignored, as
-    ``np.linalg.cholesky`` ignores them.
+    and the floating-point flags it raises are ignored (the call runs under
+    ``np.errstate(all="ignore")``'s state), as ``np.linalg.cholesky``
+    ignores them.
     """
-    with np.errstate(all="ignore"):
+    token = _extobj_contextvar.set(_QUIET)
+    try:
         chol = _umath_linalg.cholesky_lo(m, signature="d->d")
+    finally:
+        _extobj_contextvar.reset(token)
     # LAPACK does not reject NaN pivots either; a NaN anywhere reaches the last
-    # one.  The exact sum of the last pivots (each finite or NaN, at most
-    # sqrt(max float)) is finite only where every one is.
-    if chol.size and not math.isfinite(math.fsum(chol[..., -1, -1].flat)):
+    # one.  Of a stack, the exact sum of the last pivots (each finite or NaN,
+    # at most sqrt(max float)) is finite only where every one is.
+    if chol.size and not math.isfinite(
+            chol[-1, -1] if chol.ndim == 2 else math.fsum(chol[..., -1, -1].flat)):
         raise NumericalDomainError("matrix is not positive definite: non-finite pivot")
     return chol
 
@@ -182,14 +199,15 @@ def _check_floor(m: Matrix, min_eig: float) -> None:
     positive) and the :func:`floor_margin`.  ``eigvalsh`` runs only on the
     matrices that the Cholesky screen cannot prove above that floor.  A
     stack is screened in one call; one matrix, as the run checks at every
-    sync, in Python floats, which cost less per call than array arithmetic.
+    sync, in Python floats, which cost less per call than array arithmetic;
+    its trace is ``ndarray.trace``'s sum, ``np.add.reduce`` of the diagonal.
     """
     if min_eig > 0.0:
         d = m.shape[-1]
         floor = min_eig * (1.0 - 1e-9) - min(1e-12, 1e-9 * min_eig)
         # A factored matrix has a positive diagonal: its trace is tr|m|.
         if m.ndim == 2:
-            margin = floor_margin(d, float(m.trace()), min_eig)
+            margin = floor_margin(d, float(_add_reduce(m.diagonal())), min_eig)
             floor = min(floor, min_eig - margin)
             if margin < min_eig and eigs_surely_above(m, floor):
                 return
@@ -248,8 +266,8 @@ def eigs_surely_above(mat: Matrix, floor: Any) -> Any:
     if mat.ndim == 2:
         shifted = np.array(mat, dtype=np.float64, order="F")
         diag = shifted.ravel("K")[:: d + 1]  # a view: ravel("K") of a Fortran array copies nothing
-        diag -= floor + floor_margin(d, float(np.abs(diag).sum()), floor)
-        factor, info = dpotrf(shifted, lower=1, clean=0, overwrite_a=1)
+        diag -= floor + floor_margin(d, float(_add_reduce(np.abs(diag))), floor)
+        factor, info = dpotrf(shifted, 1, 0, 1)  # lower, clean=0, overwrite_a
         # LAPACK does not reject NaN pivots; a NaN anywhere reaches the last one.
         return info == 0 and math.isfinite(factor[-1, -1])
     shifted = np.array(mat, dtype=np.float64)
@@ -262,7 +280,7 @@ def eigs_surely_above(mat: Matrix, floor: Any) -> Any:
 
 def _chol_solve(chol: Matrix, b: Any) -> NDArray[np.float64]:
     """``(L L^T)^{-1} b`` through LAPACK ``dpotrs`` on a lower factor, no input checks."""
-    x, info = dpotrs(chol, b, lower=1)
+    x, info = dpotrs(chol, b, 1)  # lower
     if info != 0:
         raise ValueError(f"illegal value in {-info}-th argument of internal potrs")
     return x
@@ -501,8 +519,9 @@ def _ucb_index(theta_hat: Vector, chol: Matrix, beta: float, arms: Any) -> Any:
     """
     # Batched quadratic forms through the cached factor; one LAPACK call for
     # every arm of every set instead of a python loop over arms or sets.
+    # c_einsum is what np.einsum calls, without its Python wrapper.
     flat = arms.reshape(-1, arms.shape[-1])
-    ys = _chol_solve(chol, flat.T)
-    quad = np.maximum(np.einsum("kd,dk->k", flat, ys), 0.0).reshape(arms.shape[:-1])
-    scores = arms @ theta_hat + beta * np.sqrt(quad)
+    quad = c_einsum("kd,dk->k", flat, _chol_solve(chol, flat.T))
+    np.maximum(quad, 0.0, out=quad)
+    scores = arms @ theta_hat + beta * np.sqrt(quad, out=quad).reshape(arms.shape[:-1])
     return scores.argmax(axis=-1)

@@ -90,9 +90,10 @@ def init_server(d: int, lam: float) -> ServerState:
 
 
 def payload_checksum(sigma_loc: np.ndarray, b_loc: Vector) -> str:
-    h = hashlib.sha256()
-    h.update(np.ascontiguousarray(sigma_loc, dtype=np.float64).tobytes())
-    h.update(np.ascontiguousarray(b_loc, dtype=np.float64).tobytes())
+    """sha256 of the float64 bytes of ``sigma_loc`` then ``b_loc``, in C order;
+    hashed from the arrays' buffers, with no ``tobytes`` copy."""
+    h = hashlib.sha256(np.ascontiguousarray(sigma_loc, dtype=np.float64))
+    h.update(np.ascontiguousarray(b_loc, dtype=np.float64))
     return h.hexdigest()
 
 
@@ -147,32 +148,23 @@ def sync(a: AgentState, s: ServerState, round_: int) -> tuple[AgentState, Server
     re-downloads an identical state); the run loop never produces that case
     because the strict trigger cannot fire on empty buffers.
     """
-    server = ServerState(
-        sigma_ser=SpdMatrix._factor(s.sigma_ser.mat + a.sigma_loc, min_eig=s.sigma_ser.min_eig),
-        b_ser=_read_only(s.b_ser + a.b_loc),
-    )
-    event = CommEvent(round=round_, agent=a.id,
-                      payload_checksum=payload_checksum(a.sigma_loc, a.b_loc))
+    sigma = s.sigma_ser
+    server = ServerState(SpdMatrix._factor(sigma.mat + a.sigma_loc, sigma.min_eig),
+                         _read_only(s.b_ser + a.b_loc))
+    event = CommEvent(round_, a.id, payload_checksum(a.sigma_loc, a.b_loc))
     return _download(a.id, server), server, event
 
 
 def _download(agent_id: int, s: ServerState) -> AgentState:
     """An agent that holds the server's statistics, with empty buffers."""
-    sigma, d = s.sigma_ser, s.sigma_ser.dim
+    sigma, b = s.sigma_ser, s.b_ser
+    d = len(b)
     # One dpotrs solve of [b | I]; v_inv is a Fortran-order slice of it, the
     # layout ``v_inv @ x`` rounds by, as a solve of the identity alone returns.
-    rhs = _zero_identity(d).copy(order="F")
-    rhs[:, 0] = s.b_ser
+    rhs = _zero_identity(d).copy("F")
+    rhs[:, 0] = b
     x = _chol_solve(sigma.chol, rhs)
-    return AgentState(
-        id=agent_id,
-        sigma=sigma,
-        b=s.b_ser,
-        sigma_loc=np.zeros((d, d)),
-        b_loc=np.zeros(d),
-        theta_hat=x[:, 0],
-        v_inv=x[:, 1:],
-    )
+    return AgentState(agent_id, sigma, b, np.zeros((d, d)), np.zeros(d), x[:, 0], x[:, 1:])
 
 
 @lru_cache(maxsize=8)
@@ -189,5 +181,5 @@ def _recombined(sigma: SpdMatrix, b: Vector, sigma_loc: np.ndarray,
     the estimate and lower factor of (sigma + sigma_loc, b + b_loc), through a
     fresh factor of the sum when the buffers hold anything.  Nothing given is
     touched."""
-    chol = _cholesky(sigma.mat + sigma_loc) if sigma_loc.any() else sigma.chol
+    chol = _cholesky(sigma.mat + sigma_loc) if np.count_nonzero(sigma_loc) else sigma.chol
     return _chol_solve(chol, b + b_loc), chol

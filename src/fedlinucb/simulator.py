@@ -220,8 +220,8 @@ def _drive(
 
     def state(i: int) -> AgentState:
         a = agents[i]
-        return AgentState(id=a.id, sigma=a.sigma, b=a.b, sigma_loc=sigma_loc[i], b_loc=b_loc[i],
-                          theta_hat=a.theta_hat, v_inv=v_inv[i], log_gain=log_gain[i])
+        return AgentState(a.id, a.sigma, a.b, sigma_loc[i], b_loc[i], a.theta_hat, v_inv[i],
+                          log_gain[i])
 
     if T:
         # Every round's set has the shape of the first, and each radius is
@@ -259,7 +259,8 @@ def _drive(
             else:
                 if not plans[i]:
                     p, n, width[i] = place_l[row], width[i], 2 * width[i]
-                    stack = arms[order[p:min(p + n, ends_l[row])]]
+                    # One set is a slice of the block, not a gathered copy.
+                    stack = arms[row:row + 1] if n == 1 else arms[order[p:min(p + n, ends_l[row])]]
                     plans[i] = _ucb_index(a.theta_hat, a.sigma.chol, betas[i], stack).tolist()[::-1]
                 idx = plans[i].pop()
             x = arms[row, idx]
@@ -270,7 +271,7 @@ def _drive(
             log_gain[i] += gain
             if protocol._fires(log_gain[i], alpha):
                 # The strict trigger cannot fire without local data.
-                assert sigma_loc[i].any(), "sync triggered on empty buffers"
+                assert np.count_nonzero(sigma_loc[i]), "sync triggered on empty buffers"
                 a, servers[j], event = protocol.sync(state(i), servers[j], start + row + 1)
                 agents[i], sigma_loc[i], b_loc[i] = a, a.sigma_loc, a.b_loc
                 v_inv[i], log_gain[i] = a.v_inv, a.log_gain

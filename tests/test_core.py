@@ -108,6 +108,14 @@ def test_spd_rejects_below_stated_floor():
     SpdMatrix.from_dense(np.diag([1.0, 2.0]), min_eig=1.0)  # boundary passes
 
 
+def test_spd_refuses_a_nan_floor():
+    # A NaN floor fails "min_eig > 0.0", so it would skip this floor check and
+    # that of every later _factor of a server built from it.
+    for mat in (np.eye(2), np.diag([1e-3, 1.0])):
+        with pytest.raises(NumericalDomainError, match="stated floor is NaN"):
+            SpdMatrix.from_dense(mat, min_eig=float("nan"))
+
+
 def test_spd_floor_edge_decided_by_eigvalsh():
     # The floor check admits a 1e-9 relative plus 1e-12 absolute shortfall.
     # At that edge the Cholesky screen cannot decide, so eigvalsh does: a

@@ -1,5 +1,7 @@
 """Agent/server update and sync-trigger mechanics at the single-step level."""
 
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -21,8 +23,10 @@ from fedlinucb import (
     payload_checksum,
     run_fedlinucb,
     should_sync,
+    solve_estimate,
     sync,
 )
+from fedlinucb.core import _chol_solve
 
 
 HP = HyperParams(lam=1.0, alpha=0.5, delta=0.1)
@@ -125,6 +129,64 @@ def test_sync_checks_the_server_floor():
         sync(a, server, round_=1)
     _, s, _ = sync(a, init_server(2, lam=1.0), round_=1)
     assert s.sigma_ser.min_eig == 1.0
+
+
+def reference_sync(a, s, round_):
+    """What :func:`sync` computes, built from the checked public pieces:
+    ``from_dense`` of the summed matrix at the server's floor, numpy's
+    Cholesky, ``solve_estimate``, a solve of the identity and the sha256 of
+    the uploaded bytes."""
+    summed = s.sigma_ser.mat + a.sigma_loc
+    sigma = SpdMatrix.from_dense(summed, min_eig=s.sigma_ser.min_eig)
+    chol = np.linalg.cholesky(summed)
+    b = s.b_ser + a.b_loc
+    checksum = hashlib.sha256(a.sigma_loc.tobytes() + a.b_loc.tobytes()).hexdigest()
+    return (summed, chol, b, solve_estimate(sigma, b), _chol_solve(chol, np.eye(len(b))),
+            2.0 * np.log(np.diag(chol)).sum(), (round_, a.id, checksum))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    d=st.integers(1, 32),
+    lam=st.sampled_from([1e-3, 1.0, 100.0]),
+    n_synced=st.integers(0, 20),
+    n_buffered=st.integers(1, 20),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sync_equals_its_reference_bit_for_bit(d, lam, n_synced, n_buffered, seed):
+    rng = np.random.default_rng(seed)
+
+    def upload(n, a):
+        for _ in range(n):
+            x = rng.standard_normal(d)
+            a = local_update(a, x * (rng.uniform(0.1, 1.0) / np.linalg.norm(x)),
+                             float(rng.standard_normal()))
+        return a
+
+    s = init_server(d, lam)
+    if n_synced:  # another agent's upload first, so the server holds data
+        _, s, _ = sync(upload(n_synced, init_agent(2, d, lam)), s, round_=1)
+    a = upload(n_buffered, init_agent(1, d, lam))
+    got_a, got_s, event = sync(a, s, round_=7)
+    summed, chol, b, theta, v_inv, logdet, ev = reference_sync(a, s, 7)
+    same = lambda x, y: x.shape == y.shape and x.tobytes() == y.tobytes()
+    assert same(got_s.sigma_ser.mat, summed) and same(got_s.sigma_ser.chol, chol)
+    assert same(got_s.b_ser, b) and got_s.sigma_ser.min_eig == lam
+    assert got_s.sigma_ser.logdet == logdet
+    assert (event.round, event.agent, event.payload_checksum) == ev
+    assert got_a.sigma is got_s.sigma_ser and got_a.b is got_s.b_ser
+    assert same(got_a.theta_hat, theta) and same(got_a.v_inv, v_inv)
+    assert not got_a.sigma_loc.any() and not got_a.b_loc.any() and got_a.log_gain == 0.0
+
+    # The refusals keep their messages: a NaN buffer, and a server matrix
+    # pushed below its floor (to lam / 2 times the identity).
+    nan = dataclasses.replace(a, sigma_loc=np.where(np.eye(d) > 0, np.nan, a.sigma_loc))
+    with pytest.raises(NumericalDomainError, match="non-finite pivot"):
+        sync(nan, s, 7)
+    below = dataclasses.replace(a, sigma_loc=0.5 * lam * np.eye(d) - s.sigma_ser.mat)
+    for run in (sync, reference_sync):
+        with pytest.raises(NumericalDomainError, match="below stated floor"):
+            run(below, s, 7)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
