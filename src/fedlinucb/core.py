@@ -64,7 +64,6 @@ SYMMETRY_RTOL = 1e-9
 FACTOR_RTOL = 1e-8
 
 _EPS = np.finfo(np.float64).eps
-_add_reduce = np.add.reduce
 
 # The error state ``np.errstate(all="ignore")`` enters, built once for :func:`_cholesky`.
 with np.errstate(all="ignore"):
@@ -148,7 +147,7 @@ class SpdMatrix:
     @property
     def logdet(self) -> float:
         # _logdet of one factor, without np.diagonal's dispatch: the same sum.
-        return 2.0 * float(_add_reduce(np.log(self.chol.diagonal())))
+        return 2.0 * float(np.add.reduce(np.log(self.chol.diagonal())))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -207,7 +206,7 @@ def _check_floor(m: Matrix, min_eig: float) -> None:
         floor = min_eig * (1.0 - 1e-9) - min(1e-12, 1e-9 * min_eig)
         # A factored matrix has a positive diagonal: its trace is tr|m|.
         if m.ndim == 2:
-            margin = floor_margin(d, float(_add_reduce(m.diagonal())), min_eig)
+            margin = floor_margin(d, float(np.add.reduce(m.diagonal())), min_eig)
             floor = min(floor, min_eig - margin)
             if margin < min_eig and eigs_surely_above(m, floor):
                 return
@@ -266,7 +265,7 @@ def eigs_surely_above(mat: Matrix, floor: Any) -> Any:
     if mat.ndim == 2:
         shifted = np.array(mat, dtype=np.float64, order="F")
         diag = shifted.ravel("K")[:: d + 1]  # a view: ravel("K") of a Fortran array copies nothing
-        diag -= floor + floor_margin(d, float(_add_reduce(np.abs(diag))), floor)
+        diag -= floor + floor_margin(d, float(np.add.reduce(np.abs(diag))), floor)
         factor, info = dpotrf(shifted, 1, 0, 1)  # lower, clean=0, overwrite_a
         # LAPACK does not reject NaN pivots; a NaN anywhere reaches the last one.
         return info == 0 and math.isfinite(factor[-1, -1])
