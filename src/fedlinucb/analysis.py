@@ -135,20 +135,17 @@ class _Replay:
         events recorded at their rounds), updating every check after each stack."""
         self.checksum_mismatches += len(events)
         self.events_by_round.update((ev.round, ev) for ev in events)
-        fixed, first, end = self.inst.arm_spec.arms, self.rows, self.rows + len(arm_index)
+        first, end = self.rows, self.rows + len(arm_index)
         size = max(1, _STACK_FLOATS // self.d**2)
         lo = first
         while lo < end:
             # The played arms of the rows inside one environment block, gathered
-            # at once from its table (a fixed list's from the list itself).
+            # at once from its table.
             block = lo // BLOCK
             hi = min(end, (block + 1) * BLOCK, lo + size)
             part = slice(lo - first, hi - first)
-            if fixed is None:
-                rows = np.arange(lo - block * BLOCK, hi - block * BLOCK)
-                xs = _block(self.inst, block).arms[rows, arm_index[part]]
-            else:
-                xs = fixed[arm_index[part]]
+            rows = np.arange(lo - block * BLOCK, hi - block * BLOCK)
+            xs = _block(self.inst, block).arms[rows, arm_index[part]]
             self.step(agent[part], xs, reward[part])
             for check in checks:
                 check.update(self)
@@ -336,16 +333,17 @@ class _Covariance:
 
     Claim 1 is counted for every agent on every row, but an agent's
     difference ``server - sigma_loc_m / alpha`` is screened only on the rows
-    where it can raise the running worst, which starts at 0.  After the
-    first row it changes only with the acting agent's buffer or with an
-    upload.  A row without an upload moves only the acting agent's.  An
-    upload row moves nobody's towards a violation: the uploader's buffer is
-    empty, so its difference is the server aggregate itself, whose
-    smallest ``eigvalsh`` the replay has just checked, as the uploader's
-    synced covariance, against the ridge floor, lam less a rounding margin
-    kept below lam, so it is at least 0; every other agent's difference grew
-    by the uploaded buffer, a PSD matrix.  Each stack of rows is screened in
-    one call, in row order.
+    where it can raise the running worst, which starts at 0.  Before the
+    first row every agent's difference is the prior lam I, whose eigenvalues
+    are all lam > 0, so it cannot raise the worst; after that an agent's
+    changes only with its own buffer or with an upload.  A row without an
+    upload moves only the acting agent's.  An upload row moves nobody's
+    towards a violation: the uploader's buffer is empty, so its difference
+    is the server aggregate itself, whose smallest ``eigvalsh`` the replay
+    has just checked, as the uploader's synced covariance, against the ridge
+    floor, lam less a rounding margin kept below lam, so it is at least 0;
+    every other agent's difference grew by the uploaded buffer, a PSD
+    matrix.  Each stack of rows is screened in one call, in row order.
     """
 
     def __init__(self, alpha: float, M: int):
@@ -359,21 +357,9 @@ class _Covariance:
 
     def update(self, rep: _Replay) -> None:
         # Claim 1 covers every agent every round, screened where it can move
-        # the worst (see the class docstring): every agent on the first row,
-        # then the acting agent on a row without an upload, nobody on an
-        # upload row.
+        # the worst (see the class docstring): the acting agent on a row
+        # without an upload, nobody on an upload row.
         rows = np.flatnonzero(~rep.uploaded)
-        if rep.first == 0:
-            # Every agent's buffer but the acting one's is empty; the agents
-            # go in stacks of the replay's size.
-            server, acting = rep.servers[rep.server_at[0]], int(rep.agents[0]) - 1
-            size = max(1, _STACK_FLOATS // rep.d**2)
-            for lo in range(0, self.M, size):
-                buffers = np.zeros((min(size, self.M - lo), rep.d, rep.d))
-                if lo <= acting < lo + size and not rep.uploaded[0]:
-                    buffers[acting - lo] = rep.buffers[0]
-                self.worst1 = _loewner_worst(self.worst1, server - buffers / self.alpha)
-            rows = rows[rows > 0]
         # server - buffer / alpha, made in place.
         diffs = np.divide(rep.buffers[rows], self.alpha)
         np.subtract(rep.servers[rep.server_at[rows]], diffs, out=diffs)
@@ -535,7 +521,8 @@ def run_invariant_suite(
     ``trace-consistency``, ``comm-bound``, ``epoch-comm`` and
     ``regret-bound`` wait for the whole trace.  The replay reads each played
     arm from ``inst``, so a block whose ``arm_index`` leaves 0..K-1 is
-    refused, as is an event at a round outside 1..T.
+    refused, as is an ``agent`` id outside 1..M, an ``agent`` column whose
+    length is not the number of rows and an event at a round outside 1..T.
     """
     d, M, T, L, K = inst.dim, trace.M, len(trace.agent), inst.L, inst.arm_spec.K
     elliptical, covariance = _Elliptical(d, hp.lam, L, T), _Covariance(hp.alpha, M)
@@ -554,9 +541,15 @@ def run_invariant_suite(
             if not 1 <= ev.round <= T:
                 raise ValueError(f"trace event at round {ev.round} leaves 1..{T}")
         agent = trace.agent[rep.rows:rep.rows + len(arm_index)]
+        if len(agent) < len(arm_index):
+            raise ValueError(f"trace agent column has {len(trace.agent)} rows, too few")
+        if len(agent) and not 1 <= agent.min() <= agent.max() <= M:
+            raise ValueError(f"trace agent leaves 1..{M}")
         rep.feed(agent, arm_index, reward, events, [elliptical, covariance, coverage])
+    if rep.rows != len(trace.agent):
+        raise ValueError(f"trace agent column has {len(trace.agent)} rows, not {rep.rows}")
     # The radius the replay checked against was known before the run ended.
-    assert rep.rows == len(trace.agent) and trace.beta_used == coverage.beta
+    assert trace.beta_used == coverage.beta
 
     tol = logdet_rounding(d, hp.lam, L, T)
     margins = [gain - math.log1p(hp.alpha) for gain in rep.gains]

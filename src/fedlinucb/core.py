@@ -111,8 +111,6 @@ class SpdMatrix:
 
     @classmethod
     def from_dense(cls, mat: Any, min_eig: float = 0.0) -> "SpdMatrix":
-        if math.isnan(min_eig):  # "nan > 0.0" is False: every later floor check would pass
-            raise NumericalDomainError("stated floor is NaN")
         m = np.array(mat, dtype=np.float64)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
@@ -190,7 +188,8 @@ def _logdet(chol: Matrix) -> Any:
 def _check_floor(m: Matrix, min_eig: float) -> None:
     """NumericalDomainError unless a positive ``min_eig`` is, within rounding, a
     floor under the eigenvalues of the factored matrix ``m``, or of every
-    matrix of an (n, d, d) stack; the first one that fails is named.
+    matrix of an (n, d, d) stack; the first one that fails is named.  A NaN
+    ``min_eig`` is refused; one of at most 0 states no floor.
 
     A shortfall inside the matrix's own rounding is no violation: the floor
     checked is ``min_eig`` less the larger of a relative 1e-9 (plus 1e-12,
@@ -224,6 +223,8 @@ def _check_floor(m: Matrix, min_eig: float) -> None:
                 raise NumericalDomainError(
                     f"smallest eigenvalue {smallest} below stated floor {min_eig}"
                 )
+    elif math.isnan(min_eig):  # "nan > 0.0" is False: it would pass every check
+        raise NumericalDomainError("stated floor is NaN")
 
 
 def floor_margin(d: int, trace: Any, floor: Any) -> Any:

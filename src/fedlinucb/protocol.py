@@ -1,20 +1,23 @@
 """Agent/server state machine with determinant-triggered synchronization.
 
-States are frozen dataclasses; every update returns fresh objects, so an
-agent's synced covariance and vector can safely alias the server's: the
-server's arrays are read-only.  Uploads move the agent's local buffers into
-the server aggregate; downloads hand the post-update aggregate straight back
-to the uploading agent.  One sync therefore costs exactly two communications.
-Every agent is built as a download (:func:`_download`): at the start, of the
-prior, and after each of its syncs, of the post-upload aggregate.
+The server state and the events are frozen; the public steps return fresh
+agent records.  An agent's synced covariance and vector alias the server's
+safely: the server's arrays are read-only.  Uploads move the agent's local
+buffers into the server aggregate; downloads hand the post-update aggregate
+straight back to the uploading agent.  One sync therefore costs exactly two
+communications.  Every agent is built as a download (:func:`_download`): at
+the start, of the prior, and after each of its syncs, of the post-upload
+aggregate.
 
 A run (``simulator._drive``) makes the arithmetic of the public
 :func:`~fedlinucb.core.ucb_select`, :func:`local_update` and
-:func:`should_sync` without their per-call checks, which it makes once.  It
-scores through :func:`~fedlinucb.core._ucb_index`, on an agent's stored
-(theta_hat, sigma) or, in eager mode, on :func:`_recombined`; it advances an
-agent's trigger state by the step :func:`local_update` takes,
-:func:`_rank_one`; and it calls :func:`sync` when :func:`_fires`.
+:func:`should_sync` without their per-call checks, which it makes once, on
+one :class:`AgentState` per agent.  It scores through
+:func:`~fedlinucb.core._ucb_index`, on an agent's stored (theta_hat, sigma)
+or, in eager mode, on :func:`_recombined`; it advances the agent's buffers
+and trigger state in place, by the step :func:`local_update` takes,
+:func:`_rank_one`; and when :func:`_fires`, it hands the agent to
+:func:`sync` and keeps the download that comes back.
 
 The trigger compares log-determinants and needs no factorization between
 syncs: by the matrix determinant lemma each buffered arm ``x`` raises
@@ -43,12 +46,13 @@ from .core import (
 Vector = np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class AgentState:
     """One agent: synced statistics (sigma, b, theta_hat), unsynced buffers, and
     the trigger state kept by :func:`local_update`: ``v_inv`` is
     ``(sigma + sigma_loc)^{-1}`` and ``log_gain`` is
-    ``logdet(sigma + sigma_loc) - logdet(sigma)``."""
+    ``logdet(sigma + sigma_loc) - logdet(sigma)``.  A run updates its
+    agents' buffers and trigger state in place."""
 
     id: int
     sigma: SpdMatrix

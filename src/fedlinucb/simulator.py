@@ -4,20 +4,21 @@ FedLinUCB is fully asynchronous: one agent acts per round and an activation
 never triggers another agent's step.  The federated run and the
 no-communication baseline are therefore one loop (:func:`_drive`) over the
 sequence of acting agents; the baseline runs it with a private server per
-agent.  The round is written once, in :func:`_drive`: the acting agent takes
-its choice from its plan, observes its reward in the block's table, buffers
-it and advances its trigger state (``protocol._rank_one``), and syncs
-(``protocol.sync``) when the trigger (``protocol._fires``) fires; both are
-looked up on the module every round, so a patched one reaches the run.  A
-lazy agent's statistics change only when it syncs, so its plan scores its
-next activations inside the block as one stack (``core._ucb_index``) and
-holds until it syncs; the width restarts at one after a sync and doubles each
-time a plan runs out.  An eager agent scores each activation on its
-recombined statistics (``protocol._recombined``).  Every run shares that
-round and the counter-based environment, so a round's decision set and noise
-depend only on (master_seed, global round index), and an episodic run is the
-run of its flattened schedule
-(:meth:`~fedlinucb.environment.Schedule.from_episodes`).
+agent.  The round is written once, in :func:`_drive`, on one
+:class:`~fedlinucb.protocol.AgentState` record per agent: the acting agent
+takes its choice from its plan, observes its reward in the block's table,
+buffers it and advances its trigger state (``protocol._rank_one``) in place,
+and syncs (``protocol.sync``) when the trigger (``protocol._fires``) fires,
+keeping the download as its record; both are looked up on the module every
+round, so a patched one reaches the run.  A lazy agent's statistics change
+only when it syncs, so its plan scores its next activations inside the block
+as one stack (``core._ucb_index``) and holds until it syncs; the width
+restarts at one after a sync and doubles each time a plan runs out.  An
+eager agent scores each activation on its recombined statistics
+(``protocol._recombined``).  Every run shares that round and the
+counter-based environment, so a round's decision set and noise depend only
+on (master_seed, global round index), and an episodic run is the run of its
+flattened schedule (:meth:`~fedlinucb.environment.Schedule.from_episodes`).
 """
 
 from __future__ import annotations
@@ -205,23 +206,14 @@ def _drive(
     T, M, d = len(activations), len(betas), inst.dim
     eager, alpha = hp.estimate_mode == "eager", hp.alpha
     servers = [init_server(d, hp.lam) for _ in range(M if private else 1)]
-    # Each agent's last download holds its synced statistics; its buffers are
-    # running arrays that the run owns and updates in place, and its trigger
-    # state is kept in slots.  A whole AgentState is built only to sync and at
-    # the end.  v_inv stays as dpotrs returned it, in Fortran order, until the
-    # first step replaces it: ``v_inv @ x`` rounds by layout.
+    # One record per agent, its last download: the run buffers into its
+    # arrays and advances its trigger state in place, hands it to the sync
+    # and keeps the download the sync returns.  v_inv stays as dpotrs
+    # returned it, in Fortran order, until the first step replaces it:
+    # ``v_inv @ x`` rounds by layout.
     agents = [protocol._download(m, servers[m - 1 if private else 0]) for m in range(1, M + 1)]
-    sigma_loc = [a.sigma_loc for a in agents]
-    b_loc = [a.b_loc for a in agents]
-    v_inv = [a.v_inv for a in agents]
-    log_gain = [a.log_gain for a in agents]
     width = [1] * M
     logdets = [s.sigma_ser.logdet for s in servers]
-
-    def state(i: int) -> AgentState:
-        a = agents[i]
-        return AgentState(a.id, a.sigma, a.b, sigma_loc[i], b_loc[i], a.theta_hat, v_inv[i],
-                          log_gain[i])
 
     if T:
         # Every round's set has the shape of the first, and each radius is
@@ -254,7 +246,7 @@ def _drive(
             i, j = m - 1, m - 1 if private else 0
             a = agents[i]
             if eager:
-                theta, chol = protocol._recombined(a.sigma, a.b, sigma_loc[i], b_loc[i])
+                theta, chol = protocol._recombined(a.sigma, a.b, a.sigma_loc, a.b_loc)
                 idx = int(_ucb_index(theta, chol, betas[i], arms[row]))
             else:
                 if not plans[i]:
@@ -265,16 +257,14 @@ def _drive(
                 idx = plans[i].pop()
             x = arms[row, idx]
             r = means[row, idx] + noise[row]
-            sigma_loc[i] += x[:, None] * x
-            b_loc[i] += r * x
-            v_inv[i], gain = protocol._rank_one(v_inv[i], x)
-            log_gain[i] += gain
-            if protocol._fires(log_gain[i], alpha):
+            a.sigma_loc += x[:, None] * x
+            a.b_loc += r * x
+            a.v_inv, gain = protocol._rank_one(a.v_inv, x)
+            a.log_gain += gain
+            if protocol._fires(a.log_gain, alpha):
                 # The strict trigger cannot fire without local data.
-                assert np.count_nonzero(sigma_loc[i]), "sync triggered on empty buffers"
-                a, servers[j], event = protocol.sync(state(i), servers[j], start + row + 1)
-                agents[i], sigma_loc[i], b_loc[i] = a, a.sigma_loc, a.b_loc
-                v_inv[i], log_gain[i] = a.v_inv, a.log_gain
+                assert np.count_nonzero(a.sigma_loc), "sync triggered on empty buffers"
+                agents[i], servers[j], event = protocol.sync(a, servers[j], start + row + 1)
                 logdets[j] = servers[j].sigma_ser.logdet
                 plans[i], width[i] = [], 1
                 if not private:
@@ -300,7 +290,7 @@ def _drive(
         events=events,
         beta_used=beta_used,
         M=M,
-        final_agents=[state(i) for i in range(M)],
+        final_agents=agents,
         final_server=None if private else servers[0],
     )
 

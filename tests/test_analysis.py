@@ -182,6 +182,20 @@ def test_suite_refuses_an_arm_index_outside_the_decision_set(bad):
         run_invariant_suite(dataclasses.replace(trace, arm_index=arm_index), inst, hp)
 
 
+@pytest.mark.parametrize("change, message", [
+    (lambda agent: np.full_like(agent, 0), r"trace agent leaves 1\.\.3$"),
+    (lambda agent: np.where(np.arange(len(agent)) == 7, 4, agent), r"trace agent leaves 1\.\.3$"),
+    (lambda agent: np.append(agent, 1), r"trace agent column has 301 rows, not 300$"),
+    (lambda agent: agent[:-1], r"trace agent column has 299 rows, too few$"),
+], ids=["all-0", "one-past-M", "one-row-too-many", "one-row-too-few"])
+def test_suite_refuses_agent_ids_outside_1_to_M_and_a_column_of_another_length(change, message):
+    # The replay files each row under its agent id and reads the horizon from
+    # the agent column, so both must describe the trace's rows.
+    inst, hp, trace = run_small(seed=19)
+    with pytest.raises(ValueError, match=message):
+        run_invariant_suite(dataclasses.replace(trace, agent=change(trace.agent)), inst, hp)
+
+
 @pytest.mark.parametrize("bad", [0, -5, "T+1"])
 def test_suite_refuses_an_event_outside_the_trace_rounds(bad):
     # numpy would file round 0 under the last round's row and round T+1 nowhere.

@@ -126,9 +126,11 @@ def test_replay_stacks_hold_the_per_row_chains():
 
 
 def test_first_row_screens_more_agents_than_a_stack_holds():
-    # At d = 32 a stack holds 16 matrices, so the first row's 40 claim-1
-    # differences go in three stacks.  The run's first round does not sync,
-    # and checked at alpha = 1e-3 the acting agent's difference fails there.
+    # At d = 32 a stack holds 16 matrices, fewer than the 40 claim-1
+    # differences of each row.  Every one counts, but on the first row only the
+    # acting agent's is screened: every other one is the prior.  The run's
+    # first round does not sync, and checked at alpha = 1e-3 the acting
+    # agent's difference fails there.
     inst = gen_instance("random-sphere", d=32, K=6, seed=40)
     hp = HyperParams(lam=1.0, alpha=50.0, delta=0.1)
     trace = run_fedlinucb(inst, gen_schedule("round-robin", M=40, T=60), hp)
@@ -192,10 +194,9 @@ def test_high_sync_claim1_equals_every_agent_every_round():
 def test_screens_are_flat_in_agents_times_syncs(monkeypatch):
     # Every Cholesky screen of one suite pass, counted: the floor check of
     # each factor with a floor (the prior, the pooled covariance of every
-    # row, the synced factor of every upload), claim 1 for every agent on the
-    # first row and for the acting agent on each later row without an upload,
-    # and each claim-2 check.  An upload row screens no claim-1 difference.
-    # A stack counts one screen per matrix.
+    # row, the synced factor of every upload), claim 1 for the acting agent
+    # on each row without an upload, and each claim-2 check.  An upload row
+    # screens no claim-1 difference.  A stack counts one screen per matrix.
     calls = []
     real = eigs_surely_above
     counted = lambda mat, floor: calls.append(len(mat) if mat.ndim == 3 else 1) or real(mat, floor)
@@ -211,10 +212,10 @@ def test_screens_are_flat_in_agents_times_syncs(monkeypatch):
     uploads = {ev.round for ev in trace.events}
     assert len(uploads) == len(trace.events) > 100
     floor_checks = 1 + T + len(trace.events)
-    later_rows_without_upload = sum(1 for t in range(2, T + 1) if t not in uploads)
+    rows_without_upload = sum(1 for t in range(1, T + 1) if t not in uploads)
     claim2 = report.detail["claim2_checks"]
     assert report.detail["claim1_checks"] == M * T
-    assert sum(calls) == floor_checks + later_rows_without_upload + claim2 + M
+    assert sum(calls) == floor_checks + rows_without_upload + claim2 == 1213
 
 
 def test_clean_run_needs_no_eigvalsh(monkeypatch):

@@ -131,6 +131,15 @@ def test_sync_checks_the_server_floor():
     assert s.sigma_ser.min_eig == 1.0
 
 
+def test_sync_refuses_a_server_with_a_nan_floor():
+    # The raw constructor takes any floor.  A NaN one passes no "min_eig > 0.0"
+    # test, so the sync's factor refuses it rather than hand on a NaN floor.
+    a = agent_with_pull([0.0, 1.0], 0.3)
+    server = ServerState(SpdMatrix(np.eye(2), np.eye(2), math.nan), np.zeros(2))
+    with pytest.raises(NumericalDomainError, match="stated floor is NaN"):
+        sync(a, server, round_=1)
+
+
 def reference_sync(a, s, round_):
     """What :func:`sync` computes, built from the checked public pieces:
     ``from_dense`` of the summed matrix at the server's floor, numpy's
